@@ -120,6 +120,9 @@ class EmotionDistribution:
         probs = np.asarray(self.probs, dtype=np.float64)
         if probs.shape != (len(EMOTION_CATEGORIES),):
             raise ValueError(f"expected {len(EMOTION_CATEGORIES)} probabilities")
+        for category, p in zip(EMOTION_CATEGORIES, probs):
+            if not math.isfinite(p):
+                raise ValueError(f"probability of {category!r} must be finite, got {float(p)!r}")
         if np.any(probs < 0):
             raise ValueError("probabilities must be non-negative")
         if abs(float(probs.sum()) - 1.0) > 1e-6:

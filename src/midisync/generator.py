@@ -6,7 +6,9 @@ distribution over the vocabulary.  The loop in :func:`generate` owns
 everything else: it masks grammatically invalid continuations, applies
 temperature and top-k, samples with a seeded generator, feeds every
 emitted token to the boundary scheduler, and stops once the time cursor
-reaches the requested duration.
+reaches the requested duration.  Grammar facts come from a
+:class:`DecodeState` updated once per emitted token, never from a rescan
+of the history, so every step costs the same at any history length.
 
 Two models ship with the package: :class:`ReferenceModel`, a small
 hand-written heuristic that reacts to valence/arousal and to the
@@ -18,7 +20,9 @@ boundary's sensitivity window (useful for end-to-end pipeline checks).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from collections import deque
+from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
@@ -33,6 +37,7 @@ from .scheduler import (
 from .tokens import (
     CHORD,
     MAX_SHIFT_MS,
+    PAD,
     RESOLUTION_MS,
     START,
     VOCABULARY,
@@ -75,8 +80,8 @@ class SamplingParams:
     max_tokens: int = DEFAULT_MAX_TOKENS
 
     def __post_init__(self) -> None:
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        if not math.isfinite(self.temperature) or self.temperature <= 0:
+            raise ValueError(f"temperature must be finite and positive, got {self.temperature}")
         if self.top_k is not None and self.top_k < 1:
             raise ValueError(f"top_k must be >= 1, got {self.top_k}")
         if self.max_tokens < 1:
@@ -84,20 +89,117 @@ class SamplingParams:
 
 
 # ---------------------------------------------------------------------------
-# Grammar
+# Grammar and decode state
 # ---------------------------------------------------------------------------
 
 
-def _open_note_counts(tokens: list[Token]) -> dict[tuple[Instrument, int], int]:
-    counts: dict[tuple[Instrument, int], int] = {}
-    for tok in tokens:
+def _id_tables():
+    """ON ids and OFF ids by (instrument, pitch), shift ids by ms, and the
+    mask of tokens valid at position zero (everything but OFF)."""
+    on_id, off_id, shift_id = {}, {}, {}
+    first_mask = np.ones(len(VOCABULARY), dtype=bool)
+    for i, tok in enumerate(VOCABULARY):
         if tok.kind is TokenKind.ON:
-            counts[(tok.instrument, tok.pitch)] = counts.get((tok.instrument, tok.pitch), 0) + 1
+            on_id[tok.instrument, tok.pitch] = i
         elif tok.kind is TokenKind.OFF:
+            off_id[tok.instrument, tok.pitch] = i
+            first_mask[i] = False
+        elif tok.kind is TokenKind.TIMESHIFT:
+            shift_id[tok.shift_ms] = i
+    return on_id, off_id, shift_id, first_mask
+
+
+# Built once from the frozen vocabulary layout, so a step looks ids up
+# instead of hashing Token objects or scanning the vocabulary.
+_ON_ID, _OFF_ID, _SHIFT_ID, _FIRST_MASK = _id_tables()
+_CHORD_ID = VOCABULARY.id_of(CHORD)
+# After position zero START and PAD are invalid too.
+_BASE_MASK = _FIRST_MASK.copy()
+_BASE_MASK[[VOCABULARY.id_of(START), VOCABULARY.id_of(PAD)]] = False
+
+
+class DecodeState:
+    """Grammar and history facts of a token prefix, updated once per token.
+
+    * ``length`` — number of tokens folded;
+    * ``cursor_ms`` — sum of the TIMESHIFTs so far;
+    * ``open_notes`` — onset cursors of the sounding notes, a FIFO per
+      (instrument, pitch); an OFF closes the oldest onset, an OFF with
+      nothing open is ignored, and emptied FIFOs are dropped;
+    * ``open_count`` — number of sounding notes;
+    * ``chord_pending`` — the last CHORD has not been followed by an ON;
+    * ``shifted_since_chord`` — a TIMESHIFT followed the last CHORD (also
+      true before the first CHORD: no chord is owed notes);
+    * ``chord_pitches`` — pitches of the ONs after the last CHORD, kept
+      until the first TIMESHIFT after it;
+    * ``last_on_pitch`` — pitch of the latest ON, or None.
+    """
+
+    __slots__ = (
+        "length",
+        "cursor_ms",
+        "open_notes",
+        "open_count",
+        "chord_pending",
+        "shifted_since_chord",
+        "chord_pitches",
+        "last_on_pitch",
+    )
+
+    def __init__(self) -> None:
+        self.length = 0
+        self.cursor_ms = 0
+        self.open_notes: dict[tuple[Instrument, int], deque[int]] = {}
+        self.open_count = 0
+        self.chord_pending = False
+        self.shifted_since_chord = True
+        self.chord_pitches: list[int] = []
+        self.last_on_pitch: int | None = None
+
+    def push(self, tok: Token) -> None:
+        kind = tok.kind
+        if kind is TokenKind.TIMESHIFT:
+            self.cursor_ms += tok.shift_ms
+            self.shifted_since_chord = True
+        elif kind is TokenKind.ON:
             key = (tok.instrument, tok.pitch)
-            if counts.get(key, 0) > 0:
-                counts[key] -= 1
-    return counts
+            fifo = self.open_notes.get(key)
+            if fifo is None:
+                fifo = self.open_notes[key] = deque()
+            fifo.append(self.cursor_ms)
+            self.open_count += 1
+            self.chord_pending = False
+            self.last_on_pitch = tok.pitch
+            if not self.shifted_since_chord:
+                self.chord_pitches.append(tok.pitch)
+        elif kind is TokenKind.OFF:
+            key = (tok.instrument, tok.pitch)
+            fifo = self.open_notes.get(key)
+            if fifo:
+                fifo.popleft()
+                self.open_count -= 1
+                if not fifo:
+                    del self.open_notes[key]
+        elif kind is TokenKind.CHORD:
+            self.chord_pending = True
+            self.shifted_since_chord = False
+            self.chord_pitches = []
+        self.length += 1
+
+    def mask(self) -> np.ndarray:
+        """Boolean mask of grammatically valid next tokens (see :func:`grammar_mask`)."""
+        mask = (_BASE_MASK if self.length else _FIRST_MASK).copy()
+        for key in self.open_notes:
+            mask[_OFF_ID[key]] = True
+        if self.chord_pending:
+            mask[_CHORD_ID] = False
+        return mask
+
+    def chord_fill_remaining(self, triad: tuple[int, ...]) -> list[int]:
+        """Triad pitches still owed to the most recent CHORD marker, if any."""
+        if self.shifted_since_chord or len(self.chord_pitches) >= len(triad):
+            return []
+        return [p for p in triad if p not in self.chord_pitches]
 
 
 def grammar_mask(tokens: list[Token], vocab=VOCABULARY) -> np.ndarray:
@@ -106,25 +208,14 @@ def grammar_mask(tokens: list[Token], vocab=VOCABULARY) -> np.ndarray:
     Rules: an OFF is valid only for a currently open (instrument,
     pitch); START and PAD are valid only at position zero; a second
     CHORD is invalid until at least one ON has followed the previous
-    CHORD (a chord marker must announce some notes).
+    CHORD (a chord marker must announce some notes).  Every
+    :class:`TokenVocabulary` has the same frozen id layout, so ``vocab``
+    only names it.
     """
-    mask = np.ones(len(vocab), dtype=bool)
-    for tok in vocab:
-        if tok.kind is TokenKind.OFF:
-            mask[vocab.id_of(tok)] = False
-    for (instrument, pitch), count in _open_note_counts(tokens).items():
-        if count > 0:
-            mask[vocab.id_of(Token.off(instrument, pitch))] = True
-    if tokens:
-        mask[vocab.id_of(START)] = False
-        mask[vocab.id_of(Token(TokenKind.PAD))] = False
-    for tok in reversed(tokens):
-        if tok.kind is TokenKind.ON:
-            break
-        if tok.kind is TokenKind.CHORD:
-            mask[vocab.id_of(CHORD)] = False
-            break
-    return mask
+    state = DecodeState()
+    for tok in tokens:
+        state.push(tok)
+    return state.mask()
 
 
 # ---------------------------------------------------------------------------
@@ -259,14 +350,16 @@ def generate(
     (overshoot is below one maximal time shift), and fails loudly if
     ``max_tokens`` is hit first.
     """
-    if duration_s <= 0:
-        raise ValueError(f"duration_s must be positive, got {duration_s}")
+    if not math.isfinite(duration_s) or duration_s <= 0:
+        raise ValueError(f"duration_s must be finite and positive, got {duration_s}")
     sampling = sampling or SamplingParams()
     scheduler = scheduler or SchedulerParams()
     rng = np.random.default_rng(sampling.seed)
 
     state = GeneratorState.new(boundaries)
+    decode = DecodeState()
     on_token(state, START, scheduler)
+    decode.push(START)
 
     while state.cursor_s < duration_s:
         if len(state.tokens) >= sampling.max_tokens:
@@ -278,7 +371,7 @@ def generate(
             model.next_distribution(state.tokens, state.offsets, va.valence, va.arousal),
             step=len(state.tokens),
         )
-        masked = np.where(grammar_mask(state.tokens), probs, 0.0)
+        masked = np.where(decode.mask(), probs, 0.0)
         total = float(masked.sum())
         if total <= 0.0:
             raise GenerationError(
@@ -295,8 +388,9 @@ def generate(
             pruned = np.zeros_like(masked)
             pruned[keep] = masked[keep]
             masked = pruned / pruned.sum()
-        token_id = int(rng.choice(len(masked), p=masked))
-        on_token(state, VOCABULARY.token_of(token_id), scheduler)
+        token = VOCABULARY.token_of(int(rng.choice(len(masked), p=masked)))
+        on_token(state, token, scheduler)
+        decode.push(token)
 
     return GenerationResult(
         tokens=state.tokens,
@@ -317,41 +411,39 @@ def _snap_shift(ms: float) -> int:
     return max(RESOLUTION_MS, min(MAX_SHIFT_MS, snapped))
 
 
-def _history_facts(tokens: list[Token]) -> tuple[int, dict, list[Token]]:
-    """Cursor, open-note ages, and the tokens since the last CHORD/TIMESHIFT."""
-    cursor = 0
-    opened_at: dict[tuple[Instrument, int], list[int]] = {}
-    for tok in tokens:
-        if tok.kind is TokenKind.TIMESHIFT:
-            cursor += tok.shift_ms
-        elif tok.kind is TokenKind.ON:
-            opened_at.setdefault((tok.instrument, tok.pitch), []).append(cursor)
-        elif tok.kind is TokenKind.OFF:
-            stack = opened_at.get((tok.instrument, tok.pitch))
-            if stack:
-                stack.pop(0)
-    tail: list[Token] = []
-    for tok in reversed(tokens):
-        if tok.kind is TokenKind.CHORD:
-            break
-        tail.append(tok)
-    else:
-        tail = []  # no CHORD in history at all
-    tail.reverse()
-    return cursor, opened_at, tail
+class _FollowedHistory:
+    """A :class:`DecodeState` kept in step with the history a model is handed.
 
+    The generation loop hands a model the same list every step, grown by
+    appends; then only the new tokens are folded.  A different list, a
+    shorter one, or one whose last folded token was replaced is folded
+    again from scratch.  (Edits in place before that last position are
+    not detected: hand the model a new list after such an edit.)  The
+    state makes a model instance unsafe to share between threads.
+    """
 
-def _chord_fill_remaining(tokens: list[Token], triad: tuple[int, ...]) -> list[int]:
-    """Triad pitches still owed to the most recent CHORD marker, if any."""
-    _, _, since_chord = _history_facts(tokens)
-    if not tokens or not any(t.kind is TokenKind.CHORD for t in tokens):
-        return []
-    if any(t.kind is TokenKind.TIMESHIFT for t in since_chord):
-        return []
-    played = [t.pitch for t in since_chord if t.kind is TokenKind.ON]
-    if len(played) >= len(triad):
-        return []
-    return [p for p in triad if p not in played]
+    __slots__ = ("tokens", "last", "state")
+
+    def __init__(self) -> None:
+        self.tokens: list[Token] | None = None
+        self.last: Token | None = None
+        self.state = DecodeState()
+
+    def sync(self, tokens: list[Token]) -> DecodeState:
+        state = self.state
+        done = state.length
+        if (
+            tokens is not self.tokens
+            or len(tokens) < done
+            or (done and tokens[done - 1] is not self.last)
+        ):
+            state = self.state = DecodeState()
+            self.tokens = tokens
+            done = 0
+        for i in range(done, len(tokens)):
+            state.push(tokens[i])
+        self.last = tokens[-1] if tokens else None
+        return state
 
 
 class ScriptedBoundaryModel:
@@ -373,30 +465,31 @@ class ScriptedBoundaryModel:
         if not 0 <= root_pitch <= 115:
             raise ValueError("root_pitch must leave room for a triad above it")
         self.triad = (root_pitch, root_pitch + 4, root_pitch + 7)
+        self._history = _FollowedHistory()
 
     def next_distribution(self, tokens, offsets, valence, arousal):
         probs = np.zeros(len(VOCABULARY))
-        probs[VOCABULARY.id_of(self._next_token(tokens, offsets))] = 1.0
+        probs[self._next_id(tokens, offsets)] = 1.0
         return probs
 
-    def _next_token(self, tokens: list[Token], offsets: list[float]) -> Token:
-        cursor, opened_at, _ = _history_facts(tokens)
+    def _next_id(self, tokens: list[Token], offsets: list[float]) -> int:
+        state = self._history.sync(tokens)
         offset_ms = int(round((offsets[-1] if offsets else 4.0) * 1000))
 
-        remaining = _chord_fill_remaining(tokens, self.triad)
+        remaining = state.chord_fill_remaining(self.triad)
         if remaining:
-            return Token.on(Instrument.PIANO, remaining[0])
+            return _ON_ID[(Instrument.PIANO, remaining[0])]
         if offset_ms <= self.CHORD_TRIGGER_MS:
-            return CHORD
+            return _CHORD_ID
         ripe = [
             (starts[0], inst, pitch)
-            for (inst, pitch), starts in opened_at.items()
-            if starts and cursor - starts[0] >= self.HOLD_MS
+            for (inst, pitch), starts in state.open_notes.items()
+            if state.cursor_ms - starts[0] >= self.HOLD_MS
         ]
         if ripe and offset_ms > self.RELEASE_FLOOR_MS:
             _, inst, pitch = min(ripe)
-            return Token.off(inst, pitch)
-        return Token.shift(_snap_shift(offset_ms - self.APPROACH_MARGIN_MS))
+            return _OFF_ID[(inst, pitch)]
+        return _SHIFT_ID[_snap_shift(offset_ms - self.APPROACH_MARGIN_MS)]
 
 
 class ReferenceModel:
@@ -421,6 +514,7 @@ class ReferenceModel:
         self.key_root = key_root
         self.params = params or SchedulerParams()
         self.max_open_notes = max_open_notes
+        self._history = _FollowedHistory()
 
     # -- internals -----------------------------------------------------
     def _scale(self, valence: float | None) -> tuple[int, ...]:
@@ -444,40 +538,35 @@ class ReferenceModel:
 
     # -- protocol --------------------------------------------------------
     def next_distribution(self, tokens, offsets, valence, arousal):
+        state = self._history.sync(tokens)
         weights = np.zeros(len(VOCABULARY))
-        cursor, opened_at, _ = _history_facts(tokens)
         offset_s = offsets[-1] if offsets else self.params.max_offset_s
         step = self._step_ms(arousal)
         triad = self._triad(valence)
 
-        remaining = _chord_fill_remaining(tokens, triad)
+        remaining = state.chord_fill_remaining(triad)
         if remaining:
             for pitch in remaining:
-                weights[VOCABULARY.id_of(Token.on(Instrument.PIANO, pitch))] = 1.0
+                weights[_ON_ID[(Instrument.PIANO, pitch)]] = 1.0
             return weights / weights.sum()
 
-        weights[VOCABULARY.id_of(CHORD)] = self._chord_weight(offset_s)
-        weights[VOCABULARY.id_of(Token.shift(step))] = 3.0
-        weights[VOCABULARY.id_of(Token.shift(_snap_shift(step * 2)))] += 0.5
-        weights[VOCABULARY.id_of(Token.shift(_snap_shift(step / 2)))] += 0.5
+        weights[_CHORD_ID] = self._chord_weight(offset_s)
+        weights[_SHIFT_ID[step]] = 3.0
+        weights[_SHIFT_ID[_snap_shift(step * 2)]] += 0.5
+        weights[_SHIFT_ID[_snap_shift(step / 2)]] += 0.5
 
-        open_keys = [(k, v) for k, v in opened_at.items() if v]
-        open_count = sum(len(v) for _, v in open_keys)
-        if open_count < self.max_open_notes:
+        if state.open_count < self.max_open_notes:
             scale = self._scale(valence)
-            last_pitch = next(
-                (t.pitch for t in reversed(tokens) if t.kind is TokenKind.ON),
-                self.key_root + 12,
-            )
+            last_pitch = self.key_root + 12 if state.last_on_pitch is None else state.last_on_pitch
             candidates = sorted(
                 (self.key_root + octave + degree for octave in (0, 12) for degree in scale),
                 key=lambda p: abs(p - last_pitch),
             )[:5]
             for rank, pitch in enumerate(candidates):
                 if 0 <= pitch < 128:
-                    weights[VOCABULARY.id_of(Token.on(Instrument.PIANO, pitch))] += 1.2 / (rank + 1)
-        for (inst, pitch), starts in open_keys:
-            if cursor - starts[0] >= 2 * step:
-                weights[VOCABULARY.id_of(Token.off(inst, pitch))] += 1.5
+                    weights[_ON_ID[(Instrument.PIANO, pitch)]] += 1.2 / (rank + 1)
+        for (inst, pitch), starts in state.open_notes.items():
+            if state.cursor_ms - starts[0] >= 2 * step:
+                weights[_OFF_ID[(inst, pitch)]] += 1.5
 
         return weights / weights.sum()

@@ -24,6 +24,7 @@ definition; the batch kernels must match it exactly.
 from __future__ import annotations
 
 import enum
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -245,9 +246,12 @@ def parse_boundaries(text: str) -> BoundaryList:
         if not s:
             continue
         try:
-            times.append(float(s))
+            value = float(s)
         except ValueError:
             raise ValueError(f"line {lineno}: not a number: {s!r}") from None
-        if times[-1] < 0:
+        if not math.isfinite(value * 1000):
+            raise ValueError(f"line {lineno}: boundary must be a finite number of ms, got {s!r}")
+        if value < 0:
             raise ValueError(f"line {lineno}: boundary must be >= 0")
+        times.append(value)
     return BoundaryList.from_times(times)

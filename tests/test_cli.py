@@ -313,6 +313,16 @@ def test_generate_external_requires_model_path(tmp_path, capsys):
     assert "model" in capsys.readouterr().err
 
 
+def test_generate_non_finite_duration_fails(tmp_path, capsys):
+    boundaries = tmp_path / "b.txt"
+    boundaries.write_text("4.0\n")
+    out_midi = tmp_path / "x.mid"
+    rc = main(["generate", "none", str(boundaries), "nan", str(out_midi)])
+    assert rc == 1
+    assert "duration_s must be finite" in capsys.readouterr().err
+    assert not out_midi.exists()
+
+
 def test_generate_missing_boundary_source(tmp_path, capsys):
     rc = main(
         ["generate", "none", str(tmp_path / "nope.txt"), "8.0", str(tmp_path / "x.mid")]

@@ -217,3 +217,22 @@ def test_distribution_file_round_trip():
         parse_distribution("joy 0.5\n")
     with pytest.raises(ValueError):
         parse_distribution('{"joy": 2.0}')
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"joy": NaN}',
+        '{"joy": 0.5, "fear": NaN}',
+        '{"joy": Infinity}',
+        "joy: nan\n",
+        "joy: 0.5\nfear: nan\n",
+        "sadness: inf\n",
+    ],
+)
+def test_distribution_rejects_non_finite_probability_in_both_formats(text):
+    # NaN fails every comparison, so without an explicit check it would
+    # pass validation and silently turn into unconditioned generation
+    category = "sadness" if "sadness" in text else "fear" if "fear" in text else "joy"
+    with pytest.raises(ValueError, match=f"'{category}' must be finite"):
+        parse_distribution(text)

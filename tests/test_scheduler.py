@@ -318,3 +318,9 @@ def test_boundary_file_round_trip(tmp_path):
         parse_boundaries("abc\n")
     with pytest.raises(ValueError):
         parse_boundaries("-1.0\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e308", "-1e308"])
+def test_boundary_file_rejects_non_finite_values_with_line_number(value):
+    with pytest.raises(ValueError, match="line 2"):
+        parse_boundaries(f"1.0\n{value}\n3.0\n")
