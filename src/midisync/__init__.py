@@ -5,7 +5,8 @@ Pipeline pieces, in data-flow order:
 * :mod:`midisync.tokens` — event vocabulary (1411 entries)
 * :mod:`midisync.midi_codec` — SMF parsing/writing and token codec
 * :mod:`midisync.chords` — chord detection and CHORD-token handling
-* :mod:`midisync.scheduler` — boundary-offset scheduling
+* :mod:`midisync.scheduler` — boundary-offset scheduling (the per-token
+  rule and its one NumPy batch kernel)
 * :mod:`midisync.emotion` — categorical emotions to valence/arousal
 * :mod:`midisync.scenes` — scene-cut ingestion and gap filtering
 * :mod:`midisync.generator` — grammar-constrained generation
@@ -14,7 +15,7 @@ Pipeline pieces, in data-flow order:
 """
 
 from .config import PipelineConfig
-from .scheduler import OFFSETS_BACKEND
 
 __version__ = "0.1.0"
+OFFSETS_BACKEND = "numpy"  # no longer a choice; kept because perfbench/baseline.py records it
 __all__ = ["PipelineConfig", "OFFSETS_BACKEND", "__version__"]

@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    # Tokenization grid
-    resolution_ms: int = 8
-    max_shift_ms: int = 1000
     # Chord labeling
     chord_dropout: float = 0.2
     velocity_boost: int = 20
@@ -34,16 +32,13 @@ class PipelineConfig:
     # Generation / model constants
     temperature: float = 1.0
     top_k: int = 32
-    feature_dim: int = 512
-    #: Loss weight applied to CHORD tokens when a model is trained on
-    #: prepared data; recorded here so training and inference share it.
-    chord_token_loss_weight: float = 10.0
-    default_velocity: int = 80
 
     def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         positive = (
-            "resolution_ms",
-            "max_shift_ms",
             "velocity_boost",
             "sensitivity_s",
             "max_offset_s",
@@ -51,9 +46,6 @@ class PipelineConfig:
             "target_max",
             "temperature",
             "top_k",
-            "feature_dim",
-            "chord_token_loss_weight",
-            "default_velocity",
         )
         for name in positive:
             if getattr(self, name) <= 0:
@@ -62,11 +54,6 @@ class PipelineConfig:
             raise ValueError("min_gap_s and simultaneity_eps_ms must be >= 0")
         if not 0.0 <= self.chord_dropout <= 1.0:
             raise ValueError(f"chord_dropout must be in [0, 1], got {self.chord_dropout}")
-        if self.max_shift_ms % self.resolution_ms:
-            raise ValueError(
-                f"max_shift_ms ({self.max_shift_ms}) must be a multiple of "
-                f"resolution_ms ({self.resolution_ms})"
-            )
         if not 0.0 < self.target_max <= 1.0:
             raise ValueError(f"target_max must be in (0, 1], got {self.target_max}")
 

@@ -13,35 +13,20 @@ token, how far ahead the next relevant boundary lies:
   boundary, clamped to ``[0, max_offset]``; with nothing pending the
   offset saturates at ``max_offset``.
 
-Two equivalent implementations exist for whole sequences: a compiled
-sweep (:mod:`midisync._offsets`) and a vectorized NumPy fallback
-(:mod:`midisync._offsets_py`), picked at import time.  Setting the
-environment variable ``MIDISYNC_PURE_PYTHON=1`` forces the fallback.
-The incremental state machine in this module is the reference
-definition; the batch kernels must match it exactly.
+The incremental state machine (:func:`on_token`) is the reference
+definition.  Whole sequences go through one vectorized NumPy kernel
+(:func:`offsets_for_sequence`), which must match the fold bit for bit.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .tokens import Token, TokenKind
-
-if os.environ.get("MIDISYNC_PURE_PYTHON", "") not in ("", "0"):
-    from . import _offsets_py as _kernel
-else:
-    try:
-        from . import _offsets as _kernel  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _offsets_py as _kernel
-
-#: Name of the whole-sequence kernel in use: "compiled" or "numpy".
-OFFSETS_BACKEND: str = _kernel.BACKEND_NAME
 
 DEFAULT_SENSITIVITY_S = 1.0
 DEFAULT_MAX_OFFSET_S = 4.0
@@ -59,10 +44,10 @@ class SchedulerParams:
     max_offset_s: float = DEFAULT_MAX_OFFSET_S
 
     def __post_init__(self) -> None:
-        if self.sensitivity_s <= 0:
-            raise ValueError(f"sensitivity_s must be positive, got {self.sensitivity_s}")
-        if self.max_offset_s <= 0:
-            raise ValueError(f"max_offset_s must be positive, got {self.max_offset_s}")
+        for name in ("sensitivity_s", "max_offset_s"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value <= 0:
+                raise ValueError(f"{name} must be a finite positive number, got {value}")
 
     @property
     def sensitivity_ms(self) -> int:
@@ -203,6 +188,73 @@ def derive_boundaries(tokens: list[Token]) -> BoundaryList:
     return BoundaryList(times_ms=tuple(sorted(set(times))))
 
 
+_FAR = np.int64(2**62)
+
+
+def _compute_offsets(
+    cursor_ms: np.ndarray,
+    is_chord: np.ndarray,
+    bounds_ms: np.ndarray,
+    xi_ms: int,
+    dmax_ms: int,
+) -> np.ndarray:
+    """Offsets (seconds) after each token; the batch form of :func:`on_token`.
+
+    ``cursor_ms``: int64, cursor value *after* each token (non-decreasing).
+    ``is_chord``: uint8/bool flags marking chord tokens.
+    ``bounds_ms``: int64 boundary times, strictly increasing.
+
+    The kernel computes, per boundary, the token index at which it stops
+    being pending ("death"): the earliest of its consumption index and
+    its expiry index.  Because boundaries are sorted and the pending set
+    only ever loses its minimum element to consumption or expiry from the
+    front, the earliest pending boundary as a function of token index is
+    a step function whose segments can be painted with ``np.repeat``.
+    """
+    n = cursor_ms.shape[0]
+    m = bounds_ms.shape[0]
+    if m == 0:
+        return np.full(n, dmax_ms / 1000.0)
+    if n == 0:
+        return np.zeros(0)
+
+    chord_idx = np.flatnonzero(is_chord)
+    # Consumption: earliest chord token whose cursor lies strictly inside
+    # (b - xi, b + xi).  Cursor values are integers, so the open interval
+    # is the closed interval [b - xi + 1, b + xi - 1].
+    consume = np.full(m, n, dtype=np.int64)
+    if chord_idx.size:
+        chord_cursor = cursor_ms[chord_idx]
+        k = np.searchsorted(chord_cursor, bounds_ms - xi_ms + 1, side="left")
+        valid = k < chord_idx.size
+        kv = k[valid]
+        hit = chord_cursor[kv] <= bounds_ms[valid] + xi_ms - 1
+        rows = np.flatnonzero(valid)[hit]
+        consume[rows] = chord_idx[kv[hit]]
+
+    # Expiry: earliest token whose cursor satisfies cursor - b > xi.
+    expire = np.searchsorted(cursor_ms, bounds_ms + xi_ms + 1, side="left")
+    death = np.minimum(consume, expire)
+
+    # Boundary j is the earliest pending one from the moment every
+    # earlier boundary has died until it dies itself.
+    prefix = np.maximum.accumulate(death)
+    start = np.empty(m, dtype=np.int64)
+    start[0] = 0
+    start[1:] = prefix[:-1]
+    seg_start = np.minimum(start, n)
+    seg_end = np.minimum(np.maximum(death, seg_start), n)
+    lengths = seg_end - seg_start
+
+    covered = int(lengths.sum())
+    earliest = np.concatenate(
+        [np.repeat(bounds_ms, lengths), np.full(n - covered, _FAR, dtype=np.int64)]
+    )
+    raw = earliest - cursor_ms
+    np.clip(raw, 0, dmax_ms, out=raw)
+    return raw / 1000.0
+
+
 def offsets_for_sequence(
     tokens: list[Token],
     boundaries: BoundaryList | None = None,
@@ -211,8 +263,8 @@ def offsets_for_sequence(
     """Offset schedule for a whole token sequence (one value per token).
 
     With ``boundaries=None`` the boundary list is derived from the
-    sequence's own CHORD positions.  Dispatches to the selected batch
-    kernel; equivalent to folding :func:`on_token` over the sequence.
+    sequence's own CHORD positions.  Equivalent to folding
+    :func:`on_token` over the sequence.
     """
     params = params or SchedulerParams()
     if boundaries is None:
@@ -228,7 +280,7 @@ def offsets_for_sequence(
         (tok.kind is TokenKind.CHORD for tok in tokens), dtype=np.uint8, count=len(tokens)
     )
     bounds = np.asarray(boundaries.times_ms, dtype=np.int64)
-    return _kernel.compute_offsets(
+    return _compute_offsets(
         cursor, is_chord, bounds, params.sensitivity_ms, params.max_offset_ms
     )
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -7,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from midisync import _offsets_py
 from midisync.scheduler import (
     BoundaryList,
     BoundaryState,
     GeneratorState,
     SchedulerParams,
+    _compute_offsets,
     derive_boundaries,
     expire_missed,
     format_boundaries,
@@ -22,13 +23,6 @@ from midisync.scheduler import (
     parse_boundaries,
 )
 from midisync.tokens import CHORD, START, Instrument, Token
-
-try:
-    from midisync import _offsets as _offsets_compiled
-except ImportError:  # pragma: no cover - depends on build environment
-    _offsets_compiled = None
-
-KERNELS = [k for k in (_offsets_py, _offsets_compiled) if k is not None]
 
 
 def fold_offsets(tokens, boundaries: BoundaryList, params: SchedulerParams) -> list[float]:
@@ -66,6 +60,13 @@ def test_params_validation():
     p = SchedulerParams()
     assert p.sensitivity_ms == 1000
     assert p.max_offset_ms == 4000
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["sensitivity_s", "max_offset_s"])
+def test_params_reject_non_finite_naming_the_field(name, value):
+    with pytest.raises(ValueError, match=name):
+        SchedulerParams(**{name: value})
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +175,7 @@ def test_offsets_capped_and_clamped():
 
 
 # ---------------------------------------------------------------------------
-# whole-sequence kernels vs the fold
+# whole-sequence kernel vs the fold
 # ---------------------------------------------------------------------------
 
 
@@ -213,18 +214,18 @@ def random_instance(rng: random.Random):
         else:
             tokens.append(Token.off(Instrument.PIANO, rng.randint(0, 127)))
     total_s = sum(t.shift_ms for t in tokens if t.shift_ms) / 1000.0
-    n_bounds = rng.randint(0, 8)
+    n_bounds = rng.randint(0, 60)
     bounds = BoundaryList.from_times(
         [round(rng.uniform(0, total_s + 2.0), 3) for _ in range(n_bounds)]
     )
     params = SchedulerParams(
-        sensitivity_s=rng.choice([0.25, 0.5, 1.0, 2.0]),
+        sensitivity_s=rng.choice([0.008, 0.25, 0.5, 1.0, 2.0]),
         max_offset_s=rng.choice([1.0, 4.0, 8.0]),
     )
     return tokens, bounds, params
 
 
-@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.BACKEND_NAME)
+@pytest.mark.parametrize("kernel", [_compute_offsets], ids=["numpy"])
 def test_kernels_match_fold_on_random_instances(kernel):
     rng = random.Random(555)
     for _ in range(300):
@@ -235,7 +236,7 @@ def test_kernels_match_fold_on_random_instances(kernel):
         )
         cursor = np.cumsum(shifts)
         is_chord = np.fromiter((t is CHORD for t in tokens), dtype=np.uint8, count=len(tokens))
-        got = kernel.compute_offsets(
+        got = kernel(
             cursor, is_chord, np.asarray(bounds.times_ms, dtype=np.int64),
             params.sensitivity_ms, params.max_offset_ms,
         )
