@@ -11,6 +11,7 @@ a marker announces.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,32 +124,43 @@ def insert_chord_tokens(
     The target is the first ON token of the span's instrument whose
     pitch belongs to the span and whose cursor time matches the span
     onset (within the simultaneity window, on the quantized grid).
+    Spans that pick the same ON token each get their own marker there.
     Raises :class:`ChordLabelError` when a span has no such token.
+
+    Cost: O(n + s * (log n + w)) for n tokens and s spans, where w is
+    the number of tokens whose cursor lies in one span's window.  Cursor
+    values never decrease, so each span bisects to its window and scans
+    only that; the output is then spliced together in one pass.
     """
     cursors = _cursor_positions(tokens)
+    n = len(tokens)
     insert_at: list[int] = []
     for span in spans:
         lo = quantize_ms(max(0, span.onset_ms - simultaneity_eps_ms))
         hi = quantize_ms(span.onset_ms + simultaneity_eps_ms)
-        found = None
-        for idx, tok in enumerate(tokens):
+        idx = bisect_left(cursors, lo)
+        while idx < n and cursors[idx] <= hi:
+            tok = tokens[idx]
             if (
                 tok.kind is TokenKind.ON
                 and tok.instrument is span.instrument
                 and tok.pitch in span.pitches
-                and lo <= cursors[idx] <= hi
             ):
-                found = idx
                 break
-        if found is None:
+            idx += 1
+        else:
             raise ChordLabelError(
                 f"no ON token matches chord at {span.onset_ms} ms ({span.instrument.value})"
             )
-        insert_at.append(found)
+        insert_at.append(idx)
 
-    out = list(tokens)
-    for idx in sorted(insert_at, reverse=True):
-        out.insert(idx, CHORD)
+    out: list[Token] = []
+    start = 0
+    for idx in sorted(insert_at):
+        out += tokens[start:idx]
+        out.append(CHORD)
+        start = idx
+    out += tokens[start:]
     return out
 
 

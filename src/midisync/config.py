@@ -36,7 +36,10 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
+            if f.type == "int":  # annotations are strings here (postponed evaluation)
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            elif not isinstance(value, (int, float)) or not math.isfinite(value):
                 raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         positive = (
             "velocity_boost",

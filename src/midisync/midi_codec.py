@@ -169,6 +169,13 @@ class _Reader:
     def u8(self, what: str) -> int:
         return self.take(1, what)[0]
 
+    def data_byte(self, what: str) -> int:
+        """A channel-message data byte, which must have its high bit clear."""
+        byte = self.take(1, what)[0]
+        if byte & 0x80:
+            raise MidiParseError(f"{what} 0x{byte:02X} has its high bit set", self.pos - 1)
+        return byte
+
     def u16(self, what: str) -> int:
         return int.from_bytes(self.take(2, what), "big")
 
@@ -283,7 +290,7 @@ def parse_midi(data: bytes, warnings: list[str] | None = None) -> ScoreTimeline:
                 status = first
                 if status < 0xF0:
                     running_status = status
-                    data1 = r.u8("event data")
+                    data1 = r.data_byte("event data")
                 else:
                     data1 = -1  # meta / sysex, handled below
 
@@ -313,7 +320,7 @@ def parse_midi(data: bytes, warnings: list[str] | None = None) -> ScoreTimeline:
                 seq += 1
                 continue
             if kind in (0x8, 0x9, 0xA, 0xB, 0xE):
-                data2 = r.u8("event data")
+                data2 = r.data_byte("event data")
             elif kind in (0xC, 0xD):
                 data2 = 0
             else:

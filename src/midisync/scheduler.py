@@ -103,12 +103,18 @@ class BoundaryList:
 
 @dataclass
 class GeneratorState:
-    """Incremental scheduling state carried through a generation loop."""
+    """Incremental scheduling state carried through a generation loop.
+
+    ``first_pending`` only moves forward: every boundary before it has
+    left the pending state, which it never re-enters, so the step
+    functions below start there instead of walking every boundary.
+    """
 
     boundaries: BoundaryList
     cursor_ms: int = 0
     tokens: list[Token] = field(default_factory=list)
     offsets: list[float] = field(default_factory=list)
+    first_pending: int = field(default=0, init=False, repr=False, compare=False)
 
     @classmethod
     def new(cls, boundaries: BoundaryList) -> "GeneratorState":
@@ -121,15 +127,15 @@ class GeneratorState:
 
 def next_offset(state: GeneratorState, params: SchedulerParams) -> float:
     """Distance to the earliest pending boundary, clamped to [0, cap]."""
-    pending = [
-        t
-        for t, s in zip(state.boundaries.times_ms, state.boundaries.states)
-        if s is BoundaryState.PENDING
-    ]
+    states = state.boundaries.states
+    i = state.first_pending
+    while i < len(states) and states[i] is not BoundaryState.PENDING:
+        i += 1
+    state.first_pending = i
     cap = params.max_offset_ms
-    if not pending:
+    if i == len(states):
         return cap / 1000.0
-    raw = min(pending) - state.cursor_ms
+    raw = state.boundaries.times_ms[i] - state.cursor_ms
     return min(max(raw, 0), cap) / 1000.0
 
 
@@ -137,13 +143,19 @@ def expire_missed(state: GeneratorState, params: SchedulerParams) -> list[float]
     """Mark boundaries left strictly more than the window behind the cursor.
 
     Idempotent; returns the times (seconds) of newly expired boundaries.
+    Times increase, so the scan stops at the first boundary still within
+    reach of the cursor.
     """
     xi = params.sensitivity_ms
+    times, states = state.boundaries.times_ms, state.boundaries.states
     newly = []
-    for i, t in enumerate(state.boundaries.times_ms):
-        if state.boundaries.states[i] is BoundaryState.PENDING and state.cursor_ms - t > xi:
-            state.boundaries.states[i] = BoundaryState.EXPIRED
-            newly.append(t / 1000.0)
+    i = state.first_pending
+    while i < len(times) and state.cursor_ms - times[i] > xi:
+        if states[i] is BoundaryState.PENDING:
+            states[i] = BoundaryState.EXPIRED
+            newly.append(times[i] / 1000.0)
+        i += 1
+    state.first_pending = i
     return newly
 
 
@@ -153,18 +165,19 @@ def on_token(state: GeneratorState, token: Token, params: SchedulerParams) -> fl
     The step is atomic: the cursor moves (TIMESHIFT), a chord consumes
     every pending boundary strictly within the window (CHORD), missed
     boundaries expire, and only then is the offset computed and
-    appended.
+    appended.  Its cost does not grow with the number of boundaries
+    already passed.
     """
     if token.kind is TokenKind.TIMESHIFT:
         state.cursor_ms += token.shift_ms
     elif token.kind is TokenKind.CHORD:
         xi = params.sensitivity_ms
-        for i, t in enumerate(state.boundaries.times_ms):
-            if (
-                state.boundaries.states[i] is BoundaryState.PENDING
-                and abs(state.cursor_ms - t) < xi
-            ):
-                state.boundaries.states[i] = BoundaryState.CONSUMED
+        times, states = state.boundaries.times_ms, state.boundaries.states
+        for i in range(state.first_pending, len(times)):
+            if times[i] - state.cursor_ms >= xi:
+                break
+            if states[i] is BoundaryState.PENDING and state.cursor_ms - times[i] < xi:
+                states[i] = BoundaryState.CONSUMED
     expire_missed(state, params)
     offset = next_offset(state, params)
     state.tokens.append(token)

@@ -21,6 +21,7 @@ pitch.  Total size: 6 + 125 + 5 * 256 = 1411.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 RESOLUTION_MS = 8
@@ -205,11 +206,13 @@ class TokenVocabulary:
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if len(lines) != len(vocab):
             raise ValueError(f"manifest has {len(lines)} entries, expected {len(vocab)}")
+        by_name = _tokens_by_name()
         for lineno, line in enumerate(lines):
             ident, _, name = line.partition("\t")
             if not ident.isdigit():
                 raise ValueError(f"manifest line {lineno + 1}: bad id field {ident!r}")
-            tok = Token.from_name(name.strip())
+            key = name.strip()
+            tok = by_name.get(key) or Token.from_name(key)
             if vocab.id_of(tok) != int(ident):
                 raise ValueError(
                     f"manifest line {lineno + 1}: {name!r} has id {ident}, "
@@ -222,6 +225,17 @@ class TokenVocabulary:
 VOCABULARY = TokenVocabulary()
 
 
+@functools.cache
+def _tokens_by_name() -> dict[str, Token]:
+    """Canonical name -> vocabulary entry, built on first use, not at import.
+
+    Parsers look names up here and fall back to :meth:`Token.from_name`,
+    which accepts other spellings (``TIMESHIFT_0008``) and raises the
+    ``ValueError`` for unknown names.
+    """
+    return {tok.name: tok for tok in VOCABULARY}
+
+
 def format_tokens(tokens: list[Token]) -> str:
     """Serialize a token sequence, one token name per line."""
     return "".join(tok.name + "\n" for tok in tokens)
@@ -229,13 +243,14 @@ def format_tokens(tokens: list[Token]) -> str:
 
 def parse_tokens(text: str) -> list[Token]:
     """Inverse of :func:`format_tokens`; blank lines are ignored."""
+    by_name = _tokens_by_name()
     out = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         name = line.strip()
         if not name:
             continue
         try:
-            out.append(Token.from_name(name))
+            out.append(by_name.get(name) or Token.from_name(name))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     return out

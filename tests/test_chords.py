@@ -5,6 +5,7 @@ import random
 import pytest
 
 from midisync.chords import (
+    SIMULTANEITY_EPS_MS,
     ChordLabelError,
     ChordSpan,
     beat_duration_ms,
@@ -15,7 +16,7 @@ from midisync.chords import (
     insert_chord_tokens,
     parse_spans,
 )
-from midisync.midi_codec import NoteEvent, ScoreTimeline, encode_events
+from midisync.midi_codec import NoteEvent, ScoreTimeline, encode_events, quantize_ms
 from midisync.tokens import CHORD, Instrument, Token, TokenKind
 
 
@@ -248,3 +249,174 @@ def test_insert_then_remove_recovers_original():
         inserted = insert_chord_tokens(toks, detect_chords(score))
         stripped = [x for x in inserted if x.kind is not TokenKind.CHORD]
         assert stripped == toks
+
+
+# -- insert_chord_tokens against the whole-stream scan ------------------------
+
+
+def cursors_before(tokens):
+    cursors = []
+    cursor = 0
+    for tok in tokens:
+        cursors.append(cursor)
+        if tok.kind is TokenKind.TIMESHIFT:
+            cursor += tok.shift_ms
+    return cursors
+
+
+def insert_by_whole_stream_scan(tokens, spans, simultaneity_eps_ms=SIMULTANEITY_EPS_MS):
+    """Oracle: rescan the whole stream from index 0 for every span."""
+    cursors = cursors_before(tokens)
+    insert_at = []
+    for span in spans:
+        lo = quantize_ms(max(0, span.onset_ms - simultaneity_eps_ms))
+        hi = quantize_ms(span.onset_ms + simultaneity_eps_ms)
+        found = None
+        for idx, tok in enumerate(tokens):
+            if (
+                tok.kind is TokenKind.ON
+                and tok.instrument is span.instrument
+                and tok.pitch in span.pitches
+                and lo <= cursors[idx] <= hi
+            ):
+                found = idx
+                break
+        if found is None:
+            raise ChordLabelError(
+                f"no ON token matches chord at {span.onset_ms} ms ({span.instrument.value})"
+            )
+        insert_at.append(found)
+    out = list(tokens)
+    for idx in sorted(insert_at, reverse=True):
+        out.insert(idx, CHORD)
+    return out
+
+
+def outcome(fn, *args):
+    """The returned token list, or the ChordLabelError message."""
+    try:
+        return fn(*args)
+    except ChordLabelError as exc:
+        return f"ChordLabelError: {exc}"
+
+
+PITCH_POOL = (48, 52, 55, 60, 64, 67)
+
+
+def random_stream(rng, length):
+    """Dense random stream: few pitches and short shifts, so windows overlap."""
+    toks = []
+    for _ in range(length):
+        r = rng.random()
+        if r < 0.3:
+            toks.append(Token.shift(8 * rng.randint(1, 3)))
+        else:
+            kind = Token.on if r < 0.8 else Token.off
+            toks.append(kind(rng.choice(list(Instrument)), rng.choice(PITCH_POOL)))
+    return toks
+
+
+def random_spans(rng, toks, eps, count):
+    """Spans anchored near random guitar/piano ONs, some off their window."""
+    cursors = cursors_before(toks)
+    anchors = [
+        (c, tok)
+        for c, tok in zip(cursors, toks)
+        if tok.kind is TokenKind.ON and tok.instrument in (Instrument.GUITAR, Instrument.PIANO)
+    ]
+    spans = []
+    for _ in range(count):
+        if anchors and rng.random() < 0.97:
+            c, tok = rng.choice(anchors)
+            reach = eps if rng.random() < 0.9 else eps + 16
+            onset = max(0, c + rng.randint(-reach, reach))
+            others = [p for p in PITCH_POOL if p != tok.pitch]
+            pitches = (tok.pitch, *rng.sample(others, rng.randint(2, 3)))
+            instrument = tok.instrument
+        else:
+            onset = rng.randint(0, cursors[-1] + 16 if cursors else 16)
+            pitches = tuple(rng.sample(PITCH_POOL, 3))
+            instrument = rng.choice([Instrument.GUITAR, Instrument.PIANO])
+        spans.append(ChordSpan(instrument, onset, pitches, 1000))
+    spans.sort(key=lambda s: (s.onset_ms, s.instrument.value))
+    return spans
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_insert_matches_whole_stream_scan_on_random_streams(seed):
+    rng = random.Random(seed)
+    toks = random_stream(rng, rng.randint(0, 300))
+    eps = rng.choice([0, 4, 8, 16])
+    for _ in range(5):
+        spans = random_spans(rng, toks, eps, rng.randint(0, 12))
+        expected = outcome(insert_by_whole_stream_scan, toks, spans, eps)
+        assert outcome(insert_chord_tokens, toks, spans, eps) == expected
+
+
+def test_insert_overlapping_windows_stack_markers():
+    # Two piano spans 8 ms apart both reach the ON at cursor 8 and get a
+    # marker each, at one position.
+    on = Token.on(Instrument.PIANO, 60)
+    toks = [Token.shift(8), on, Token.shift(8), Token.on(Instrument.PIANO, 64)]
+    spans = [
+        ChordSpan(Instrument.PIANO, 4, (60, 64, 67), 1000),
+        ChordSpan(Instrument.PIANO, 12, (60, 64, 67), 1000),
+    ]
+    out = insert_chord_tokens(toks, spans)
+    assert out == [Token.shift(8), CHORD, CHORD, on, Token.shift(8), toks[3]]
+    assert out == insert_by_whole_stream_scan(toks, spans)
+
+
+def test_insert_near_cursor_zero_clips_window():
+    # onset 3 with an 8 ms window: lo clips to 0 and the ON at cursor 0 counts.
+    toks = [Token.on(Instrument.GUITAR, 52), Token.shift(16), Token.on(Instrument.GUITAR, 55)]
+    for onset in (0, 3, 8):
+        span = ChordSpan(Instrument.GUITAR, onset, (52, 55, 59), 1000)
+        out = insert_chord_tokens(toks, [span])
+        assert out == insert_by_whole_stream_scan(toks, [span])
+        assert out[0] == CHORD
+
+
+def test_insert_no_match_message_matches_scan():
+    toks = [Token.shift(8), Token.on(Instrument.PIANO, 60), Token.shift(1000)]
+    spans = [
+        ChordSpan(Instrument.PIANO, 8, (60, 64, 67), 1000),
+        ChordSpan(Instrument.GUITAR, 8, (60, 64, 67), 1000),  # wrong instrument
+        ChordSpan(Instrument.PIANO, 500, (60, 64, 67), 1000),  # nothing sounds there
+    ]
+    with pytest.raises(ChordLabelError) as exc:
+        insert_chord_tokens(toks, spans)
+    assert str(exc.value) == "no ON token matches chord at 8 ms (guitar)"
+    assert outcome(insert_by_whole_stream_scan, toks, spans) == f"ChordLabelError: {exc.value}"
+
+
+def multi_minute_song(rng, minutes):
+    """Held triads every one or two bars over a bass line and off-grid melody."""
+    notes = []
+    bar = 2000
+    t = 0
+    while t < minutes * 60_000:
+        instrument = rng.choice([Instrument.GUITAR, Instrument.PIANO])
+        root = rng.randint(48, 60)
+        held = bar * rng.randint(1, 2)
+        jitter = [rng.randint(0, 6) for _ in range(3)]
+        for p, j in zip((root, root + 4, root + 7), jitter):
+            notes.append(NoteEvent(instrument, p, t + j, t + held - 10))
+        notes.append(NoteEvent(Instrument.BASS, root - 12, t, t + bar // 2))
+        for k in range(4):
+            onset = t + k * (bar // 4) + rng.randint(0, 30)
+            notes.append(NoteEvent(Instrument.STRINGS, rng.randint(72, 84), onset, onset + 300))
+        t += held
+    return ScoreTimeline(notes=notes)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_detect_then_insert_matches_scan_on_long_songs(seed):
+    rng = random.Random(seed)
+    score = multi_minute_song(rng, minutes=3)
+    toks = encode_events(score)
+    spans = detect_chords(score)
+    assert len(spans) > 50
+    out = insert_chord_tokens(toks, spans)
+    assert out == insert_by_whole_stream_scan(toks, spans)
+    assert sum(1 for t in out if t.kind is TokenKind.CHORD) == len(spans)

@@ -99,3 +99,13 @@ def test_frozen():
     cfg = PipelineConfig()
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.top_k = 5
+
+
+@pytest.mark.parametrize("value", [2.5, 8.0, True, False, "8", None])
+@pytest.mark.parametrize("name", ["velocity_boost", "simultaneity_eps_ms", "top_k"])
+def test_integer_keys_reject_non_integers_naming_the_field(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        PipelineConfig(**{name: value})
+    with pytest.raises(ValueError, match=name):
+        PipelineConfig.from_json(json.dumps({name: value}))
+    assert getattr(PipelineConfig(**{name: 3}), name) == 3

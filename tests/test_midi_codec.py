@@ -161,6 +161,24 @@ def test_malformed_header_reports_offset():
     assert isinstance(err.value.offset, int)
 
 
+# Track events start at byte 22: 14 header bytes, then "MTrk" and a length.
+@pytest.mark.parametrize(
+    "events, offset, byte",
+    [
+        (vlq(0) + bytes([0x90, 0xBD, 80]), 24, 0xBD),  # pitch
+        (vlq(0) + bytes([0x90, 60, 0xC8]), 25, 0xC8),  # velocity
+        (vlq(0) + bytes([0xC0, 0x85]), 24, 0x85),  # program
+        (vlq(0) + bytes([0x90, 60, 70]) + vlq(0) + bytes([64, 0xC8]), 28, 0xC8),  # running status
+    ],
+    ids=["pitch", "velocity", "program", "running-status-velocity"],
+)
+def test_data_byte_with_high_bit_reports_its_offset(events, offset, byte):
+    with pytest.raises(MidiParseError) as err:
+        parse_midi(raw_smf([events]))
+    assert err.value.offset == offset
+    assert f"0x{byte:02X}" in str(err.value)
+
+
 def test_smpte_division():
     # 25 fps, 40 ticks/frame -> 1 ms per tick exactly.
     division = ((256 - 25) << 8) | 40

@@ -325,3 +325,66 @@ def test_boundary_file_round_trip(tmp_path):
 def test_boundary_file_rejects_non_finite_values_with_line_number(value):
     with pytest.raises(ValueError, match="line 2"):
         parse_boundaries(f"1.0\n{value}\n3.0\n")
+
+
+# ---------------------------------------------------------------------------
+# on_token against a step that walks every boundary
+# ---------------------------------------------------------------------------
+
+
+def scan_step(state: GeneratorState, token, params: SchedulerParams):
+    """Oracle step: consume, expire and look up over the whole list.
+
+    Returns the newly expired times (seconds) and the offset.
+    """
+    times, states = state.boundaries.times_ms, state.boundaries.states
+    xi = params.sensitivity_ms
+    if token.shift_ms:
+        state.cursor_ms += token.shift_ms
+    elif token is CHORD:
+        for i, t in enumerate(times):
+            if states[i] is BoundaryState.PENDING and abs(state.cursor_ms - t) < xi:
+                states[i] = BoundaryState.CONSUMED
+    newly = []
+    for i, t in enumerate(times):
+        if states[i] is BoundaryState.PENDING and state.cursor_ms - t > xi:
+            states[i] = BoundaryState.EXPIRED
+            newly.append(t / 1000.0)
+    pending = [t for t, s in zip(times, states) if s is BoundaryState.PENDING]
+    cap = params.max_offset_ms
+    raw = min(pending) - state.cursor_ms if pending else cap
+    return newly, min(max(raw, 0), cap) / 1000.0
+
+
+def test_step_functions_match_whole_list_scan():
+    rng = random.Random(4242)
+    for _ in range(200):
+        tokens, bounds, params = random_instance(rng)
+        # Start from an arbitrary cursor with some boundaries already settled.
+        choices = [BoundaryState.PENDING] * 3 + [BoundaryState.CONSUMED, BoundaryState.EXPIRED]
+        bounds.states = [rng.choice(choices) for _ in bounds.times_ms]
+        start = rng.choice([0, rng.randint(0, 5000)])
+        fast, slow = GeneratorState.new(bounds), GeneratorState.new(bounds)
+        fast.cursor_ms = slow.cursor_ms = start
+        for tok in tokens:
+            newly, expected = scan_step(slow, tok, params)
+            if tok.shift_ms:
+                fast.cursor_ms += tok.shift_ms
+                assert expire_missed(fast, params) == newly
+                assert next_offset(fast, params) == expected
+                fast.cursor_ms -= tok.shift_ms  # on_token below moves it again
+            assert on_token(fast, tok, params) == expected
+            assert fast.boundaries.states == slow.boundaries.states
+        assert fast.cursor_ms == slow.cursor_ms
+
+
+def test_first_pending_only_moves_forward():
+    params = SchedulerParams(sensitivity_s=1.0)
+    state = GeneratorState.new(BoundaryList.from_times([float(t) for t in range(0, 600, 5)]))
+    seen = []
+    for _ in range(700):
+        on_token(state, Token.shift(1000), params)
+        seen.append(state.first_pending)
+    assert seen == sorted(seen)
+    assert state.first_pending == len(state.boundaries)
+    assert state.boundaries.by_state(BoundaryState.PENDING) == []

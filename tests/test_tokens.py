@@ -122,3 +122,27 @@ def test_token_text_round_trip():
 def test_parse_tokens_reports_line_numbers():
     with pytest.raises(ValueError, match="line 2"):
         parse_tokens("START\nNOT_A_TOKEN\n")
+
+
+def test_parse_tokens_accepts_non_canonical_spellings():
+    toks = parse_tokens("TIMESHIFT_0008\nPIANO_ON_060\n  CHORD  \n")
+    assert toks == [Token.shift(8), Token.on(Instrument.PIANO, 60), Token(TokenKind.CHORD)]
+    manifest = VOCABULARY.manifest().replace("6\tTIMESHIFT_8\n", "6\tTIMESHIFT_0008\n", 1)
+    TokenVocabulary.check_manifest(manifest)  # no error
+    misplaced = manifest.replace("0\tSTART\n", "0\tBAR \n", 1)
+    with pytest.raises(ValueError, match=r"^manifest line 1: 'BAR ' has id 0, expected 1$"):
+        TokenVocabulary.check_manifest(misplaced)
+
+
+@pytest.mark.parametrize("bad", ["TIMESHIFT_7", "TIMESHIFT_1008", "PIANO_ON_128",
+                                 "HARP_ON_60", "PIANO_UP_60", "TIMESHIFT_-8", "piano_on_60"])
+def test_parse_errors_carry_the_name_parser_message(bad):
+    with pytest.raises(ValueError) as expected:
+        Token.from_name(bad)
+    with pytest.raises(ValueError) as exc:
+        parse_tokens(f"START\n\n{bad}\n")
+    assert str(exc.value) == f"line 3: {expected.value}"
+    manifest = VOCABULARY.manifest().replace("\tSTART\n", f"\t{bad}\n", 1)
+    with pytest.raises(ValueError) as exc:
+        TokenVocabulary.check_manifest(manifest)
+    assert str(exc.value) == str(expected.value)
