@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import PipelineConfig
 from .midi_codec import DEFAULT_TEMPO_BPM, NoteEvent, ScoreTimeline, quantize_ms
 from .tokens import CHORD, Instrument, Token, TokenKind
 
 CHORDABLE_INSTRUMENTS = (Instrument.GUITAR, Instrument.PIANO)
-SIMULTANEITY_EPS_MS = 8
 MIN_CHORD_NOTES = 3
 MIN_CHORD_BEATS = 2.0
 
@@ -58,7 +58,7 @@ def beat_duration_ms(tempo_bpm: float) -> float:
 def detect_chords(
     score: ScoreTimeline,
     beat_ms: float | None = None,
-    simultaneity_eps_ms: int = SIMULTANEITY_EPS_MS,
+    simultaneity_eps_ms: int = PipelineConfig.simultaneity_eps_ms,
 ) -> list[ChordSpan]:
     """Find qualifying chords in a timeline, sorted by onset.
 
@@ -117,7 +117,7 @@ def _cursor_positions(tokens: list[Token]) -> list[int]:
 def insert_chord_tokens(
     tokens: list[Token],
     spans: list[ChordSpan],
-    simultaneity_eps_ms: int = SIMULTANEITY_EPS_MS,
+    simultaneity_eps_ms: int = PipelineConfig.simultaneity_eps_ms,
 ) -> list[Token]:
     """Place one CHORD marker immediately before each span's first ON.
 
@@ -181,7 +181,7 @@ def boost_chord_velocity(
     score: ScoreTimeline,
     chord_onsets: list[int],
     gain: int,
-    simultaneity_eps_ms: int = SIMULTANEITY_EPS_MS,
+    simultaneity_eps_ms: int = PipelineConfig.simultaneity_eps_ms,
 ) -> ScoreTimeline:
     """Raise the velocity of every note struck at a chord onset.
 

@@ -50,19 +50,16 @@ def _stage(stage: str, fn, *args, **kwargs):
 
 
 def _load_config(args) -> PipelineConfig:
-    if getattr(args, "config", None):
-        return _stage("config", PipelineConfig.load, args.config)
-    return PipelineConfig()
+    """The ``--config`` file (or the defaults) with every given override flag on top.
 
-
-def _parse_va_flag(value: str | None) -> float | None | str:
-    """'none'/'unspecified' -> None; numbers -> float; missing -> 'absent'."""
-    if value is None:
-        return "absent"
-    lowered = value.strip().lower()
-    if lowered in ("none", "unspecified", "nan"):
-        return None
-    return float(value)
+    Override flags store into the ``dest`` of their config key, so one
+    ``dataclasses.replace`` applies them all and ``PipelineConfig``
+    validates flag values exactly as it validates file values.
+    """
+    config = _stage("config", PipelineConfig.load, args.config) if args.config else PipelineConfig()
+    flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(PipelineConfig)}
+    given = {name: value for name, value in flags.items() if value is not None}
+    return _stage("config", dataclasses.replace, config, **given) if given else config
 
 
 # ---------------------------------------------------------------------------
@@ -160,25 +157,23 @@ def cmd_prepare(args) -> int:
 
 
 def _sniff_scene_source(path_text: str, config: PipelineConfig) -> scheduler.BoundaryList:
-    """Boundary list from a boundary file, a detector log, or a video."""
+    """Boundary list from a boundary file, a detector log, or a video.
+
+    A file that decodes as text is a detector log when it holds cut
+    records and a boundary list otherwise, so a malformed boundary file
+    fails with its line number; only an undecodable file is a video.
+    """
     path = Path(path_text)
-    raw = None
-    if path.exists():
-        try:
-            raw = path.read_text()
-        except UnicodeDecodeError:
-            raw = None
-    if raw is not None and "pts_time" in raw:
-        cuts = scenes.parse_scene_log(raw)
-        return scenes.filter_boundaries(cuts, config.min_gap_s)
-    if raw is not None:
-        try:
-            return scheduler.parse_boundaries(raw)
-        except ValueError:
-            pass
     if not path.exists():
         raise FileNotFoundError(f"no such boundary/log/video file: {path}")
-    cuts = scenes.detect_scenes(str(path), config.scene_threshold)
+    try:
+        raw = path.read_text()
+    except UnicodeDecodeError:
+        cuts = scenes.detect_scenes(str(path), config.scene_threshold)
+    else:
+        if "pts_time" not in raw:
+            return scheduler.parse_boundaries(raw)
+        cuts = scenes.parse_scene_log(raw)
     return scenes.filter_boundaries(cuts, config.min_gap_s)
 
 
@@ -206,27 +201,18 @@ def _conditioning_point(args, config: PipelineConfig) -> emotion_mod.VAPoint:
             point = emotion_mod.mixture_mean(mixture)
         else:
             point = emotion_mod.sample_va(mixture, seed=args.seed)
-    valence = _parse_va_flag(args.valence)
-    arousal = _parse_va_flag(args.arousal)
+    parse = emotion_mod.parse_va_component
     return emotion_mod.VAPoint(
-        point.valence if valence == "absent" else valence,
-        point.arousal if arousal == "absent" else arousal,
+        point.valence if args.valence is None else parse(args.valence),
+        point.arousal if args.arousal is None else parse(args.arousal),
     )
 
 
 def cmd_generate(args) -> int:
     config = _load_config(args)
-    sensitivity = args.sensitivity if args.sensitivity is not None else config.sensitivity_s
-    max_offset = args.delta_max if args.delta_max is not None else config.max_offset_s
-    min_gap = args.min_gap if args.min_gap is not None else config.min_gap_s
-    temperature = args.temperature if args.temperature is not None else config.temperature
-    top_k = args.top_k if args.top_k is not None else config.top_k
-    if min_gap != config.min_gap_s:
-        config = dataclasses.replace(config, min_gap_s=min_gap)
-
     point = _stage("emotion", _conditioning_point, args, config)
     boundaries = _stage("boundaries", _sniff_scene_source, args.scenes_source, config)
-    sched = scheduler.SchedulerParams(sensitivity_s=sensitivity, max_offset_s=max_offset)
+    sched = scheduler.SchedulerParams(config.sensitivity_s, config.max_offset_s)
 
     def build_model():
         if args.model == "reference":
@@ -238,9 +224,7 @@ def cmd_generate(args) -> int:
         return _load_external_model(args.model_path)
 
     model = _stage("model", build_model)
-    sampling = generator_mod.SamplingParams(
-        temperature=temperature, top_k=top_k, seed=args.seed
-    )
+    sampling = generator_mod.SamplingParams(config.temperature, config.top_k, args.seed)
     result = _stage(
         "sampling",
         generator_mod.generate,
@@ -283,11 +267,11 @@ def cmd_generate(args) -> int:
             "valence": point.valence,
             "arousal": point.arousal,
             "model": args.model,
-            "temperature": temperature,
-            "top_k": top_k,
-            "sensitivity_s": sensitivity,
-            "max_offset_s": max_offset,
-            "min_gap_s": min_gap,
+            "temperature": config.temperature,
+            "top_k": config.top_k,
+            "sensitivity_s": config.sensitivity_s,
+            "max_offset_s": config.max_offset_s,
+            "min_gap_s": config.min_gap_s,
             "boundaries_s": list(boundaries.times_s),
         },
         "outputs": {
@@ -308,13 +292,12 @@ def cmd_generate(args) -> int:
 
 def cmd_scenes(args) -> int:
     config = _load_config(args)
-    min_gap = args.min_gap if args.min_gap is not None else config.min_gap_s
     source = Path(args.source)
     if args.video or not source.exists():
         cuts = _stage("detect", scenes.detect_scenes, str(source), config.scene_threshold)
     else:
         cuts = _stage("parse", scenes.parse_scene_log, source.read_text())
-    filtered = _stage("filter", scenes.filter_boundaries, cuts, min_gap)
+    filtered = _stage("filter", scenes.filter_boundaries, cuts, config.min_gap_s)
     _stage("write", Path(args.out_boundaries).write_text, scheduler.format_boundaries(filtered))
     print(
         f"kept {len(filtered)}/{len(cuts.cut_times_s)} cut(s), "
@@ -413,11 +396,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--valence", help="override valence; number or 'none'")
     p.add_argument("--arousal", help="override arousal; number or 'none'")
-    p.add_argument("--delta-max", type=float, help="offset cap in seconds")
-    p.add_argument("--sensitivity", type=float, help="boundary window in seconds")
-    p.add_argument("--min-gap", type=float, help="minimum boundary gap in seconds")
-    p.add_argument("--temperature", type=float, help="sampling temperature")
-    p.add_argument("--top-k", type=int, help="top-k truncation")
+    # Override flags store into their config key's dest; _load_config merges them.
+    p.add_argument("--delta-max", dest="max_offset_s", type=float, help="offset cap in seconds")
+    p.add_argument(
+        "--sensitivity", dest="sensitivity_s", type=float, help="boundary window in seconds"
+    )
+    p.add_argument(
+        "--min-gap", dest="min_gap_s", type=float, help="minimum boundary gap in seconds"
+    )
+    p.add_argument("--temperature", dest="temperature", type=float, help="sampling temperature")
+    p.add_argument("--top-k", dest="top_k", type=int, help="top-k truncation")
     p.add_argument(
         "--model",
         choices=("reference", "scripted", "external"),
@@ -430,7 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("source", help="detector log file or video path")
     p.add_argument("out_boundaries")
-    p.add_argument("--min-gap", type=float, help="minimum boundary gap in seconds")
+    p.add_argument(
+        "--min-gap", dest="min_gap_s", type=float, help="minimum boundary gap in seconds"
+    )
     p.add_argument("--video", action="store_true", help="treat source as a video path")
     p.set_defaults(fn=cmd_scenes)
 

@@ -1,9 +1,11 @@
 """Pipeline-wide constants bundled into one serializable record.
 
 Every tunable the command-line tools expose lives here, with the shipped
-default values.  Configs round-trip through JSON; unknown keys in a
-config file are rejected so that typos fail fast instead of silently
-using a default.
+default values.  Module-level defaults elsewhere in the package read
+these class attributes (``PipelineConfig.top_k`` and so on), so each
+default is written once.  Configs round-trip through JSON; unknown keys
+in a config file are rejected so that typos fail fast instead of
+silently using a default.
 """
 
 from __future__ import annotations
@@ -41,24 +43,17 @@ class PipelineConfig:
                     raise ValueError(f"{f.name} must be an integer, got {value!r}")
             elif not isinstance(value, (int, float)) or not math.isfinite(value):
                 raise ValueError(f"{f.name} must be a finite number, got {value!r}")
-        positive = (
-            "velocity_boost",
-            "sensitivity_s",
-            "max_offset_s",
-            "scene_threshold",
-            "target_max",
-            "temperature",
-            "top_k",
-        )
-        for name in positive:
+        for name in ("velocity_boost", "sensitivity_s", "max_offset_s", "temperature", "top_k"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.min_gap_s < 0 or self.simultaneity_eps_ms < 0:
-            raise ValueError("min_gap_s and simultaneity_eps_ms must be >= 0")
+        for name in ("min_gap_s", "simultaneity_eps_ms"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0.0 <= self.chord_dropout <= 1.0:
             raise ValueError(f"chord_dropout must be in [0, 1], got {self.chord_dropout}")
-        if not 0.0 < self.target_max <= 1.0:
-            raise ValueError(f"target_max must be in (0, 1], got {self.target_max}")
+        for name in ("scene_threshold", "target_max"):
+            if not 0.0 < getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in (0, 1], got {getattr(self, name)}")
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2) + "\n"

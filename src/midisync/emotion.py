@@ -23,10 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import PipelineConfig
+
 #: Fixed category order used by every array in this module.
 EMOTION_CATEGORIES = ("anger", "disgust", "fear", "joy", "sadness", "surprise")
 
-DEFAULT_TARGET_MAX = 0.8
 UNSPECIFIED_KEYWORD = "unspecified"
 
 #: Affect norms per category: ((valence mean, sd), (arousal mean, sd)).
@@ -100,10 +101,11 @@ class VAPoint:
         parts = text.split()
         if len(parts) != 2:
             raise ValueError(f"expected two fields, got {text!r}")
-        return cls(_parse_component(parts[0]), _parse_component(parts[1]))
+        return cls(parse_va_component(parts[0]), parse_va_component(parts[1]))
 
 
-def _parse_component(field: str) -> float | None:
+def parse_va_component(field: str) -> float | None:
+    """One VA coordinate: 'unspecified', 'none' or 'nan' -> None, else a float."""
     lowered = field.strip().lower()
     if lowered in (UNSPECIFIED_KEYWORD, "none", "nan"):
         return None
@@ -161,7 +163,7 @@ class GaussianMixtureVA:
     scale: float
 
 
-def scaling_coefficient(table: VATable, target_max: float = DEFAULT_TARGET_MAX) -> float:
+def scaling_coefficient(table: VATable, target_max: float = PipelineConfig.target_max) -> float:
     """Factor that maps the largest |mean| component onto ``target_max``."""
     if not 0.0 < target_max <= 1.0:
         raise ValueError(f"target_max must be in (0, 1], got {target_max}")
@@ -174,7 +176,7 @@ def scaling_coefficient(table: VATable, target_max: float = DEFAULT_TARGET_MAX) 
 def build_mixture(
     dist: EmotionDistribution,
     table: VATable | None = None,
-    target_max: float = DEFAULT_TARGET_MAX,
+    target_max: float = PipelineConfig.target_max,
     scale_sds: bool = True,
 ) -> GaussianMixtureVA:
     """Gaussian mixture induced by a categorical distribution.

@@ -27,6 +27,7 @@ from typing import Protocol
 
 import numpy as np
 
+from .config import PipelineConfig
 from .scheduler import (
     BoundaryList,
     BoundaryState,
@@ -47,8 +48,6 @@ from .tokens import (
 )
 from .emotion import VAPoint
 
-DEFAULT_TEMPERATURE = 1.0
-DEFAULT_TOP_K = 32
 DEFAULT_MAX_TOKENS = 200_000
 
 MAJOR_SCALE = (0, 2, 4, 5, 7, 9, 11)
@@ -74,8 +73,8 @@ class NextTokenModel(Protocol):
 
 @dataclass(frozen=True)
 class SamplingParams:
-    temperature: float = DEFAULT_TEMPERATURE
-    top_k: int | None = DEFAULT_TOP_K
+    temperature: float = PipelineConfig.temperature
+    top_k: int | None = PipelineConfig.top_k
     seed: int = 0
     max_tokens: int = DEFAULT_MAX_TOKENS
 
@@ -474,7 +473,7 @@ class ScriptedBoundaryModel:
 
     def _next_id(self, tokens: list[Token], offsets: list[float]) -> int:
         state = self._history.sync(tokens)
-        offset_ms = int(round((offsets[-1] if offsets else 4.0) * 1000))
+        offset_ms = int(round((offsets[-1] if offsets else PipelineConfig.max_offset_s) * 1000))
 
         remaining = state.chord_fill_remaining(self.triad)
         if remaining:

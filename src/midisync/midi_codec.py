@@ -42,6 +42,9 @@ MAX_TRANSPOSE = 3
 #: Instrument tag threshold: scores with at most this many distinct
 #: non-drum categories are tagged FEWER_INSTRUMENTS, otherwise MORE_INSTRUMENTS.
 FEWER_INSTRUMENT_LIMIT = 2
+#: Longest score parse_midi accepts (one hour).  It bounds the bar-mark
+#: loop and the TIMESHIFT tokens a corrupted delta time could demand.
+MAX_SCORE_SPAN_MS = 3_600_000
 
 _WRITE_DIVISION = 480  # ticks per quarter note used by write_midi
 _CHANNELS = {
@@ -249,9 +252,10 @@ def parse_midi(data: bytes, warnings: list[str] | None = None) -> ScoreTimeline:
             raise MidiParseError("division of zero ticks per quarter", header_off + 12)
 
     events: list[_RawEvent] = []
-    tempo_candidates: list[tuple[int, int, int, int]] = []  # (tick, track, seq, usec/quarter)
-    timesig_candidates: list[tuple[int, int, int, float]] = []  # (..., quarters per bar)
-    track_ends: list[int] = []
+    # (tick, track, seq, value, byte offset of the meta body)
+    tempo_candidates: list[tuple[int, int, int, int, int]] = []  # value: usec per quarter
+    timesig_candidates: list[tuple[int, int, int, float, int]] = []  # value: quarters per bar
+    last_tick = last_off = 0  # the latest note event and where it was read
     seq = 0
     track_index = 0
 
@@ -300,15 +304,15 @@ def parse_midi(data: bytes, warnings: list[str] | None = None) -> ScoreTimeline:
             if status == 0xFF:
                 meta_type = r.u8("meta type")
                 meta_len = r.varlen("meta length")
+                body_off = r.pos
                 body = r.take(meta_len, "meta body")
                 running_status = None
                 if meta_type == 0x51 and meta_len == 3:
-                    tempo_candidates.append(
-                        (tick, track_index, seq, int.from_bytes(body, "big"))
-                    )
+                    tempo = int.from_bytes(body, "big")
+                    tempo_candidates.append((tick, track_index, seq, tempo, body_off))
                 elif meta_type == 0x58 and meta_len >= 2:
                     quarters = body[0] * 4.0 / (1 << body[1])
-                    timesig_candidates.append((tick, track_index, seq, quarters))
+                    timesig_candidates.append((tick, track_index, seq, quarters, body_off))
                 elif meta_type == 0x2F:
                     break
                 seq += 1
@@ -342,6 +346,8 @@ def parse_midi(data: bytes, warnings: list[str] | None = None) -> ScoreTimeline:
                         seq += 1
                         continue
                     open_counts[key] -= 1
+                if tick > last_tick:
+                    last_tick, last_off = tick, status_off
                 events.append(
                     _RawEvent(
                         tick=tick,
@@ -356,6 +362,8 @@ def parse_midi(data: bytes, warnings: list[str] | None = None) -> ScoreTimeline:
                 )
             seq += 1
 
+        if tick > last_tick and any(open_counts.values()):
+            last_tick, last_off = tick, status_off  # dangling notes close here
         for (channel, pitch), count in sorted(open_counts.items()):
             for _ in range(count):
                 sink.append(
@@ -375,18 +383,17 @@ def parse_midi(data: bytes, warnings: list[str] | None = None) -> ScoreTimeline:
                     )
                 )
                 seq += 1
-        track_ends.append(tick)
         r.pos = end
         track_index += 1
 
-    tempo_us = 500000
+    tempo_us, tempo_off = 500000, None
     if tempo_candidates:
-        tempo_us = min(tempo_candidates)[3]
+        tempo_us, tempo_off = min(tempo_candidates)[3:]
         if tempo_us <= 0:
             tempo_us = 500000
-    quarters_per_bar = 4.0
+    quarters_per_bar, timesig_off = 4.0, None
     if timesig_candidates:
-        quarters_per_bar = min(timesig_candidates)[3]
+        quarters_per_bar, timesig_off = min(timesig_candidates)[3:]
 
     def tick_to_ms(tick: int) -> int:
         if smpte_ms_per_tick is not None:
@@ -395,6 +402,12 @@ def parse_midi(data: bytes, warnings: list[str] | None = None) -> ScoreTimeline:
         num = tick * tempo_us
         den = ticks_per_quarter * 1000
         return (2 * num + den) // (2 * den)
+
+    if tick_to_ms(last_tick) > MAX_SCORE_SPAN_MS:
+        raise MidiParseError(
+            f"note at {tick_to_ms(last_tick)} ms is past the {MAX_SCORE_SPAN_MS} ms limit",
+            last_off,
+        )
 
     # Match offs to the earliest open on (FIFO) in merged time order.
     events.sort(key=_RawEvent.order_key)
@@ -429,6 +442,13 @@ def parse_midi(data: bytes, warnings: list[str] | None = None) -> ScoreTimeline:
     bar_marks: list[int] = []
     if notes:
         bar_ms = quarters_per_bar * tempo_us / 1000.0
+        if 0 < bar_ms < 1:
+            # Blame the meta event that shrank the bar more, relative to 4/4 at 120 bpm.
+            metre_at_fault = quarters_per_bar / 4.0 <= tempo_us / 500000
+            raise MidiParseError(
+                f"bar of {bar_ms:.3g} ms is shorter than 1 ms",
+                timesig_off if metre_at_fault else tempo_off,
+            )
         if bar_ms > 0:
             span = max(n.offset_ms for n in notes)
             t = 0.0
@@ -484,14 +504,17 @@ def write_midi(score: ScoreTimeline, smf_type: int = 1) -> bytes:
             (0, 1, b"\xff\x58\x04\x04\x02\x18\x08"),
         ]
 
-    def note_messages(instruments: set[Instrument]) -> list[tuple[int, int, bytes]]:
-        msgs: list[tuple[int, int, bytes]] = []
-        for inst in sorted(instruments):
-            channel = _CHANNELS[inst]
-            if inst in _PROGRAMS:
-                # programs must precede any note message at tick 0
-                msgs.append((0, -1, bytes([0xC0 | channel, _PROGRAMS[inst]])))
+    def note_messages(instruments: tuple[Instrument, ...]) -> list[tuple[int, int, bytes]]:
+        """Program changes and note on/off messages of the given (sorted) instruments."""
+        msgs: list[tuple[int, int, bytes]] = [
+            # programs must precede any note message at tick 0
+            (0, -1, bytes([0xC0 | _CHANNELS[inst], _PROGRAMS[inst]]))
+            for inst in instruments
+            if inst in _PROGRAMS
+        ]
         for n in score.notes:
+            if n.instrument not in instruments:  # a tuple: identity tests, no Enum hashing
+                continue
             ch = _CHANNELS[n.instrument]
             on_tick = ms_to_tick(n.onset_ms)
             off_tick = ms_to_tick(n.offset_ms)
@@ -512,25 +535,11 @@ def write_midi(score: ScoreTimeline, smf_type: int = 1) -> bytes:
         out += _varlen(0) + b"\xff\x2f\x00"
         return bytes(out)
 
-    used = score.instruments_used()
+    used = tuple(sorted(score.instruments_used()))
     if smf_type == 0:
-        body = render(meta_body() + note_messages(used))
-        tracks = [body]
+        tracks = [render(meta_body() + note_messages(used))]
     else:
-        tracks = [render(meta_body())]
-        for inst in sorted(used):
-            msgs: list[tuple[int, int, bytes]] = []
-            if inst in _PROGRAMS:
-                msgs.append((0, -1, bytes([0xC0 | _CHANNELS[inst], _PROGRAMS[inst]])))
-            for n in score.notes:
-                if n.instrument is not inst:
-                    continue
-                ch = _CHANNELS[inst]
-                on_tick = ms_to_tick(n.onset_ms)
-                off_tick = max(ms_to_tick(n.offset_ms), on_tick + 1)
-                msgs.append((on_tick, 1, bytes([0x90 | ch, n.pitch, n.velocity])))
-                msgs.append((off_tick, 0, bytes([0x80 | ch, n.pitch, 0])))
-            tracks.append(render(msgs))
+        tracks = [render(meta_body())] + [render(note_messages((inst,))) for inst in used]
 
     header = b"MThd" + (6).to_bytes(4, "big")
     header += smf_type.to_bytes(2, "big")

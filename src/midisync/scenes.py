@@ -14,13 +14,12 @@ import re
 import subprocess
 from dataclasses import dataclass
 
+from .config import PipelineConfig
 from .scheduler import BoundaryList
 
 #: Environment variable naming the scene-detection executable.
 SCENE_BINARY_ENV = "MIDISYNC_SCENE_BIN"
 DEFAULT_SCENE_BINARY = "ffmpeg"
-DEFAULT_SCENE_THRESHOLD = 0.4
-DEFAULT_MIN_GAP_S = 4.0
 
 _CUT_RE = re.compile(r"pts_time[:=]\s*([0-9]+(?:\.[0-9]+)?)")
 _DURATION_FIELD_RE = re.compile(r"\bduration=([0-9]+(?:\.[0-9]+)?)")
@@ -78,7 +77,7 @@ def parse_scene_log(text: str) -> SceneCuts:
     return SceneCuts(cut_times_s=tuple(cuts), video_duration_s=duration)
 
 
-def filter_boundaries(cuts: SceneCuts, min_gap_s: float = DEFAULT_MIN_GAP_S) -> BoundaryList:
+def filter_boundaries(cuts: SceneCuts, min_gap_s: float = PipelineConfig.min_gap_s) -> BoundaryList:
     """Thin cuts left to right so consecutive kept cuts are >= the gap apart.
 
     Greedy: the first cut is kept; every later cut is kept only when its
@@ -100,7 +99,7 @@ def scene_binary() -> str:
 
 def detect_scenes(
     video_path: str,
-    threshold: float = DEFAULT_SCENE_THRESHOLD,
+    threshold: float = PipelineConfig.scene_threshold,
     timeout_s: float = 600.0,
 ) -> SceneCuts:
     """Run the external detector on a video and parse its output.

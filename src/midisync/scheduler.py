@@ -26,10 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import PipelineConfig
 from .tokens import Token, TokenKind
-
-DEFAULT_SENSITIVITY_S = 1.0
-DEFAULT_MAX_OFFSET_S = 4.0
 
 
 def _to_ms(seconds: float) -> int:
@@ -40,8 +38,8 @@ def _to_ms(seconds: float) -> int:
 class SchedulerParams:
     """Sensitivity window and offset cap, in seconds."""
 
-    sensitivity_s: float = DEFAULT_SENSITIVITY_S
-    max_offset_s: float = DEFAULT_MAX_OFFSET_S
+    sensitivity_s: float = PipelineConfig.sensitivity_s
+    max_offset_s: float = PipelineConfig.max_offset_s
 
     def __post_init__(self) -> None:
         for name in ("sensitivity_s", "max_offset_s"):

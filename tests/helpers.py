@@ -9,7 +9,9 @@ stream cannot faithfully carry overlapping unisons.
 
 from __future__ import annotations
 
+import contextlib
 import random
+import signal
 
 from midisync.midi_codec import NoteEvent, ScoreTimeline
 from midisync.tokens import Instrument
@@ -33,6 +35,26 @@ def raw_smf(tracks: list[bytes], fmt: int = 1, division: int = 480) -> bytes:
     head = b"MThd" + (6).to_bytes(4, "big")
     head += fmt.to_bytes(2, "big") + len(tracks).to_bytes(2, "big") + division.to_bytes(2, "big")
     return head + b"".join(raw_track(t) for t in tracks)
+
+
+@contextlib.contextmanager
+def time_budget(seconds: float):
+    """Raise ``TimeoutError`` inside the block once it runs past ``seconds``.
+
+    Uses ``SIGALRM``, so a hang in Python code fails the test instead of
+    stalling the suite (Unix only, main thread only).
+    """
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after the {seconds} s budget")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _place_note(taken: dict, key, onset: int, offset: int, clearance: int) -> bool:

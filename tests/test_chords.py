@@ -5,7 +5,6 @@ import random
 import pytest
 
 from midisync.chords import (
-    SIMULTANEITY_EPS_MS,
     ChordLabelError,
     ChordSpan,
     beat_duration_ms,
@@ -16,6 +15,7 @@ from midisync.chords import (
     insert_chord_tokens,
     parse_spans,
 )
+from midisync.config import PipelineConfig
 from midisync.midi_codec import NoteEvent, ScoreTimeline, encode_events, quantize_ms
 from midisync.tokens import CHORD, Instrument, Token, TokenKind
 
@@ -264,7 +264,7 @@ def cursors_before(tokens):
     return cursors
 
 
-def insert_by_whole_stream_scan(tokens, spans, simultaneity_eps_ms=SIMULTANEITY_EPS_MS):
+def insert_by_whole_stream_scan(tokens, spans, simultaneity_eps_ms=PipelineConfig.simultaneity_eps_ms):
     """Oracle: rescan the whole stream from index 0 for every span."""
     cursors = cursors_before(tokens)
     insert_at = []

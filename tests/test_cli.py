@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import sys
 
 import pytest
 
 from midisync.chords import detect_chords
 from midisync.cli import main
+from midisync.config import PipelineConfig
 from midisync.midi_codec import NoteEvent, ScoreTimeline, parse_midi, write_midi
 from midisync.tokens import VOCABULARY, Instrument, parse_tokens
 
@@ -329,6 +332,157 @@ def test_generate_missing_boundary_source(tmp_path, capsys):
     )
     assert rc == 1
     assert "boundaries" in capsys.readouterr().err
+
+
+def test_generate_malformed_boundary_file_reports_its_line(tmp_path, monkeypatch, capsys):
+    # A text file that is not a detector log is a boundary list, never a video.
+    monkeypatch.setenv("MIDISYNC_SCENE_BIN", str(tmp_path / "no-such-detector"))
+    boundaries = tmp_path / "b.txt"
+    boundaries.write_text("1.0\n4.0x\n")
+    rc = main(["generate", "none", str(boundaries), "8.0", str(tmp_path / "x.mid")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "generate/boundaries: line 2: not a number" in err
+    assert "detector" not in err
+
+
+def test_generate_sends_an_undecodable_file_to_the_detector(tmp_path, monkeypatch):
+    monkeypatch.setenv("MIDISYNC_SCENE_BIN", str(stub_detector(tmp_path)))
+    video = tmp_path / "clip.mp4"
+    video.write_bytes(b"\x00\x00\x00\x18ftypmp42\xff\xfe")
+    out_midi = tmp_path / "v.mid"
+    assert main(["generate", "none", str(video), "15.0", str(out_midi), "--model", "scripted"]) == 0
+    manifest = json.loads(out_midi.with_suffix(".manifest.json").read_text())
+    assert manifest["inputs"]["boundaries_s"] == [3.0, 9.0, 20.0]
+
+
+# ---------------------------------------------------------------------------
+# config keys and override flags
+# ---------------------------------------------------------------------------
+
+# A stand-in for ffmpeg's scene filter: fixed cut scores, reported when
+# above the threshold of the select expression, like the real detector.
+STUB_DETECTOR = """\
+import re, sys
+threshold = float(re.search(r"gt\\(scene,([0-9.]+)\\)", " ".join(sys.argv)).group(1))
+for t, score in ((3.0, 0.5), (9.0, 0.95), (20.0, 0.7)):
+    if score > threshold:
+        print(f"[Parsed_showinfo_1 @ 0x1] n: 0 pts_time:{t} pos: 0", file=sys.stderr)
+print("duration=30.0", file=sys.stderr)
+"""
+
+
+def stub_detector(tmp_path):
+    path = tmp_path / "stub-detector"
+    path.write_text(f"#!{sys.executable}\n{STUB_DETECTOR}")
+    path.chmod(0o755)
+    return path
+
+
+def chord_score(stagger_ms: int) -> ScoreTimeline:
+    """Twelve held piano triads whose notes start ``stagger_ms`` apart."""
+    return ScoreTimeline(
+        notes=[
+            NoteEvent(Instrument.PIANO, pitch, 1500 * k + i * stagger_ms, 1500 * k + 1200)
+            for k in range(12)
+            for i, pitch in enumerate((60, 64, 67))
+        ]
+    )
+
+
+def prepare_output(out, extra):
+    corpus = out / "corpus"
+    corpus.mkdir(parents=True)
+    (corpus / "chords.mid").write_bytes(write_midi(chord_score(0)))
+    assert main(["prepare", str(corpus), str(out / "prep"), "--seed", "3", *extra]) == 0
+    return (out / "prep" / "chords.tokens").read_bytes()
+
+
+def chords_output(out, extra):
+    out.mkdir(parents=True)
+    (out / "spread.mid").write_bytes(write_midi(chord_score(12)))
+    report = out / "report.tsv"
+    assert main(["chords", str(out / "spread.mid"), "--out-report", str(report), *extra]) == 0
+    return report.read_bytes()
+
+
+def generate_output(out, extra):
+    """MIDI and token bytes; the manifest is left out, since it echoes the config."""
+    out.mkdir(parents=True)
+    emotion = out / "mix.json"
+    emotion.write_text(json.dumps({"joy": 0.6, "sadness": 0.4}))
+    (out / "detector.log").write_text(SCENE_LOG)
+    midi = out / "song.mid"
+    argv = ["generate", str(emotion), str(out / "detector.log"), "15.0", str(midi)]
+    assert main([*argv, "--seed", "1", *extra]) == 0
+    return midi.read_bytes() + midi.with_suffix(".tokens").read_bytes()
+
+
+def scenes_output(out, extra):
+    out.mkdir(parents=True)
+    bounds = out / "bounds.txt"
+    assert main(["scenes", str(out / "clip.mp4"), str(bounds), "--video", *extra]) == 0
+    return bounds.read_bytes()
+
+
+# key -> (a value other than the default, the command output it must change)
+CONFIG_CASES = {
+    "chord_dropout": (1.0, prepare_output),
+    "velocity_boost": (50, generate_output),
+    "simultaneity_eps_ms": (40, chords_output),
+    "sensitivity_s": (0.1, generate_output),
+    "max_offset_s": (0.5, generate_output),
+    "min_gap_s": (1.0, generate_output),
+    "scene_threshold": (0.9, scenes_output),
+    "target_max": (0.3, generate_output),
+    "temperature": (0.3, generate_output),
+    "top_k": (1, generate_output),
+}
+
+
+def test_config_cases_cover_every_key():
+    assert set(CONFIG_CASES) == {f.name for f in dataclasses.fields(PipelineConfig)}
+
+
+@pytest.mark.parametrize("key", list(CONFIG_CASES))
+def test_every_config_key_changes_an_output(tmp_path, monkeypatch, key):
+    monkeypatch.setenv("MIDISYNC_SCENE_BIN", str(stub_detector(tmp_path)))
+    value, output = CONFIG_CASES[key]
+    assert value != getattr(PipelineConfig(), key)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    default = output(tmp_path / "default", [])
+    assert output(tmp_path / "default-again", []) == default
+    assert output(tmp_path / "changed", ["--config", str(config)]) != default
+
+
+@pytest.mark.parametrize(
+    "flag, value, key",
+    [
+        ("--top-k", "0", "top_k"),
+        ("--temperature", "nan", "temperature"),
+        ("--sensitivity", "-1", "sensitivity_s"),
+        ("--delta-max", "inf", "max_offset_s"),
+        ("--min-gap", "-1", "min_gap_s"),
+    ],
+)
+def test_bad_override_flag_fails_as_a_config_error(tmp_path, capsys, flag, value, key):
+    boundaries = tmp_path / "b.txt"
+    boundaries.write_text("4.0\n")
+    out_midi = tmp_path / "x.mid"
+    rc = main(["generate", "none", str(boundaries), "8.0", str(out_midi), flag, value])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "generate/config:" in err and key in err
+    assert not out_midi.exists()
+
+
+def test_override_flag_wins_over_the_config_file(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"top_k": 4, "min_gap_s": 2.0}))
+    _, manifest = run_generate(tmp_path, "mixed", ["--config", str(config), "--top-k", "2"])
+    assert manifest["inputs"]["top_k"] == 2
+    assert manifest["inputs"]["min_gap_s"] == 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,7 @@ def test_partial_json_uses_defaults():
         {"target_max": 1.2},
         {"min_gap_s": -0.5},
         {"top_k": 0},
+        {"scene_threshold": 1.5},
     ],
 )
 def test_validation_rejects_bad_values(overrides):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from midisync.midi_codec import (
+    MAX_SCORE_SPAN_MS,
     DecodeResult,
     MidiParseError,
     NoteEvent,
@@ -34,7 +36,7 @@ from midisync.tokens import (
 
 # SMF fixtures are built by hand in helpers.py (independent of the package
 # writer), so the parser is checked against separately computed tick math.
-from helpers import random_grid_score, random_offgrid_score, raw_smf, vlq
+from helpers import random_grid_score, random_offgrid_score, raw_smf, time_budget, vlq
 
 
 def test_single_note_tick_math():
@@ -192,6 +194,72 @@ def test_bar_marks_from_time_signature():
     events = vlq(0) + bytes([0x90, 60, 80]) + vlq(480 * 9) + bytes([0x80, 60, 0])
     score = parse_midi(raw_smf([events]))
     assert score.bar_marks_ms == (0, 2000, 4000)
+
+
+def tempo_meta(usec_per_quarter: int) -> bytes:
+    return vlq(0) + b"\xff\x51\x03" + usec_per_quarter.to_bytes(3, "big")
+
+
+def timesig_meta(numerator: int, denominator_exponent: int) -> bytes:
+    return vlq(0) + b"\xff\x58\x04" + bytes([numerator, denominator_exponent, 24, 8])
+
+
+def one_note(length_ticks: int) -> bytes:
+    return vlq(0) + bytes([0x90, 60, 80]) + vlq(length_ticks) + bytes([0x80, 60, 0])
+
+
+def test_corrupt_time_signature_denominator_raises_within_budget():
+    # One byte flipped in a file from write_midi: the denominator exponent
+    # 0xFF makes a bar about 1e-73 ms long, which once looped forever.
+    data = bytearray(write_midi(ScoreTimeline(notes=[NoteEvent(Instrument.PIANO, 60, 0, 500)])))
+    body = data.index(b"\xff\x58\x04") + 3
+    data[body + 1] = 0xFF
+    with time_budget(2.0), pytest.raises(MidiParseError, match="shorter than 1 ms") as err:
+        parse_midi(bytes(data))
+    assert err.value.offset == body
+
+
+def test_huge_delta_time_raises_within_budget():
+    # 16.8 s per quarter at one tick per quarter: a maximal delta time puts
+    # the note-off about 142 years in, which once meant ~1e8 bar marks.
+    events = tempo_meta(0xFFFFFF) + one_note(0x0FFFFFFF)
+    with time_budget(2.0), pytest.raises(MidiParseError, match="limit") as err:
+        parse_midi(raw_smf([events], division=1))
+    assert err.value.offset == 22 + len(events) - 3  # the note-off
+
+
+def test_dangling_note_past_the_span_limit_raises_at_track_end():
+    # A note-on, then a text event after a maximal delta; the unclosed note
+    # is closed at the End of Track event that raw_smf appends after that.
+    events = tempo_meta(0xFFFFFF) + vlq(0) + bytes([0x90, 60, 80])
+    events += vlq(0x0FFFFFFF) + b"\xff\x01\x00"
+    with time_budget(2.0), pytest.raises(MidiParseError, match="limit") as err:
+        parse_midi(raw_smf([events], division=1))
+    assert err.value.offset == 22 + len(events) + 1
+
+
+def test_span_limit_is_inclusive():
+    # One tick per ms: 1000 ticks per quarter at 1,000,000 usec per quarter.
+    ok = parse_midi(raw_smf([tempo_meta(1_000_000) + one_note(MAX_SCORE_SPAN_MS)], division=1000))
+    assert ok.notes[0].offset_ms == MAX_SCORE_SPAN_MS
+    with pytest.raises(MidiParseError, match="limit"):
+        parse_midi(raw_smf([tempo_meta(1_000_000) + one_note(MAX_SCORE_SPAN_MS + 1)], division=1000))
+
+
+@pytest.mark.parametrize(
+    "tempo_us, dd, blamed",
+    [(1000, 2, None), (999, 2, "tempo"), (500000, 12, "timesig")],
+    ids=["1ms-bar-ok", "tempo", "metre"],
+)
+def test_bar_shorter_than_1ms_blames_the_meta_event(tempo_us, dd, blamed):
+    # Track events start at byte 22; the tempo body is at 26, the time signature's at 33.
+    data = raw_smf([tempo_meta(tempo_us) + timesig_meta(1, dd) + one_note(4800)])
+    if blamed is None:  # a 1/4 bar at 1000 usec per quarter is exactly 1 ms; the note 10 ms
+        assert parse_midi(data).bar_marks_ms == tuple(range(11))
+        return
+    with pytest.raises(MidiParseError, match="shorter than 1 ms") as err:
+        parse_midi(data)
+    assert err.value.offset == {"tempo": 26, "timesig": 33}[blamed]
 
 
 # ---------------------------------------------------------------------------
@@ -464,3 +532,59 @@ def test_note_event_validation():
         NoteEvent(Instrument.PIANO, 60, 0, 100, velocity=0)
     with pytest.raises(ValueError):
         NoteEvent(Instrument.PIANO, 128, 0, 100)
+
+
+# ---------------------------------------------------------------------------
+# Golden SMF bytes: write_midi output stays byte-identical across refactors
+# ---------------------------------------------------------------------------
+
+
+def golden_score(seed: int) -> ScoreTimeline:
+    """Seeded score over a random subset of instruments, tempo and velocities.
+
+    Durations go down to 1 ms, so some notes round to a zero-tick length
+    and take the writer's one-tick minimum.
+    """
+    rng = random.Random(seed)
+    instruments = rng.sample(list(Instrument), rng.randint(1, len(Instrument)))
+    notes = []
+    for _ in range(rng.randint(20, 60)):
+        onset = rng.randint(0, 20_000)
+        duration = rng.choice((1, 2, rng.randint(1, 40), rng.randint(40, 3000)))
+        notes.append(
+            NoteEvent(
+                rng.choice(instruments),
+                rng.randint(0, 127),
+                onset,
+                onset + duration,
+                velocity=rng.randint(1, 127),
+            )
+        )
+    tempo = rng.choice((90.0, 110.0, 120.0, 132.5, 171.0))
+    return ScoreTimeline(notes=notes, tempo_bpm=tempo)
+
+
+# (seed of golden_score, or "empty" for a score with no notes; SMF format)
+WRITE_MIDI_DIGESTS = {
+    (0, 0): "cc8502095ddd530ee7d5237a6d7ed83686a2c43f1e357b744bc723f166102863",
+    (0, 1): "23402ca409f2bd14434c628964ae7c7cf5a3b6dca9d84499ba71d2ca143f02a1",
+    (1, 0): "130fde97105ad6646041b1f674a01dc56868f642694074208fa4158e402ce06f",
+    (1, 1): "38e214d9efd8d0d604c1e493d8c29bc70e3fa5101d606ed37d366a2b9ea0e60c",
+    (2, 0): "8b94d41eb0d9da3826d0de95fd1277e74a3301b3242fd7da2f49e9987a7bb42a",
+    (2, 1): "4ac96853c761acc89ce219c1b36029bae75be4fa99fe46b2b2757679c72c4bf4",
+    (3, 0): "70b7b56337715cd682a79145c6a2fe28d91b9f63a3f36429fbfab4764a0641e1",
+    (3, 1): "cd6e92880379c14184adc7c4e737552964cca66cee8f32afc6b3c295845fc830",
+    (4, 0): "a8f35debea7bdb949ea4fe2cda7fa69ec6bf17fce3b5abbd6a350e13f7e29b64",
+    (4, 1): "95cb4576b0a7bb84e7d7a0db4785fd8364079825e410d78a2a764216aad3d5de",
+    (5, 0): "819af20a7addab57bea24a417914919def1d8187cccdbe6d3fde19ed679bbd21",
+    (5, 1): "8db73ab5a74846e52c5c346c65f87a6374c682fe2cb7dc188e69be3696bd382a",
+    ("empty", 0): "6373eb2d4373bd4e339cff47bc66d9207e410bc2d65107ac86fa23ebda6fd9f4",
+    ("empty", 1): "bdf4024a9c0297bc6348a725dbce16e5235c2ba5c9be293fcd0072d8d353585e",
+}
+
+
+@pytest.mark.parametrize("seed, smf_type", sorted(WRITE_MIDI_DIGESTS, key=str), ids=str)
+def test_write_midi_golden_bytes(seed, smf_type):
+    score = ScoreTimeline() if seed == "empty" else golden_score(seed)
+    digest = hashlib.sha256(write_midi(score, smf_type=smf_type)).hexdigest()
+    assert digest == WRITE_MIDI_DIGESTS[seed, smf_type]
