@@ -11,6 +11,7 @@ a marker announces.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -230,8 +231,15 @@ def format_spans(spans: list[ChordSpan]) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def _seconds_to_ms(field: str, what: str) -> int:
+    ms = float(field) * 1000
+    if not math.isfinite(ms):
+        raise ValueError(f"{what} must be a finite number of ms, got {field!r}")
+    return int(round(ms))
+
+
 def parse_spans(text: str) -> list[ChordSpan]:
-    """Inverse of :func:`format_spans`."""
+    """Inverse of :func:`format_spans`; errors name the line."""
     spans = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -240,11 +248,11 @@ def parse_spans(text: str) -> list[ChordSpan]:
         if len(parts) != 4:
             raise ValueError(f"line {lineno}: expected 4 tab-separated fields")
         try:
-            onset = int(round(float(parts[0]) * 1000))
+            onset = _seconds_to_ms(parts[0], "onset")
             instrument = Instrument(parts[1])
-            duration = int(round(float(parts[2]) * 1000))
+            duration = _seconds_to_ms(parts[2], "duration")
             pitches = tuple(int(p) for p in parts[3].split(","))
+            spans.append(ChordSpan(instrument, onset, pitches, duration))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-        spans.append(ChordSpan(instrument, onset, pitches, duration))
     return spans

@@ -160,8 +160,9 @@ def _sniff_scene_source(path_text: str, config: PipelineConfig) -> scheduler.Bou
     """Boundary list from a boundary file, a detector log, or a video.
 
     A file that decodes as text is a detector log when it holds cut
-    records and a boundary list otherwise, so a malformed boundary file
-    fails with its line number; only an undecodable file is a video.
+    records or a ``duration=``/``Duration:`` field (a log with no cuts)
+    and a boundary list otherwise, so a malformed boundary file fails
+    with its line number; only an undecodable file is a video.
     """
     path = Path(path_text)
     if not path.exists():
@@ -171,7 +172,7 @@ def _sniff_scene_source(path_text: str, config: PipelineConfig) -> scheduler.Bou
     except UnicodeDecodeError:
         cuts = scenes.detect_scenes(str(path), config.scene_threshold)
     else:
-        if "pts_time" not in raw:
+        if not any(key in raw for key in ("pts_time", "duration=", "Duration:")):
             return scheduler.parse_boundaries(raw)
         cuts = scenes.parse_scene_log(raw)
     return scenes.filter_boundaries(cuts, config.min_gap_s)

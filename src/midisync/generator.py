@@ -92,29 +92,11 @@ class SamplingParams:
 # ---------------------------------------------------------------------------
 
 
-def _id_tables():
-    """ON ids and OFF ids by (instrument, pitch), shift ids by ms, and the
-    mask of tokens valid at position zero (everything but OFF)."""
-    on_id, off_id, shift_id = {}, {}, {}
-    first_mask = np.ones(len(VOCABULARY), dtype=bool)
-    for i, tok in enumerate(VOCABULARY):
-        if tok.kind is TokenKind.ON:
-            on_id[tok.instrument, tok.pitch] = i
-        elif tok.kind is TokenKind.OFF:
-            off_id[tok.instrument, tok.pitch] = i
-            first_mask[i] = False
-        elif tok.kind is TokenKind.TIMESHIFT:
-            shift_id[tok.shift_ms] = i
-    return on_id, off_id, shift_id, first_mask
-
-
-# Built once from the frozen vocabulary layout, so a step looks ids up
-# instead of hashing Token objects or scanning the vocabulary.
-_ON_ID, _OFF_ID, _SHIFT_ID, _FIRST_MASK = _id_tables()
-_CHORD_ID = VOCABULARY.id_of(CHORD)
-# After position zero START and PAD are invalid too.
+# Valid at position zero: everything but OFF.  After it START and PAD
+# are invalid too.  An OFF becomes valid while its note is open.
+_FIRST_MASK = np.array([tok.kind is not TokenKind.OFF for tok in VOCABULARY])
 _BASE_MASK = _FIRST_MASK.copy()
-_BASE_MASK[[VOCABULARY.id_of(START), VOCABULARY.id_of(PAD)]] = False
+_BASE_MASK[[START.id, PAD.id]] = False
 
 
 class DecodeState:
@@ -123,8 +105,9 @@ class DecodeState:
     * ``length`` — number of tokens folded;
     * ``cursor_ms`` — sum of the TIMESHIFTs so far;
     * ``open_notes`` — onset cursors of the sounding notes, a FIFO per
-      (instrument, pitch); an OFF closes the oldest onset, an OFF with
-      nothing open is ignored, and emptied FIFOs are dropped;
+      note keyed by the id of the OFF token that closes it; an OFF
+      closes the oldest onset, an OFF with nothing open is ignored, and
+      emptied FIFOs are dropped;
     * ``open_count`` — number of sounding notes;
     * ``chord_pending`` — the last CHORD has not been followed by an ON;
     * ``shifted_since_chord`` — a TIMESHIFT followed the last CHORD (also
@@ -148,7 +131,7 @@ class DecodeState:
     def __init__(self) -> None:
         self.length = 0
         self.cursor_ms = 0
-        self.open_notes: dict[tuple[Instrument, int], deque[int]] = {}
+        self.open_notes: dict[int, deque[int]] = {}
         self.open_count = 0
         self.chord_pending = False
         self.shifted_since_chord = True
@@ -161,7 +144,7 @@ class DecodeState:
             self.cursor_ms += tok.shift_ms
             self.shifted_since_chord = True
         elif kind is TokenKind.ON:
-            key = (tok.instrument, tok.pitch)
+            key = Token.off(tok.instrument, tok.pitch).id
             fifo = self.open_notes.get(key)
             if fifo is None:
                 fifo = self.open_notes[key] = deque()
@@ -172,13 +155,12 @@ class DecodeState:
             if not self.shifted_since_chord:
                 self.chord_pitches.append(tok.pitch)
         elif kind is TokenKind.OFF:
-            key = (tok.instrument, tok.pitch)
-            fifo = self.open_notes.get(key)
+            fifo = self.open_notes.get(tok.id)
             if fifo:
                 fifo.popleft()
                 self.open_count -= 1
                 if not fifo:
-                    del self.open_notes[key]
+                    del self.open_notes[tok.id]
         elif kind is TokenKind.CHORD:
             self.chord_pending = True
             self.shifted_since_chord = False
@@ -188,10 +170,9 @@ class DecodeState:
     def mask(self) -> np.ndarray:
         """Boolean mask of grammatically valid next tokens (see :func:`grammar_mask`)."""
         mask = (_BASE_MASK if self.length else _FIRST_MASK).copy()
-        for key in self.open_notes:
-            mask[_OFF_ID[key]] = True
+        mask[list(self.open_notes)] = True
         if self.chord_pending:
-            mask[_CHORD_ID] = False
+            mask[CHORD.id] = False
         return mask
 
     def chord_fill_remaining(self, triad: tuple[int, ...]) -> list[int]:
@@ -201,15 +182,13 @@ class DecodeState:
         return [p for p in triad if p not in self.chord_pitches]
 
 
-def grammar_mask(tokens: list[Token], vocab=VOCABULARY) -> np.ndarray:
-    """Boolean mask of grammatically valid next tokens.
+def grammar_mask(tokens: list[Token]) -> np.ndarray:
+    """Boolean mask over the vocabulary ids of valid next tokens.
 
     Rules: an OFF is valid only for a currently open (instrument,
     pitch); START and PAD are valid only at position zero; a second
     CHORD is invalid until at least one ON has followed the previous
-    CHORD (a chord marker must announce some notes).  Every
-    :class:`TokenVocabulary` has the same frozen id layout, so ``vocab``
-    only names it.
+    CHORD (a chord marker must announce some notes).
     """
     state = DecodeState()
     for tok in tokens:
@@ -477,18 +456,19 @@ class ScriptedBoundaryModel:
 
         remaining = state.chord_fill_remaining(self.triad)
         if remaining:
-            return _ON_ID[(Instrument.PIANO, remaining[0])]
+            return Token.on(Instrument.PIANO, remaining[0]).id
         if offset_ms <= self.CHORD_TRIGGER_MS:
-            return _CHORD_ID
+            return CHORD.id
+        # OFF ids run by instrument, alphabetically, then pitch, so ties on
+        # the onset break as (instrument, pitch).
         ripe = [
-            (starts[0], inst, pitch)
-            for (inst, pitch), starts in state.open_notes.items()
+            (starts[0], off_id)
+            for off_id, starts in state.open_notes.items()
             if state.cursor_ms - starts[0] >= self.HOLD_MS
         ]
         if ripe and offset_ms > self.RELEASE_FLOOR_MS:
-            _, inst, pitch = min(ripe)
-            return _OFF_ID[(inst, pitch)]
-        return _SHIFT_ID[_snap_shift(offset_ms - self.APPROACH_MARGIN_MS)]
+            return min(ripe)[1]
+        return Token.shift(_snap_shift(offset_ms - self.APPROACH_MARGIN_MS)).id
 
 
 class ReferenceModel:
@@ -546,13 +526,13 @@ class ReferenceModel:
         remaining = state.chord_fill_remaining(triad)
         if remaining:
             for pitch in remaining:
-                weights[_ON_ID[(Instrument.PIANO, pitch)]] = 1.0
+                weights[Token.on(Instrument.PIANO, pitch).id] = 1.0
             return weights / weights.sum()
 
-        weights[_CHORD_ID] = self._chord_weight(offset_s)
-        weights[_SHIFT_ID[step]] = 3.0
-        weights[_SHIFT_ID[_snap_shift(step * 2)]] += 0.5
-        weights[_SHIFT_ID[_snap_shift(step / 2)]] += 0.5
+        weights[CHORD.id] = self._chord_weight(offset_s)
+        weights[Token.shift(step).id] = 3.0
+        weights[Token.shift(_snap_shift(step * 2)).id] += 0.5
+        weights[Token.shift(_snap_shift(step / 2)).id] += 0.5
 
         if state.open_count < self.max_open_notes:
             scale = self._scale(valence)
@@ -563,9 +543,9 @@ class ReferenceModel:
             )[:5]
             for rank, pitch in enumerate(candidates):
                 if 0 <= pitch < 128:
-                    weights[_ON_ID[(Instrument.PIANO, pitch)]] += 1.2 / (rank + 1)
-        for (inst, pitch), starts in state.open_notes.items():
+                    weights[Token.on(Instrument.PIANO, pitch).id] += 1.2 / (rank + 1)
+        for off_id, starts in state.open_notes.items():
             if state.cursor_ms - starts[0] >= 2 * step:
-                weights[_OFF_ID[(inst, pitch)]] += 1.5
+                weights[off_id] += 1.5
 
         return weights / weights.sum()

@@ -9,6 +9,7 @@ cutting would otherwise demand musically impossible chord rates.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import subprocess
@@ -53,8 +54,9 @@ def parse_scene_log(text: str) -> SceneCuts:
 
     Recognizes ``pts_time:<seconds>`` (and ``pts_time=``) cut records,
     ``duration=<seconds>`` fields, and ``Duration: HH:MM:SS.cc`` header
-    lines.  Duplicate cuts collapse; a missing or unparsable duration is
-    an error because downstream filtering needs the clip length.
+    lines.  Duplicate cuts collapse; a missing, unparsable or infinite
+    duration is an error because downstream filtering needs the clip
+    length.
     """
     cuts = [float(m.group(1)) for m in _CUT_RE.finditer(text)]
 
@@ -65,11 +67,13 @@ def parse_scene_log(text: str) -> SceneCuts:
     else:
         clock = _DURATION_CLOCK_RE.search(text)
         if clock:
-            hours, minutes, seconds = (int(clock.group(i)) for i in range(1, 4))
+            hours, minutes, seconds = (float(clock.group(i)) for i in range(1, 4))
             frac = float(f"0.{clock.group(4)}") if clock.group(4) else 0.0
             duration = hours * 3600 + minutes * 60 + seconds + frac
     if duration is None:
         raise SceneLogError("no clip duration found in detector output")
+    if not math.isfinite(duration):
+        raise SceneLogError("clip duration in detector output is not a finite number")
     if cuts and max(cuts) >= duration:
         raise SceneLogError(
             f"cut at {max(cuts)} s is not inside the reported duration {duration} s"

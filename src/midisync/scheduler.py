@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import PipelineConfig
-from .tokens import Token, TokenKind
+from .tokens import CHORD, VOCABULARY, Token, TokenKind
 
 
 def _to_ms(seconds: float) -> int:
@@ -200,6 +200,8 @@ def derive_boundaries(tokens: list[Token]) -> BoundaryList:
 
 
 _FAR = np.int64(2**62)
+#: Cursor advance of each vocabulary id: its shift for TIMESHIFT, else 0.
+_SHIFT_MS_BY_ID = np.array([tok.shift_ms or 0 for tok in VOCABULARY], dtype=np.int64)
 
 
 def _compute_offsets(
@@ -281,18 +283,11 @@ def offsets_for_sequence(
     if boundaries is None:
         boundaries = derive_boundaries(tokens)
 
-    shifts = np.fromiter(
-        (tok.shift_ms if tok.kind is TokenKind.TIMESHIFT else 0 for tok in tokens),
-        dtype=np.int64,
-        count=len(tokens),
-    )
-    cursor = np.cumsum(shifts)
-    is_chord = np.fromiter(
-        (tok.kind is TokenKind.CHORD for tok in tokens), dtype=np.uint8, count=len(tokens)
-    )
+    ids = np.fromiter((tok.id for tok in tokens), dtype=np.int64, count=len(tokens))
+    cursor = np.cumsum(_SHIFT_MS_BY_ID[ids])
     bounds = np.asarray(boundaries.times_ms, dtype=np.int64)
     return _compute_offsets(
-        cursor, is_chord, bounds, params.sensitivity_ms, params.max_offset_ms
+        cursor, ids == CHORD.id, bounds, params.sensitivity_ms, params.max_offset_ms
     )
 
 

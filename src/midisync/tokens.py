@@ -21,12 +21,12 @@ pitch.  Total size: 6 + 125 + 5 * 256 = 1411.
 from __future__ import annotations
 
 import enum
-import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 RESOLUTION_MS = 8
 MAX_SHIFT_MS = 1000
-SHIFT_VALUES_MS = tuple(range(RESOLUTION_MS, MAX_SHIFT_MS + 1, RESOLUTION_MS))
+_SHIFT_GRID = range(RESOLUTION_MS, MAX_SHIFT_MS + 1, RESOLUTION_MS)
+SHIFT_VALUES_MS = tuple(_SHIFT_GRID)
 NUM_PITCHES = 128
 
 
@@ -73,6 +73,13 @@ _MARKER_KINDS = (
     TokenKind.FEWER_INSTRUMENTS,
     TokenKind.MORE_INSTRUMENTS,
 )
+#: Id of the first TIMESHIFT; then, per instrument, the id of pitch 0 in
+#: its ON block, which its OFF block follows.
+_SHIFT_BLOCK = len(_MARKER_KINDS)
+_NOTE_BLOCK = {
+    inst: _SHIFT_BLOCK + len(SHIFT_VALUES_MS) + 2 * NUM_PITCHES * i
+    for i, inst in enumerate(INSTRUMENTS)
+}
 
 
 @dataclass(frozen=True)
@@ -81,61 +88,83 @@ class Token:
 
     ``instrument``/``pitch`` are set only for ON/OFF tokens and
     ``shift_ms`` only for TIMESHIFT tokens; construction rejects any
-    other combination, so every reachable instance has a valid name.
+    other combination and derives ``id`` and ``name`` from the layout.
+    :meth:`on`, :meth:`off`, :meth:`shift` and :meth:`from_name` return
+    the shared :data:`VOCABULARY` entries, which direct construction equals.
     """
 
     kind: TokenKind
     instrument: Instrument | None = None
     pitch: int | None = None
     shift_ms: int | None = None
+    id: int = field(init=False, compare=False, repr=False)
+    name: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.kind in (TokenKind.ON, TokenKind.OFF):
-            if self.instrument is None or self.pitch is None or self.shift_ms is not None:
-                raise ValueError(f"{self.kind.value} token requires instrument and pitch only")
-            if not 0 <= self.pitch < NUM_PITCHES:
+        kind = self.kind
+        if kind is TokenKind.ON or kind is TokenKind.OFF:
+            if self.instrument not in _NOTE_BLOCK or self.pitch is None or self.shift_ms is not None:
+                raise ValueError(f"{kind.value} token requires instrument and pitch only")
+            if self.pitch not in range(NUM_PITCHES):
                 raise ValueError(f"pitch {self.pitch} outside 0..{NUM_PITCHES - 1}")
-        elif self.kind is TokenKind.TIMESHIFT:
+            ident = _NOTE_BLOCK[self.instrument] + self.pitch
+            if kind is TokenKind.OFF:
+                ident += NUM_PITCHES
+            name = f"{self.instrument.value.upper()}_{kind.value}_{self.pitch}"
+        elif kind is TokenKind.TIMESHIFT:
             if self.shift_ms is None or self.instrument is not None or self.pitch is not None:
                 raise ValueError("TIMESHIFT token requires shift_ms only")
-            if self.shift_ms % RESOLUTION_MS or not RESOLUTION_MS <= self.shift_ms <= MAX_SHIFT_MS:
+            if self.shift_ms not in _SHIFT_GRID:
                 raise ValueError(
                     f"shift_ms must be a multiple of {RESOLUTION_MS} in "
                     f"[{RESOLUTION_MS}, {MAX_SHIFT_MS}], got {self.shift_ms}"
                 )
+            ident = _SHIFT_BLOCK + self.shift_ms // RESOLUTION_MS - 1
+            name = f"TIMESHIFT_{self.shift_ms}"
         else:
             if self.instrument is not None or self.pitch is not None or self.shift_ms is not None:
-                raise ValueError(f"{self.kind.value} token carries no payload")
+                raise ValueError(f"{kind.value} token carries no payload")
+            ident = _MARKER_KINDS.index(kind)
+            name = kind.value
+        object.__setattr__(self, "id", ident)
+        object.__setattr__(self, "name", name)
 
     # -- convenience constructors -------------------------------------
+    # In-vocabulary payloads index the shared entries; anything else goes
+    # to the validating constructor, which raises.  (A dict lookup tests
+    # the instrument: ``in INSTRUMENTS`` costs a Python-level ``__eq__``
+    # per entry, because ``Instrument`` defines ``__lt__``.)
     @classmethod
     def on(cls, instrument: Instrument, pitch: int) -> "Token":
+        base = _NOTE_BLOCK.get(instrument)
+        if base is not None and type(pitch) is int and 0 <= pitch < NUM_PITCHES:
+            return _ENTRIES[base + pitch]
         return cls(TokenKind.ON, instrument=instrument, pitch=pitch)
 
     @classmethod
     def off(cls, instrument: Instrument, pitch: int) -> "Token":
+        base = _NOTE_BLOCK.get(instrument)
+        if base is not None and type(pitch) is int and 0 <= pitch < NUM_PITCHES:
+            return _ENTRIES[base + NUM_PITCHES + pitch]
         return cls(TokenKind.OFF, instrument=instrument, pitch=pitch)
 
     @classmethod
     def shift(cls, shift_ms: int) -> "Token":
+        if type(shift_ms) is int and shift_ms in _SHIFT_GRID:
+            return _ENTRIES[_SHIFT_BLOCK + shift_ms // RESOLUTION_MS - 1]
         return cls(TokenKind.TIMESHIFT, shift_ms=shift_ms)
 
     # -- naming --------------------------------------------------------
-    @property
-    def name(self) -> str:
-        if self.kind is TokenKind.ON or self.kind is TokenKind.OFF:
-            return f"{self.instrument.value.upper()}_{self.kind.value}_{self.pitch}"
-        if self.kind is TokenKind.TIMESHIFT:
-            return f"TIMESHIFT_{self.shift_ms}"
-        return self.kind.value
-
     @classmethod
     def from_name(cls, name: str) -> "Token":
-        """Inverse of :attr:`name`; raises ``ValueError`` on unknown names."""
-        try:
-            return cls(TokenKind(name))
-        except ValueError:
-            pass
+        """Inverse of :attr:`name`; raises ``ValueError`` on unknown names.
+
+        Canonical names are a dict lookup; other spellings of a payload
+        (``TIMESHIFT_0008``, ``PIANO_ON_060``) are parsed.
+        """
+        tok = _BY_NAME.get(name)
+        if tok is not None:
+            return tok
         if name.startswith("TIMESHIFT_"):
             payload = name[len("TIMESHIFT_"):]
             if not payload.isdigit():
@@ -147,36 +176,31 @@ class Token:
                 instrument = Instrument(parts[0].lower())
             except ValueError:
                 raise ValueError(f"unknown instrument in token name: {name!r}") from None
-            kind = TokenKind.ON if parts[1] == "ON" else TokenKind.OFF
-            return cls(kind, instrument=instrument, pitch=int(parts[2]))
+            make = cls.on if parts[1] == "ON" else cls.off
+            return make(instrument, int(parts[2]))
         raise ValueError(f"unknown token name: {name!r}")
-
-
-START = Token(TokenKind.START)
-BAR = Token(TokenKind.BAR)
-PAD = Token(TokenKind.PAD)
-CHORD = Token(TokenKind.CHORD)
-FEWER_INSTRUMENTS = Token(TokenKind.FEWER_INSTRUMENTS)
-MORE_INSTRUMENTS = Token(TokenKind.MORE_INSTRUMENTS)
 
 
 def _build_token_list() -> list[Token]:
     out = [Token(kind) for kind in _MARKER_KINDS]
-    out.extend(Token.shift(ms) for ms in SHIFT_VALUES_MS)
+    out.extend(Token(TokenKind.TIMESHIFT, shift_ms=ms) for ms in SHIFT_VALUES_MS)
     for instrument in INSTRUMENTS:
-        out.extend(Token.on(instrument, p) for p in range(NUM_PITCHES))
-        out.extend(Token.off(instrument, p) for p in range(NUM_PITCHES))
+        for kind in (TokenKind.ON, TokenKind.OFF):
+            out.extend(Token(kind, instrument=instrument, pitch=p) for p in range(NUM_PITCHES))
     return out
+
+
+# The vocabulary entries in id order; every constructor above hands these out.
+_ENTRIES = tuple(_build_token_list())
+_BY_NAME = {tok.name: tok for tok in _ENTRIES}
+
+START, BAR, PAD, CHORD, FEWER_INSTRUMENTS, MORE_INSTRUMENTS = _ENTRIES[:_SHIFT_BLOCK]
 
 
 class TokenVocabulary:
     """Bijection between tokens and contiguous integer ids."""
 
-    def __init__(self) -> None:
-        self._tokens = _build_token_list()
-        self._ids = {tok: i for i, tok in enumerate(self._tokens)}
-        if len(self._ids) != len(self._tokens):
-            raise AssertionError("duplicate tokens in vocabulary construction")
+    _tokens = _ENTRIES
 
     def __len__(self) -> int:
         return len(self._tokens)
@@ -185,10 +209,7 @@ class TokenVocabulary:
         return iter(self._tokens)
 
     def id_of(self, token: Token) -> int:
-        try:
-            return self._ids[token]
-        except KeyError:
-            raise KeyError(f"token not in vocabulary: {token.name}") from None
+        return token.id
 
     def token_of(self, token_id: int) -> Token:
         if not 0 <= token_id < len(self._tokens):
@@ -197,7 +218,7 @@ class TokenVocabulary:
 
     def manifest(self) -> str:
         """Tab-separated ``id<TAB>name`` lines, one per entry, id order."""
-        return "\n".join(f"{i}\t{tok.name}" for i, tok in enumerate(self._tokens)) + "\n"
+        return "".join(f"{tok.id}\t{tok.name}\n" for tok in self._tokens)
 
     @classmethod
     def check_manifest(cls, text: str) -> "TokenVocabulary":
@@ -206,34 +227,20 @@ class TokenVocabulary:
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if len(lines) != len(vocab):
             raise ValueError(f"manifest has {len(lines)} entries, expected {len(vocab)}")
-        by_name = _tokens_by_name()
         for lineno, line in enumerate(lines):
             ident, _, name = line.partition("\t")
             if not ident.isdigit():
                 raise ValueError(f"manifest line {lineno + 1}: bad id field {ident!r}")
-            key = name.strip()
-            tok = by_name.get(key) or Token.from_name(key)
-            if vocab.id_of(tok) != int(ident):
+            tok = Token.from_name(name.strip())
+            if tok.id != int(ident):
                 raise ValueError(
-                    f"manifest line {lineno + 1}: {name!r} has id {ident}, "
-                    f"expected {vocab.id_of(tok)}"
+                    f"manifest line {lineno + 1}: {name!r} has id {ident}, expected {tok.id}"
                 )
         return vocab
 
 
 #: Shared vocabulary instance; the layout is deterministic so one is enough.
 VOCABULARY = TokenVocabulary()
-
-
-@functools.cache
-def _tokens_by_name() -> dict[str, Token]:
-    """Canonical name -> vocabulary entry, built on first use, not at import.
-
-    Parsers look names up here and fall back to :meth:`Token.from_name`,
-    which accepts other spellings (``TIMESHIFT_0008``) and raises the
-    ``ValueError`` for unknown names.
-    """
-    return {tok.name: tok for tok in VOCABULARY}
 
 
 def format_tokens(tokens: list[Token]) -> str:
@@ -243,14 +250,13 @@ def format_tokens(tokens: list[Token]) -> str:
 
 def parse_tokens(text: str) -> list[Token]:
     """Inverse of :func:`format_tokens`; blank lines are ignored."""
-    by_name = _tokens_by_name()
     out = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         name = line.strip()
         if not name:
             continue
         try:
-            out.append(by_name.get(name) or Token.from_name(name))
+            out.append(Token.from_name(name))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     return out

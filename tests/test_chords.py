@@ -225,6 +225,24 @@ def test_span_report_round_trip():
     assert parse_spans(text) == spans
 
 
+@pytest.mark.parametrize(
+    "onset, duration, what",
+    [("nan", "1.2", "onset"), ("inf", "1.2", "onset"), ("1e308", "1.2", "onset"),
+     ("1.0", "nan", "duration"), ("1.0", "-inf", "duration"), ("1.0", "1e308", "duration")],
+)
+def test_parse_spans_rejects_non_finite_times_with_the_line(onset, duration, what):
+    text = f"1.000\tpiano\t1.200\t60,64,67\n\n{onset}\tpiano\t{duration}\t60,64,67\n"
+    with pytest.raises(ValueError) as exc:
+        parse_spans(text)
+    value = onset if what == "onset" else duration
+    assert str(exc.value) == f"line 3: {what} must be a finite number of ms, got {value!r}"
+
+
+def test_parse_spans_names_the_line_of_an_invalid_span():
+    with pytest.raises(ValueError, match=r"^line 1: chord duration must be positive$"):
+        parse_spans("1.000\tpiano\t0.000\t60,64,67\n")
+
+
 def test_chord_span_validation():
     with pytest.raises(ValueError):
         ChordSpan(Instrument.STRINGS, 0, (60, 64, 67), 1000)

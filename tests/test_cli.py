@@ -346,6 +346,18 @@ def test_generate_malformed_boundary_file_reports_its_line(tmp_path, monkeypatch
     assert "detector" not in err
 
 
+@pytest.mark.parametrize("log_text", ["duration=30.0\n", "  Duration: 00:00:30.00, start: 0.0\n"])
+def test_generate_reads_a_log_with_no_cuts_as_a_detector_log(tmp_path, capsys, log_text):
+    log = tmp_path / "zero_cut.log"
+    log.write_text(log_text)
+    assert main(["scenes", str(log), str(tmp_path / "bounds.txt")]) == 0
+    assert "kept 0/0" in capsys.readouterr().out
+    out_midi = tmp_path / "x.mid"
+    assert main(["generate", "none", str(log), "5", str(out_midi)]) == 0
+    manifest = json.loads(out_midi.with_suffix(".manifest.json").read_text())
+    assert manifest["inputs"]["boundaries_s"] == []
+
+
 def test_generate_sends_an_undecodable_file_to_the_detector(tmp_path, monkeypatch):
     monkeypatch.setenv("MIDISYNC_SCENE_BIN", str(stub_detector(tmp_path)))
     video = tmp_path / "clip.mp4"

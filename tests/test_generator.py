@@ -167,6 +167,24 @@ def test_incremental_mask_matches_whole_history_oracle_at_every_prefix():
                 state.push(tokens[i])
 
 
+def test_open_notes_are_keyed_by_the_closing_off_id():
+    state = DecodeState()
+    for tok in (START, Token.on(Instrument.PIANO, 60), Token.on(Instrument.BASS, 40),
+                Token.shift(16), Token.on(Instrument.PIANO, 60), Token.off(Instrument.BASS, 40)):
+        state.push(tok)
+    off = Token.off(Instrument.PIANO, 60)
+    assert list(state.open_notes) == [off.id]
+    assert list(state.open_notes[off.id]) == [0, 16]
+    assert state.mask()[off.id] and not state.mask()[Token.off(Instrument.BASS, 40).id]
+
+
+def test_off_ids_order_notes_by_instrument_then_pitch():
+    # The scripted model breaks onset ties by OFF id, standing in for
+    # the (instrument, pitch) order.
+    offs = [tok for tok in VOCABULARY if tok.kind is TokenKind.OFF]
+    assert sorted(offs, key=lambda t: t.id) == sorted(offs, key=lambda t: (t.instrument, t.pitch))
+
+
 def _history(seed: int, model) -> tuple[list[Token], list[float]]:
     result = generate(
         model,

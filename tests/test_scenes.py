@@ -60,6 +60,19 @@ def test_parse_cut_beyond_duration_is_error():
         parse_scene_log("pts_time:31.0\nduration=30\n")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "duration=" + "9" * 400 + "\n",
+        "pts_time:3.2\nduration=" + "9" * 400 + ".5\n",
+        "Duration: " + "9" * 400 + ":00:00.00\n",
+    ],
+)
+def test_parse_non_finite_duration_is_error(text):
+    with pytest.raises(SceneLogError, match="not a finite number"):
+        parse_scene_log(text)
+
+
 def test_scene_cuts_validation():
     with pytest.raises(ValueError):
         SceneCuts(cut_times_s=(1.0,), video_duration_s=0.0)

@@ -146,3 +146,60 @@ def test_parse_errors_carry_the_name_parser_message(bad):
     with pytest.raises(ValueError) as exc:
         TokenVocabulary.check_manifest(manifest)
     assert str(exc.value) == str(expected.value)
+
+
+def test_every_entry_carries_its_id_and_constructors_return_it():
+    for i in range(len(VOCABULARY)):
+        tok = VOCABULARY.token_of(i)
+        assert tok.id == i
+        if tok.kind is TokenKind.ON:
+            assert Token.on(tok.instrument, tok.pitch) is tok
+        elif tok.kind is TokenKind.OFF:
+            assert Token.off(tok.instrument, tok.pitch) is tok
+        elif tok.kind is TokenKind.TIMESHIFT:
+            assert Token.shift(tok.shift_ms) is tok
+        assert Token.from_name(tok.name) is tok
+
+
+def test_direct_construction_equals_the_entry():
+    direct = Token(TokenKind.ON, instrument=Instrument.PIANO, pitch=60)
+    entry = Token.on(Instrument.PIANO, 60)
+    assert direct == entry and hash(direct) == hash(entry)
+    assert (direct.id, direct.name) == (entry.id, entry.name) == (959, "PIANO_ON_60")
+    assert repr(direct) == (
+        "Token(kind=<TokenKind.ON: 'ON'>, instrument=<Instrument.PIANO: 'piano'>, "
+        "pitch=60, shift_ms=None)"
+    )
+    assert VOCABULARY.id_of(direct) == 959
+
+
+def test_non_canonical_spellings_parse_to_the_shared_entries():
+    shift, on, chord = parse_tokens("TIMESHIFT_0008\nPIANO_ON_060\n  CHORD  \n")
+    assert shift is Token.shift(8)
+    assert on is Token.on(Instrument.PIANO, 60)
+    assert chord is VOCABULARY.token_of(3)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Token.shift(7), "shift_ms must be a multiple of 8 in [8, 1000], got 7"),
+        (lambda: Token.shift(1008), "shift_ms must be a multiple of 8 in [8, 1000], got 1008"),
+        (lambda: Token.shift(None), "TIMESHIFT token requires shift_ms only"),
+        (lambda: Token.on(Instrument.PIANO, 128), "pitch 128 outside 0..127"),
+        (lambda: Token.off(Instrument.DRUMS, -1), "pitch -1 outside 0..127"),
+        (lambda: Token.on(Instrument.PIANO, None), "ON token requires instrument and pitch only"),
+        (lambda: Token.off(None, 60), "OFF token requires instrument and pitch only"),
+        (lambda: Token(TokenKind.CHORD, shift_ms=8), "CHORD token carries no payload"),
+    ],
+)
+def test_out_of_vocabulary_payloads_keep_their_messages(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("pitch", [60.5, "60"])
+def test_non_integer_pitch_is_outside_the_vocabulary(pitch):
+    with pytest.raises(ValueError, match="outside 0..127"):
+        Token.on(Instrument.PIANO, pitch)
