@@ -122,9 +122,8 @@ def _prepare_one(path: Path, out_dir: Path, config: PipelineConfig, seed: int, a
         )
         stem = path.stem + suffix
         (out_dir / f"{stem}.tokens").write_text(tokens.format_tokens(toks))
-        (out_dir / f"{stem}.offsets").write_text(
-            "".join(f"{o:.3f}\n" for o in offsets)
-        )
+        offsets_text = ("%.3f\n" * len(offsets)) % tuple(offsets.tolist())
+        (out_dir / f"{stem}.offsets").write_text(offsets_text)
 
 
 def cmd_prepare(args) -> int:

@@ -32,6 +32,7 @@ from .tokens import (
     RESOLUTION_MS,
     START,
     Instrument,
+    VOCABULARY,
     Token,
     TokenKind,
 )
@@ -45,6 +46,9 @@ FEWER_INSTRUMENT_LIMIT = 2
 #: Longest score parse_midi accepts (one hour).  It bounds the bar-mark
 #: loop and the TIMESHIFT tokens a corrupted delta time could demand.
 MAX_SCORE_SPAN_MS = 3_600_000
+#: Most bar marks parse_midi makes: an hour-long score with bars of 36 ms
+#: or more.  A shorter bar over a long score raises instead.
+MAX_BAR_MARKS = 100_000
 
 _WRITE_DIVISION = 480  # ticks per quarter note used by write_midi
 _CHANNELS = {
@@ -157,57 +161,25 @@ class DecodeResult:
 # ---------------------------------------------------------------------------
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.data):
-            raise MidiParseError(f"truncated {what}", self.pos)
-        chunk = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
-
-    def u8(self, what: str) -> int:
-        return self.take(1, what)[0]
-
-    def data_byte(self, what: str) -> int:
-        """A channel-message data byte, which must have its high bit clear."""
-        byte = self.take(1, what)[0]
-        if byte & 0x80:
-            raise MidiParseError(f"{what} 0x{byte:02X} has its high bit set", self.pos - 1)
-        return byte
-
-    def u16(self, what: str) -> int:
-        return int.from_bytes(self.take(2, what), "big")
-
-    def u32(self, what: str) -> int:
-        return int.from_bytes(self.take(4, what), "big")
-
-    def varlen(self, what: str) -> int:
-        value = 0
-        for _ in range(4):
-            byte = self.u8(what)
-            value = (value << 7) | (byte & 0x7F)
-            if not byte & 0x80:
-                return value
-        raise MidiParseError(f"variable-length {what} exceeds four bytes", self.pos - 1)
+def _read_varlen(data: bytes, pos: int, what: str) -> tuple[int, int]:
+    """Read a variable-length quantity at ``pos``; return it and the next position."""
+    value = 0
+    for _ in range(4):
+        if pos >= len(data):
+            raise MidiParseError(f"truncated {what}", pos)
+        byte = data[pos]
+        pos += 1
+        value = (value << 7) | (byte & 0x7F)
+        if not byte & 0x80:
+            return value, pos
+    raise MidiParseError(f"variable-length {what} exceeds four bytes", pos - 1)
 
 
-@dataclass
-class _RawEvent:
-    tick: int
-    track: int
-    seq: int
-    status: int          # 0x8 note off / 0x9 note on (high nibble)
-    channel: int
-    pitch: int
-    velocity: int
-    instrument: Instrument
-
-    def order_key(self):
-        return (self.tick, self.track, self.seq)
+def _need(data: bytes, pos: int, count: int, what: str) -> int:
+    """The position after ``count`` bytes at ``pos``; raises if the file ends first."""
+    if pos + count > len(data):
+        raise MidiParseError(f"truncated {what}", pos)
+    return pos + count
 
 
 def parse_midi(data: bytes, warnings: list[str] | None = None) -> ScoreTimeline:
@@ -215,28 +187,32 @@ def parse_midi(data: bytes, warnings: list[str] | None = None) -> ScoreTimeline:
 
     Recoverable oddities (dangling note-ons, zero-length notes after
     millisecond rounding, orphan note-offs) are repaired and described in
-    the optional ``warnings`` sink; structural corruption raises
-    :class:`MidiParseError` with the offending byte offset.
+    the optional ``warnings`` sink.  Structural corruption, and times or
+    bars that would run past :data:`MAX_SCORE_SPAN_MS` or
+    :data:`MAX_BAR_MARKS`, raise :class:`MidiParseError` with the
+    offending byte offset.
     """
     sink = warnings if warnings is not None else []
-    r = _Reader(data)
+    size = len(data)
 
-    header_off = r.pos
-    if r.take(4, "header chunk id") != b"MThd":
-        raise MidiParseError("missing MThd header chunk", header_off)
-    header_len = r.u32("header length")
+    _need(data, 0, 4, "header chunk id")
+    if data[:4] != b"MThd":
+        raise MidiParseError("missing MThd header chunk", 0)
+    _need(data, 4, 4, "header length")
+    header_len = int.from_bytes(data[4:8], "big")
     if header_len < 6:
-        raise MidiParseError(f"header chunk too short ({header_len} bytes)", r.pos - 4)
-    smf_format = r.u16("format field")
-    declared_tracks = r.u16("track count")
-    division = r.u16("division field")
-    r.take(header_len - 6, "header padding")
+        raise MidiParseError(f"header chunk too short ({header_len} bytes)", 4)
+    _need(data, 8, 2, "format field")
+    _need(data, 10, 2, "track count")
+    _need(data, 12, 2, "division field")
+    pos = _need(data, 14, header_len - 6, "header padding")
+    smf_format = int.from_bytes(data[8:10], "big")
+    declared_tracks = int.from_bytes(data[10:12], "big")
+    division = int.from_bytes(data[12:14], "big")
     if smf_format not in (0, 1):
-        raise MidiParseError(f"unsupported SMF format {smf_format}", header_off + 8)
+        raise MidiParseError(f"unsupported SMF format {smf_format}", 8)
     if smf_format == 0 and declared_tracks != 1:
-        raise MidiParseError(
-            f"format 0 file declares {declared_tracks} tracks", header_off + 10
-        )
+        raise MidiParseError(f"format 0 file declares {declared_tracks} tracks", 10)
 
     ticks_per_quarter: int | None = None
     smpte_ms_per_tick: float | None = None
@@ -244,14 +220,16 @@ def parse_midi(data: bytes, warnings: list[str] | None = None) -> ScoreTimeline:
         fps = 256 - (division >> 8)  # stored as negative two's complement
         ticks_per_frame = division & 0xFF
         if fps <= 0 or ticks_per_frame == 0:
-            raise MidiParseError("invalid SMPTE division", header_off + 12)
+            raise MidiParseError("invalid SMPTE division", 12)
         smpte_ms_per_tick = 1000.0 / (fps * ticks_per_frame)
     else:
         ticks_per_quarter = division
         if ticks_per_quarter == 0:
-            raise MidiParseError("division of zero ticks per quarter", header_off + 12)
+            raise MidiParseError("division of zero ticks per quarter", 12)
 
-    events: list[_RawEvent] = []
+    # (tick, track, seq, status, channel, pitch, velocity, instrument); status
+    # is 0x9 for a note-on and 0x8 for a note-off, and (tick, track, seq) is unique.
+    events: list[tuple] = []
     # (tick, track, seq, value, byte offset of the meta body)
     tempo_candidates: list[tuple[int, int, int, int, int]] = []  # value: usec per quarter
     timesig_candidates: list[tuple[int, int, int, float, int]] = []  # value: quarters per bar
@@ -260,130 +238,133 @@ def parse_midi(data: bytes, warnings: list[str] | None = None) -> ScoreTimeline:
     track_index = 0
 
     while track_index < declared_tracks:
-        chunk_off = r.pos
-        if r.pos == len(data):
+        chunk_off = pos
+        if pos == size:
             sink.append(
                 f"header declares {declared_tracks} tracks but file has {track_index}"
             )
             break
-        chunk_id = r.take(4, "chunk id")
-        chunk_len = r.u32("chunk length")
-        if chunk_id != b"MTrk":
+        pos = _need(data, pos, 4, "chunk id")
+        pos = _need(data, pos, 4, "chunk length")
+        chunk_len = int.from_bytes(data[pos - 4:pos], "big")
+        if data[chunk_off:chunk_off + 4] != b"MTrk":
             # Unknown chunk types are legal and skipped.
-            r.take(chunk_len, "unknown chunk body")
+            pos = _need(data, pos, chunk_len, "unknown chunk body")
             continue
-        end = r.pos + chunk_len
-        if end > len(data):
+        end = pos + chunk_len
+        if end > size:
             raise MidiParseError("track chunk overruns file", chunk_off + 4)
 
         tick = 0
         running_status: int | None = None
-        programs = dict.fromkeys(range(16), 0)
-        open_counts: dict[tuple[int, int], int] = {}
+        instruments = [program_to_instrument(0, channel) for channel in range(16)]
+        open_counts = [0] * (16 * NUM_PITCHES)  # by channel * 128 + pitch
 
-        while r.pos < end:
-            tick += r.varlen("delta time")
-            status_off = r.pos
-            first = r.u8("event status")
-            if first < 0x80:
+        # Reads are bounded by the file, not the chunk: an event may run past
+        # the chunk's end, and the next chunk then starts at ``end``.
+        while pos < end:
+            byte = data[pos]
+            if byte < 0x80:
+                tick += byte
+                pos += 1
+            else:
+                delta, pos = _read_varlen(data, pos, "delta time")
+                tick += delta
+            status_off = pos
+            if pos >= size:
+                raise MidiParseError("truncated event status", pos)
+            status = data[pos]
+            pos += 1
+            if status < 0x80:
                 if running_status is None:
                     raise MidiParseError("data byte with no running status", status_off)
+                data1 = status
                 status = running_status
-                data1 = first
-            else:
-                status = first
-                if status < 0xF0:
-                    running_status = status
-                    data1 = r.data_byte("event data")
-                else:
-                    data1 = -1  # meta / sysex, handled below
-
-            kind = status >> 4
-            channel = status & 0x0F
-
-            if status == 0xFF:
-                meta_type = r.u8("meta type")
-                meta_len = r.varlen("meta length")
-                body_off = r.pos
-                body = r.take(meta_len, "meta body")
+            elif status < 0xF0:
+                running_status = status
+                if pos >= size:
+                    raise MidiParseError("truncated event data", pos)
+                data1 = data[pos]
+                if data1 & 0x80:
+                    raise MidiParseError(f"event data 0x{data1:02X} has its high bit set", pos)
+                pos += 1
+            elif status == 0xFF:
+                pos = _need(data, pos, 1, "meta type")
+                meta_type = data[pos - 1]
+                meta_len, pos = _read_varlen(data, pos, "meta length")
+                body_off = pos
+                pos = _need(data, pos, meta_len, "meta body")
                 running_status = None
                 if meta_type == 0x51 and meta_len == 3:
-                    tempo = int.from_bytes(body, "big")
+                    tempo = int.from_bytes(data[body_off:pos], "big")
                     tempo_candidates.append((tick, track_index, seq, tempo, body_off))
                 elif meta_type == 0x58 and meta_len >= 2:
-                    quarters = body[0] * 4.0 / (1 << body[1])
+                    quarters = data[body_off] * 4.0 / (1 << data[body_off + 1])
                     timesig_candidates.append((tick, track_index, seq, quarters, body_off))
                 elif meta_type == 0x2F:
                     break
                 seq += 1
                 continue
-            if status in (0xF0, 0xF7):
-                sysex_len = r.varlen("sysex length")
-                r.take(sysex_len, "sysex body")
+            elif status == 0xF0 or status == 0xF7:
+                sysex_len, pos = _read_varlen(data, pos, "sysex length")
+                pos = _need(data, pos, sysex_len, "sysex body")
                 running_status = None
                 seq += 1
                 continue
-            if kind in (0x8, 0x9, 0xA, 0xB, 0xE):
-                data2 = r.data_byte("event data")
-            elif kind in (0xC, 0xD):
-                data2 = 0
             else:
                 raise MidiParseError(f"unexpected status byte 0x{status:02X}", status_off)
 
-            if kind == 0xC:
-                programs[channel] = data1
-            elif kind in (0x8, 0x9):
-                is_on = kind == 0x9 and data2 > 0
-                key = (channel, data1)
-                if is_on:
-                    open_counts[key] = open_counts.get(key, 0) + 1
-                else:
-                    if open_counts.get(key, 0) == 0:
-                        sink.append(
-                            f"track {track_index}: note-off with no open note "
-                            f"(channel {channel}, pitch {data1}, tick {tick})"
-                        )
-                        seq += 1
-                        continue
+            kind = status >> 4
+            channel = status & 0x0F
+            if kind == 0xC or kind == 0xD:
+                if kind == 0xC:
+                    instruments[channel] = program_to_instrument(data1, channel)
+                seq += 1
+                continue
+            if pos >= size:
+                raise MidiParseError("truncated event data", pos)
+            data2 = data[pos]
+            if data2 & 0x80:
+                raise MidiParseError(f"event data 0x{data2:02X} has its high bit set", pos)
+            pos += 1
+            if kind == 0x9 or kind == 0x8:
+                key = channel * NUM_PITCHES + data1
+                if kind == 0x9 and data2:
+                    open_counts[key] += 1
+                    events.append(
+                        (tick, track_index, seq, 0x9, channel, data1, data2, instruments[channel])
+                    )
+                elif open_counts[key]:
                     open_counts[key] -= 1
+                    events.append(
+                        (tick, track_index, seq, 0x8, channel, data1, 0, instruments[channel])
+                    )
+                else:
+                    sink.append(
+                        f"track {track_index}: note-off with no open note "
+                        f"(channel {channel}, pitch {data1}, tick {tick})"
+                    )
+                    seq += 1
+                    continue
                 if tick > last_tick:
                     last_tick, last_off = tick, status_off
-                events.append(
-                    _RawEvent(
-                        tick=tick,
-                        track=track_index,
-                        seq=seq,
-                        status=0x9 if is_on else 0x8,
-                        channel=channel,
-                        pitch=data1,
-                        velocity=data2 if is_on else 0,
-                        instrument=program_to_instrument(programs[channel], channel),
-                    )
-                )
             seq += 1
 
-        if tick > last_tick and any(open_counts.values()):
-            last_tick, last_off = tick, status_off  # dangling notes close here
-        for (channel, pitch), count in sorted(open_counts.items()):
-            for _ in range(count):
-                sink.append(
-                    f"track {track_index}: note-on without note-off "
-                    f"(channel {channel}, pitch {pitch}); closed at track end"
-                )
-                events.append(
-                    _RawEvent(
-                        tick=tick,
-                        track=track_index,
-                        seq=seq,
-                        status=0x8,
-                        channel=channel,
-                        pitch=pitch,
-                        velocity=0,
-                        instrument=program_to_instrument(programs[channel], channel),
+        if any(open_counts):
+            if tick > last_tick:
+                last_tick, last_off = tick, status_off  # dangling notes close here
+            for key, count in enumerate(open_counts):
+                channel, pitch = divmod(key, NUM_PITCHES)
+                for _ in range(count):
+                    sink.append(
+                        f"track {track_index}: note-on without note-off "
+                        f"(channel {channel}, pitch {pitch}); closed at track end"
                     )
-                )
-                seq += 1
-        r.pos = end
+                    events.append(
+                        (tick, track_index, seq, 0x8, channel, pitch, 0, instruments[channel])
+                    )
+                    seq += 1
+        pos = end
         track_index += 1
 
     tempo_us, tempo_off = 500000, None
@@ -410,47 +391,43 @@ def parse_midi(data: bytes, warnings: list[str] | None = None) -> ScoreTimeline:
         )
 
     # Match offs to the earliest open on (FIFO) in merged time order.
-    events.sort(key=_RawEvent.order_key)
-    open_notes: dict[tuple[int, int], deque] = {}
+    events.sort()
+    open_notes: dict[int, deque] = {}
     notes: list[NoteEvent] = []
     dropped = 0
-    for ev in events:
-        key = (ev.channel, ev.pitch)
-        if ev.status == 0x9:
-            open_notes.setdefault(key, deque()).append(ev)
-        else:
-            on = open_notes[key].popleft()
-            onset = tick_to_ms(on.tick)
-            offset = tick_to_ms(ev.tick)
-            if offset <= onset:
-                if on.tick == ev.tick:
-                    dropped += 1
-                    continue
-                offset = onset + 1  # rounding collapsed a short note
-            notes.append(
-                NoteEvent(
-                    instrument=on.instrument,
-                    pitch=on.pitch,
-                    onset_ms=onset,
-                    offset_ms=offset,
-                    velocity=max(1, min(127, on.velocity)),
-                )
-            )
+    for tick, _, _, status, channel, pitch, velocity, instrument in events:
+        key = channel * NUM_PITCHES + pitch
+        if status == 0x9:
+            open_notes.setdefault(key, deque()).append((tick, velocity, instrument))
+            continue
+        on_tick, velocity, instrument = open_notes[key].popleft()
+        onset = tick_to_ms(on_tick)
+        offset = tick_to_ms(tick)
+        if offset <= onset:
+            if on_tick == tick:
+                dropped += 1
+                continue
+            offset = onset + 1  # rounding collapsed a short note
+        notes.append(NoteEvent(instrument, pitch, onset, offset, velocity))
     if dropped:
         sink.append(f"dropped {dropped} zero-length note(s)")
 
     bar_marks: list[int] = []
     if notes:
         bar_ms = quarters_per_bar * tempo_us / 1000.0
-        if 0 < bar_ms < 1:
+        if bar_ms > 0:
             # Blame the meta event that shrank the bar more, relative to 4/4 at 120 bpm.
             metre_at_fault = quarters_per_bar / 4.0 <= tempo_us / 500000
-            raise MidiParseError(
-                f"bar of {bar_ms:.3g} ms is shorter than 1 ms",
-                timesig_off if metre_at_fault else tempo_off,
-            )
-        if bar_ms > 0:
+            blamed_off = timesig_off if metre_at_fault else tempo_off
+            if bar_ms < 1:
+                raise MidiParseError(f"bar of {bar_ms:.3g} ms is shorter than 1 ms", blamed_off)
             span = max(n.offset_ms for n in notes)
+            if span / bar_ms > MAX_BAR_MARKS:
+                raise MidiParseError(
+                    f"bars of {bar_ms:.3g} ms over {span} ms make more than "
+                    f"{MAX_BAR_MARKS} bar marks",
+                    blamed_off,
+                )
             t = 0.0
             while t <= span:
                 mark = round(t)
@@ -582,32 +559,46 @@ def instrument_count_tag(score: ScoreTimeline) -> Token:
 def encode_events(score: ScoreTimeline, include_bars: bool = True) -> list[Token]:
     """Serialize a timeline as ``[START, <count tag>, ...events...]``.
 
-    All times are quantized to the 8 ms grid.  Simultaneous events are
-    ordered BAR, then OFF, then ON, each group by (instrument, pitch),
-    which keeps the stream deterministic and lets consecutive notes of
-    the same pitch close before they reopen.
+    All times are quantized to the 8 ms grid.  Events are sorted on
+    ``(time, priority, token id)`` with priority BAR, then OFF, then ON;
+    the ON and OFF id blocks run by instrument, then pitch.  That keeps
+    the stream deterministic and lets consecutive notes of the same
+    pitch close before they reopen.
     """
-    entries: list[tuple[int, int, str, int, Token]] = []
+    # One int per event: time << 13 | priority << 11 | token id (ids < 2048).
+    half, res = RESOLUTION_MS // 2, RESOLUTION_MS
+    keys: list[int] = []
+    append = keys.append
+    on_ids = {inst: Token.on(inst, 0).id for inst in INSTRUMENTS}
     for n in score.notes:
-        on_t = quantize_ms(n.onset_ms)
-        off_t = quantize_ms(n.offset_ms)
+        on_t = (n.onset_ms + half) // res * res
+        off_t = (n.offset_ms + half) // res * res
         if off_t <= on_t:
-            off_t = on_t + RESOLUTION_MS  # preserve the note despite quantization
-        entries.append((on_t, 2, n.instrument.value, n.pitch, Token.on(n.instrument, n.pitch)))
-        entries.append((off_t, 1, n.instrument.value, n.pitch, Token.off(n.instrument, n.pitch)))
+            off_t = on_t + res  # preserve the note despite quantization
+        on_id = on_ids[n.instrument] + n.pitch
+        append(on_t << 13 | 2 << 11 | on_id)
+        append(off_t << 13 | 1 << 11 | on_id + NUM_PITCHES)
     if include_bars:
-        for mark in score.bar_marks_ms:
-            q = quantize_ms(mark)
-            entries.append((q, 0, "", 0, BAR))
-    entries.sort(key=lambda e: e[:4])
+        keys.extend(((mark + half) // res * res) << 13 | BAR.id for mark in score.bar_marks_ms)
+    keys.sort()
 
+    entries = tuple(VOCABULARY)
+    shift_base = Token.shift(res).id - 1  # the id of TIMESHIFT_<k * res> is shift_base + k
+    longest = entries[shift_base + MAX_SHIFT_MS // res]
     out = [START, instrument_count_tag(score)]
     cursor = 0
     last_bar = None
-    for t, prio, _, _, token in entries:
+    for key in keys:
+        t = key >> 13
         if t > cursor:
-            out.extend(gap_to_shifts(t - cursor))
+            gap = t - cursor
+            if gap > MAX_SHIFT_MS:
+                full = (gap - 1) // MAX_SHIFT_MS
+                out += [longest] * full
+                gap -= full * MAX_SHIFT_MS
+            out.append(entries[shift_base + gap // res])
             cursor = t
+        token = entries[key & 2047]
         if token is BAR:
             if last_bar == cursor:
                 continue  # quantization merged two marks

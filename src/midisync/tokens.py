@@ -87,8 +87,9 @@ class Token:
     """One vocabulary entry.
 
     ``instrument``/``pitch`` are set only for ON/OFF tokens and
-    ``shift_ms`` only for TIMESHIFT tokens; construction rejects any
-    other combination and derives ``id`` and ``name`` from the layout.
+    ``shift_ms`` only for TIMESHIFT tokens, payloads of type ``int``;
+    construction rejects anything else (a ``float`` or ``bool`` too) and
+    derives ``id`` and ``name`` from the layout.
     :meth:`on`, :meth:`off`, :meth:`shift` and :meth:`from_name` return
     the shared :data:`VOCABULARY` entries, which direct construction equals.
     """
@@ -105,7 +106,7 @@ class Token:
         if kind is TokenKind.ON or kind is TokenKind.OFF:
             if self.instrument not in _NOTE_BLOCK or self.pitch is None or self.shift_ms is not None:
                 raise ValueError(f"{kind.value} token requires instrument and pitch only")
-            if self.pitch not in range(NUM_PITCHES):
+            if type(self.pitch) is not int or not 0 <= self.pitch < NUM_PITCHES:
                 raise ValueError(f"pitch {self.pitch} outside 0..{NUM_PITCHES - 1}")
             ident = _NOTE_BLOCK[self.instrument] + self.pitch
             if kind is TokenKind.OFF:
@@ -114,7 +115,7 @@ class Token:
         elif kind is TokenKind.TIMESHIFT:
             if self.shift_ms is None or self.instrument is not None or self.pitch is not None:
                 raise ValueError("TIMESHIFT token requires shift_ms only")
-            if self.shift_ms not in _SHIFT_GRID:
+            if type(self.shift_ms) is not int or self.shift_ms not in _SHIFT_GRID:
                 raise ValueError(
                     f"shift_ms must be a multiple of {RESOLUTION_MS} in "
                     f"[{RESOLUTION_MS}, {MAX_SHIFT_MS}], got {self.shift_ms}"

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
+import random
 import sys
 
 import pytest
@@ -161,6 +163,108 @@ def test_prepare_empty_dir_fails(tmp_path, capsys):
     empty.mkdir()
     assert main(["prepare", str(empty), str(tmp_path / "out")]) == 1
     assert "no .mid" in capsys.readouterr().err
+
+
+def prepare_golden_score(seed: int) -> ScoreTimeline:
+    """Held triads (chord spans), then loose notes off the 8 ms grid.
+
+    Triad notes start up to 8 ms apart and some hold for two beats, and
+    loose notes may overlap a unison, so the files pin the event order,
+    quantization, chord insertion and dropout, and the offsets text.
+    """
+    rng = random.Random(seed)
+    notes = []
+    t = 0
+    for _ in range(rng.randint(6, 14)):
+        instrument = rng.choice((Instrument.PIANO, Instrument.GUITAR))
+        root = rng.randint(40, 76)
+        length = rng.randint(600, 3000)
+        for interval in (0, 4, 7):
+            notes.append(NoteEvent(instrument, root + interval, t + rng.randint(0, 8), t + length))
+        t += length + rng.randint(0, 400)
+    for _ in range(rng.randint(10, 40)):
+        onset = rng.randint(0, t)
+        notes.append(
+            NoteEvent(
+                rng.choice(list(Instrument)),
+                rng.randint(0, 127),
+                onset,
+                onset + rng.randint(1, 2000),
+                velocity=rng.randint(1, 127),
+            )
+        )
+    return ScoreTimeline(notes=notes, tempo_bpm=rng.choice((96.0, 110.0, 120.0, 137.0)))
+
+
+# sha256 of every file `prepare --seed 5` writes for the six songs above.
+PREPARE_DIGESTS = {
+    "--augment 2": {
+        "song0.offsets": "298a500849eb8b3313f947e27f69c09a89200b6b8d42cee8cf04d267434f6d0e",
+        "song0.tokens": "182e0f206ded8d415832a9357d2b8721c83e25440e4a8becea3875767aaaa9e1",
+        "song0_aug1.offsets": "298a500849eb8b3313f947e27f69c09a89200b6b8d42cee8cf04d267434f6d0e",
+        "song0_aug1.tokens": "ab52cd943369fd8a52066c1d9a846616d35f168b4ad9d868737640a0d330141b",
+        "song0_aug2.offsets": "298a500849eb8b3313f947e27f69c09a89200b6b8d42cee8cf04d267434f6d0e",
+        "song0_aug2.tokens": "8366b183ed9477b31cf1ad8ef12fc8800410a88badfc58b435f8bbd640c85cdc",
+        "song1.offsets": "0c922382bd8d0b4580f931d2ed750df48b48ef6471688c39c27e57c78858a46d",
+        "song1.tokens": "fc0a8d35572703dbd8c8347734d1654eedd7b89c64b5377812e77d4c91b78db6",
+        "song1_aug1.offsets": "0c922382bd8d0b4580f931d2ed750df48b48ef6471688c39c27e57c78858a46d",
+        "song1_aug1.tokens": "76f27a593740234a565179a1a0d5a86dda6df4bf34c275a596afcbbe92099858",
+        "song1_aug2.offsets": "0c922382bd8d0b4580f931d2ed750df48b48ef6471688c39c27e57c78858a46d",
+        "song1_aug2.tokens": "fd7e109897e4445f53b9baaa66c746d6e773e37d3475bc9fae93b1473bd1621b",
+        "song2.offsets": "8fa5973a5ddf19ef4c2813d2ec289122176c1a3b017a8bff8c6681ab39d6db3e",
+        "song2.tokens": "e232fc9f89f23dd21e52b22fbd44032a9701d7dcdfe9214cd262c0b02cbf281a",
+        "song2_aug1.offsets": "8fa5973a5ddf19ef4c2813d2ec289122176c1a3b017a8bff8c6681ab39d6db3e",
+        "song2_aug1.tokens": "db5e7470c3e86d5cfa1c952539725571ad97c90095bcca091ff3ba82f102b0c3",
+        "song2_aug2.offsets": "8fa5973a5ddf19ef4c2813d2ec289122176c1a3b017a8bff8c6681ab39d6db3e",
+        "song2_aug2.tokens": "db5e7470c3e86d5cfa1c952539725571ad97c90095bcca091ff3ba82f102b0c3",
+        "song3.offsets": "fd8d941bd0e57f9c8cbf21bfcdd7c98555f23c5d1c6d38dc46ea7f96db2674b7",
+        "song3.tokens": "f5313ad9206d5a32df45aadcef05fc699d2f1eff11ca24eacbe3b32d1ddc5d85",
+        "song3_aug1.offsets": "fd8d941bd0e57f9c8cbf21bfcdd7c98555f23c5d1c6d38dc46ea7f96db2674b7",
+        "song3_aug1.tokens": "b9f3721faaa2a95535a06c92658925b48fed0bcc319d99f93f19067f87a74e01",
+        "song3_aug2.offsets": "fd8d941bd0e57f9c8cbf21bfcdd7c98555f23c5d1c6d38dc46ea7f96db2674b7",
+        "song3_aug2.tokens": "de2d4c75b8b02871069a2139699efa07211bf5de43f149206f908685b7cffd1d",
+        "song4.offsets": "87d52d13b647b1010c151eb1f52db09ac37193201e4e0ebbd7ccfbdc990e967e",
+        "song4.tokens": "84eb76d654f1c9b167c42aa9b3ed61b74b8cf3bf7d6dfcecd33146625e0a3c58",
+        "song4_aug1.offsets": "87d52d13b647b1010c151eb1f52db09ac37193201e4e0ebbd7ccfbdc990e967e",
+        "song4_aug1.tokens": "91a42a7d7d95ba96a5c90395ca56fe4e0147b8aae69c1f82298ee63daeae235a",
+        "song4_aug2.offsets": "87d52d13b647b1010c151eb1f52db09ac37193201e4e0ebbd7ccfbdc990e967e",
+        "song4_aug2.tokens": "1996fb8367e5becfac2c819bfbfc1545aca842c0e9e461e843497398299abaff",
+        "song5.offsets": "b31aa6cacd9a3dd20d727e57180513b4aacef3d6e62d3af416a7e7e610a6fcd4",
+        "song5.tokens": "1d229d16291d68b764a525c12c591e573674f8eae112c61e6f52886a0fde25b9",
+        "song5_aug1.offsets": "b31aa6cacd9a3dd20d727e57180513b4aacef3d6e62d3af416a7e7e610a6fcd4",
+        "song5_aug1.tokens": "0e89bc74bd33375ee5c3463c18525cd0f58e62eb494e89fa1ebaac64f6acd57f",
+        "song5_aug2.offsets": "b31aa6cacd9a3dd20d727e57180513b4aacef3d6e62d3af416a7e7e610a6fcd4",
+        "song5_aug2.tokens": "e58016de566133e74459cc85467b2d0db53d9f28793258c25c32fa3cda9a37e4",
+    },
+    "--drop-bars": {
+        "song0.offsets": "bb154a319ce2c492e4f918bfc905b2b9f855e0c3be7c4238f69300cabc5b4980",
+        "song0.tokens": "9b3bb879c8e1f979feecfba8e50e8ee460e46bd00ab4b85ad8b4273d28693025",
+        "song1.offsets": "02728abd49f00f4e9484511b8042c591a3e56d218a6237d5d95191dfe6336fbf",
+        "song1.tokens": "72162e2aa5510352b72742db88ae4b00e1d1c3f69a1fe4c84d6814d8f8d2da2c",
+        "song2.offsets": "d5a136c9578e27c164a0079b26ac272d755d20c40c056f954e39ab3e118fbebe",
+        "song2.tokens": "41b4c9a481fb1382865f32415da746127dd43356c5f3082d32709a3a7d83b9b4",
+        "song3.offsets": "2ef49873127b0585a165f02597f0abb01bf389a64ec72ffde1faaa1fc3f217fe",
+        "song3.tokens": "837a13e89fc6a116014963be760676b4c52abe907849f5b074f4a1a4eacf07f6",
+        "song4.offsets": "03d5797c23f88d716e4ab77fb6dfd6d004522abfb4f3d499253753cefd918784",
+        "song4.tokens": "dbb41f54830fcd47255cd8bedfc5ce5f12e785f49bb5eb8b025986d489e7fce1",
+        "song5.offsets": "2368702f702f6db0a8d4e99464f8fe23acccdb485059762c442f2a15e5e74daa",
+        "song5.tokens": "2dd00c49b9d28b9a763d45a76c3714a3bc6894b58a7ff3e6c7a8a858a207ad77",
+    },
+}
+
+
+@pytest.mark.parametrize("flags", list(PREPARE_DIGESTS))
+def test_prepare_golden_files(tmp_path, flags):
+    midi_dir = tmp_path / "corpus"
+    midi_dir.mkdir()
+    for seed in range(6):
+        (midi_dir / f"song{seed}.mid").write_bytes(
+            write_midi(prepare_golden_score(seed), smf_type=seed % 2)
+        )
+    out_dir = tmp_path / "out"
+    assert main(["prepare", str(midi_dir), str(out_dir), "--seed", "5", *flags.split()]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.iterdir()}
+    assert digests == PREPARE_DIGESTS[flags]
 
 
 # ---------------------------------------------------------------------------

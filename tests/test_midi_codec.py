@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from midisync.midi_codec import (
+    MAX_BAR_MARKS,
     MAX_SCORE_SPAN_MS,
     DecodeResult,
     MidiParseError,
@@ -262,6 +263,31 @@ def test_bar_shorter_than_1ms_blames_the_meta_event(tempo_us, dd, blamed):
     assert err.value.offset == {"tempo": 26, "timesig": 33}[blamed]
 
 
+def test_bar_mark_amplification_raises_within_budget():
+    # 51 bytes: a 1/4 bar at 1000 usec per quarter (1 ms) and a 10-minute
+    # note, which once made 600,001 bar marks.  The tempo is blamed.
+    data = raw_smf([tempo_meta(1000) + timesig_meta(1, 2) + one_note(600_000)], division=1)
+    assert len(data) == 51
+    with time_budget(0.5), pytest.raises(MidiParseError, match="bar marks") as err:
+        parse_midi(data)
+    assert err.value.offset == 26
+    assert str(MAX_BAR_MARKS) in str(err.value)
+
+
+@pytest.mark.parametrize("extra_ms, raises", [(0, False), (1, True)], ids=["at-limit", "past"])
+def test_bar_mark_limit_is_inclusive_and_blames_the_metre(extra_ms, raises):
+    # A 1/64 bar at the default 500 ms per quarter lasts 31.25 ms, so this
+    # span holds MAX_BAR_MARKS bars exactly; one more ms is past the limit.
+    span_ms = int(MAX_BAR_MARKS * 31.25) + extra_ms
+    data = raw_smf([timesig_meta(1, 6) + one_note(2 * span_ms)], division=1000)
+    if not raises:
+        assert len(parse_midi(data).bar_marks_ms) == MAX_BAR_MARKS + 1  # and one at the end
+        return
+    with pytest.raises(MidiParseError, match="bar marks") as err:
+        parse_midi(data)
+    assert err.value.offset == 26  # the time-signature body: the metre shrank the bar
+
+
 # ---------------------------------------------------------------------------
 # Token encoding
 # ---------------------------------------------------------------------------
@@ -304,6 +330,14 @@ def test_encode_long_gap_split():
         "TIMESHIFT_1000", "TIMESHIFT_800",
         "PIANO_ON_62", "TIMESHIFT_8", "PIANO_OFF_62",
     ]
+
+
+@pytest.mark.parametrize("gap", [8, 992, 1000, 1008, 1992, 2000, 2008, 3000])
+def test_encode_splits_gaps_as_gap_to_shifts(gap):
+    first = NoteEvent(Instrument.PIANO, 60, 0, 8)
+    second = NoteEvent(Instrument.PIANO, 62, 8 + gap, 16 + gap)
+    toks = encode_events(ScoreTimeline(notes=[first, second]), include_bars=False)
+    assert toks[5:-3] == gap_to_shifts(gap)  # between PIANO_OFF_60 and PIANO_ON_62
 
 
 def test_gap_to_shifts():

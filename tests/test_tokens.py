@@ -203,3 +203,33 @@ def test_out_of_vocabulary_payloads_keep_their_messages(make, message):
 def test_non_integer_pitch_is_outside_the_vocabulary(pitch):
     with pytest.raises(ValueError, match="outside 0..127"):
         Token.on(Instrument.PIANO, pitch)
+
+
+# Payloads equal to a grid value but not of type int: a float or a bool.
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Token(TokenKind.ON, instrument=Instrument.PIANO, pitch=True),
+        lambda: Token(TokenKind.OFF, instrument=Instrument.BASS, pitch=60.0),
+        lambda: Token.on(Instrument.PIANO, False),
+        lambda: Token.off(Instrument.DRUMS, 36.0),
+    ],
+    ids=["direct-on-bool", "direct-off-float", "on-bool", "off-float"],
+)
+def test_non_int_pitch_is_rejected(make):
+    with pytest.raises(ValueError, match=r"^pitch .* outside 0\.\.127$"):
+        make()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Token(TokenKind.TIMESHIFT, shift_ms=16.0),
+        lambda: Token.shift(16.0),
+        lambda: Token.shift(True),
+    ],
+    ids=["direct-float", "shift-float", "shift-bool"],
+)
+def test_non_int_shift_is_rejected(make):
+    with pytest.raises(ValueError, match="^shift_ms must be a multiple of 8 in"):
+        make()
