@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import PipelineConfig
 from .midi_codec import DEFAULT_TEMPO_BPM, NoteEvent, ScoreTimeline, quantize_ms
-from .tokens import CHORD, Instrument, Token, TokenKind
+from .tokens import CHORD, Instrument, Token, TokenKind, cursor_after
 
 CHORDABLE_INSTRUMENTS = (Instrument.GUITAR, Instrument.PIANO)
 MIN_CHORD_NOTES = 3
@@ -67,12 +67,15 @@ def detect_chords(
     current cluster while its onset is within ``simultaneity_eps_ms`` of
     the cluster's first onset.  A cluster qualifies when it holds at
     least three distinct pitches and every member lasts at least two
-    beats (``beat_ms`` defaults to the score's tempo).
+    beats (``beat_ms`` defaults to the score's tempo; a given value must
+    be a finite positive number of ms).
     """
     if simultaneity_eps_ms < 0:
         raise ValueError("simultaneity window must be >= 0")
     if beat_ms is None:
         beat_ms = beat_duration_ms(score.tempo_bpm)
+    elif not (math.isfinite(beat_ms) and beat_ms > 0):
+        raise ValueError(f"beat_ms must be a finite positive number, got {beat_ms}")
     min_duration = MIN_CHORD_BEATS * beat_ms
 
     spans: list[ChordSpan] = []
@@ -104,17 +107,6 @@ def detect_chords(
     return spans
 
 
-def _cursor_positions(tokens: list[Token]) -> list[int]:
-    """Cursor value in effect at each token position."""
-    out = []
-    cursor = 0
-    for tok in tokens:
-        out.append(cursor)
-        if tok.kind is TokenKind.TIMESHIFT:
-            cursor += tok.shift_ms
-    return out
-
-
 def insert_chord_tokens(
     tokens: list[Token],
     spans: list[ChordSpan],
@@ -133,20 +125,16 @@ def insert_chord_tokens(
     values never decrease, so each span bisects to its window and scans
     only that; the output is then spliced together in one pass.
     """
-    cursors = _cursor_positions(tokens)
+    cursors = cursor_after(tokens)[1].tolist()  # equals the onset at every ON, the only match
     n = len(tokens)
     insert_at: list[int] = []
     for span in spans:
         lo = quantize_ms(max(0, span.onset_ms - simultaneity_eps_ms))
         hi = quantize_ms(span.onset_ms + simultaneity_eps_ms)
+        targets = {Token.on(span.instrument, pitch).id for pitch in span.pitches}
         idx = bisect_left(cursors, lo)
         while idx < n and cursors[idx] <= hi:
-            tok = tokens[idx]
-            if (
-                tok.kind is TokenKind.ON
-                and tok.instrument is span.instrument
-                and tok.pitch in span.pitches
-            ):
+            if tokens[idx].id in targets:
                 break
             idx += 1
         else:

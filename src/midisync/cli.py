@@ -18,6 +18,7 @@ exit nonzero with a message naming the failing stage.
 from __future__ import annotations
 
 import argparse
+import codecs
 import dataclasses
 import importlib
 import json
@@ -155,25 +156,38 @@ def cmd_prepare(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+#: Leading bytes of a scene source that tell text from video.
+SNIFF_BYTES = 4096
+
+
+def _read_scene_source(path_text: str) -> str | None:
+    """The text of a boundary file or detector log, or None for a video.
+
+    A video is known by its first ``SNIFF_BYTES``, which are not UTF-8;
+    the rest of it is left unread.
+    """
+    with open(path_text, "rb") as f:
+        head = f.read(SNIFF_BYTES)
+        try:
+            codecs.getincrementaldecoder("utf-8")().decode(head)
+        except UnicodeDecodeError:
+            return None
+        return (head + f.read()).decode("utf-8")
+
+
 def _sniff_scene_source(path_text: str, config: PipelineConfig) -> scheduler.BoundaryList:
     """Boundary list from a boundary file, a detector log, or a video.
 
-    A file that decodes as text is a detector log when it holds cut
-    records or a ``duration=``/``Duration:`` field (a log with no cuts)
-    and a boundary list otherwise, so a malformed boundary file fails
-    with its line number; only an undecodable file is a video.
+    Text holding cut records or a ``duration=``/``Duration:`` field (a
+    log with no cuts) is a detector log, other text a boundary list.
     """
-    path = Path(path_text)
-    if not path.exists():
-        raise FileNotFoundError(f"no such boundary/log/video file: {path}")
-    try:
-        raw = path.read_text()
-    except UnicodeDecodeError:
-        cuts = scenes.detect_scenes(str(path), config.scene_threshold)
+    text = _read_scene_source(path_text)
+    if text is None:
+        cuts = scenes.detect_scenes(path_text, config.scene_threshold)
+    elif any(key in text for key in ("pts_time", "duration=", "Duration:")):
+        cuts = scenes.parse_scene_log(text)
     else:
-        if not any(key in raw for key in ("pts_time", "duration=", "Duration:")):
-            return scheduler.parse_boundaries(raw)
-        cuts = scenes.parse_scene_log(raw)
+        return scheduler.parse_boundaries(text)
     return scenes.filter_boundaries(cuts, config.min_gap_s)
 
 
@@ -292,11 +306,11 @@ def cmd_generate(args) -> int:
 
 def cmd_scenes(args) -> int:
     config = _load_config(args)
-    source = Path(args.source)
-    if args.video or not source.exists():
-        cuts = _stage("detect", scenes.detect_scenes, str(source), config.scene_threshold)
+    text = _stage("read", _read_scene_source, args.source)
+    if text is None:
+        cuts = _stage("detect", scenes.detect_scenes, args.source, config.scene_threshold)
     else:
-        cuts = _stage("parse", scenes.parse_scene_log, source.read_text())
+        cuts = _stage("parse", scenes.parse_scene_log, text)
     filtered = _stage("filter", scenes.filter_boundaries, cuts, config.min_gap_s)
     _stage("write", Path(args.out_boundaries).write_text, scheduler.format_boundaries(filtered))
     print(
@@ -416,12 +430,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scenes", help="detector log or video -> boundary list file")
     common(p)
-    p.add_argument("source", help="detector log file or video path")
+    p.add_argument("source", help="detector log file, or a video (a file that is not text)")
     p.add_argument("out_boundaries")
     p.add_argument(
         "--min-gap", dest="min_gap_s", type=float, help="minimum boundary gap in seconds"
     )
-    p.add_argument("--video", action="store_true", help="treat source as a video path")
     p.set_defaults(fn=cmd_scenes)
 
     p = sub.add_parser("chords", help="SMF file -> chord span report")

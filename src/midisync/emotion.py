@@ -149,9 +149,6 @@ class EmotionDistribution:
         n = len(EMOTION_CATEGORIES)
         return cls(np.full(n, 1.0 / n))
 
-    def as_mapping(self) -> dict[str, float]:
-        return {c: float(p) for c, p in zip(EMOTION_CATEGORIES, self.probs)}
-
 
 @dataclass(frozen=True)
 class GaussianMixtureVA:

@@ -38,6 +38,7 @@ from .scheduler import (
 from .tokens import (
     CHORD,
     MAX_SHIFT_MS,
+    NUM_PITCHES,
     PAD,
     RESOLUTION_MS,
     START,
@@ -144,7 +145,7 @@ class DecodeState:
             self.cursor_ms += tok.shift_ms
             self.shifted_since_chord = True
         elif kind is TokenKind.ON:
-            key = Token.off(tok.instrument, tok.pitch).id
+            key = tok.id + NUM_PITCHES
             fifo = self.open_notes.get(key)
             if fifo is None:
                 fifo = self.open_notes[key] = deque()
@@ -482,17 +483,13 @@ class ReferenceModel:
     fixed-seed generation is reproducible.
     """
 
-    def __init__(
-        self,
-        key_root: int = 60,
-        params: SchedulerParams | None = None,
-        max_open_notes: int = 6,
-    ):
+    MAX_OPEN_NOTES = 6
+
+    def __init__(self, key_root: int = 60, params: SchedulerParams | None = None):
         if not 12 <= key_root <= 108:
             raise ValueError(f"key_root should be a mid-range pitch, got {key_root}")
         self.key_root = key_root
         self.params = params or SchedulerParams()
-        self.max_open_notes = max_open_notes
         self._history = _FollowedHistory()
 
     # -- internals -----------------------------------------------------
@@ -534,7 +531,7 @@ class ReferenceModel:
         weights[Token.shift(_snap_shift(step * 2)).id] += 0.5
         weights[Token.shift(_snap_shift(step / 2)).id] += 0.5
 
-        if state.open_count < self.max_open_notes:
+        if state.open_count < self.MAX_OPEN_NOTES:
             scale = self._scale(valence)
             last_pitch = self.key_root + 12 if state.last_on_pitch is None else state.last_on_pitch
             candidates = sorted(

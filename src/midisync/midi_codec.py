@@ -482,7 +482,7 @@ def write_midi(score: ScoreTimeline, smf_type: int = 1) -> bytes:
         ]
 
     def note_messages(instruments: tuple[Instrument, ...]) -> list[tuple[int, int, bytes]]:
-        """Program changes and note on/off messages of the given (sorted) instruments."""
+        """Program changes and note on/off messages of the given instruments, in order."""
         msgs: list[tuple[int, int, bytes]] = [
             # programs must precede any note message at tick 0
             (0, -1, bytes([0xC0 | _CHANNELS[inst], _PROGRAMS[inst]]))
@@ -490,7 +490,7 @@ def write_midi(score: ScoreTimeline, smf_type: int = 1) -> bytes:
             if inst in _PROGRAMS
         ]
         for n in score.notes:
-            if n.instrument not in instruments:  # a tuple: identity tests, no Enum hashing
+            if n.instrument not in instruments:
                 continue
             ch = _CHANNELS[n.instrument]
             on_tick = ms_to_tick(n.onset_ms)
@@ -512,7 +512,8 @@ def write_midi(score: ScoreTimeline, smf_type: int = 1) -> bytes:
         out += _varlen(0) + b"\xff\x2f\x00"
         return bytes(out)
 
-    used = tuple(sorted(score.instruments_used()))
+    present = score.instruments_used()
+    used = tuple(inst for inst in INSTRUMENTS if inst in present)
     if smf_type == 0:
         tracks = [render(meta_body() + note_messages(used))]
     else:
@@ -616,7 +617,7 @@ def decode_events(tokens: list[Token]) -> DecodeResult:
     the timeline but their cursor positions are reported.
     """
     cursor = 0
-    open_notes: dict[tuple[Instrument, int], deque[int]] = {}
+    open_notes: dict[int, deque[int]] = {}  # onsets by the id of the closing OFF
     notes: list[NoteEvent] = []
     chord_onsets: list[int] = []
     bar_marks: list[int] = []
@@ -627,9 +628,9 @@ def decode_events(tokens: list[Token]) -> DecodeResult:
         if tok.kind is TokenKind.TIMESHIFT:
             cursor += tok.shift_ms
         elif tok.kind is TokenKind.ON:
-            open_notes.setdefault((tok.instrument, tok.pitch), deque()).append(cursor)
+            open_notes.setdefault(tok.id + NUM_PITCHES, deque()).append(cursor)
         elif tok.kind is TokenKind.OFF:
-            queue = open_notes.get((tok.instrument, tok.pitch))
+            queue = open_notes.get(tok.id)
             if not queue:
                 ignored_offs += 1
                 continue
@@ -645,13 +646,12 @@ def decode_events(tokens: list[Token]) -> DecodeResult:
                 bar_marks.append(cursor)
 
     unclosed = 0
-    for (instrument, pitch), queue in sorted(
-        open_notes.items(), key=lambda kv: (kv[0][0].value, kv[0][1])
-    ):
+    for off_id, queue in open_notes.items():
+        off = VOCABULARY.token_of(off_id)
         for onset in queue:
             unclosed += 1
             if cursor > onset:
-                notes.append(NoteEvent(instrument, pitch, onset, cursor))
+                notes.append(NoteEvent(off.instrument, off.pitch, onset, cursor))
             else:
                 dropped += 1
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import PipelineConfig
-from .tokens import CHORD, VOCABULARY, Token, TokenKind
+from .tokens import CHORD, Token, TokenKind, cursor_after
 
 
 def _to_ms(seconds: float) -> int:
@@ -189,19 +189,17 @@ def derive_boundaries(tokens: list[Token]) -> BoundaryList:
     This is how training sequences get their boundary lists: the chords
     already present in the music are the alignment targets.
     """
-    cursor = 0
-    times = []
-    for tok in tokens:
-        if tok.kind is TokenKind.TIMESHIFT:
-            cursor += tok.shift_ms
-        elif tok.kind is TokenKind.CHORD:
-            times.append(cursor)
-    return BoundaryList(times_ms=tuple(sorted(set(times))))
+    ids, cursor = cursor_after(tokens)
+    return BoundaryList(times_ms=tuple(_chord_times(ids == CHORD.id, cursor).tolist()))
+
+
+def _chord_times(is_chord: np.ndarray, cursor_ms: np.ndarray) -> np.ndarray:
+    """Distinct cursor times of the chord tokens, increasing (cursors never decrease)."""
+    times = cursor_ms[is_chord]
+    return times[np.diff(times, prepend=-1) > 0]
 
 
 _FAR = np.int64(2**62)
-#: Cursor advance of each vocabulary id: its shift for TIMESHIFT, else 0.
-_SHIFT_MS_BY_ID = np.array([tok.shift_ms or 0 for tok in VOCABULARY], dtype=np.int64)
 
 
 def _compute_offsets(
@@ -280,15 +278,13 @@ def offsets_for_sequence(
     :func:`on_token` over the sequence.
     """
     params = params or SchedulerParams()
+    ids, cursor = cursor_after(tokens)
+    is_chord = ids == CHORD.id
     if boundaries is None:
-        boundaries = derive_boundaries(tokens)
-
-    ids = np.fromiter((tok.id for tok in tokens), dtype=np.int64, count=len(tokens))
-    cursor = np.cumsum(_SHIFT_MS_BY_ID[ids])
-    bounds = np.asarray(boundaries.times_ms, dtype=np.int64)
-    return _compute_offsets(
-        cursor, ids == CHORD.id, bounds, params.sensitivity_ms, params.max_offset_ms
-    )
+        bounds = _chord_times(is_chord, cursor)
+    else:
+        bounds = np.asarray(boundaries.times_ms, dtype=np.int64)
+    return _compute_offsets(cursor, is_chord, bounds, params.sensitivity_ms, params.max_offset_ms)
 
 
 def format_boundaries(boundaries: BoundaryList) -> str:

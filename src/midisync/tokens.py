@@ -14,14 +14,19 @@ A score is serialized as a flat sequence of named events:
 The integer id layout is frozen and documented: ids 0-5 are the markers
 in the order above, ids 6-130 are the 125 time shifts in increasing
 duration, and the remaining ids are, for each instrument category in
-alphabetical order, 128 ON tokens then 128 OFF tokens by ascending
-pitch.  Total size: 6 + 125 + 5 * 256 = 1411.
+alphabetical order (:data:`INSTRUMENTS`), 128 ON tokens then 128 OFF
+tokens by ascending pitch.  Total size: 6 + 125 + 5 * 256 = 1411.  Time
+and order are read off the ids: the cursor is the running sum of
+:data:`SHIFT_MS_BY_ID` (:func:`cursor_after`), an ON's OFF is
+``NUM_PITCHES`` ids above it, and instruments come in block order.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+
+import numpy as np
 
 RESOLUTION_MS = 8
 MAX_SHIFT_MS = 1000
@@ -43,13 +48,8 @@ class Instrument(enum.Enum):
     def is_drums(self) -> bool:
         return self is Instrument.DRUMS
 
-    def __lt__(self, other: "Instrument") -> bool:
-        if not isinstance(other, Instrument):
-            return NotImplemented
-        return self.value < other.value
 
-
-#: Alphabetical category order used everywhere an ordering is needed.
+#: Alphabetical category order: the order of the note id blocks and of every listing.
 INSTRUMENTS = tuple(sorted(Instrument, key=lambda i: i.value))
 
 
@@ -132,9 +132,7 @@ class Token:
 
     # -- convenience constructors -------------------------------------
     # In-vocabulary payloads index the shared entries; anything else goes
-    # to the validating constructor, which raises.  (A dict lookup tests
-    # the instrument: ``in INSTRUMENTS`` costs a Python-level ``__eq__``
-    # per entry, because ``Instrument`` defines ``__lt__``.)
+    # to the validating constructor, which raises.
     @classmethod
     def on(cls, instrument: Instrument, pitch: int) -> "Token":
         base = _NOTE_BLOCK.get(instrument)
@@ -196,6 +194,15 @@ _ENTRIES = tuple(_build_token_list())
 _BY_NAME = {tok.name: tok for tok in _ENTRIES}
 
 START, BAR, PAD, CHORD, FEWER_INSTRUMENTS, MORE_INSTRUMENTS = _ENTRIES[:_SHIFT_BLOCK]
+
+#: Cursor advance of each token id in ms: its shift for TIMESHIFT, else 0.
+SHIFT_MS_BY_ID = np.array([tok.shift_ms or 0 for tok in _ENTRIES], dtype=np.int64)
+
+
+def cursor_after(tokens: list[Token]) -> tuple[np.ndarray, np.ndarray]:
+    """The ids of a token stream and the cursor (ms) after each token, as int64 arrays."""
+    ids = np.fromiter((tok.id for tok in tokens), dtype=np.int64, count=len(tokens))
+    return ids, np.cumsum(SHIFT_MS_BY_ID[ids])
 
 
 class TokenVocabulary:

@@ -94,6 +94,13 @@ def test_detect_beat_override_and_tempo():
     assert len(detect_chords(slow, beat_ms=500.0)) == 1
 
 
+@pytest.mark.parametrize("beat_ms", [float("nan"), float("inf"), float("-inf"), 0.0, -5.0])
+def test_detect_rejects_a_beat_length_that_is_not_finite_and_positive(beat_ms):
+    score = ScoreTimeline(notes=triad(Instrument.PIANO, (60, 64, 67), 0, 1500))
+    with pytest.raises(ValueError, match="beat_ms must be a finite positive number"):
+        detect_chords(score, beat_ms=beat_ms)
+
+
 def test_detect_multiple_sorted():
     score = ScoreTimeline(
         notes=triad(Instrument.PIANO, (60, 64, 67), 4000, 1200)

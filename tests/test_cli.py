@@ -5,11 +5,12 @@ import hashlib
 import json
 import random
 import sys
+import tracemalloc
 
 import pytest
 
 from midisync.chords import detect_chords
-from midisync.cli import main
+from midisync.cli import SNIFF_BYTES, _sniff_scene_source, main
 from midisync.config import PipelineConfig
 from midisync.midi_codec import NoteEvent, ScoreTimeline, parse_midi, write_midi
 from midisync.tokens import VOCABULARY, Instrument, parse_tokens
@@ -20,6 +21,8 @@ SCENE_LOG = (
     "[Parsed_showinfo_1 @ 0x1] n: 2 pts_time:11.0 pos: 30\n"
     "duration=30.0\n"
 )
+# The head of an MP4 file: not UTF-8, so a scene source starting so is a video.
+VIDEO_HEAD = b"\x00\x00\x00\x18ftypmp42\xff\xfe"
 
 
 def demo_score() -> ScoreTimeline:
@@ -465,11 +468,49 @@ def test_generate_reads_a_log_with_no_cuts_as_a_detector_log(tmp_path, capsys, l
 def test_generate_sends_an_undecodable_file_to_the_detector(tmp_path, monkeypatch):
     monkeypatch.setenv("MIDISYNC_SCENE_BIN", str(stub_detector(tmp_path)))
     video = tmp_path / "clip.mp4"
-    video.write_bytes(b"\x00\x00\x00\x18ftypmp42\xff\xfe")
+    video.write_bytes(VIDEO_HEAD)
     out_midi = tmp_path / "v.mid"
     assert main(["generate", "none", str(video), "15.0", str(out_midi), "--model", "scripted"]) == 0
     manifest = json.loads(out_midi.with_suffix(".manifest.json").read_text())
     assert manifest["inputs"]["boundaries_s"] == [3.0, 9.0, 20.0]
+
+
+def test_a_video_is_sent_to_the_detector_after_a_bounded_read(tmp_path, monkeypatch):
+    monkeypatch.setenv("MIDISYNC_SCENE_BIN", str(stub_detector(tmp_path)))
+    video = tmp_path / "big.mp4"
+    with video.open("wb") as f:
+        f.write(VIDEO_HEAD)
+        f.truncate(64 << 20)  # sparse: 64 MB on paper, no disk
+    tracemalloc.start()
+    try:
+        boundaries = _sniff_scene_source(str(video), PipelineConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert boundaries.times_s == (3.0, 9.0, 20.0)
+    assert peak < 4 << 20
+
+
+def test_a_character_split_by_the_sniff_window_is_still_text(tmp_path, capsys):
+    log = tmp_path / "detector.log"
+    pad = "#" * (SNIFF_BYTES - 1)
+    log.write_text(pad + "\u00e9\n" + SCENE_LOG, encoding="utf-8")
+    assert log.read_bytes()[SNIFF_BYTES - 1 : SNIFF_BYTES + 1] == "\u00e9".encode()
+    assert main(["scenes", str(log), str(tmp_path / "bounds.txt")]) == 0
+    assert "kept 2/3" in capsys.readouterr().out
+
+
+def test_scenes_missing_source_never_starts_the_detector(tmp_path, monkeypatch, capsys):
+    marker = tmp_path / "detector-ran"
+    detector = tmp_path / "marking-detector"
+    detector.write_text(f"#!{sys.executable}\nopen({str(marker)!r}, 'w').close()\n")
+    detector.chmod(0o755)
+    monkeypatch.setenv("MIDISYNC_SCENE_BIN", str(detector))
+    missing = tmp_path / "typo.log"
+    assert main(["scenes", str(missing), str(tmp_path / "out.txt")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: scenes/read: ") and str(missing) in err
+    assert not marker.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +577,9 @@ def generate_output(out, extra):
 
 def scenes_output(out, extra):
     out.mkdir(parents=True)
+    (out / "clip.mp4").write_bytes(VIDEO_HEAD)
     bounds = out / "bounds.txt"
-    assert main(["scenes", str(out / "clip.mp4"), str(bounds), "--video", *extra]) == 0
+    assert main(["scenes", str(out / "clip.mp4"), str(bounds), *extra]) == 0
     return bounds.read_bytes()
 
 
@@ -626,7 +668,7 @@ def test_scenes_min_gap_flag(tmp_path):
 def test_scenes_missing_source_fails(tmp_path, capsys):
     rc = main(["scenes", str(tmp_path / "missing.log"), str(tmp_path / "out.txt")])
     assert rc == 1
-    assert "detect" in capsys.readouterr().err
+    assert str(tmp_path / "missing.log") in capsys.readouterr().err
 
 
 def test_chords_report(tmp_path, demo_midi, capsys):
@@ -643,6 +685,14 @@ def test_chords_beat_override_suppresses_short_spans(tmp_path, demo_midi, capsys
     # with a 1-second beat the 1.2 s chord is shorter than two beats
     assert main(["chords", str(demo_midi), "--beat-ms", "1000"]) == 0
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-5"])
+def test_chords_rejects_a_beat_length_that_is_not_finite_and_positive(demo_midi, capsys, value):
+    assert main(["chords", str(demo_midi), f"--beat-ms={value}"]) == 1
+    captured = capsys.readouterr()
+    assert "error: chords/detect: beat_ms must be a finite positive number" in captured.err
+    assert captured.out == ""
 
 
 def test_vocab_manifest(tmp_path, capsys):

@@ -182,7 +182,9 @@ def test_off_ids_order_notes_by_instrument_then_pitch():
     # The scripted model breaks onset ties by OFF id, standing in for
     # the (instrument, pitch) order.
     offs = [tok for tok in VOCABULARY if tok.kind is TokenKind.OFF]
-    assert sorted(offs, key=lambda t: t.id) == sorted(offs, key=lambda t: (t.instrument, t.pitch))
+    assert sorted(offs, key=lambda t: t.id) == sorted(
+        offs, key=lambda t: (t.instrument.value, t.pitch)
+    )
 
 
 def _history(seed: int, model) -> tuple[list[Token], list[float]]:

@@ -27,6 +27,7 @@ from midisync.midi_codec import (
 )
 from midisync.tokens import (
     BAR,
+    CHORD,
     FEWER_INSTRUMENTS,
     MORE_INSTRUMENTS,
     START,
@@ -417,6 +418,37 @@ def test_decode_unclosed_note_closed_at_end():
     result = decode_events(toks)
     assert result.unclosed_notes == 1
     assert result.score.notes == [NoteEvent(Instrument.PIANO, 60, 0, 400)]
+
+
+def test_decode_closes_unclosed_notes_of_every_instrument():
+    # Recorded before open notes were keyed by OFF id: repeated and
+    # zero-length unclosed notes on five instruments, an orphan OFF.
+    on, off, shift, inst = Token.on, Token.off, Token.shift, Instrument
+    toks = [
+        START, MORE_INSTRUMENTS, BAR,
+        on(inst.STRINGS, 72), on(inst.PIANO, 60), on(inst.BASS, 40), on(inst.PIANO, 60),
+        shift(104),
+        on(inst.DRUMS, 36), off(inst.PIANO, 60), CHORD, on(inst.GUITAR, 64),
+        on(inst.GUITAR, 52),
+        shift(1000), shift(96),
+        off(inst.GUITAR, 64), off(inst.BASS, 41), on(inst.BASS, 40), on(inst.STRINGS, 48),
+        shift(8),
+        off(inst.DRUMS, 36), on(inst.PIANO, 59), on(inst.DRUMS, 38),
+        shift(200),
+        on(inst.GUITAR, 64), on(inst.STRINGS, 72),
+    ]
+    result = decode_events(toks)
+    assert [(n.instrument.name, n.pitch, n.onset_ms, n.offset_ms, n.velocity)
+            for n in result.score.notes] == [
+        ("BASS", 40, 0, 1408, 80), ("PIANO", 60, 0, 104, 80), ("PIANO", 60, 0, 1408, 80),
+        ("STRINGS", 72, 0, 1408, 80), ("DRUMS", 36, 104, 1208, 80),
+        ("GUITAR", 52, 104, 1408, 80), ("GUITAR", 64, 104, 1200, 80),
+        ("BASS", 40, 1200, 1408, 80), ("STRINGS", 48, 1200, 1408, 80),
+        ("DRUMS", 38, 1208, 1408, 80), ("PIANO", 59, 1208, 1408, 80),
+    ]
+    assert result.chord_onsets_ms == [104]
+    assert result.score.bar_marks_ms == (0,)
+    assert (result.ignored_offs, result.unclosed_notes, result.dropped_zero_length) == (1, 10, 2)
 
 
 def test_decode_chord_onsets_reported():

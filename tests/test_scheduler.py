@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from midisync.scheduler import (
     on_token,
     parse_boundaries,
 )
-from midisync.tokens import CHORD, START, Instrument, Token
+from midisync.tokens import CHORD, START, Instrument, Token, TokenKind, cursor_after
 
 
 def fold_offsets(tokens, boundaries: BoundaryList, params: SchedulerParams) -> list[float]:
@@ -199,6 +200,62 @@ def test_derive_boundaries_from_chord_positions():
     out = offsets_for_sequence(toks)
     fold = fold_offsets(toks, bl, SchedulerParams())
     assert list(out) == fold
+
+
+def chord_boundaries(tokens) -> BoundaryList:
+    """Oracle: the CHORD cursors of a stream, by a running sum of its shifts."""
+    cursor = 0
+    times = []
+    for tok in tokens:
+        if tok.kind is TokenKind.TIMESHIFT:
+            cursor += tok.shift_ms
+        elif tok.kind is TokenKind.CHORD:
+            times.append(cursor)
+    return BoundaryList(times_ms=tuple(sorted(set(times))))
+
+
+SELF_BOUNDED_STREAMS = {
+    "empty": [],
+    "no chords": [START, Token.shift(1000), Token.on(Instrument.BASS, 40), Token.shift(8)],
+    "only chords": [CHORD, CHORD, CHORD],
+    "repeated chords": [
+        CHORD, Token.shift(504), CHORD, CHORD, Token.on(Instrument.PIANO, 60),
+        CHORD, Token.shift(8), Token.shift(1000), CHORD, CHORD,
+    ],
+    "chord last": [START, Token.shift(16), Token.shift(24), CHORD],
+}
+
+
+@pytest.mark.parametrize("name", SELF_BOUNDED_STREAMS)
+def test_self_derived_boundaries_match_the_oracle(name):
+    tokens = SELF_BOUNDED_STREAMS[name]
+    expected = chord_boundaries(tokens)
+    assert derive_boundaries(tokens).times_ms == expected.times_ms
+    params = SchedulerParams()
+    assert list(offsets_for_sequence(tokens)) == fold_offsets(tokens, expected, params)
+
+
+def test_self_derived_boundaries_match_the_oracle_on_random_instances():
+    rng = random.Random(4242)
+    for _ in range(300):
+        tokens, _, params = random_instance(rng)
+        expected = chord_boundaries(tokens)
+        got = derive_boundaries(tokens)
+        assert got.times_ms == expected.times_ms
+        assert all(type(t) is int for t in got.times_ms)
+        offsets = offsets_for_sequence(tokens, params=params)
+        assert list(offsets) == fold_offsets(tokens, expected, params)
+
+
+def test_cursor_after_is_the_running_sum_of_shifts():
+    rng = random.Random(31)
+    for _ in range(50):
+        tokens, _, _ = random_instance(rng)
+        ids, cursor = cursor_after(tokens)
+        assert ids.tolist() == [tok.id for tok in tokens]
+        assert cursor.tolist() == list(accumulate(tok.shift_ms or 0 for tok in tokens))
+    ids, cursor = cursor_after([])
+    assert ids.shape == cursor.shape == (0,)
 
 
 def random_instance(rng: random.Random):
