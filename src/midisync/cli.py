@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import codecs
 import dataclasses
+import functools
 import importlib
 import json
 import sys
@@ -353,7 +354,9 @@ def cmd_vocab(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parsing never mutates it)."""
     parser = argparse.ArgumentParser(
         prog="midisync",
         description="Boundary-synchronized symbolic music toolkit",

@@ -474,50 +474,54 @@ def write_midi(score: ScoreTimeline, smf_type: int = 1) -> bytes:
         raise ValueError(f"smf_type must be 0 or 1, got {smf_type}")
     tempo_us = round(60_000_000 / score.tempo_bpm)
     ms_to_tick = lambda ms: round(ms * _WRITE_DIVISION * 1000 / tempo_us)  # noqa: E731
+    # one pass over the notes: each instrument's (score index, note) pairs
+    by_instrument: dict[Instrument, list[tuple[int, NoteEvent]]] = {i: [] for i in INSTRUMENTS}
+    for i, n in enumerate(score.notes):
+        by_instrument[n.instrument].append((i, n))
 
-    def meta_body() -> list[tuple[int, int, bytes]]:
+    def meta_body() -> list[tuple[int, int, int, bytes]]:
         return [
-            (0, 0, b"\xff\x51\x03" + tempo_us.to_bytes(3, "big")),
-            (0, 1, b"\xff\x58\x04\x04\x02\x18\x08"),
+            (0, 0, -1, b"\xff\x51\x03" + tempo_us.to_bytes(3, "big")),
+            (0, 1, -1, b"\xff\x58\x04\x04\x02\x18\x08"),
         ]
 
-    def note_messages(instruments: tuple[Instrument, ...]) -> list[tuple[int, int, bytes]]:
-        """Program changes and note on/off messages of the given instruments, in order."""
-        msgs: list[tuple[int, int, bytes]] = [
-            # programs must precede any note message at tick 0
-            (0, -1, bytes([0xC0 | _CHANNELS[inst], _PROGRAMS[inst]]))
-            for inst in instruments
-            if inst in _PROGRAMS
-        ]
-        for n in score.notes:
-            if n.instrument not in instruments:
-                continue
-            ch = _CHANNELS[n.instrument]
+    def note_messages(k: int, inst: Instrument) -> list[tuple[int, int, int, bytes]]:
+        """Program change and note on/off messages of the ``k``-th instrument.
+
+        Keys are (tick, priority, order): the program precedes any note at
+        tick 0, and messages that tie on both keep the score's order.
+        """
+        ch = _CHANNELS[inst]
+        msgs = [(0, -1, k, bytes((0xC0 | ch, _PROGRAMS[inst])))] if inst in _PROGRAMS else []
+        on, off = 0x90 | ch, 0x80 | ch
+        for i, n in by_instrument[inst]:
             on_tick = ms_to_tick(n.onset_ms)
-            off_tick = ms_to_tick(n.offset_ms)
-            if off_tick <= on_tick:
-                off_tick = on_tick + 1
-            msgs.append((on_tick, 1, bytes([0x90 | ch, n.pitch, n.velocity])))
-            msgs.append((off_tick, 0, bytes([0x80 | ch, n.pitch, 0])))
+            off_tick = max(ms_to_tick(n.offset_ms), on_tick + 1)
+            msgs.append((on_tick, 1, i, bytes((on, n.pitch, n.velocity))))
+            msgs.append((off_tick, 0, i, bytes((off, n.pitch, 0))))
         return msgs
 
-    def render(msgs: list[tuple[int, int, bytes]]) -> bytes:
-        msgs.sort(key=lambda m: (m[0], m[1]))
+    def render(msgs: list[tuple[int, int, int, bytes]]) -> bytes:
+        # (tick, priority, order) is unique per message: payloads are never compared
+        msgs.sort()
         out = bytearray()
         tick = 0
-        for t, _, payload in msgs:
-            out += _varlen(t - tick)
+        for t, _, _, payload in msgs:
+            delta = t - tick
+            if delta < 0x80:
+                out.append(delta)
+            else:
+                out += _varlen(delta)
             out += payload
             tick = t
-        out += _varlen(0) + b"\xff\x2f\x00"
+        out += b"\x00\xff\x2f\x00"
         return bytes(out)
 
-    present = score.instruments_used()
-    used = tuple(inst for inst in INSTRUMENTS if inst in present)
+    used = [(k, inst) for k, inst in enumerate(INSTRUMENTS) if by_instrument[inst]]
     if smf_type == 0:
-        tracks = [render(meta_body() + note_messages(used))]
+        tracks = [render(meta_body() + [m for k, inst in used for m in note_messages(k, inst)])]
     else:
-        tracks = [render(meta_body())] + [render(note_messages((inst,))) for inst in used]
+        tracks = [render(meta_body())] + [render(note_messages(k, inst)) for k, inst in used]
 
     header = b"MThd" + (6).to_bytes(4, "big")
     header += smf_type.to_bytes(2, "big")

@@ -433,6 +433,21 @@ def test_generate_non_finite_duration_fails(tmp_path, capsys):
     assert not out_midi.exists()
 
 
+def test_generate_temperature_underflow_fails_with_the_sampling_state(tmp_path, capsys):
+    boundaries = tmp_path / "b.txt"
+    boundaries.write_text("1.0\n")
+    out_midi = tmp_path / "x.mid"
+    rc = main(
+        ["generate", "none", str(boundaries), "2", str(out_midi),
+         "--temperature", "0.0001", "--top-k", "2000"]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: generate/sampling: temperature 0.0001 underflows")
+    assert "(step 1)" in err
+    assert not out_midi.exists()
+
+
 def test_generate_missing_boundary_source(tmp_path, capsys):
     rc = main(
         ["generate", "none", str(tmp_path / "nope.txt"), "8.0", str(tmp_path / "x.mid")]

@@ -16,6 +16,7 @@ from midisync.generator import (
     ReferenceModel,
     SamplingParams,
     ScriptedBoundaryModel,
+    _draw,
     assemble_input,
     generate,
     grammar_mask,
@@ -317,6 +318,61 @@ def test_generate_rejects_invalid_distribution(vector):
         )
 
 
+def _with(index: int, value: float) -> np.ndarray:
+    vector = _uniform()
+    vector[index] = value
+    return vector
+
+
+@pytest.mark.parametrize(
+    "vector, message",
+    [
+        (_with(0, np.nan), "step 1: model distribution has invalid entries"),
+        (_with(5, np.inf), "step 1: model distribution has invalid entries"),
+        (_with(9, -1e-9), "step 1: model distribution has invalid entries"),
+        (np.ones(10) / 10, "step 1: model distribution has shape (10,), expected (1411,)"),
+        (_uniform() * 0.9, "step 1: model distribution sums to {total!r}, not 1"),
+        (_with(3, 1.5), "step 1: model distribution sums to {total!r}, not 1"),
+        # finite entries whose sum overflows
+        (np.full(len(VOCABULARY), 1e308), "step 1: model distribution sums to inf, not 1"),
+    ],
+    ids=["nan", "inf", "negative", "shape", "sum", "big-entry", "sum-overflows"],
+)
+def test_invalid_distribution_messages(vector, message):
+    with pytest.raises(GenerationError) as excinfo:
+        generate(ConstModel(vector), VAPoint(None, None), BoundaryList.from_times([]), 1.0)
+    with np.errstate(over="ignore"):
+        total = float(vector.sum())
+    assert str(excinfo.value) == message.format(total=total)
+
+
+def test_temperature_underflow_of_a_flat_vector_raises():
+    # Each valid id has about 1/770 after masking; to the power 200 that is 0.
+    with pytest.raises(GenerationError) as excinfo:
+        generate(
+            ConstModel(_uniform()),
+            VAPoint(None, None),
+            BoundaryList.from_times([]),
+            1.0,
+            sampling=SamplingParams(temperature=0.005, top_k=None),
+        )
+    assert str(excinfo.value) == (
+        "temperature 0.005 underflows every valid token's probability to 0 "
+        "at cursor 0.000 s (step 1)"
+    )
+
+
+def test_temperature_underflow_of_the_reference_model_raises():
+    with pytest.raises(GenerationError, match=r"temperature 0\.0001 underflows .* \(step 1\)"):
+        generate(
+            ReferenceModel(),
+            VAPoint(None, None),
+            BoundaryList.from_times([1.0]),
+            2.0,
+            sampling=SamplingParams(temperature=1e-4, top_k=2000),
+        )
+
+
 def test_generate_rejects_mass_only_on_invalid_tokens():
     vector = np.zeros(len(VOCABULARY))
     vector[VOCABULARY.id_of(Token.off(Instrument.PIANO, 60))] = 1.0
@@ -371,6 +427,47 @@ def test_model_constructor_validation():
         ReferenceModel(key_root=11)
     with pytest.raises(ValueError):
         ReferenceModel(key_root=109)
+
+
+# ---------------------------------------------------------------------------
+# The draw: Generator.choice's pick, found among the nonzero ids
+# ---------------------------------------------------------------------------
+
+
+def _oracle_vectors() -> dict[str, np.ndarray]:
+    n = len(VOCABULARY)
+    rng = np.random.default_rng(2024)
+    one_id = np.zeros(n)
+    one_id[777] = 1.0
+    ties = np.zeros(n)
+    ties[rng.choice(n, size=12, replace=False)] = 1.0
+    ties[rng.choice(n, size=5, replace=False)] = 3.0
+    subnormal = np.zeros(n)
+    subnormal[rng.choice(n, size=40, replace=False)] = 5e-324 * rng.integers(1, 9, size=40)
+    subnormal[[0, 3, 700, 1410]] = [0.25, 0.25, 0.3, 0.2]
+    dense = rng.random(n)
+    sparse = np.zeros(n)
+    sparse[rng.choice(n, size=10, replace=False)] = rng.random(10)
+    vectors = {
+        "one-id": one_id,
+        "ties": ties,
+        "subnormal": subnormal,
+        "dense": dense,
+        "sparse": sparse,
+    }
+    return {name: v / v.sum() for name, v in vectors.items()}
+
+
+@pytest.mark.parametrize("name", sorted(_oracle_vectors()))
+@pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+def test_support_draw_matches_generator_choice(name, seed):
+    probs = _oracle_vectors()[name]
+    support = (probs > 0).nonzero()[0]
+    ours, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+    drawn = [_draw(probs, support, ours) for _ in range(50)]
+    assert drawn == [int(oracle.choice(len(probs), p=probs)) for _ in range(50)]
+    # one uniform per draw: the two generators are still in step
+    assert ours.random() == oracle.random()
 
 
 # ---------------------------------------------------------------------------
@@ -569,9 +666,32 @@ GOLDEN_CASES = [
     (8, [4.0, 9.5, 17.0, 23.0, 31.5, 36.0], VAPoint(-0.4, 0.3), 40.0, 60),
 ]
 GOLDEN_SAMPLING = {"t1-k32": (1.0, 32), "t0.7-all": (0.7, None), "t1.3-k5": (1.3, 5)}
+
+
+class DenseModel:
+    """Every id nonzero, redrawn each step from a generator seeded by ``seed``.
+
+    Most ids share the weights 1-3, so ties abound; 200 random ids get the
+    distinct weights 4-203, so a top-k cut never splits a tie (which ids
+    ``np.argpartition`` keeps from a tie depends on the CPU's SIMD path).
+    The built-in models put mass on about ten ids, so only this model
+    drives the full-width temperature and top-k paths over a dense vector.
+    """
+
+    def __init__(self, seed: int):
+        self.rng = np.random.default_rng(seed)
+
+    def next_distribution(self, tokens, offsets, valence, arousal):
+        n = len(VOCABULARY)
+        weights = self.rng.integers(1, 4, size=n).astype(np.float64)
+        weights[self.rng.choice(n, size=200, replace=False)] = 4.0 + self.rng.permutation(200)
+        return weights / weights.sum()
+
+
 GOLDEN_MODELS = {
     "reference": lambda root: ReferenceModel(key_root=root),
     "scripted": lambda root: ScriptedBoundaryModel(root_pitch=root),
+    "dense": DenseModel,
 }
 
 
@@ -624,6 +744,33 @@ GOLDEN_DIGESTS = {
     "reference/t1.3-k5/6": "6a60b88e0aaace3db8f9a4c4c7674f723a1f5a2a8afac6e48fc8053c5f30b1df",
     "reference/t1.3-k5/7": "d74695b11afe758284f070c2548288cfcf6ad688654d1efc7046b6811b52ebab",
     "reference/t1.3-k5/8": "124a48cd43a1e69a7310f30ca238d3c97621ac16ff206355268754793b611458",
+    "dense/t1-k32/0": "1bc5a93f224f9a7f0179563dd36a066c0877137c1f8d08e7dc279280afdbd0b5",
+    "dense/t1-k32/1": "1770cd1d3e9f865f2f77435a80ef857451d5efdf8200f01ac5762430aade0c42",
+    "dense/t1-k32/2": "65a8dd6fae69bae505a1925a0baec084df42e682ae057f67489ef44159b2939e",
+    "dense/t1-k32/3": "657e1e3bb7c5dab19a4fc5c6d9c6499bb1d2991bfe4be627881a10fd1ba91562",
+    "dense/t1-k32/4": "4722255701d1d3cdfc0a95b085e31ab09adf0e2eb81aab01554bb281b45f7fea",
+    "dense/t1-k32/5": "2ac8235c33a2cd2e4eb3ad2d9b4d4cbd54c1023e8c635cf481e9575d90b4f5a4",
+    "dense/t1-k32/6": "8413ed1a319e5d6a1aa8d58ff8efbe23ff3f1cae03ca09eb17fcc542604edcdf",
+    "dense/t1-k32/7": "097dc9ac85bbab7c7854765eb0ca84e617b73a5c46528f11e2b4a87f2b53fcdb",
+    "dense/t1-k32/8": "6a163783bcea3944e36d6fb97b51f8f13bec028cd42af6defc6bb0f6e6fc267d",
+    "dense/t0.7-all/0": "e32ede35447dddd477a9eea0fa1024bf44f39cbfd82856eabf4fbad5c2e01b05",
+    "dense/t0.7-all/1": "721fe6e5286c076b958ab68bd3d5019f2fe9fffb89440e1bc034b1a06ecd5ae6",
+    "dense/t0.7-all/2": "8146fcdcfd0c5a597914a71b5d41490b43d2148c2b5c495efc3d62ba54f08088",
+    "dense/t0.7-all/3": "fa3db2d30b45e4bbbea15afba0c32abc04046afdbba3303823bf3d2001a3569f",
+    "dense/t0.7-all/4": "9cfe7261033d2f86f9d9ff3406a9dde12116a18c1106e029bbd3402449b5aa0b",
+    "dense/t0.7-all/5": "2eb97b711c1a90ae87b8152d9959b0aa9b4a9124932df1815e9916130da6f931",
+    "dense/t0.7-all/6": "de91c98f0a71abf21852263a43043d49a64625add7d42b2d3b313d0d24beb9c4",
+    "dense/t0.7-all/7": "9a6c13d959343ed922b2eed814b89e5d59265024616bc72868542c784cd75519",
+    "dense/t0.7-all/8": "af08b8ba7bfb031b680a8a428f67f93493305b2c9176321e526bc843720c8c01",
+    "dense/t1.3-k5/0": "db42b9d4fb84a4dc281aac84399fa9c89d1fad4d3ab3ec8872d2370cf5f02511",
+    "dense/t1.3-k5/1": "970f0a3761c3a32f8ae75e088fa5e8fed8886df0f727b648dfbdd35a8df614b4",
+    "dense/t1.3-k5/2": "6b0ceb7d3f76a45e575df3850e23d08865ba999fa4ed5cada6b833d59d78f723",
+    "dense/t1.3-k5/3": "93a640968dcc70baee3540b1034009345a77078b46d70ac51fdfafb9c7eb29c6",
+    "dense/t1.3-k5/4": "41f0865e1b08a369a8bb0da76f958229e70e7a24bdb3bfd1a56ac841a9c683ab",
+    "dense/t1.3-k5/5": "744c66642455ab4108b414b4cceaf2ba66c9437e6aec979d0a2b5014f8fb85cc",
+    "dense/t1.3-k5/6": "ad1603df77d0cbb0ce5863fd70d54cc84126ee08bec14c93db925f08637759da",
+    "dense/t1.3-k5/7": "949a5e5a8793dd05e2e01a3688c5825251d769cfb0514456644e70581cb03829",
+    "dense/t1.3-k5/8": "f9af65c21eb1b9584f1fcb6f62fab619d1cfecea3baec2d6b7dd58185eb94003",
     "scripted/t1-k32/0": "92cf1aa367814c8350050743ce1c3c0f33f4e005cace7bcef7d850867d65ef6a",
     "scripted/t1-k32/1": "8e174d967484d0bd042391fd7f5c6c2b978cff1eba1509ca59085c60473651cd",
     "scripted/t1-k32/2": "569631b2a0b857c016274223078c741e763c16aa47ac694a3f08568cf6fdb81c",
