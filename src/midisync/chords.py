@@ -185,12 +185,6 @@ def boost_chord_velocity(
     if simultaneity_eps_ms < 0:
         raise ValueError("simultaneity window must be >= 0")
     onsets = sorted(set(chord_onsets))
-    if gain == 0 or not onsets:
-        return ScoreTimeline(
-            notes=list(score.notes),
-            tempo_bpm=score.tempo_bpm,
-            bar_marks_ms=score.bar_marks_ms,
-        )
     out = []
     for n in score.notes:
         if any(abs(n.onset_ms - onset) <= simultaneity_eps_ms for onset in onsets):

@@ -108,7 +108,8 @@ def _prepare_one(path: Path, out_dir: Path, config: PipelineConfig, seed: int, a
     variants = [("", score)]
     if args.augment:
         rng = np.random.default_rng(seed)
-        shifts = rng.choice([-3, -2, -1, 1, 2, 3], size=args.augment, replace=True)
+        span = midi_codec.MAX_TRANSPOSE
+        shifts = rng.choice([t for t in range(-span, span + 1) if t], size=args.augment)
         variants += [
             (f"_aug{k + 1}", midi_codec.transpose(score, int(s)))
             for k, s in enumerate(shifts)

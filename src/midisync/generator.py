@@ -6,13 +6,15 @@ distribution over the vocabulary.  The loop in :func:`generate` owns
 everything else: it masks grammatically invalid continuations, applies
 temperature and top-k, samples with a seeded generator, feeds every
 emitted token to the boundary scheduler, and stops once the time cursor
-reaches the requested duration.  Grammar facts come from a
-:class:`DecodeState` updated once per emitted token, never from a rescan
-of the history, so every step costs the same at any history length.
+reaches the requested duration.  Grammar facts come from the
+:class:`~midisync.tokens.DecodeState` that also reads streams back into
+notes, updated once per emitted token, so a step costs the same at any
+history length.
 
-Checks, normalisation, temperature and top-k run over the full vector;
-the draw runs over the nonzero ids only, with one seeded uniform per
-step, and picks the id ``Generator.choice`` over the full vector would.
+Checks, normalisation and temperature run over the full vector; top-k
+breaks ties by the lower id, so every CPU keeps the same ids.  The draw
+runs over the nonzero ids only, with one seeded uniform per step, and
+picks the id ``Generator.choice`` over the full vector would.
 A temperature that underflows all valid mass raises :class:`GenerationError`.
 
 Two models ship with the package: :class:`ReferenceModel`, a small
@@ -27,7 +29,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -44,11 +45,10 @@ from .scheduler import (
 from .tokens import (
     CHORD,
     MAX_SHIFT_MS,
-    NUM_PITCHES,
-    PAD,
     RESOLUTION_MS,
     START,
     VOCABULARY,
+    DecodeState,
     Instrument,
     Token,
     TokenKind,
@@ -94,109 +94,8 @@ class SamplingParams:
             raise ValueError("max_tokens must be >= 1")
 
 
-# ---------------------------------------------------------------------------
-# Grammar and decode state
-# ---------------------------------------------------------------------------
-
-
-# Valid at position zero: everything but OFF.  After it START and PAD
-# are invalid too.  An OFF becomes valid while its note is open.
-_FIRST_MASK = np.array([tok.kind is not TokenKind.OFF for tok in VOCABULARY])
-_BASE_MASK = _FIRST_MASK.copy()
-_BASE_MASK[[START.id, PAD.id]] = False
-
-
-class DecodeState:
-    """Grammar and history facts of a token prefix, updated once per token.
-
-    * ``length`` — number of tokens folded;
-    * ``cursor_ms`` — sum of the TIMESHIFTs so far;
-    * ``open_notes`` — onset cursors of the sounding notes, a FIFO per
-      note keyed by the id of the OFF token that closes it; an OFF
-      closes the oldest onset, an OFF with nothing open is ignored, and
-      emptied FIFOs are dropped;
-    * ``open_count`` — number of sounding notes;
-    * ``chord_pending`` — the last CHORD has not been followed by an ON;
-    * ``shifted_since_chord`` — a TIMESHIFT followed the last CHORD (also
-      true before the first CHORD: no chord is owed notes);
-    * ``chord_pitches`` — pitches of the ONs after the last CHORD, kept
-      until the first TIMESHIFT after it;
-    * ``last_on_pitch`` — pitch of the latest ON, or None.
-    """
-
-    __slots__ = (
-        "length",
-        "cursor_ms",
-        "open_notes",
-        "open_count",
-        "chord_pending",
-        "shifted_since_chord",
-        "chord_pitches",
-        "last_on_pitch",
-    )
-
-    def __init__(self) -> None:
-        self.length = 0
-        self.cursor_ms = 0
-        self.open_notes: dict[int, deque[int]] = {}
-        self.open_count = 0
-        self.chord_pending = False
-        self.shifted_since_chord = True
-        self.chord_pitches: list[int] = []
-        self.last_on_pitch: int | None = None
-
-    def push(self, tok: Token) -> None:
-        kind = tok.kind
-        if kind is TokenKind.TIMESHIFT:
-            self.cursor_ms += tok.shift_ms
-            self.shifted_since_chord = True
-        elif kind is TokenKind.ON:
-            key = tok.id + NUM_PITCHES
-            fifo = self.open_notes.get(key)
-            if fifo is None:
-                fifo = self.open_notes[key] = deque()
-            fifo.append(self.cursor_ms)
-            self.open_count += 1
-            self.chord_pending = False
-            self.last_on_pitch = tok.pitch
-            if not self.shifted_since_chord:
-                self.chord_pitches.append(tok.pitch)
-        elif kind is TokenKind.OFF:
-            fifo = self.open_notes.get(tok.id)
-            if fifo:
-                fifo.popleft()
-                self.open_count -= 1
-                if not fifo:
-                    del self.open_notes[tok.id]
-        elif kind is TokenKind.CHORD:
-            self.chord_pending = True
-            self.shifted_since_chord = False
-            self.chord_pitches = []
-        self.length += 1
-
-    def mask(self) -> np.ndarray:
-        """Boolean mask of grammatically valid next tokens (see :func:`grammar_mask`)."""
-        mask = (_BASE_MASK if self.length else _FIRST_MASK).copy()
-        mask[list(self.open_notes)] = True
-        if self.chord_pending:
-            mask[CHORD.id] = False
-        return mask
-
-    def chord_fill_remaining(self, triad: tuple[int, ...]) -> list[int]:
-        """Triad pitches still owed to the most recent CHORD marker, if any."""
-        if self.shifted_since_chord or len(self.chord_pitches) >= len(triad):
-            return []
-        return [p for p in triad if p not in self.chord_pitches]
-
-
 def grammar_mask(tokens: list[Token]) -> np.ndarray:
-    """Boolean mask over the vocabulary ids of valid next tokens.
-
-    Rules: an OFF is valid only for a currently open (instrument,
-    pitch); START and PAD are valid only at position zero; a second
-    CHORD is invalid until at least one ON has followed the previous
-    CHORD (a chord marker must announce some notes).
-    """
+    """The mask of valid next tokens after ``tokens`` (see :meth:`DecodeState.mask`)."""
     state = DecodeState()
     for tok in tokens:
         state.push(tok)
@@ -394,7 +293,8 @@ def generate(
             masked /= tempered
         support = (masked > 0).nonzero()[0]  # ~3x faster than masked.nonzero()
         if sampling.top_k is not None and sampling.top_k < support.size:
-            keep = np.argpartition(masked, -sampling.top_k)[-sampling.top_k:]
+            # the k most probable ids, ties broken by the lower id
+            keep = support[np.lexsort((support, -masked[support]))[: sampling.top_k]]
             pruned = np.zeros_like(masked)
             pruned[keep] = masked[keep]
             masked = pruned / pruned.sum()

@@ -33,6 +33,7 @@ from .tokens import (
     START,
     Instrument,
     VOCABULARY,
+    DecodeState,
     Token,
     TokenKind,
 )
@@ -613,58 +614,55 @@ def encode_events(score: ScoreTimeline, include_bars: bool = True) -> list[Token
 
 
 def decode_events(tokens: list[Token]) -> DecodeResult:
-    """Rebuild a timeline from a token sequence.
+    """Rebuild a timeline from a token sequence by folding a :class:`DecodeState`.
 
-    Tolerant by construction: orphan OFFs are counted and skipped,
-    zero-length notes are counted and dropped, and notes still open at
-    the end of the stream are closed there.  CHORD markers do not affect
-    the timeline but their cursor positions are reported.
+    ONs pair with OFFs by the state's rule, as in generation.  Tolerant
+    by construction: orphan OFFs are counted and skipped, zero-length
+    notes are counted and dropped, and notes still open at the end of
+    the stream are closed there.  CHORD markers do not affect the
+    timeline but their cursor positions are reported.
     """
-    cursor = 0
-    open_notes: dict[int, deque[int]] = {}  # onsets by the id of the closing OFF
+    state = DecodeState()
+    push = state.push
     notes: list[NoteEvent] = []
     chord_onsets: list[int] = []
     bar_marks: list[int] = []
     ignored_offs = 0
     dropped = 0
 
+    # kinds bound to locals: a member lookup on the enum class is slow
+    off_kind, chord_kind, bar_kind = TokenKind.OFF, TokenKind.CHORD, TokenKind.BAR
     for tok in tokens:
-        if tok.kind is TokenKind.TIMESHIFT:
-            cursor += tok.shift_ms
-        elif tok.kind is TokenKind.ON:
-            open_notes.setdefault(tok.id + NUM_PITCHES, deque()).append(cursor)
-        elif tok.kind is TokenKind.OFF:
-            queue = open_notes.get(tok.id)
-            if not queue:
-                ignored_offs += 1
-                continue
-            onset = queue.popleft()
-            if cursor <= onset:
+        onset = push(tok)
+        if onset is not None:
+            if state.cursor_ms > onset:
+                notes.append(NoteEvent(tok.instrument, tok.pitch, onset, state.cursor_ms))
+            else:
                 dropped += 1
-                continue
-            notes.append(NoteEvent(tok.instrument, tok.pitch, onset, cursor))
-        elif tok.kind is TokenKind.CHORD:
-            chord_onsets.append(cursor)
-        elif tok.kind is TokenKind.BAR:
-            if not bar_marks or cursor > bar_marks[-1]:
-                bar_marks.append(cursor)
+            continue
+        kind = tok.kind
+        if kind is off_kind:
+            ignored_offs += 1
+        elif kind is chord_kind:
+            chord_onsets.append(state.cursor_ms)
+        elif kind is bar_kind:
+            if not bar_marks or state.cursor_ms > bar_marks[-1]:
+                bar_marks.append(state.cursor_ms)
 
-    unclosed = 0
-    for off_id, queue in open_notes.items():
+    cursor = state.cursor_ms
+    for off_id, onsets in state.open_notes.items():
         off = VOCABULARY.token_of(off_id)
-        for onset in queue:
-            unclosed += 1
+        for onset in onsets:
             if cursor > onset:
                 notes.append(NoteEvent(off.instrument, off.pitch, onset, cursor))
             else:
                 dropped += 1
 
-    score = ScoreTimeline(notes=notes, bar_marks_ms=tuple(bar_marks))
     return DecodeResult(
-        score=score,
+        score=ScoreTimeline(notes=notes, bar_marks_ms=tuple(bar_marks)),
         chord_onsets_ms=chord_onsets,
         ignored_offs=ignored_offs,
-        unclosed_notes=unclosed,
+        unclosed_notes=state.open_count,
         dropped_zero_length=dropped,
     )
 
@@ -689,7 +687,7 @@ def trim_to_duration(score: ScoreTimeline, duration_ms: int) -> ScoreTimeline:
 
 
 def transpose(score: ScoreTimeline, semitones: int) -> ScoreTimeline:
-    """Shift every non-drum pitch by up to +/-3 semitones.
+    """Shift every non-drum pitch by up to +/-:data:`MAX_TRANSPOSE` semitones.
 
     Drums are percussion maps, not pitched material, so they pass
     through unchanged.  Pitches pushed outside 0..127 are clamped back
@@ -697,12 +695,6 @@ def transpose(score: ScoreTimeline, semitones: int) -> ScoreTimeline:
     """
     if abs(semitones) > MAX_TRANSPOSE:
         raise ValueError(f"semitones must be within +/-{MAX_TRANSPOSE}, got {semitones}")
-    if semitones == 0:
-        return ScoreTimeline(
-            notes=list(score.notes),
-            tempo_bpm=score.tempo_bpm,
-            bar_marks_ms=score.bar_marks_ms,
-        )
     out = []
     for n in score.notes:
         if n.instrument.is_drums:

@@ -19,11 +19,14 @@ tokens by ascending pitch.  Total size: 6 + 125 + 5 * 256 = 1411.  Time
 and order are read off the ids: the cursor is the running sum of
 :data:`SHIFT_MS_BY_ID` (:func:`cursor_after`), an ON's OFF is
 ``NUM_PITCHES`` ids above it, and instruments come in block order.
+One :class:`DecodeState` reads every token prefix, token by token, for
+the decoder, the grammar mask and the generation models alike.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -268,3 +271,111 @@ def parse_tokens(text: str) -> list[Token]:
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     return out
+
+
+# ---------------------------------------------------------------------------
+# Grammar and decode state
+# ---------------------------------------------------------------------------
+
+
+# Valid at position zero: everything but OFF.  After it START and PAD
+# are invalid too.  An OFF becomes valid while its note is open.
+_FIRST_MASK = np.array([tok.kind is not TokenKind.OFF for tok in _ENTRIES])
+_BASE_MASK = _FIRST_MASK.copy()
+_BASE_MASK[[START.id, PAD.id]] = False
+
+# Enum members as module globals: a member lookup on the class costs
+# several times a global lookup, and push runs once per token.
+_TIMESHIFT, _ON, _OFF, _CHORD = TokenKind.TIMESHIFT, TokenKind.ON, TokenKind.OFF, TokenKind.CHORD
+
+
+class DecodeState:
+    """Grammar and history facts of a token prefix, updated once per token.
+
+    * ``length`` — number of tokens folded;
+    * ``cursor_ms`` — sum of the TIMESHIFTs so far;
+    * ``open_notes`` — onset cursors of the sounding notes, a FIFO per
+      note keyed by the id of the OFF token that closes it; an OFF
+      closes the oldest onset, an OFF with nothing open is ignored, and
+      emptied FIFOs are dropped;
+    * ``open_count`` — number of sounding notes;
+    * ``chord_pending`` — the last CHORD has not been followed by an ON;
+    * ``shifted_since_chord`` — a TIMESHIFT followed the last CHORD (also
+      true before the first CHORD: no chord is owed notes);
+    * ``chord_pitches`` — pitches of the ONs after the last CHORD, kept
+      until the first TIMESHIFT after it;
+    * ``last_on_pitch`` — pitch of the latest ON, or None.
+    """
+
+    __slots__ = (
+        "length",
+        "cursor_ms",
+        "open_notes",
+        "open_count",
+        "chord_pending",
+        "shifted_since_chord",
+        "chord_pitches",
+        "last_on_pitch",
+    )
+
+    def __init__(self) -> None:
+        self.length = 0
+        self.cursor_ms = 0
+        self.open_notes: dict[int, deque[int]] = {}
+        self.open_count = 0
+        self.chord_pending = False
+        self.shifted_since_chord = True
+        self.chord_pitches: list[int] = []
+        self.last_on_pitch: int | None = None
+
+    def push(self, tok: Token) -> int | None:
+        """Fold one token; for an OFF that closes a note, return that note's onset."""
+        self.length += 1
+        kind = tok.kind
+        if kind is _TIMESHIFT:
+            self.cursor_ms += tok.shift_ms
+            self.shifted_since_chord = True
+        elif kind is _ON:
+            key = tok.id + NUM_PITCHES
+            fifo = self.open_notes.get(key)
+            if fifo is None:
+                fifo = self.open_notes[key] = deque()
+            fifo.append(self.cursor_ms)
+            self.open_count += 1
+            self.chord_pending = False
+            self.last_on_pitch = tok.pitch
+            if not self.shifted_since_chord:
+                self.chord_pitches.append(tok.pitch)
+        elif kind is _OFF:
+            fifo = self.open_notes.get(tok.id)
+            if fifo:
+                self.open_count -= 1
+                onset = fifo.popleft()
+                if not fifo:
+                    del self.open_notes[tok.id]
+                return onset
+        elif kind is _CHORD:
+            self.chord_pending = True
+            self.shifted_since_chord = False
+            self.chord_pitches = []
+        return None
+
+    def mask(self) -> np.ndarray:
+        """Boolean mask over the vocabulary ids of grammatically valid next tokens.
+
+        Rules: an OFF is valid only for a currently open (instrument,
+        pitch); START and PAD are valid only at position zero; a second
+        CHORD is invalid until at least one ON has followed the previous
+        CHORD (a chord marker must announce some notes).
+        """
+        mask = (_BASE_MASK if self.length else _FIRST_MASK).copy()
+        mask[list(self.open_notes)] = True
+        if self.chord_pending:
+            mask[CHORD.id] = False
+        return mask
+
+    def chord_fill_remaining(self, triad: tuple[int, ...]) -> list[int]:
+        """Triad pitches still owed to the most recent CHORD marker, if any."""
+        if self.shifted_since_chord or len(self.chord_pitches) >= len(triad):
+            return []
+        return [p for p in triad if p not in self.chord_pitches]

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -380,6 +383,23 @@ def test_generate_rejects_mass_only_on_invalid_tokens():
         generate(ConstModel(vector), VAPoint(None, None), BoundaryList.from_times([]), 1.0)
 
 
+def test_top_k_breaks_ties_by_the_lower_id():
+    # Four equal weights and k=2: only the two lowest ids survive the cut,
+    # whichever SIMD path NumPy's sort and partition kernels take.
+    shifts = [Token.shift(ms) for ms in (400, 8, 1000, 96)]
+    vector = np.zeros(len(VOCABULARY))
+    vector[[tok.id for tok in shifts]] = 0.25
+    result = generate(
+        ConstModel(vector),
+        VAPoint(None, None),
+        BoundaryList.from_times([]),
+        duration_s=5.0,
+        sampling=SamplingParams(top_k=2),
+    )
+    assert result.tokens[0] is START
+    assert set(result.tokens[1:]) == {Token.shift(8), Token.shift(96)}
+
+
 def test_generate_max_tokens_guard():
     with pytest.raises(GenerationError, match="max_tokens"):
         generate(
@@ -672,8 +692,8 @@ class DenseModel:
     """Every id nonzero, redrawn each step from a generator seeded by ``seed``.
 
     Most ids share the weights 1-3, so ties abound; 200 random ids get the
-    distinct weights 4-203, so a top-k cut never splits a tie (which ids
-    ``np.argpartition`` keeps from a tie depends on the CPU's SIMD path).
+    distinct weights 4-203, so a top-k cut never splits a tie and these
+    goldens do not depend on the tie-break rule.
     The built-in models put mass on about ten ids, so only this model
     drives the full-width temperature and top-k paths over a dense vector.
     """
@@ -735,15 +755,15 @@ GOLDEN_DIGESTS = {
     "reference/t0.7-all/6": "ffa438889b6564576ca682fbf1b0c155bbb39b7e43bc5d0d161d66581255de1a",
     "reference/t0.7-all/7": "6ab439b861ac442cbe4b52042717f2a88d12b217f945059527933110c0d4b582",
     "reference/t0.7-all/8": "dfb06cb9b59458ffae911b5daf79b503d1906309d67b83bc4d708493d65b3785",
-    "reference/t1.3-k5/0": "6c1e40b1c3c03c62361b1b67d8caaa0755abc6e2d1a257c752b653a35c58ed95",
-    "reference/t1.3-k5/1": "19959bbbec710bce187b89c0cf6b737b40d5f2b7cc3a8f5287cdc6b831c21fe2",
-    "reference/t1.3-k5/2": "d18cb0b106b003ad37ead6c8c672b21240df925deb01e855ce63a90ac5f8f21a",
-    "reference/t1.3-k5/3": "c8460c52c49ad69ebd54fd65b665bc61b2348247b654070f31991150a25c6542",
-    "reference/t1.3-k5/4": "2e2fc77291111db16cfae5f9ea97c1c67611e8d828d88dc966720e711479d22e",
-    "reference/t1.3-k5/5": "5c47330f2ac464581266d0dd4a4cfe41600c330dc0ee3465d06a92d2cf3a3075",
+    "reference/t1.3-k5/0": "b0e8c24393ae3071a647119d8f224242ffa839ce6387dab4bb61013e4223eaff",
+    "reference/t1.3-k5/1": "a44248f511d67168bc8afe17527a66840b825c450fa51679d15daf39795c360a",
+    "reference/t1.3-k5/2": "030f870a65531fe00b2ae9ef97bcacfea720ef2c6bbc1f6c77a30ba66bb73d88",
+    "reference/t1.3-k5/3": "a5242fe4166d101852fb51ed621160f7dc84f7d75742dbfa4dcaf7b41f4ca633",
+    "reference/t1.3-k5/4": "1241126f9bab0f9da15a1f469a26888dc97d5042100f6fb5a5e338b34d847883",
+    "reference/t1.3-k5/5": "ec718b0163e88a7acbbea3cf02506f1698fcada1e5bb50e6b3776b7b567a75e1",
     "reference/t1.3-k5/6": "6a60b88e0aaace3db8f9a4c4c7674f723a1f5a2a8afac6e48fc8053c5f30b1df",
-    "reference/t1.3-k5/7": "d74695b11afe758284f070c2548288cfcf6ad688654d1efc7046b6811b52ebab",
-    "reference/t1.3-k5/8": "124a48cd43a1e69a7310f30ca238d3c97621ac16ff206355268754793b611458",
+    "reference/t1.3-k5/7": "b7a8279ac153fa42764e507e65e0ac02b28f473bcd7799608f29319c15baa7e6",
+    "reference/t1.3-k5/8": "8ee54edf1046e3788c15b25538a603ad464661115ce954fa2a444fef18d57d18",
     "dense/t1-k32/0": "1bc5a93f224f9a7f0179563dd36a066c0877137c1f8d08e7dc279280afdbd0b5",
     "dense/t1-k32/1": "1770cd1d3e9f865f2f77435a80ef857451d5efdf8200f01ac5762430aade0c42",
     "dense/t1-k32/2": "65a8dd6fae69bae505a1925a0baec084df42e682ae057f67489ef44159b2939e",
@@ -806,6 +826,34 @@ def test_golden_stream(key):
     model_name, sampling_name, case_index = key.split("/")
     result = golden_run(model_name, sampling_name, int(case_index))
     assert stream_digest(result) == GOLDEN_DIGESTS[key]
+
+
+def test_top_k_goldens_hold_with_numpy_dispatch_disabled():
+    """Rerun the ``reference/t1.3-k5`` goldens on NumPy's baseline code path.
+
+    The subprocess switches off every SIMD target the running NumPy
+    dispatches to and this CPU has; names from NumPy's own list are
+    valid for that NumPy, so its import stays silent under ``-W error``.
+    """
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # NumPy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    disabled = " ".join(f for f in __cpu_dispatch__ if __cpu_features__.get(f))
+    keys = [key for key in sorted(GOLDEN_DIGESTS) if key.startswith("reference/t1.3-k5/")]
+    proc = subprocess.run(
+        [
+            sys.executable,
+            *(f"-W{option}" for option in sys.warnoptions),
+            "-m", "pytest", "-q", "-p", "no:cacheprovider",
+            *(f"{__file__}::test_golden_stream[{key}]" for key in keys),
+        ],
+        env=dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert f"{len(keys)} passed" in proc.stdout
 
 
 def test_golden_table_covers_every_case():

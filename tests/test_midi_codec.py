@@ -654,3 +654,104 @@ def test_write_midi_golden_bytes(seed, smf_type):
     score = ScoreTimeline() if seed == "empty" else golden_score(seed)
     digest = hashlib.sha256(write_midi(score, smf_type=smf_type)).hexdigest()
     assert digest == WRITE_MIDI_DIGESTS[seed, smf_type]
+
+
+# ---------------------------------------------------------------------------
+# Golden decodes: decode_events results stay identical across refactors
+# ---------------------------------------------------------------------------
+
+
+def random_decode_stream(rng: random.Random) -> list[Token]:
+    """Seeded token stream that reaches every rule of the decoder.
+
+    Two pitches per instrument make stacked unisons and orphan OFFs
+    common; an ON directly followed by its OFF is a zero-length pair.
+    CHORD and BAR land anywhere, BARs often twice at one cursor.  The
+    stream ends on one ON per instrument, in random order, each followed
+    by a shift or not, so unclosed notes of all five instruments are
+    closed at the end or dropped as zero-length.
+    """
+    instruments = list(Instrument)
+    pitches = {inst: rng.sample(range(128), 2) for inst in instruments}
+
+    def note() -> tuple[Instrument, int]:
+        inst = rng.choice(instruments)
+        return inst, rng.choice(pitches[inst])
+
+    toks = [START, rng.choice((FEWER_INSTRUMENTS, MORE_INSTRUMENTS))]
+    for _ in range(rng.randint(5, 80)):
+        r = rng.random()
+        if r < 0.3:
+            toks.append(Token.on(*note()))
+        elif r < 0.5:
+            toks.append(Token.off(*note()))
+        elif r < 0.55:
+            inst, pitch = note()
+            toks += [Token.on(inst, pitch), Token.off(inst, pitch)]
+        elif r < 0.8:
+            toks.append(Token.shift(rng.choice((8, 16, 104, 496, 1000))))
+        elif r < 0.9:
+            toks.append(CHORD)
+        else:
+            toks.append(BAR)
+    rng.shuffle(instruments)
+    for inst in instruments:
+        toks.append(Token.on(inst, rng.choice(pitches[inst])))
+        if rng.random() < 0.5:
+            toks.append(Token.shift(rng.choice((8, 240))))
+    return toks
+
+
+def decode_digest(seeds: range) -> str:
+    """sha256 over the notes, chord onsets, bar marks and counters of each decode."""
+    h = hashlib.sha256()
+    for seed in seeds:
+        result = decode_events(random_decode_stream(random.Random(seed)))
+        notes = [
+            (n.instrument.value, n.pitch, n.onset_ms, n.offset_ms, n.velocity)
+            for n in result.score.notes
+        ]
+        h.update(repr((
+            notes,
+            result.chord_onsets_ms,
+            result.score.bar_marks_ms,
+            result.ignored_offs,
+            result.unclosed_notes,
+            result.dropped_zero_length,
+        )).encode() + b"\n")
+    return h.hexdigest()
+
+
+# first seed of a block of 40 streams -> digest of their decodes
+DECODE_DIGESTS = {
+    0: "7451dd8191cbe78323c173f86bf803db57b2aa5f093837059c08622608af6685",
+    40: "58d6a1d0a547452f44749a9a7606f3cb743ffd302738e3e5f2c605124d80bd79",
+    80: "705dfb1a05ce629ce160a2e7cb9adeeb2f5b695335d728ea83bc5df5e99f5cdc",
+    120: "1bf4d56dd739be44a7e64e0320cefcb98b8518941d95e24b6e2bb1be295bbb8c",
+    160: "c3cd98a8d2c23c83b321aa2888037e577862414edd30ab2d25d467944ff29325",
+    200: "cef11658b9def99c51624ba3068acab46c37f4a534031c65541e51cccde001ea",
+    240: "b15bf3544524616250a53ef1d24a013424340c1e59528a5d3d676a25c2d42e64",
+    280: "001e9995f26871b1e4a0bd11e27dbd4b45a061bb60d0883b8053a665b0cc2d87",
+}
+
+
+@pytest.mark.parametrize("first", sorted(DECODE_DIGESTS))
+def test_decode_golden_results(first):
+    assert decode_digest(range(first, first + 40)) == DECODE_DIGESTS[first]
+
+
+def test_decode_golden_streams_reach_every_rule():
+    totals = [0] * 5
+    for first in DECODE_DIGESTS:
+        for seed in range(first, first + 40):
+            result = decode_events(random_decode_stream(random.Random(seed)))
+            counts = (
+                result.ignored_offs,
+                result.unclosed_notes,
+                result.dropped_zero_length,
+                len(result.chord_onsets_ms),
+                len(result.score.bar_marks_ms),
+            )
+            totals = [t + c for t, c in zip(totals, counts)]
+    assert len(DECODE_DIGESTS) * 40 >= 300
+    assert all(totals), totals
