@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from itertools import chain
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import PipelineConfig
-from .midi_codec import DEFAULT_TEMPO_BPM, NoteEvent, ScoreTimeline, quantize_ms
-from .tokens import CHORD, Instrument, Token, TokenKind, cursor_after
+from .midi_codec import DEFAULT_TEMPO_BPM, NoteEvent, ScoreTimeline, _unchecked_note, quantize_ms
+from .tokens import CHORD, Instrument, Token, cursor_after
 
 CHORDABLE_INSTRUMENTS = (Instrument.GUITAR, Instrument.PIANO)
 MIN_CHORD_NOTES = 3
@@ -157,13 +158,13 @@ def dropout_chords(tokens: list[Token], rate: float, seed: int) -> list[Token]:
     """Delete each CHORD token independently with probability ``rate``."""
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"dropout rate must be in [0, 1], got {rate}")
-    positions = [i for i, tok in enumerate(tokens) if tok.kind is TokenKind.CHORD]
+    chord_id = CHORD.id
+    positions = [i for i, tok in enumerate(tokens) if tok.id == chord_id]
     if not positions:
         return list(tokens)
-    rng = np.random.default_rng(seed)
-    draws = rng.random(len(positions))
-    removed = {pos for pos, d in zip(positions, draws) if d < rate}
-    return [tok for i, tok in enumerate(tokens) if i not in removed]
+    draws = np.random.default_rng(seed).random(len(positions)).tolist()
+    cuts = [-1, *(pos for pos, draw in zip(positions, draws) if draw < rate), len(tokens)]
+    return list(chain.from_iterable(tokens[a + 1:b] for a, b in zip(cuts, cuts[1:])))
 
 
 def boost_chord_velocity(
@@ -187,16 +188,10 @@ def boost_chord_velocity(
     onsets = sorted(set(chord_onsets))
     out = []
     for n in score.notes:
-        if any(abs(n.onset_ms - onset) <= simultaneity_eps_ms for onset in onsets):
-            out.append(
-                NoteEvent(
-                    n.instrument,
-                    n.pitch,
-                    n.onset_ms,
-                    n.offset_ms,
-                    min(127, n.velocity + gain),
-                )
-            )
+        # the first chord onset at or after the window's start lies in the window
+        k = bisect_left(onsets, n.onset_ms - simultaneity_eps_ms)
+        if k < len(onsets) and onsets[k] <= n.onset_ms + simultaneity_eps_ms:
+            out.append(_unchecked_note((*n[:4], min(127, n.velocity + gain))))
         else:
             out.append(n)
     return ScoreTimeline(notes=out, tempo_bpm=score.tempo_bpm, bar_marks_ms=score.bar_marks_ms)

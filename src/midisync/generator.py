@@ -51,7 +51,6 @@ from .tokens import (
     DecodeState,
     Instrument,
     Token,
-    TokenKind,
 )
 from .emotion import VAPoint
 
@@ -189,7 +188,7 @@ class GenerationResult:
     def diagnostics(self) -> dict:
         return {
             "token_count": len(self.tokens),
-            "chord_count": sum(1 for t in self.tokens if t.kind is TokenKind.CHORD),
+            "chord_count": sum(1 for t in self.tokens if t.id == CHORD.id),
             "final_cursor_s": self.final_cursor_s,
             "boundaries_total": len(self.boundaries),
             "boundaries_consumed": self.consumed,

@@ -11,6 +11,10 @@ scratch so that malformed input can be reported with exact byte
 offsets; it supports format 0 and 1 files, running status, tempo and
 time-signature metadata, and both PPQ and SMPTE divisions.
 
+A :class:`NoteEvent` is a tuple record whose equality is tuple
+equality.  Its public constructor validates; the internal producers,
+whose notes are valid by construction, skip that validation.
+
 Instrument bucketing follows General MIDI programs: 0-23 piano, 24-31
 guitar, 32-39 bass, every other pitched program strings, and channel 10
 (9 when counted from zero) is always drums regardless of program.
@@ -18,8 +22,9 @@ guitar, 32-39 bass, every other pitched program strings, and channel 10
 
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass, field
+from functools import partial
 
 from .tokens import (
     BAR,
@@ -88,34 +93,46 @@ def program_to_instrument(program: int, channel: int) -> Instrument:
     return Instrument.STRINGS
 
 
-@dataclass(frozen=True)
-class NoteEvent:
-    """One note with absolute integer-millisecond boundaries."""
+class NoteEvent(namedtuple("NoteEvent", "instrument pitch onset_ms offset_ms velocity")):
+    """One note with absolute integer-millisecond boundaries.
 
-    instrument: Instrument
-    pitch: int
-    onset_ms: int
-    offset_ms: int
-    velocity: int = DEFAULT_VELOCITY
+    A tuple record whose equality is tuple equality.  The public
+    constructor, ``_make`` and ``_replace`` validate every field; the
+    internal producers (:func:`parse_midi`, :func:`decode_events`,
+    :func:`transpose`, :func:`trim_to_duration` and
+    ``chords.boost_chord_velocity``) skip that through ``_unchecked_note``.
+    """
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.pitch < NUM_PITCHES:
-            raise ValueError(f"pitch {self.pitch} outside 0..{NUM_PITCHES - 1}")
-        if self.onset_ms < 0:
-            raise ValueError(f"onset_ms must be >= 0, got {self.onset_ms}")
-        if self.offset_ms <= self.onset_ms:
-            raise ValueError(
-                f"offset_ms must exceed onset_ms ({self.offset_ms} <= {self.onset_ms})"
-            )
-        if not 1 <= self.velocity <= 127:
-            raise ValueError(f"velocity {self.velocity} outside 1..127")
+    __slots__ = ()
+
+    def __new__(cls, instrument, pitch, onset_ms, offset_ms, velocity=DEFAULT_VELOCITY):
+        if not 0 <= pitch < NUM_PITCHES:
+            raise ValueError(f"pitch {pitch} outside 0..{NUM_PITCHES - 1}")
+        if onset_ms < 0:
+            raise ValueError(f"onset_ms must be >= 0, got {onset_ms}")
+        if offset_ms <= onset_ms:
+            raise ValueError(f"offset_ms must exceed onset_ms ({offset_ms} <= {onset_ms})")
+        if not 1 <= velocity <= 127:
+            raise ValueError(f"velocity {velocity} outside 1..127")
+        return tuple.__new__(cls, (instrument, pitch, onset_ms, offset_ms, velocity))
+
+    @classmethod
+    def _make(cls, fields) -> "NoteEvent":
+        return cls(*fields)
 
     @property
     def duration_ms(self) -> int:
         return self.offset_ms - self.onset_ms
 
-    def sort_key(self):
-        return (self.onset_ms, self.instrument.value, self.pitch, self.offset_ms, self.velocity)
+
+#: A NoteEvent from its five fields, unchecked: only for fields valid by construction.
+_unchecked_note = partial(tuple.__new__, NoteEvent)
+_INSTRUMENT_ORDER = {inst: k for k, inst in enumerate(INSTRUMENTS)}
+
+
+def _note_order(n: NoteEvent) -> tuple:
+    """Onset, then instrument block, pitch, offset and velocity."""
+    return (n[2], _INSTRUMENT_ORDER[n[0]], n[1], n[3], n[4])
 
 
 @dataclass
@@ -129,7 +146,7 @@ class ScoreTimeline:
     def __post_init__(self) -> None:
         if self.tempo_bpm <= 0:
             raise ValueError(f"tempo_bpm must be positive, got {self.tempo_bpm}")
-        self.notes = sorted(self.notes, key=NoteEvent.sort_key)
+        self.notes = sorted(self.notes, key=_note_order)
         marks = tuple(self.bar_marks_ms)
         if any(b < 0 for b in marks):
             raise ValueError("bar marks must be >= 0")
@@ -409,7 +426,7 @@ def parse_midi(data: bytes, warnings: list[str] | None = None) -> ScoreTimeline:
                 dropped += 1
                 continue
             offset = onset + 1  # rounding collapsed a short note
-        notes.append(NoteEvent(instrument, pitch, onset, offset, velocity))
+        notes.append(_unchecked_note((instrument, pitch, onset, offset, velocity)))
     if dropped:
         sink.append(f"dropped {dropped} zero-length note(s)")
 
@@ -495,11 +512,11 @@ def write_midi(score: ScoreTimeline, smf_type: int = 1) -> bytes:
         ch = _CHANNELS[inst]
         msgs = [(0, -1, k, bytes((0xC0 | ch, _PROGRAMS[inst])))] if inst in _PROGRAMS else []
         on, off = 0x90 | ch, 0x80 | ch
-        for i, n in by_instrument[inst]:
-            on_tick = ms_to_tick(n.onset_ms)
-            off_tick = max(ms_to_tick(n.offset_ms), on_tick + 1)
-            msgs.append((on_tick, 1, i, bytes((on, n.pitch, n.velocity))))
-            msgs.append((off_tick, 0, i, bytes((off, n.pitch, 0))))
+        for i, (_, pitch, onset, offset, velocity) in by_instrument[inst]:
+            on_tick = ms_to_tick(onset)
+            off_tick = max(ms_to_tick(offset), on_tick + 1)
+            msgs.append((on_tick, 1, i, bytes((on, pitch, velocity))))
+            msgs.append((off_tick, 0, i, bytes((off, pitch, 0))))
         return msgs
 
     def render(msgs: list[tuple[int, int, int, bytes]]) -> bytes:
@@ -576,12 +593,12 @@ def encode_events(score: ScoreTimeline, include_bars: bool = True) -> list[Token
     keys: list[int] = []
     append = keys.append
     on_ids = {inst: Token.on(inst, 0).id for inst in INSTRUMENTS}
-    for n in score.notes:
-        on_t = (n.onset_ms + half) // res * res
-        off_t = (n.offset_ms + half) // res * res
+    for inst, pitch, onset, offset, _ in score.notes:
+        on_t = (onset + half) // res * res
+        off_t = (offset + half) // res * res
         if off_t <= on_t:
             off_t = on_t + res  # preserve the note despite quantization
-        on_id = on_ids[n.instrument] + n.pitch
+        on_id = on_ids[inst] + pitch
         append(on_t << 13 | 2 << 11 | on_id)
         append(off_t << 13 | 1 << 11 | on_id + NUM_PITCHES)
     if include_bars:
@@ -636,7 +653,8 @@ def decode_events(tokens: list[Token]) -> DecodeResult:
         onset = push(tok)
         if onset is not None:
             if state.cursor_ms > onset:
-                notes.append(NoteEvent(tok.instrument, tok.pitch, onset, state.cursor_ms))
+                fields = (tok.instrument, tok.pitch, onset, state.cursor_ms, DEFAULT_VELOCITY)
+                notes.append(_unchecked_note(fields))
             else:
                 dropped += 1
             continue
@@ -654,7 +672,8 @@ def decode_events(tokens: list[Token]) -> DecodeResult:
         off = VOCABULARY.token_of(off_id)
         for onset in onsets:
             if cursor > onset:
-                notes.append(NoteEvent(off.instrument, off.pitch, onset, cursor))
+                fields = (off.instrument, off.pitch, onset, cursor, DEFAULT_VELOCITY)
+                notes.append(_unchecked_note(fields))
             else:
                 dropped += 1
 
@@ -678,9 +697,9 @@ def trim_to_duration(score: ScoreTimeline, duration_ms: int) -> ScoreTimeline:
     if duration_ms <= 0:
         raise ValueError(f"duration_ms must be positive, got {duration_ms}")
     notes = [
-        NoteEvent(n.instrument, n.pitch, n.onset_ms, min(n.offset_ms, duration_ms), n.velocity)
-        for n in score.notes
-        if n.onset_ms < duration_ms
+        _unchecked_note((inst, pitch, onset, min(offset, duration_ms), velocity))
+        for inst, pitch, onset, offset, velocity in score.notes
+        if onset < duration_ms
     ]
     marks = tuple(m for m in score.bar_marks_ms if m <= duration_ms)
     return ScoreTimeline(notes=notes, tempo_bpm=score.tempo_bpm, bar_marks_ms=marks)
@@ -696,16 +715,16 @@ def transpose(score: ScoreTimeline, semitones: int) -> ScoreTimeline:
     if abs(semitones) > MAX_TRANSPOSE:
         raise ValueError(f"semitones must be within +/-{MAX_TRANSPOSE}, got {semitones}")
     out = []
+    drums = Instrument.DRUMS
     for n in score.notes:
-        if n.instrument.is_drums:
+        inst, pitch, onset, offset, velocity = n
+        if inst is drums:
             out.append(n)
             continue
-        pitch = n.pitch + semitones
+        pitch += semitones
         while pitch >= NUM_PITCHES:
             pitch -= 12
         while pitch < 0:
             pitch += 12
-        out.append(
-            NoteEvent(n.instrument, pitch, n.onset_ms, n.offset_ms, n.velocity)
-        )
+        out.append(_unchecked_note((inst, pitch, onset, offset, velocity)))
     return ScoreTimeline(notes=out, tempo_bpm=score.tempo_bpm, bar_marks_ms=score.bar_marks_ms)

@@ -47,6 +47,8 @@ class Instrument(enum.Enum):
     PIANO = "piano"
     STRINGS = "strings"
 
+    __hash__ = object.__hash__  # members are singletons; Enum's hash runs Python code
+
     @property
     def is_drums(self) -> bool:
         return self is Instrument.DRUMS

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from midisync.chords import (
@@ -188,6 +189,29 @@ def test_dropout_deterministic_per_seed():
     assert dropout_chords(toks, 0.2, seed=5) != dropout_chords(toks, 0.2, seed=6)
 
 
+def dropout_by_removed_set(tokens, rate, seed):
+    """Set-based dropout: one uniform per CHORD, in stream order; the oracle."""
+    positions = [i for i, tok in enumerate(tokens) if tok.kind is TokenKind.CHORD]
+    if not positions:
+        return list(tokens)
+    rng = np.random.default_rng(seed)
+    draws = rng.random(len(positions))
+    removed = {pos for pos, d in zip(positions, draws) if d < rate}
+    return [tok for i, tok in enumerate(tokens) if i not in removed]
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.2, 0.5, 1.0])
+def test_dropout_matches_removed_set_oracle(rate):
+    for seed in range(40):
+        rng = random.Random(seed)
+        toks = random_stream(rng, rng.randint(0, 120))
+        for _ in range(rng.randint(0, 30)):  # runs, ends, and an unshared CHORD
+            toks.insert(rng.randint(0, len(toks)), rng.choice((CHORD, Token(TokenKind.CHORD))))
+        out = dropout_chords(toks, rate, seed)
+        assert out == dropout_by_removed_set(toks, rate, seed)
+        assert out is not toks
+
+
 def test_boost_velocity():
     score = ScoreTimeline(
         notes=triad(Instrument.PIANO, (60, 64, 67), 0, 1200, velocity=80)
@@ -220,6 +244,34 @@ def test_boost_saturates_and_validates():
     assert boost_chord_velocity(score, [], gain=20) == score
     with pytest.raises(ValueError):
         boost_chord_velocity(score, [0], gain=-1)
+
+
+def boost_by_scanning_onsets(score, chord_onsets, gain, eps):
+    """Each note tested against every chord onset: the oracle."""
+    return [
+        NoteEvent(n.instrument, n.pitch, n.onset_ms, n.offset_ms, min(127, n.velocity + gain))
+        if any(abs(n.onset_ms - onset) <= eps for onset in chord_onsets)
+        else n
+        for n in score.notes
+    ]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_boost_matches_scan_over_every_onset(seed):
+    rng = random.Random(seed)
+    notes = []
+    for _ in range(rng.randint(1, 80)):
+        onset = rng.randint(0, 400)
+        notes.append(
+            NoteEvent(rng.choice(list(Instrument)), rng.randint(0, 127), onset,
+                      onset + rng.randint(1, 50), velocity=rng.randint(1, 127))
+        )
+    score = ScoreTimeline(notes=notes)
+    onsets = [rng.randint(-20, 420) for _ in range(rng.randint(0, 12))]
+    eps = rng.choice((0, 1, 8, 30))
+    gain = rng.randint(0, 60)
+    boosted = boost_chord_velocity(score, onsets, gain, simultaneity_eps_ms=eps)
+    assert boosted.notes == boost_by_scanning_onsets(score, onsets, gain, eps)
 
 
 def test_span_report_round_trip():

@@ -3,7 +3,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import random
+import subprocess
 import sys
 import tracemalloc
 
@@ -268,6 +270,28 @@ def test_prepare_golden_files(tmp_path, flags):
     assert main(["prepare", str(midi_dir), str(out_dir), "--seed", "5", *flags.split()]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.iterdir()}
     assert digests == PREPARE_DIGESTS[flags]
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_prepare_goldens_hold_under_any_hash_seed(hash_seed):
+    """Rerun the ``prepare`` goldens with string hashing seeded otherwise.
+
+    No output may depend on the iteration order of a set or dict keyed by
+    strings or instruments, and ``PYTHONHASHSEED`` changes that order.
+    """
+    proc = subprocess.run(
+        [
+            sys.executable,
+            *(f"-W{option}" for option in sys.warnoptions),
+            "-m", "pytest", "-q", "-p", "no:cacheprovider",
+            f"{__file__}::test_prepare_golden_files",
+        ],
+        env=dict(os.environ, PYTHONHASHSEED=hash_seed),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert f"{len(PREPARE_DIGESTS)} passed" in proc.stdout
 
 
 # ---------------------------------------------------------------------------

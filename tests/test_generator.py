@@ -14,6 +14,7 @@ from midisync.emotion import VAPoint
 from midisync.generator import (
     DecodeState,
     GenerationError,
+    GenerationResult,
     MAJOR_SCALE,
     MINOR_SCALE,
     ReferenceModel,
@@ -651,9 +652,15 @@ def test_diagnostics_round_trip():
     assert diag["boundaries_total"] == 2
     assert diag["boundaries_consumed"] == [2.0]
     assert diag["boundaries_pending"] == [20.0]
-    assert diag["chord_count"] >= 1
+    assert diag["chord_count"] == sum(1 for t in result.tokens if t.kind is TokenKind.CHORD) >= 1
     assert diag["token_count"] == len(result.tokens)
     assert json.loads(result.diagnostics_json()) == diag
+
+
+def test_diagnostics_count_every_chord_token():
+    tokens = [START, CHORD, Token.shift(8), Token(TokenKind.CHORD), PAD]  # one not shared
+    result = GenerationResult(tokens, [0.0] * 5, BoundaryList.from_times([]), 0.008, seed=0)
+    assert result.diagnostics()["chord_count"] == 2
 
 
 def test_assembly_accepts_generation_output():

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import hashlib
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from midisync.chords import boost_chord_velocity
 from midisync.midi_codec import (
     MAX_BAR_MARKS,
     MAX_SCORE_SPAN_MS,
@@ -589,15 +591,94 @@ def test_trim_to_duration():
     assert trimmed.bar_marks_ms == (0, 2000)
 
 
+# (pitch, onset_ms, offset_ms[, velocity]) of a piano note, and the message it raises
+NOTE_EVENT_ERRORS = [
+    ((128, 0, 100), "pitch 128 outside 0..127"),
+    ((-1, 0, 100), "pitch -1 outside 0..127"),
+    ((60, -1, 100), "onset_ms must be >= 0, got -1"),
+    ((60, 100, 100), "offset_ms must exceed onset_ms (100 <= 100)"),
+    ((60, 100, 40), "offset_ms must exceed onset_ms (40 <= 100)"),
+    ((60, 0, 100, 0), "velocity 0 outside 1..127"),
+    ((60, 0, 100, 128), "velocity 128 outside 1..127"),
+    ((128, -1, -2, 0), "pitch 128 outside 0..127"),  # checked in field order
+    ((60, -1, -2, 0), "onset_ms must be >= 0, got -1"),
+    ((60, 5, 5, 0), "offset_ms must exceed onset_ms (5 <= 5)"),
+]
+
+
 def test_note_event_validation():
-    with pytest.raises(ValueError):
-        NoteEvent(Instrument.PIANO, 60, 100, 100)
-    with pytest.raises(ValueError):
-        NoteEvent(Instrument.PIANO, 60, -1, 100)
-    with pytest.raises(ValueError):
-        NoteEvent(Instrument.PIANO, 60, 0, 100, velocity=0)
-    with pytest.raises(ValueError):
-        NoteEvent(Instrument.PIANO, 128, 0, 100)
+    for args, message in NOTE_EVENT_ERRORS:
+        with pytest.raises(ValueError) as excinfo:
+            NoteEvent(Instrument.PIANO, *args)
+        assert str(excinfo.value) == message
+
+
+def test_note_event_record():
+    note = NoteEvent(Instrument.GUITAR, 60, 10, 250)
+    assert (note.instrument, note.pitch, note.onset_ms, note.offset_ms, note.velocity) == (
+        Instrument.GUITAR, 60, 10, 250, 80
+    )
+    assert note.duration_ms == 240
+    assert note == NoteEvent(Instrument.GUITAR, 60, 10, 250, velocity=80)
+    assert note != NoteEvent(Instrument.GUITAR, 60, 10, 250, velocity=81)
+    assert hash(note) == hash(NoteEvent(Instrument.GUITAR, 60, 10, 250))
+    assert repr(note) == (
+        "NoteEvent(instrument=<Instrument.GUITAR: 'guitar'>, pitch=60, "
+        "onset_ms=10, offset_ms=250, velocity=80)"
+    )
+    assert pickle.loads(pickle.dumps(note)) == note
+    with pytest.raises(ValueError, match=r"^pitch 128 outside 0\.\.127$"):
+        note._replace(pitch=128)
+    with pytest.raises(ValueError, match=r"^velocity 0 outside 1\.\.127$"):
+        NoteEvent._make((Instrument.GUITAR, 60, 10, 250, 0))
+
+
+def old_note_order(note):
+    """The order ``ScoreTimeline`` keeps, read off the instrument's name."""
+    return (note.onset_ms, note.instrument.value, note.pitch, note.offset_ms, note.velocity)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_timeline_sorts_notes_in_the_old_order(seed):
+    # Narrow ranges, so notes tie on every prefix of the key, and repeats.
+    rng = random.Random(seed)
+    notes = []
+    for _ in range(rng.randint(0, 400)):
+        onset = rng.randint(0, 12)
+        notes.append(
+            NoteEvent(
+                rng.choice(list(Instrument)),
+                rng.randint(60, 62),
+                onset,
+                onset + rng.randint(1, 3),
+                velocity=rng.randint(1, 3),
+            )
+        )
+    notes += rng.sample(notes, len(notes) // 4)
+    rng.shuffle(notes)
+    assert ScoreTimeline(notes).notes == sorted(notes, key=old_note_order)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_every_producer_makes_valid_note_events(seed):
+    score = golden_score(seed)
+    tokens = encode_events(score)
+    cut = tokens[: len(tokens) * 2 // 3]  # leaves notes open at the end
+    onsets = [n.onset_ms for n in score.notes[::5]]
+    produced = {
+        "parse_midi": parse_midi(write_midi(score, smf_type=seed % 2)),
+        "decode_events": decode_events(tokens).score,
+        "decode_events (unclosed)": decode_events(cut).score,
+        "transpose": transpose(score, 3 if seed % 2 else -3),
+        "trim_to_duration": trim_to_duration(score, 5_000 + 1_000 * seed),
+        "boost_chord_velocity": boost_chord_velocity(score, onsets, gain=60),
+    }
+    for name, result in produced.items():
+        assert result.notes, name
+        for note in result.notes:
+            assert type(note) is NoteEvent, name
+            fields = (note.instrument, note.pitch, note.onset_ms, note.offset_ms, note.velocity)
+            assert NoteEvent(*fields) == note, name  # passes the public checks
 
 
 # ---------------------------------------------------------------------------
