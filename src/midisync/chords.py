@@ -79,31 +79,26 @@ def detect_chords(
         raise ValueError(f"beat_ms must be a finite positive number, got {beat_ms}")
     min_duration = MIN_CHORD_BEATS * beat_ms
 
+    # One pass buckets the chordable notes, each bucket in the score's onset order.
+    buckets: dict[Instrument, list[NoteEvent]] = {i: [] for i in CHORDABLE_INSTRUMENTS}
+    for note in score.notes:
+        bucket = buckets.get(note[0])  # field 0 is the instrument
+        if bucket is not None:
+            bucket.append(note)
+
     spans: list[ChordSpan] = []
-    for instrument in CHORDABLE_INSTRUMENTS:
-        notes = [n for n in score.notes if n.instrument is instrument]
-        cluster: list[NoteEvent] = []
-        for note in notes + [None]:  # sentinel flushes the last cluster
-            if (
-                note is not None
-                and cluster
-                and note.onset_ms - cluster[0].onset_ms <= simultaneity_eps_ms
-            ):
-                cluster.append(note)
-                continue
-            if cluster:
-                pitches = sorted({n.pitch for n in cluster})
-                durations = [n.duration_ms for n in cluster]
-                if len(pitches) >= MIN_CHORD_NOTES and min(durations) >= min_duration:
-                    spans.append(
-                        ChordSpan(
-                            instrument=instrument,
-                            onset_ms=cluster[0].onset_ms,
-                            pitches=tuple(pitches),
-                            duration_ms=min(durations),
-                        )
-                    )
-            cluster = [note] if note is not None else []
+    for instrument, notes in buckets.items():
+        clusters: list[tuple[int, list[int], list[int]]] = []  # onset, pitches, durations
+        for _, pitch, onset, offset, _ in notes:
+            if clusters and onset - clusters[-1][0] <= simultaneity_eps_ms:
+                clusters[-1][1].append(pitch)
+                clusters[-1][2].append(offset - onset)
+            else:
+                clusters.append((onset, [pitch], [offset - onset]))
+        for onset, pitches, durations in clusters:
+            distinct = sorted(set(pitches))
+            if len(distinct) >= MIN_CHORD_NOTES and min(durations) >= min_duration:
+                spans.append(ChordSpan(instrument, onset, tuple(distinct), min(durations)))
     spans.sort(key=lambda s: (s.onset_ms, s.instrument.value))
     return spans
 

@@ -355,6 +355,13 @@ def cmd_vocab(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def non_negative_int(text: str) -> int:
+    """A count flag's value (``--seed``, ``--augment``), checked before any file is read."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return int(text)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process (parsing never mutates it)."""
@@ -366,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="JSON config file overriding built-in defaults")
-        p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+        p.add_argument("--seed", type=non_negative_int, default=0, help="random seed (default 0)")
 
     p = sub.add_parser("encode", help="SMF file -> token text file")
     common(p)
@@ -388,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drop-bars", action="store_true", help="omit BAR tokens")
     p.add_argument(
         "--augment",
-        type=int,
+        type=non_negative_int,
         default=0,
         metavar="N",
         help="write N extra randomly transposed copies per file",

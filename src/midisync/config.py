@@ -16,6 +16,14 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+MAX_WINDOW_S = 3600.0  # one hour: the scheduler windows' ms values stay small ints
+
+
+def check_window(name: str, seconds: float) -> None:
+    """Reject a scheduler window (``sensitivity_s``, ``max_offset_s``) outside (0, 1 h]."""
+    if not 0 < seconds <= MAX_WINDOW_S:
+        raise ValueError(f"{name} must be in (0, {MAX_WINDOW_S:g}] s, got {seconds}")
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -43,9 +51,11 @@ class PipelineConfig:
                     raise ValueError(f"{f.name} must be an integer, got {value!r}")
             elif not isinstance(value, (int, float)) or not math.isfinite(value):
                 raise ValueError(f"{f.name} must be a finite number, got {value!r}")
-        for name in ("velocity_boost", "sensitivity_s", "max_offset_s", "temperature", "top_k"):
+        for name in ("velocity_boost", "temperature", "top_k"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("sensitivity_s", "max_offset_s"):
+            check_window(name, getattr(self, name))
         for name in ("min_gap_s", "simultaneity_eps_ms"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")

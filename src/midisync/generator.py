@@ -6,10 +6,12 @@ distribution over the vocabulary.  The loop in :func:`generate` owns
 everything else: it masks grammatically invalid continuations, applies
 temperature and top-k, samples with a seeded generator, feeds every
 emitted token to the boundary scheduler, and stops once the time cursor
-reaches the requested duration.  Grammar facts come from the
+reaches the requested duration.  Its one state, the scheduler's
+:class:`~midisync.scheduler.GeneratorState`, is the
 :class:`~midisync.tokens.DecodeState` that also reads streams back into
-notes, updated once per emitted token, so a step costs the same at any
-history length.
+notes.  :func:`~midisync.scheduler.on_token` folds each emitted token
+into it once; the grammar mask and the built-in models read it, so a
+step costs the same at any history length.
 
 Checks, normalisation and temperature run over the full vector; top-k
 breaks ties by the lower id, so every CPU keeps the same ids.  The draw
@@ -22,6 +24,8 @@ hand-written heuristic that reacts to valence/arousal and to the
 current boundary offset, and :class:`ScriptedBoundaryModel`, a
 deterministic walker that provably places a chord inside every
 boundary's sensitivity window (useful for end-to-end pipeline checks).
+Both read the loop's state, passed as ``state=``, and keep none of their
+own, so one instance is safe to share.
 """
 
 from __future__ import annotations
@@ -65,7 +69,11 @@ class GenerationError(RuntimeError):
 
 
 class NextTokenModel(Protocol):
-    """Anything that proposes the next token as a vocabulary distribution."""
+    """Anything that proposes the next token as a vocabulary distribution.
+
+    :func:`generate` makes this four-argument call; only the built-in
+    models (and their subclasses) also get its state as ``state=``.
+    """
 
     def next_distribution(
         self,
@@ -93,12 +101,17 @@ class SamplingParams:
             raise ValueError("max_tokens must be >= 1")
 
 
-def grammar_mask(tokens: list[Token]) -> np.ndarray:
-    """The mask of valid next tokens after ``tokens`` (see :meth:`DecodeState.mask`)."""
+def _fold(tokens: list[Token]) -> DecodeState:
+    """A fresh :class:`DecodeState` with every token of ``tokens`` pushed."""
     state = DecodeState()
     for tok in tokens:
         state.push(tok)
-    return state.mask()
+    return state
+
+
+def grammar_mask(tokens: list[Token]) -> np.ndarray:
+    """The mask of valid next tokens after ``tokens`` (see :meth:`DecodeState.mask`)."""
+    return _fold(tokens).mask()
 
 
 # ---------------------------------------------------------------------------
@@ -249,18 +262,26 @@ def generate(
     temperature (probabilities raised to 1/T) and top-k truncation, and
     samples.  The loop ends when the cursor reaches ``duration_s``
     (overshoot is below one maximal time shift), and fails loudly if
-    ``max_tokens`` is hit first.
+    ``max_tokens`` is hit first, or at once if ``max_tokens - 1``
+    maximal time shifts cannot reach ``duration_s``.
     """
-    if not math.isfinite(duration_s) or duration_s <= 0:
-        raise ValueError(f"duration_s must be finite and positive, got {duration_s}")
+    if not (math.isfinite(duration_s) and duration_s * 1000 > 0.5):  # rounds to >= 1 ms
+        raise ValueError(f"duration_s must be finite and round to at least 1 ms, got {duration_s}")
     sampling = sampling or SamplingParams()
+    reach_s = (sampling.max_tokens - 1) * MAX_SHIFT_MS / 1000
+    if duration_s > reach_s:
+        raise GenerationError(
+            f"duration_s {duration_s!r} is past the {reach_s:g} s that "
+            f"max_tokens={sampling.max_tokens} tokens can reach"
+        )
     scheduler = scheduler or SchedulerParams()
     rng = np.random.default_rng(sampling.seed)
 
     state = GeneratorState.new(boundaries)
-    decode = DecodeState()
     on_token(state, START, scheduler)
-    decode.push(START)
+    propose = model.next_distribution
+    if isinstance(model, (ReferenceModel, ScriptedBoundaryModel)):
+        propose = functools.partial(propose, state=state)
 
     while state.cursor_s < duration_s:
         if len(state.tokens) >= sampling.max_tokens:
@@ -269,10 +290,10 @@ def generate(
                 f"{state.cursor_s:.3f} s of {duration_s:.3f} s"
             )
         probs = _validate_distribution(
-            model.next_distribution(state.tokens, state.offsets, va.valence, va.arousal),
+            propose(state.tokens, state.offsets, va.valence, va.arousal),
             step=len(state.tokens),
         )
-        masked = np.where(decode.mask(), probs, 0.0)
+        masked = np.where(state.mask(), probs, 0.0)
         total = float(masked.sum())
         if total <= 0.0:
             raise GenerationError(
@@ -300,7 +321,6 @@ def generate(
             support = (masked > 0).nonzero()[0]
         token = VOCABULARY.token_of(_draw(masked, support, rng))
         on_token(state, token, scheduler)
-        decode.push(token)
 
     return GenerationResult(
         tokens=state.tokens,
@@ -341,41 +361,6 @@ def _candidates(root: int, scale: tuple[int, ...], last: int) -> tuple[tuple[int
     )
 
 
-class _FollowedHistory:
-    """A :class:`DecodeState` kept in step with the history a model is handed.
-
-    The generation loop hands a model the same list every step, grown by
-    appends; then only the new tokens are folded.  A different list, a
-    shorter one, or one whose last folded token was replaced is folded
-    again from scratch.  (Edits in place before that last position are
-    not detected: hand the model a new list after such an edit.)  The
-    state makes a model instance unsafe to share between threads.
-    """
-
-    __slots__ = ("tokens", "last", "state")
-
-    def __init__(self) -> None:
-        self.tokens: list[Token] | None = None
-        self.last: Token | None = None
-        self.state = DecodeState()
-
-    def sync(self, tokens: list[Token]) -> DecodeState:
-        state = self.state
-        done = state.length
-        if (
-            tokens is not self.tokens
-            or len(tokens) < done
-            or (done and tokens[done - 1] is not self.last)
-        ):
-            state = self.state = DecodeState()
-            self.tokens = tokens
-            done = 0
-        for i in range(done, len(tokens)):
-            state.push(tokens[i])
-        self.last = tokens[-1] if tokens else None
-        return state
-
-
 class ScriptedBoundaryModel:
     """Deterministic walker that hits every boundary's window.
 
@@ -395,15 +380,14 @@ class ScriptedBoundaryModel:
         if not 0 <= root_pitch <= 115:
             raise ValueError("root_pitch must leave room for a triad above it")
         self.triad = (root_pitch, root_pitch + 4, root_pitch + 7)
-        self._history = _FollowedHistory()
 
-    def next_distribution(self, tokens, offsets, valence, arousal):
+    def next_distribution(self, tokens, offsets, valence, arousal, state=None):
+        state = _fold(tokens) if state is None else state
         probs = np.zeros(len(VOCABULARY))
-        probs[self._next_id(tokens, offsets)] = 1.0
+        probs[self._next_id(state, offsets)] = 1.0
         return probs
 
-    def _next_id(self, tokens: list[Token], offsets: list[float]) -> int:
-        state = self._history.sync(tokens)
+    def _next_id(self, state: DecodeState, offsets: list[float]) -> int:
         offset_ms = int(round((offsets[-1] if offsets else PipelineConfig.max_offset_s) * 1000))
 
         remaining = state.chord_fill_remaining(self.triad)
@@ -441,7 +425,6 @@ class ReferenceModel:
             raise ValueError(f"key_root should be a mid-range pitch, got {key_root}")
         self.key_root = key_root
         self.params = params or SchedulerParams()
-        self._history = _FollowedHistory()
 
     # -- internals -----------------------------------------------------
     def _scale(self, valence: float | None) -> tuple[int, ...]:
@@ -464,8 +447,8 @@ class ReferenceModel:
         return 0.02
 
     # -- protocol --------------------------------------------------------
-    def next_distribution(self, tokens, offsets, valence, arousal):
-        state = self._history.sync(tokens)
+    def next_distribution(self, tokens, offsets, valence, arousal, state=None):
+        state = _fold(tokens) if state is None else state
         weights = np.zeros(len(VOCABULARY))
         offset_s = offsets[-1] if offsets else self.params.max_offset_s
         step = self._step_ms(arousal)

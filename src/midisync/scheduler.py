@@ -13,7 +13,8 @@ token, how far ahead the next relevant boundary lies:
   boundary, clamped to ``[0, max_offset]``; with nothing pending the
   offset saturates at ``max_offset``.
 
-The incremental state machine (:func:`on_token`) is the reference
+The incremental state machine (:func:`on_token`), which folds each
+generated token into the loop's decode state, is the reference
 definition.  Whole sequences go through one vectorized NumPy kernel
 (:func:`offsets_for_sequence`), which must match the fold bit for bit.
 """
@@ -26,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import PipelineConfig
-from .tokens import CHORD, Token, TokenKind, cursor_after
+from .config import PipelineConfig, check_window
+from .tokens import CHORD, DecodeState, Token, cursor_after
 
 
 def _to_ms(seconds: float) -> int:
@@ -36,16 +37,14 @@ def _to_ms(seconds: float) -> int:
 
 @dataclass(frozen=True)
 class SchedulerParams:
-    """Sensitivity window and offset cap, in seconds."""
+    """Sensitivity window and offset cap, in seconds (see :func:`~midisync.config.check_window`)."""
 
     sensitivity_s: float = PipelineConfig.sensitivity_s
     max_offset_s: float = PipelineConfig.max_offset_s
 
     def __post_init__(self) -> None:
         for name in ("sensitivity_s", "max_offset_s"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0:
-                raise ValueError(f"{name} must be a finite positive number, got {value}")
+            check_window(name, getattr(self, name))
 
     @property
     def sensitivity_ms(self) -> int:
@@ -99,24 +98,29 @@ class BoundaryList:
         return [t / 1000.0 for t, s in zip(self.times_ms, self.states) if s is state]
 
 
-@dataclass
-class GeneratorState:
-    """Incremental scheduling state carried through a generation loop.
+class GeneratorState(DecodeState):
+    """The generation loop's one state: a decode state that also schedules.
+
+    :func:`on_token` folds each emitted token into it once; it carries
+    the boundaries (a copy, from :meth:`new`), the tokens and offsets.
 
     ``first_pending`` only moves forward: every boundary before it has
     left the pending state, which it never re-enters, so the step
     functions below start there instead of walking every boundary.
     """
 
-    boundaries: BoundaryList
-    cursor_ms: int = 0
-    tokens: list[Token] = field(default_factory=list)
-    offsets: list[float] = field(default_factory=list)
-    first_pending: int = field(default=0, init=False, repr=False, compare=False)
+    __slots__ = ("boundaries", "tokens", "offsets", "first_pending")
+
+    def __init__(self, boundaries: BoundaryList) -> None:
+        super().__init__()
+        self.boundaries = boundaries
+        self.tokens: list[Token] = []
+        self.offsets: list[float] = []
+        self.first_pending = 0
 
     @classmethod
     def new(cls, boundaries: BoundaryList) -> "GeneratorState":
-        return cls(boundaries=boundaries.copy())
+        return cls(boundaries.copy())
 
     @property
     def cursor_s(self) -> float:
@@ -160,15 +164,15 @@ def expire_missed(state: GeneratorState, params: SchedulerParams) -> list[float]
 def on_token(state: GeneratorState, token: Token, params: SchedulerParams) -> float:
     """Advance the state by one emitted token; returns the recorded offset.
 
-    The step is atomic: the cursor moves (TIMESHIFT), a chord consumes
+    The step is atomic: the decode state takes the token (a TIMESHIFT
+    moves the cursor, see :meth:`DecodeState.push`), a chord consumes
     every pending boundary strictly within the window (CHORD), missed
     boundaries expire, and only then is the offset computed and
     appended.  Its cost does not grow with the number of boundaries
     already passed.
     """
-    if token.kind is TokenKind.TIMESHIFT:
-        state.cursor_ms += token.shift_ms
-    elif token.kind is TokenKind.CHORD:
+    state.push(token)
+    if token.id == CHORD.id:
         xi = params.sensitivity_ms
         times, states = state.boundaries.times_ms, state.boundaries.states
         for i in range(state.first_pending, len(times)):

@@ -5,7 +5,12 @@ import random
 import numpy as np
 import pytest
 
+from helpers import random_grid_score, random_offgrid_score
+
 from midisync.chords import (
+    CHORDABLE_INSTRUMENTS,
+    MIN_CHORD_BEATS,
+    MIN_CHORD_NOTES,
     ChordLabelError,
     ChordSpan,
     beat_duration_ms,
@@ -497,3 +502,65 @@ def test_detect_then_insert_matches_scan_on_long_songs(seed):
     out = insert_chord_tokens(toks, spans)
     assert out == insert_by_whole_stream_scan(toks, spans)
     assert sum(1 for t in out if t.kind is TokenKind.CHORD) == len(spans)
+
+
+def detect_by_filtering_per_instrument(score, beat_ms, simultaneity_eps_ms):
+    """Oracle: ``detect_chords`` as it was written before its one-pass form.
+
+    Filters all of the score once per chordable instrument and reads the
+    note fields by name.
+    """
+    min_duration = MIN_CHORD_BEATS * beat_ms
+    spans = []
+    for instrument in CHORDABLE_INSTRUMENTS:
+        notes = [n for n in score.notes if n.instrument is instrument]
+        cluster = []
+        for note in notes + [None]:  # sentinel flushes the last cluster
+            if (
+                note is not None
+                and cluster
+                and note.onset_ms - cluster[0].onset_ms <= simultaneity_eps_ms
+            ):
+                cluster.append(note)
+                continue
+            if cluster:
+                pitches = sorted({n.pitch for n in cluster})
+                durations = [n.duration_ms for n in cluster]
+                if len(pitches) >= MIN_CHORD_NOTES and min(durations) >= min_duration:
+                    spans.append(
+                        ChordSpan(instrument, cluster[0].onset_ms, tuple(pitches), min(durations))
+                    )
+            cluster = [note] if note is not None else []
+    spans.sort(key=lambda s: (s.onset_ms, s.instrument.value))
+    return spans
+
+
+def chord_dense_score(rng):
+    """Stacked guitar/piano onsets a few ms apart, repeated pitches, mixed lengths."""
+    notes = []
+    taken = set()
+    for _ in range(rng.randint(1, 60)):
+        instrument = rng.choice([Instrument.GUITAR, Instrument.PIANO, Instrument.BASS])
+        onset = rng.randrange(0, 3000, 100) + rng.randint(0, 12)
+        pitch = rng.randint(58, 66)
+        if (instrument, pitch, onset) in taken:
+            continue
+        taken.add((instrument, pitch, onset))
+        offset = onset + rng.choice([200, 900, 1000, 2500])
+        notes.append(NoteEvent(instrument, pitch, onset, offset))
+    return ScoreTimeline(notes=notes)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_detect_matches_the_per_instrument_filter_oracle(seed):
+    rng = random.Random(seed)
+    scores = [multi_minute_song(rng, minutes=1)]
+    for _ in range(40):
+        scores += [chord_dense_score(rng), random_grid_score(rng), random_offgrid_score(rng)]
+    found = 0
+    for score in scores:
+        for beat_ms, eps in ((500.0, 8), (450.0, 0), (100.0, 12), (1.0, 40)):
+            spans = detect_chords(score, beat_ms, eps)
+            assert spans == detect_by_filtering_per_instrument(score, beat_ms, eps)
+            found += len(spans)
+    assert found > 50

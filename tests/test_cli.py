@@ -660,6 +660,7 @@ def test_every_config_key_changes_an_output(tmp_path, monkeypatch, key):
         ("--temperature", "nan", "temperature"),
         ("--sensitivity", "-1", "sensitivity_s"),
         ("--delta-max", "inf", "max_offset_s"),
+        ("--delta-max", "1e308", "max_offset_s"),
         ("--min-gap", "-1", "min_gap_s"),
     ],
 )
@@ -672,6 +673,56 @@ def test_bad_override_flag_fails_as_a_config_error(tmp_path, capsys, flag, value
     err = capsys.readouterr().err
     assert "generate/config:" in err and key in err
     assert not out_midi.exists()
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"sensitivity_s": 1e308}', "sensitivity_s"),
+        ('{"max_offset_s": 1e308}', "max_offset_s"),
+        ('{"sensitivity_s": 1000000000000000000000000000000}', "sensitivity_s"),
+    ],
+)
+def test_huge_scheduler_window_in_a_config_file_fails_before_any_file_is_read(
+    tmp_path, capsys, text, key
+):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    boundaries = tmp_path / "b.txt"
+    boundaries.write_text("4.0\n")
+    out_midi = tmp_path / "x.mid"
+    rc = main(["generate", "none", str(boundaries), "8.0", str(out_midi), "--config", str(config)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: generate/config: {key} must be in (0, 3600] s")
+    assert not out_midi.exists()
+
+    out_dir = tmp_path / "out"
+    assert main(["prepare", str(corpus_dir(tmp_path)), str(out_dir), "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: prepare/config: {key} must be in (0, 3600] s")
+    assert "skipping" not in captured.err and not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["prepare", "{corpus}", "{tmp}/out", "--augment", "3", "--seed", "-1"],
+        ["prepare", "{corpus}", "{tmp}/out", "--augment", "-1"],
+        ["generate", "none", "{corpus}/one.mid", "8.0", "{tmp}/x.mid", "--seed", "-3"],
+    ],
+)
+def test_negative_count_flag_is_rejected_before_any_file_is_read(tmp_path, capsys, argv):
+    corpus = corpus_dir(tmp_path)
+    argv = [a.format(corpus=corpus, tmp=tmp_path) for a in argv]
+    flag = argv[-2]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be a non-negative integer, got {argv[-1]}" in err
+    assert "skipping" not in err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "x.mid").exists()
 
 
 def test_override_flag_wins_over_the_config_file(tmp_path):

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from midisync.config import PipelineConfig
+from midisync.config import MAX_WINDOW_S, PipelineConfig
 
 
 def test_defaults():
@@ -78,11 +78,25 @@ def test_non_finite_values_rejected_naming_the_field(name, value):
 
 
 @pytest.mark.parametrize(
-    "text, name", [('{"sensitivity_s": NaN}', "sensitivity_s"), ('{"top_k": "8"}', "top_k")]
+    "text, name",
+    [
+        ('{"sensitivity_s": NaN}', "sensitivity_s"),
+        ('{"top_k": "8"}', "top_k"),
+        # scheduler windows above one hour
+        ('{"sensitivity_s": 1e308}', "sensitivity_s"),
+        ('{"max_offset_s": 1e308}', "max_offset_s"),
+        ('{"sensitivity_s": 1000000000000000000000000000000}', "sensitivity_s"),
+    ],
 )
 def test_bad_json_values_rejected_naming_the_field(text, name):
     with pytest.raises(ValueError, match=name):
         PipelineConfig.from_json(text)
+
+
+@pytest.mark.parametrize("name", ["sensitivity_s", "max_offset_s"])
+def test_scheduler_windows_of_exactly_one_hour_accepted(name):
+    assert MAX_WINDOW_S == 3600.0
+    assert getattr(PipelineConfig(**{name: MAX_WINDOW_S}), name) == MAX_WINDOW_S
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from helpers import time_budget
 from midisync.chords import detect_chords
 from midisync.emotion import VAPoint
 from midisync.generator import (
@@ -242,6 +243,39 @@ def test_model_resyncs_when_the_history_is_not_appended_to(make):
     assert np.array_equal(model.next_distribution(grown, offs, -0.2, 0.5), fresh(grown, offs))
 
 
+@pytest.mark.parametrize("make", [ReferenceModel, ScriptedBoundaryModel, lambda: DenseModel(3)])
+def test_generate_folds_each_token_once(make, monkeypatch):
+    pushes = 0
+    push = DecodeState.push
+
+    def counted(self, tok):
+        nonlocal pushes
+        pushes += 1
+        return push(self, tok)
+
+    monkeypatch.setattr(DecodeState, "push", counted)
+    tokens, _ = _history(5, make())
+    assert pushes == len(tokens) > 10
+
+
+@pytest.mark.parametrize("model_class", [ReferenceModel, ScriptedBoundaryModel])
+def test_builtin_models_read_the_loop_state_as_they_read_the_plain_list(model_class, monkeypatch):
+    original = model_class.next_distribution
+    prefixes = []
+
+    def checked(self, tokens, offsets, valence, arousal, state=None):
+        assert state is not None and state.length == len(tokens)
+        got = original(self, tokens, offsets, valence, arousal, state=state)
+        plain = original(self, list(tokens), list(offsets), valence, arousal)
+        assert np.array_equal(got, plain), f"prefix {len(tokens)}"
+        prefixes.append(len(tokens))
+        return got
+
+    monkeypatch.setattr(model_class, "next_distribution", checked)
+    tokens, _ = _history(7, model_class())
+    assert prefixes == list(range(1, len(tokens)))
+
+
 # ---------------------------------------------------------------------------
 # Input assembly
 # ---------------------------------------------------------------------------
@@ -415,6 +449,29 @@ def test_generate_max_tokens_guard():
 def test_generate_rejects_nonpositive_duration():
     with pytest.raises(ValueError):
         generate(ScriptedBoundaryModel(), VAPoint(None, None), BoundaryList.from_times([]), 0.0)
+
+
+def test_generate_rejects_an_unreachable_duration_before_the_first_step():
+    with time_budget(1.0), pytest.raises(
+        GenerationError, match=r"duration_s 1e\+308 is past the 199999 s that max_tokens=200000"
+    ):
+        generate(ReferenceModel(), VAPoint(None, None), BoundaryList.from_times([]), 1e308)
+    # Four one-second shifts after START reach 4 s in five tokens, and no further.
+    longest = ConstModel(np.eye(len(VOCABULARY))[Token.shift(1000).id])
+    sampling = SamplingParams(max_tokens=5)
+    result = generate(longest, VAPoint(None, None), BoundaryList.from_times([]), 4.0, sampling)
+    assert len(result.tokens) == 5 and result.final_cursor_s == 4.0
+    with time_budget(1.0), pytest.raises(GenerationError, match="past the 4 s"):
+        generate(longest, VAPoint(None, None), BoundaryList.from_times([]), 4.001, sampling)
+
+
+@pytest.mark.parametrize("duration", [1e-300, 0.0004, 0.0005])
+def test_generate_rejects_a_duration_that_rounds_to_zero_ms(duration):
+    message = "duration_s must be finite and round to at least 1 ms"
+    with time_budget(1.0), pytest.raises(ValueError, match=message):
+        generate(ReferenceModel(), VAPoint(None, None), BoundaryList.from_times([]), duration)
+    result = generate(ReferenceModel(), VAPoint(None, None), BoundaryList.from_times([]), 0.0006)
+    assert result.final_cursor_s >= 0.0006
 
 
 @pytest.mark.parametrize("duration", [float("nan"), float("inf")])

@@ -23,7 +23,7 @@ from midisync.scheduler import (
     on_token,
     parse_boundaries,
 )
-from midisync.tokens import CHORD, START, Instrument, Token, TokenKind, cursor_after
+from midisync.tokens import CHORD, START, DecodeState, Instrument, Token, TokenKind, cursor_after
 
 
 def fold_offsets(tokens, boundaries: BoundaryList, params: SchedulerParams) -> list[float]:
@@ -67,6 +67,13 @@ def test_params_validation():
 @pytest.mark.parametrize("name", ["sensitivity_s", "max_offset_s"])
 def test_params_reject_non_finite_naming_the_field(name, value):
     with pytest.raises(ValueError, match=name):
+        SchedulerParams(**{name: value})
+
+
+@pytest.mark.parametrize("value", [3600.001, 1e308, 10**30])
+@pytest.mark.parametrize("name", ["sensitivity_s", "max_offset_s"])
+def test_params_reject_windows_above_one_hour_naming_the_field(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be in \\(0, 3600\\] s"):
         SchedulerParams(**{name: value})
 
 
@@ -357,6 +364,21 @@ def test_cursor_conservation():
         total_ms = sum(t.shift_ms for t in tokens if t.shift_ms)
         assert state.cursor_ms == total_ms
         assert state.cursor_s == total_ms / 1000.0
+
+
+def test_generator_state_is_the_decode_state_of_its_tokens():
+    rng = random.Random(77)
+    for _ in range(40):
+        tokens, bounds, params = random_instance(rng)
+        state, decode = GeneratorState.new(bounds), DecodeState()
+        assert isinstance(state, DecodeState)
+        for tok in tokens:
+            on_token(state, tok, params)
+            decode.push(tok)
+            assert (state.length, state.cursor_ms) == (decode.length, decode.cursor_ms)
+            assert state.open_notes == decode.open_notes
+            assert np.array_equal(state.mask(), decode.mask())
+        assert state.tokens == tokens and len(state.offsets) == len(tokens)
 
 
 def test_generate_state_copies_boundaries():
