@@ -102,8 +102,8 @@ def cmd_decode(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _prepare_one(path: Path, out_dir: Path, config: PipelineConfig, seed: int, args) -> None:
-    data = path.read_bytes()
+def _prepare_one(data: bytes, config: PipelineConfig, seed: int, args) -> list[tuple[str, str, str]]:
+    """The (stem suffix, tokens text, offsets text) of each variant of one SMF."""
     score = midi_codec.parse_midi(data)
     variants = [("", score)]
     if args.augment:
@@ -114,6 +114,7 @@ def _prepare_one(path: Path, out_dir: Path, config: PipelineConfig, seed: int, a
             (f"_aug{k + 1}", midi_codec.transpose(score, int(s)))
             for k, s in enumerate(shifts)
         ]
+    outputs = []
     for suffix, variant in variants:
         toks = midi_codec.encode_events(variant, include_bars=not args.drop_bars)
         spans = chords_mod.detect_chords(variant, simultaneity_eps_ms=config.simultaneity_eps_ms)
@@ -123,10 +124,12 @@ def _prepare_one(path: Path, out_dir: Path, config: PipelineConfig, seed: int, a
             toks,
             params=scheduler.SchedulerParams(config.sensitivity_s, config.max_offset_s),
         )
-        stem = path.stem + suffix
-        (out_dir / f"{stem}.tokens").write_text(tokens.format_tokens(toks))
-        offsets_text = ("%.3f\n" * len(offsets)) % tuple(offsets.tolist())
-        (out_dir / f"{stem}.offsets").write_text(offsets_text)
+        # ~100 distinct values in a long file: format each once, join by index
+        values, index = np.unique(offsets, return_inverse=True)
+        lines = ["%.3f\n" % v for v in values.tolist()]
+        offsets_text = "".join(map(lines.__getitem__, index.tolist()))
+        outputs.append((suffix, tokens.format_tokens(toks), offsets_text))
+    return outputs
 
 
 def cmd_prepare(args) -> int:
@@ -144,11 +147,17 @@ def cmd_prepare(args) -> int:
     done = 0
     for path in files:
         file_seed = args.seed ^ zlib.crc32(path.name.encode())
+        # Skip a file only for its own fault: it cannot be read, or its contents are
+        # rejected (a ValueError, such as MidiParseError).  A bug propagates.
         try:
-            _prepare_one(path, out_dir, config, file_seed, args)
-            done += 1
-        except Exception as exc:
+            outputs = _prepare_one(path.read_bytes(), config, file_seed, args)
+        except (OSError, ValueError) as exc:
             print(f"warning: prepare: skipping {path.name}: {exc}", file=sys.stderr)
+            continue
+        for suffix, tokens_text, offsets_text in outputs:
+            (out_dir / f"{path.stem}{suffix}.tokens").write_text(tokens_text)
+            (out_dir / f"{path.stem}{suffix}.offsets").write_text(offsets_text)
+        done += 1
     print(f"prepared {done}/{len(files)} file(s) into {out_dir}")
     return 0 if done else 1
 

@@ -14,6 +14,8 @@ time-signature metadata, and both PPQ and SMPTE divisions.
 A :class:`NoteEvent` is a tuple record whose equality is tuple
 equality.  Its public constructor validates; the internal producers,
 whose notes are valid by construction, skip that validation.
+:func:`parse_midi` and a :func:`transpose` with no octave wrap make
+their notes in timeline order and skip the timeline's sort too.
 
 Instrument bucketing follows General MIDI programs: 0-23 piano, 24-31
 guitar, 32-39 bass, every other pitched program strings, and channel 10
@@ -22,9 +24,12 @@ guitar, 32-39 bass, every other pitched program strings, and channel 10
 
 from __future__ import annotations
 
-from collections import deque, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
+from operator import itemgetter
+
+import numpy as np
 
 from .tokens import (
     BAR,
@@ -144,9 +149,20 @@ class ScoreTimeline:
     bar_marks_ms: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        self._check()
+        self.notes = sorted(self.notes, key=_note_order)
+
+    @classmethod
+    def _presorted(cls, notes: list, tempo_bpm: float, bar_marks_ms: tuple) -> ScoreTimeline:
+        """A timeline of ``notes`` already in :func:`_note_order` order: no sort."""
+        score = cls.__new__(cls)
+        score.notes, score.tempo_bpm, score.bar_marks_ms = notes, tempo_bpm, bar_marks_ms
+        score._check()
+        return score
+
+    def _check(self) -> None:
         if self.tempo_bpm <= 0:
             raise ValueError(f"tempo_bpm must be positive, got {self.tempo_bpm}")
-        self.notes = sorted(self.notes, key=_note_order)
         marks = tuple(self.bar_marks_ms)
         if any(b < 0 for b in marks):
             raise ValueError("bar marks must be >= 0")
@@ -203,6 +219,10 @@ def _need(data: bytes, pos: int, count: int, what: str) -> int:
 def parse_midi(data: bytes, warnings: list[str] | None = None) -> ScoreTimeline:
     """Parse an SMF byte string into a :class:`ScoreTimeline`.
 
+    A byte scan keeps a tick and a packed code per note event; NumPy then
+    pairs them, each note-off with the earliest open note-on of its
+    channel and pitch in time order (equal ticks in track, then file
+    order), converts ticks to ms and sorts the notes.
     Recoverable oddities (dangling note-ons, zero-length notes after
     millisecond rounding, orphan note-offs) are repaired and described in
     the optional ``warnings`` sink.  Structural corruption, and times or
@@ -245,14 +265,15 @@ def parse_midi(data: bytes, warnings: list[str] | None = None) -> ScoreTimeline:
         if ticks_per_quarter == 0:
             raise MidiParseError("division of zero ticks per quarter", 12)
 
-    # (tick, track, seq, status, channel, pitch, velocity, instrument); status
-    # is 0x9 for a note-on and 0x8 for a note-off, and (tick, track, seq) is unique.
-    events: list[tuple] = []
-    # (tick, track, seq, value, byte offset of the meta body)
-    tempo_candidates: list[tuple[int, int, int, int, int]] = []  # value: usec per quarter
-    timesig_candidates: list[tuple[int, int, int, float, int]] = []  # value: quarters per bar
+    # One entry per note event, in (track, event) order: its tick, and a code
+    # key << 10 | instrument block << 7 | velocity, where key is
+    # channel * 128 + pitch and a velocity of 0 marks a note-off.
+    ticks: list[int] = []
+    codes: list[int] = []
+    # (tick, value, byte offset of the meta body), in (track, event) order
+    tempo_candidates: list[tuple[int, int, int]] = []  # value: usec per quarter
+    timesig_candidates: list[tuple[int, float, int]] = []  # value: quarters per bar
     last_tick = last_off = 0  # the latest note event and where it was read
-    seq = 0
     track_index = 0
 
     while track_index < declared_tracks:
@@ -275,7 +296,7 @@ def parse_midi(data: bytes, warnings: list[str] | None = None) -> ScoreTimeline:
 
         tick = 0
         running_status: int | None = None
-        instruments = [program_to_instrument(0, channel) for channel in range(16)]
+        blocks = [_INSTRUMENT_ORDER[program_to_instrument(0, ch)] << 7 for ch in range(16)]
         open_counts = [0] * (16 * NUM_PITCHES)  # by channel * 128 + pitch
 
         # Reads are bounded by the file, not the chunk: an event may run past
@@ -315,19 +336,17 @@ def parse_midi(data: bytes, warnings: list[str] | None = None) -> ScoreTimeline:
                 running_status = None
                 if meta_type == 0x51 and meta_len == 3:
                     tempo = int.from_bytes(data[body_off:pos], "big")
-                    tempo_candidates.append((tick, track_index, seq, tempo, body_off))
+                    tempo_candidates.append((tick, tempo, body_off))
                 elif meta_type == 0x58 and meta_len >= 2:
                     quarters = data[body_off] * 4.0 / (1 << data[body_off + 1])
-                    timesig_candidates.append((tick, track_index, seq, quarters, body_off))
+                    timesig_candidates.append((tick, quarters, body_off))
                 elif meta_type == 0x2F:
                     break
-                seq += 1
                 continue
             elif status == 0xF0 or status == 0xF7:
                 sysex_len, pos = _read_varlen(data, pos, "sysex length")
                 pos = _need(data, pos, sysex_len, "sysex body")
                 running_status = None
-                seq += 1
                 continue
             else:
                 raise MidiParseError(f"unexpected status byte 0x{status:02X}", status_off)
@@ -336,8 +355,7 @@ def parse_midi(data: bytes, warnings: list[str] | None = None) -> ScoreTimeline:
             channel = status & 0x0F
             if kind == 0xC or kind == 0xD:
                 if kind == 0xC:
-                    instruments[channel] = program_to_instrument(data1, channel)
-                seq += 1
+                    blocks[channel] = _INSTRUMENT_ORDER[program_to_instrument(data1, channel)] << 7
                 continue
             if pos >= size:
                 raise MidiParseError("truncated event data", pos)
@@ -349,24 +367,19 @@ def parse_midi(data: bytes, warnings: list[str] | None = None) -> ScoreTimeline:
                 key = channel * NUM_PITCHES + data1
                 if kind == 0x9 and data2:
                     open_counts[key] += 1
-                    events.append(
-                        (tick, track_index, seq, 0x9, channel, data1, data2, instruments[channel])
-                    )
+                    codes.append(key << 10 | blocks[channel] | data2)
                 elif open_counts[key]:
                     open_counts[key] -= 1
-                    events.append(
-                        (tick, track_index, seq, 0x8, channel, data1, 0, instruments[channel])
-                    )
+                    codes.append(key << 10)
                 else:
                     sink.append(
                         f"track {track_index}: note-off with no open note "
                         f"(channel {channel}, pitch {data1}, tick {tick})"
                     )
-                    seq += 1
                     continue
+                ticks.append(tick)
                 if tick > last_tick:
                     last_tick, last_off = tick, status_off
-            seq += 1
 
         if any(open_counts):
             if tick > last_tick:
@@ -378,57 +391,60 @@ def parse_midi(data: bytes, warnings: list[str] | None = None) -> ScoreTimeline:
                         f"track {track_index}: note-on without note-off "
                         f"(channel {channel}, pitch {pitch}); closed at track end"
                     )
-                    events.append(
-                        (tick, track_index, seq, 0x8, channel, pitch, 0, instruments[channel])
-                    )
-                    seq += 1
+                    ticks.append(tick)
+                    codes.append(key << 10)
         pos = end
         track_index += 1
 
+    # The first candidate at the earliest tick wins: candidates are in (track, event) order.
     tempo_us, tempo_off = 500000, None
     if tempo_candidates:
-        tempo_us, tempo_off = min(tempo_candidates)[3:]
+        tempo_us, tempo_off = min(tempo_candidates, key=itemgetter(0))[1:]
         if tempo_us <= 0:
             tempo_us = 500000
     quarters_per_bar, timesig_off = 4.0, None
     if timesig_candidates:
-        quarters_per_bar, timesig_off = min(timesig_candidates)[3:]
+        quarters_per_bar, timesig_off = min(timesig_candidates, key=itemgetter(0))[1:]
 
-    def tick_to_ms(tick: int) -> int:
-        if smpte_ms_per_tick is not None:
+    def tick_to_ms(tick):
+        """The ms time of a tick (an int), or of each tick of an int64 array."""
+        if smpte_ms_per_tick is None:
+            # round-half-up in exact integer arithmetic
+            den = ticks_per_quarter * 1000
+            return (2 * tick * tempo_us + den) // (2 * den)
+        if isinstance(tick, int):
             return round(tick * smpte_ms_per_tick)
-        # round-half-up in exact integer arithmetic
-        num = tick * tempo_us
-        den = ticks_per_quarter * 1000
-        return (2 * num + den) // (2 * den)
+        return np.rint(tick * smpte_ms_per_tick).astype(np.int64)  # half to even, as round()
 
-    if tick_to_ms(last_tick) > MAX_SCORE_SPAN_MS:
+    last_ms = tick_to_ms(last_tick)
+    if last_ms > MAX_SCORE_SPAN_MS:
         raise MidiParseError(
-            f"note at {tick_to_ms(last_tick)} ms is past the {MAX_SCORE_SPAN_MS} ms limit",
-            last_off,
+            f"note at {last_ms} ms is past the {MAX_SCORE_SPAN_MS} ms limit", last_off
         )
 
-    # Match offs to the earliest open on (FIFO) in merged time order.
-    events.sort()
-    open_notes: dict[int, deque] = {}
-    notes: list[NoteEvent] = []
-    dropped = 0
-    for tick, _, _, status, channel, pitch, velocity, instrument in events:
-        key = channel * NUM_PITCHES + pitch
-        if status == 0x9:
-            open_notes.setdefault(key, deque()).append((tick, velocity, instrument))
-            continue
-        on_tick, velocity, instrument = open_notes[key].popleft()
-        onset = tick_to_ms(on_tick)
-        offset = tick_to_ms(tick)
-        if offset <= onset:
-            if on_tick == tick:
-                dropped += 1
-                continue
-            offset = onset + 1  # rounding collapsed a short note
-        notes.append(_unchecked_note((instrument, pitch, onset, offset, velocity)))
+    # No tick exceeds last_tick, so no int64 product below nears overflow.  A
+    # stable sort on ticks keeps (track, event) order among equal ticks, and a
+    # second one groups that by key.  A key has as many offs as ons and they
+    # never outrun its ons, so the FIFO match pairs its k-th on and k-th off.
+    ticks = np.array(ticks, dtype=np.int64)
+    codes = np.array(codes, dtype=np.int64)
+    merged = np.argsort(ticks, kind="stable")
+    paired = merged[np.argsort(codes[merged] >> 10, kind="stable")]
+    ticks, codes = ticks[paired], codes[paired]
+    is_on = (codes & 127) > 0
+    on_ticks, off_ticks, codes = ticks[is_on], ticks[~is_on], codes[is_on]
+    kept = on_ticks != off_ticks
+    dropped = len(kept) - int(np.count_nonzero(kept))
     if dropped:
         sink.append(f"dropped {dropped} zero-length note(s)")
+        on_ticks, off_ticks, codes = on_ticks[kept], off_ticks[kept], codes[kept]
+    onset = tick_to_ms(on_ticks)
+    offset = np.maximum(tick_to_ms(off_ticks), onset + 1)  # rounding collapsed a short note
+    pitch, block, velocity = codes >> 10 & 127, codes >> 7 & 7, codes & 127
+    order = np.lexsort((velocity, offset, pitch, block, onset))  # _note_order
+    instruments = map(INSTRUMENTS.__getitem__, block[order].tolist())
+    columns = (a[order].tolist() for a in (pitch, onset, offset, velocity))
+    notes = list(map(_unchecked_note, zip(instruments, *columns)))
 
     bar_marks: list[int] = []
     if notes:
@@ -439,7 +455,7 @@ def parse_midi(data: bytes, warnings: list[str] | None = None) -> ScoreTimeline:
             blamed_off = timesig_off if metre_at_fault else tempo_off
             if bar_ms < 1:
                 raise MidiParseError(f"bar of {bar_ms:.3g} ms is shorter than 1 ms", blamed_off)
-            span = max(n.offset_ms for n in notes)
+            span = int(offset.max())
             if span / bar_ms > MAX_BAR_MARKS:
                 raise MidiParseError(
                     f"bars of {bar_ms:.3g} ms over {span} ms make more than "
@@ -453,11 +469,7 @@ def parse_midi(data: bytes, warnings: list[str] | None = None) -> ScoreTimeline:
                     bar_marks.append(mark)
                 t += bar_ms
 
-    return ScoreTimeline(
-        notes=notes,
-        tempo_bpm=60_000_000.0 / tempo_us,
-        bar_marks_ms=tuple(bar_marks),
-    )
+    return ScoreTimeline._presorted(notes, 60_000_000.0 / tempo_us, tuple(bar_marks))
 
 
 # ---------------------------------------------------------------------------
@@ -715,6 +727,7 @@ def transpose(score: ScoreTimeline, semitones: int) -> ScoreTimeline:
     if abs(semitones) > MAX_TRANSPOSE:
         raise ValueError(f"semitones must be within +/-{MAX_TRANSPOSE}, got {semitones}")
     out = []
+    wrapped = False
     drums = Instrument.DRUMS
     for n in score.notes:
         inst, pitch, onset, offset, velocity = n
@@ -722,9 +735,10 @@ def transpose(score: ScoreTimeline, semitones: int) -> ScoreTimeline:
             out.append(n)
             continue
         pitch += semitones
-        while pitch >= NUM_PITCHES:
-            pitch -= 12
-        while pitch < 0:
-            pitch += 12
+        if not 0 <= pitch < NUM_PITCHES:
+            pitch += 12 if pitch < 0 else -12
+            wrapped = True
         out.append(_unchecked_note((inst, pitch, onset, offset, velocity)))
-    return ScoreTimeline(notes=out, tempo_bpm=score.tempo_bpm, bar_marks_ms=score.bar_marks_ms)
+    # One shift per instrument block keeps the order, unless a pitch wrapped.
+    make = ScoreTimeline if wrapped else ScoreTimeline._presorted
+    return make(out, score.tempo_bpm, score.bar_marks_ms)

@@ -11,6 +11,7 @@ import tracemalloc
 
 import pytest
 
+from midisync import midi_codec
 from midisync.chords import detect_chords
 from midisync.cli import SNIFF_BYTES, _sniff_scene_source, main
 from midisync.config import PipelineConfig
@@ -161,6 +162,33 @@ def test_prepare_skips_corrupt_files(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "skipping broken.mid" in captured.err
     assert "prepared 2/3" in captured.out
+
+
+def test_prepare_skips_an_unreadable_file(tmp_path, capsys):
+    midi_dir = corpus_dir(tmp_path)
+    (midi_dir / "folder.mid").mkdir()  # reading it raises IsADirectoryError
+    assert main(["prepare", str(midi_dir), str(tmp_path / "out")]) == 0
+    captured = capsys.readouterr()
+    assert "skipping folder.mid" in captured.err
+    assert "prepared 2/3" in captured.out
+
+
+def test_prepare_lets_a_bug_propagate(tmp_path, monkeypatch):
+    def broken(data, warnings=None):
+        raise IndexError("index 7 is out of bounds")
+
+    monkeypatch.setattr(midi_codec, "parse_midi", broken)
+    with pytest.raises(IndexError, match="out of bounds"):
+        main(["prepare", str(corpus_dir(tmp_path)), str(tmp_path / "out")])
+
+
+def test_prepare_output_failure_is_not_a_skip(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    (out_dir / "one.tokens").mkdir(parents=True)  # writing it raises IsADirectoryError
+    assert main(["prepare", str(corpus_dir(tmp_path)), str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert "error: prepare:" in err and "one.tokens" in err
+    assert "skipping" not in err
 
 
 def test_prepare_empty_dir_fails(tmp_path, capsys):

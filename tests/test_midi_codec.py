@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from midisync import midi_codec
 from midisync.chords import boost_chord_velocity
 from midisync.midi_codec import (
     MAX_BAR_MARKS,
@@ -16,6 +17,7 @@ from midisync.midi_codec import (
     MidiParseError,
     NoteEvent,
     ScoreTimeline,
+    _note_order,
     decode_events,
     encode_events,
     gap_to_shifts,
@@ -66,6 +68,17 @@ def test_tempo_meta_changes_ms():
     score = parse_midi(raw_smf([events]))
     assert score.notes[0].offset_ms == 1000
     assert score.tempo_bpm == pytest.approx(60.0)
+
+
+def test_first_tempo_and_metre_at_the_earliest_tick_win():
+    # Ties on the tick go to the earlier track, then the earlier event,
+    # whatever the values: 1,000,000 usec (60 BPM) and 3/4 come first.
+    first = tempo_meta(1_000_000) + tempo_meta(400_000) + timesig_meta(3, 2) + timesig_meta(2, 2)
+    second = tempo_meta(300_000) + timesig_meta(1, 2) + one_note(480)
+    score = parse_midi(raw_smf([first, second]))
+    assert score.tempo_bpm == 60.0
+    assert score.bar_marks_ms == (0,)  # one 3/4 bar of 3000 ms covers the note
+    assert score.notes[0].offset_ms == 1000
 
 
 def test_program_change_bucketing_and_drums():
@@ -679,6 +692,52 @@ def test_every_producer_makes_valid_note_events(seed):
             assert type(note) is NoteEvent, name
             fields = (note.instrument, note.pitch, note.onset_ms, note.offset_ms, note.velocity)
             assert NoteEvent(*fields) == note, name  # passes the public checks
+
+
+def unwrapped_and_wrapping(score: ScoreTimeline) -> tuple[ScoreTimeline, ScoreTimeline]:
+    """``score`` with no pitch a +/-3 transpose wraps, and with two that +3 wraps out of order."""
+    safe = [n._replace(pitch=min(max(n.pitch, 3), 124)) for n in score.notes]
+    edge = [NoteEvent(Instrument.STRINGS, pitch, 500, 900) for pitch in (124, 125)]
+    return ScoreTimeline(safe, score.tempo_bpm), ScoreTimeline(safe + edge, score.tempo_bpm)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_every_producer_returns_notes_in_timeline_order(seed):
+    score = golden_score(seed)
+    tokens = encode_events(score)
+    safe, wrapping = unwrapped_and_wrapping(score)
+    shift = 3 if seed % 2 else -3
+    produced = {
+        "parse_midi": parse_midi(write_midi(score, smf_type=seed % 2)),
+        "decode_events": decode_events(tokens).score,
+        "decode_events (unclosed)": decode_events(tokens[: len(tokens) * 2 // 3]).score,
+        "transpose": transpose(safe, shift),
+        "transpose (wrapped)": transpose(wrapping, 3),
+        "transpose (any)": transpose(score, shift),
+        "trim_to_duration": trim_to_duration(score, 5_000 + 1_000 * seed),
+        "boost_chord_velocity": boost_chord_velocity(
+            score, [n.onset_ms for n in score.notes[::5]], gain=60
+        ),
+    }
+    for name, result in produced.items():
+        assert result.notes == sorted(result.notes, key=_note_order), name
+    # The wrapped pitch (125 + 3 -> 116) moved ahead of its neighbour (124 + 3).
+    edge = [n.pitch for n in produced["transpose (wrapped)"].notes if n[2:4] == (500, 900)]
+    assert edge.index(116) < edge.index(127)
+
+
+def test_sorted_producers_do_not_sort_again(monkeypatch):
+    score = golden_score(3)
+    data = write_midi(score)
+    safe, wrapping = unwrapped_and_wrapping(score)
+    keyed = []
+    monkeypatch.setattr(midi_codec, "_note_order", lambda n: keyed.append(n) or _note_order(n))
+    parse_midi(data)
+    transpose(safe, 3)
+    transpose(safe, -3)
+    assert keyed == []
+    transpose(wrapping, 3)
+    assert len(keyed) == len(wrapping.notes)
 
 
 # ---------------------------------------------------------------------------

@@ -6,18 +6,23 @@ deletes and truncation) and requires ``parse_midi`` to agree with
 warnings, or the same ``MidiParseError`` message and byte offset.  The one
 intended difference is the bar-mark bound, which the oracle predates.
 Every accepted case then runs through the rest of ``prepare`` in bounded
-time.
+time.  Seeded hand-made files then hold the note pairing to the oracle
+where it is hardest: tracks that share a channel and pitch, overlaps,
+equal ticks, program changes, dangling and orphan events, rounding ties
+of an SMPTE division and the span limit.
 """
 
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 
 import pytest
 
 from midisync.chords import detect_chords, insert_chord_tokens
 from midisync.midi_codec import (
     MAX_BAR_MARKS,
+    MAX_SCORE_SPAN_MS,
     MidiParseError,
     encode_events,
     parse_midi,
@@ -29,6 +34,7 @@ from helpers import random_grid_score, random_offgrid_score, raw_smf, time_budge
 from smf_oracle import oracle_parse_midi
 
 SMPTE_25FPS_40 = ((256 - 25) << 8) | 40
+SMPTE_25FPS_80 = ((256 - 25) << 8) | 80  # half a millisecond per tick
 
 
 def hand_built_files() -> list[bytes]:
@@ -119,3 +125,100 @@ def test_parse_midi_matches_the_oracle_on_mutated_files(chunk):
         parsed += got[0] == "score"
     # Both sides of the contract are exercised in every chunk.
     assert 0.1 * CASES_PER_CHUNK < parsed < 0.9 * CASES_PER_CHUNK
+
+
+# ---------------------------------------------------------------------------
+# Note pairing against the oracle
+# ---------------------------------------------------------------------------
+
+
+def shared_key_track(rng: random.Random, programs: bool) -> bytes:
+    """Note events on three channels (one drums) and two pitches, many at equal ticks.
+
+    Ons overlap on one key, offs may come with no open note (orphans) or
+    never (dangling), some notes close at their own tick (zero length),
+    and ``programs`` puts program changes between the notes.
+    """
+    events = b""
+    for _ in range(rng.randint(1, 40)):
+        delta = rng.choice((0, 0, 0, 1, 2, 3, 40))
+        channel = rng.choice((0, 1, 9))
+        pitch = rng.choice((60, 61))
+        draw = rng.random()
+        if programs and draw < 0.1:
+            event = bytes([0xC0 | channel, rng.choice((0, 25, 33, 48, 100))])
+        elif draw < 0.55:
+            event = bytes([0x90 | channel, pitch, rng.randint(1, 127)])
+        elif draw < 0.8:
+            event = bytes([0x80 | channel, pitch, rng.randint(0, 127)])
+        else:
+            event = bytes([0x90 | channel, pitch, 0])  # a note-off
+        events += vlq(delta) + event
+    return events
+
+
+def shared_key_file(seed: int, programs: bool) -> bytes:
+    rng = random.Random(seed)
+    tracks = [shared_key_track(rng, programs) for _ in range(rng.randint(1, 4))]
+    division = rng.choice((1, 3, 7, 96, 480, SMPTE_25FPS_40, SMPTE_25FPS_80))
+    return raw_smf(tracks, fmt=1 if len(tracks) > 1 else rng.choice((0, 1)), division=division)
+
+
+PAIRING_RULES = ("note-on without note-off", "note-off with no open note", "zero-length")
+
+
+@pytest.mark.parametrize("programs", [False, True], ids=["fixed-programs", "program-changes"])
+def test_pairing_matches_the_oracle_on_shared_keys(programs):
+    seen: set[str] = set()
+    for seed in range(300):
+        data = shared_key_file(seed, programs)
+        got = outcome(parse_midi, data)
+        assert got == outcome(oracle_parse_midi, data), (seed, data.hex())
+        assert got[0] == "score"
+        score, warnings = got[1], got[2]
+        seen.update(rule for rule in PAIRING_RULES for w in warnings if rule in w)
+        seen.update(n.instrument.value for n in score.notes)
+        by_key = defaultdict(list)
+        for note in score.notes:  # in onset order
+            by_key[note[:2]].append(note)
+        if any(b.onset_ms < a.offset_ms for ns in by_key.values() for a, b in zip(ns, ns[1:])):
+            seen.add("overlap")
+    # Every pairing rule ran, and with program changes every instrument.
+    instruments = {"piano", "drums"} | ({"guitar", "bass", "strings"} if programs else set())
+    assert {*PAIRING_RULES, "overlap", *instruments} <= seen
+
+
+def test_smpte_half_millisecond_ticks_round_half_to_even():
+    # 25 fps x 80 ticks: tick t is t / 2 ms, so every odd tick is a tie.
+    notes = {60: (1, 5), 61: (3, 7), 62: (9, 11), 63: (13, 14), 64: (7, 9)}
+    timed = sorted(
+        [(on, bytes([0x90, pitch, 80])) for pitch, (on, _) in notes.items()]
+        + [(off, bytes([0x80, pitch, 0])) for pitch, (_, off) in notes.items()]
+    )
+    events, now = b"", 0
+    for tick, event in timed:
+        events += vlq(tick - now) + event
+        now = tick
+    data = raw_smf([events], division=SMPTE_25FPS_80)
+    score = parse_midi(data)
+    # 0.5 -> 0, 1.5 -> 2, 2.5 -> 2, 3.5 -> 4, 4.5 -> 4, 5.5 -> 6, 6.5 -> 6;
+    # pitch 64 rounds to (4, 4) and is stretched to 1 ms.
+    assert [(n.pitch, n.onset_ms, n.offset_ms) for n in score.notes] == [
+        (60, 0, 2), (61, 2, 4), (62, 4, 6), (64, 4, 5), (63, 6, 7)
+    ]
+    assert outcome(parse_midi, data) == outcome(oracle_parse_midi, data)
+
+
+def test_last_note_at_the_span_limit_with_the_finest_division():
+    # 32767 ticks per quarter at 500,000 usec per quarter: 65.534 ticks per ms.
+    last = MAX_SCORE_SPAN_MS * 65534 // 1000
+    events = vlq(0) + bytes([0x90, 60, 80]) + vlq(last) + bytes([0x80, 60, 0])
+    data = raw_smf([events], division=0x7FFF)
+    got = outcome(parse_midi, data)
+    assert got == outcome(oracle_parse_midi, data)
+    assert [(n.onset_ms, n.offset_ms) for n in got[1].notes] == [(0, MAX_SCORE_SPAN_MS)]
+    past = vlq(0) + bytes([0x90, 60, 80]) + vlq(last + 33) + bytes([0x80, 60, 0])
+    data = raw_smf([past], division=0x7FFF)
+    got = outcome(parse_midi, data)
+    assert got == outcome(oracle_parse_midi, data)
+    assert got[0] == "error" and "3600001 ms is past" in got[1]
