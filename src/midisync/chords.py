@@ -189,7 +189,10 @@ def boost_chord_velocity(
             out.append(_unchecked_note((*n[:4], min(127, n.velocity + gain))))
         else:
             out.append(n)
-    return ScoreTimeline(notes=out, tempo_bpm=score.tempo_bpm, bar_marks_ms=score.bar_marks_ms)
+    # No sort: a boost depends only on the onset, the leading order key, and
+    # v -> min(127, v + gain) is monotone, so notes tied on (onset, block,
+    # pitch, offset) keep their velocity order or become equal.
+    return ScoreTimeline._presorted(out, score.tempo_bpm, score.bar_marks_ms)
 
 
 def format_spans(spans: list[ChordSpan]) -> str:

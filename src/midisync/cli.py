@@ -351,7 +351,7 @@ def cmd_chords(args) -> int:
 
 
 def cmd_vocab(args) -> int:
-    manifest = tokens.VOCABULARY.manifest()
+    manifest = tokens.format_manifest()
     if args.out_manifest:
         _stage("write", Path(args.out_manifest).write_text, manifest)
     else:

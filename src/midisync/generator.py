@@ -319,7 +319,7 @@ def generate(
             pruned[keep] = masked[keep]
             masked = pruned / pruned.sum()
             support = (masked > 0).nonzero()[0]
-        token = VOCABULARY.token_of(_draw(masked, support, rng))
+        token = VOCABULARY[_draw(masked, support, rng)]
         on_token(state, token, scheduler)
 
     return GenerationResult(

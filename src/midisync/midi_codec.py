@@ -617,9 +617,9 @@ def encode_events(score: ScoreTimeline, include_bars: bool = True) -> list[Token
         keys.extend(((mark + half) // res * res) << 13 | BAR.id for mark in score.bar_marks_ms)
     keys.sort()
 
-    entries = tuple(VOCABULARY)
+    vocab = VOCABULARY  # a local: the loop below indexes it once or twice per event
     shift_base = Token.shift(res).id - 1  # the id of TIMESHIFT_<k * res> is shift_base + k
-    longest = entries[shift_base + MAX_SHIFT_MS // res]
+    longest = vocab[shift_base + MAX_SHIFT_MS // res]
     out = [START, instrument_count_tag(score)]
     cursor = 0
     last_bar = None
@@ -631,9 +631,9 @@ def encode_events(score: ScoreTimeline, include_bars: bool = True) -> list[Token
                 full = (gap - 1) // MAX_SHIFT_MS
                 out += [longest] * full
                 gap -= full * MAX_SHIFT_MS
-            out.append(entries[shift_base + gap // res])
+            out.append(vocab[shift_base + gap // res])
             cursor = t
-        token = entries[key & 2047]
+        token = vocab[key & 2047]
         if token is BAR:
             if last_bar == cursor:
                 continue  # quantization merged two marks
@@ -681,7 +681,7 @@ def decode_events(tokens: list[Token]) -> DecodeResult:
 
     cursor = state.cursor_ms
     for off_id, onsets in state.open_notes.items():
-        off = VOCABULARY.token_of(off_id)
+        off = VOCABULARY[off_id]
         for onset in onsets:
             if cursor > onset:
                 fields = (off.instrument, off.pitch, onset, cursor, DEFAULT_VELOCITY)

@@ -21,6 +21,8 @@ from .scheduler import BoundaryList
 #: Environment variable naming the scene-detection executable.
 SCENE_BINARY_ENV = "MIDISYNC_SCENE_BIN"
 DEFAULT_SCENE_BINARY = "ffmpeg"
+#: Seconds the detector may run before it is killed and detection fails.
+DETECT_TIMEOUT_S = 600.0
 
 _CUT_RE = re.compile(r"pts_time[:=]\s*([0-9]+(?:\.[0-9]+)?)")
 _DURATION_FIELD_RE = re.compile(r"\bduration=([0-9]+(?:\.[0-9]+)?)")
@@ -104,13 +106,13 @@ def scene_binary() -> str:
 def detect_scenes(
     video_path: str,
     threshold: float = PipelineConfig.scene_threshold,
-    timeout_s: float = 600.0,
 ) -> SceneCuts:
     """Run the external detector on a video and parse its output.
 
     The executable comes from ``MIDISYNC_SCENE_BIN`` (default
     ``ffmpeg``) and is invoked with a scene-change filter at the given
     threshold; all stderr/stdout text is fed to :func:`parse_scene_log`.
+    A detector still running after :data:`DETECT_TIMEOUT_S` is killed.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
@@ -127,12 +129,12 @@ def detect_scenes(
     ]
     try:
         proc = subprocess.run(
-            command, capture_output=True, text=True, timeout=timeout_s, check=False
+            command, capture_output=True, text=True, timeout=DETECT_TIMEOUT_S, check=False
         )
     except FileNotFoundError:
         raise SceneLogError(
             f"scene detector {scene_binary()!r} not found; set ${SCENE_BINARY_ENV}"
         ) from None
     except subprocess.TimeoutExpired:
-        raise SceneLogError(f"scene detector timed out after {timeout_s} s") from None
+        raise SceneLogError(f"scene detector timed out after {DETECT_TIMEOUT_S} s") from None
     return parse_scene_log(proc.stderr + "\n" + proc.stdout)

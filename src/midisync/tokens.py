@@ -15,10 +15,13 @@ The integer id layout is frozen and documented: ids 0-5 are the markers
 in the order above, ids 6-130 are the 125 time shifts in increasing
 duration, and the remaining ids are, for each instrument category in
 alphabetical order (:data:`INSTRUMENTS`), 128 ON tokens then 128 OFF
-tokens by ascending pitch.  Total size: 6 + 125 + 5 * 256 = 1411.  Time
-and order are read off the ids: the cursor is the running sum of
-:data:`SHIFT_MS_BY_ID` (:func:`cursor_after`), an ON's OFF is
-``NUM_PITCHES`` ids above it, and instruments come in block order.
+tokens by ascending pitch.  Total size: 6 + 125 + 5 * 256 = 1411.
+:data:`VOCABULARY` is the tuple of entries in id order, and the
+manifest (:func:`format_manifest`, checked by :func:`check_manifest`)
+lists it one ``id<TAB>name`` line per entry.  Time and order are read
+off the ids: the cursor is the running sum of :data:`SHIFT_MS_BY_ID`
+(:func:`cursor_after`), an ON's OFF is ``NUM_PITCHES`` ids above it,
+and instruments come in block order.
 One :class:`DecodeState` reads every token prefix, token by token, for
 the decoder, the grammar mask and the generation models alike.
 """
@@ -33,8 +36,8 @@ import numpy as np
 
 RESOLUTION_MS = 8
 MAX_SHIFT_MS = 1000
-_SHIFT_GRID = range(RESOLUTION_MS, MAX_SHIFT_MS + 1, RESOLUTION_MS)
-SHIFT_VALUES_MS = tuple(_SHIFT_GRID)
+#: The time shift durations in ms, ascending: a range, so membership is O(1).
+SHIFT_VALUES_MS = range(RESOLUTION_MS, MAX_SHIFT_MS + 1, RESOLUTION_MS)
 NUM_PITCHES = 128
 
 
@@ -120,7 +123,7 @@ class Token:
         elif kind is TokenKind.TIMESHIFT:
             if self.shift_ms is None or self.instrument is not None or self.pitch is not None:
                 raise ValueError("TIMESHIFT token requires shift_ms only")
-            if type(self.shift_ms) is not int or self.shift_ms not in _SHIFT_GRID:
+            if type(self.shift_ms) is not int or self.shift_ms not in SHIFT_VALUES_MS:
                 raise ValueError(
                     f"shift_ms must be a multiple of {RESOLUTION_MS} in "
                     f"[{RESOLUTION_MS}, {MAX_SHIFT_MS}], got {self.shift_ms}"
@@ -142,20 +145,20 @@ class Token:
     def on(cls, instrument: Instrument, pitch: int) -> "Token":
         base = _NOTE_BLOCK.get(instrument)
         if base is not None and type(pitch) is int and 0 <= pitch < NUM_PITCHES:
-            return _ENTRIES[base + pitch]
+            return VOCABULARY[base + pitch]
         return cls(TokenKind.ON, instrument=instrument, pitch=pitch)
 
     @classmethod
     def off(cls, instrument: Instrument, pitch: int) -> "Token":
         base = _NOTE_BLOCK.get(instrument)
         if base is not None and type(pitch) is int and 0 <= pitch < NUM_PITCHES:
-            return _ENTRIES[base + NUM_PITCHES + pitch]
+            return VOCABULARY[base + NUM_PITCHES + pitch]
         return cls(TokenKind.OFF, instrument=instrument, pitch=pitch)
 
     @classmethod
     def shift(cls, shift_ms: int) -> "Token":
-        if type(shift_ms) is int and shift_ms in _SHIFT_GRID:
-            return _ENTRIES[_SHIFT_BLOCK + shift_ms // RESOLUTION_MS - 1]
+        if type(shift_ms) is int and shift_ms in SHIFT_VALUES_MS:
+            return VOCABULARY[_SHIFT_BLOCK + shift_ms // RESOLUTION_MS - 1]
         return cls(TokenKind.TIMESHIFT, shift_ms=shift_ms)
 
     # -- naming --------------------------------------------------------
@@ -185,23 +188,24 @@ class Token:
         raise ValueError(f"unknown token name: {name!r}")
 
 
-def _build_token_list() -> list[Token]:
-    out = [Token(kind) for kind in _MARKER_KINDS]
-    out.extend(Token(TokenKind.TIMESHIFT, shift_ms=ms) for ms in SHIFT_VALUES_MS)
-    for instrument in INSTRUMENTS:
-        for kind in (TokenKind.ON, TokenKind.OFF):
-            out.extend(Token(kind, instrument=instrument, pitch=p) for p in range(NUM_PITCHES))
-    return out
+#: The vocabulary: every entry in id order, so ``VOCABULARY[tok.id] is tok``.
+#: Every constructor above hands these out.
+VOCABULARY = (
+    *(Token(kind) for kind in _MARKER_KINDS),
+    *(Token(TokenKind.TIMESHIFT, shift_ms=ms) for ms in SHIFT_VALUES_MS),
+    *(
+        Token(kind, instrument=instrument, pitch=p)
+        for instrument in INSTRUMENTS
+        for kind in (TokenKind.ON, TokenKind.OFF)
+        for p in range(NUM_PITCHES)
+    ),
+)
+_BY_NAME = {tok.name: tok for tok in VOCABULARY}
 
-
-# The vocabulary entries in id order; every constructor above hands these out.
-_ENTRIES = tuple(_build_token_list())
-_BY_NAME = {tok.name: tok for tok in _ENTRIES}
-
-START, BAR, PAD, CHORD, FEWER_INSTRUMENTS, MORE_INSTRUMENTS = _ENTRIES[:_SHIFT_BLOCK]
+START, BAR, PAD, CHORD, FEWER_INSTRUMENTS, MORE_INSTRUMENTS = VOCABULARY[:_SHIFT_BLOCK]
 
 #: Cursor advance of each token id in ms: its shift for TIMESHIFT, else 0.
-SHIFT_MS_BY_ID = np.array([tok.shift_ms or 0 for tok in _ENTRIES], dtype=np.int64)
+SHIFT_MS_BY_ID = np.array([tok.shift_ms or 0 for tok in VOCABULARY], dtype=np.int64)
 
 
 def cursor_after(tokens: list[Token]) -> tuple[np.ndarray, np.ndarray]:
@@ -210,55 +214,36 @@ def cursor_after(tokens: list[Token]) -> tuple[np.ndarray, np.ndarray]:
     return ids, np.cumsum(SHIFT_MS_BY_ID[ids])
 
 
-class TokenVocabulary:
-    """Bijection between tokens and contiguous integer ids."""
-
-    _tokens = _ENTRIES
-
-    def __len__(self) -> int:
-        return len(self._tokens)
-
-    def __iter__(self):
-        return iter(self._tokens)
-
-    def id_of(self, token: Token) -> int:
-        return token.id
-
-    def token_of(self, token_id: int) -> Token:
-        if not 0 <= token_id < len(self._tokens):
-            raise KeyError(f"token id {token_id} outside 0..{len(self._tokens) - 1}")
-        return self._tokens[token_id]
-
-    def manifest(self) -> str:
-        """Tab-separated ``id<TAB>name`` lines, one per entry, id order."""
-        return "".join(f"{tok.id}\t{tok.name}\n" for tok in self._tokens)
-
-    @classmethod
-    def check_manifest(cls, text: str) -> "TokenVocabulary":
-        """Parse a manifest and verify it matches the built-in layout."""
-        vocab = cls()
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if len(lines) != len(vocab):
-            raise ValueError(f"manifest has {len(lines)} entries, expected {len(vocab)}")
-        for lineno, line in enumerate(lines):
-            ident, _, name = line.partition("\t")
-            if not ident.isdigit():
-                raise ValueError(f"manifest line {lineno + 1}: bad id field {ident!r}")
-            tok = Token.from_name(name.strip())
-            if tok.id != int(ident):
-                raise ValueError(
-                    f"manifest line {lineno + 1}: {name!r} has id {ident}, expected {tok.id}"
-                )
-        return vocab
-
-
-#: Shared vocabulary instance; the layout is deterministic so one is enough.
-VOCABULARY = TokenVocabulary()
-
-
 def format_tokens(tokens: list[Token]) -> str:
     """Serialize a token sequence, one token name per line."""
     return "".join(tok.name + "\n" for tok in tokens)
+
+
+def format_manifest() -> str:
+    """The vocabulary manifest: tab-separated ``id<TAB>name`` lines, one per entry, id order."""
+    return "".join(f"{tok.id}\t{tok.name}\n" for tok in VOCABULARY)
+
+
+def check_manifest(text: str) -> None:
+    """Raise ``ValueError`` unless a manifest lists the built-in vocabulary in id order.
+
+    Blank lines are skipped; line k of the rest must state id k and a
+    name of the token with that id (any spelling :meth:`Token.from_name` reads).
+    """
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if len(lines) != len(VOCABULARY):
+        raise ValueError(f"manifest has {len(lines)} entries, expected {len(VOCABULARY)}")
+    for lineno, line in enumerate(lines):
+        ident, _, name = line.partition("\t")
+        if not ident.isdigit():
+            raise ValueError(f"manifest line {lineno + 1}: bad id field {ident!r}")
+        tok = Token.from_name(name.strip())
+        if tok.id != int(ident):
+            raise ValueError(
+                f"manifest line {lineno + 1}: {name!r} has id {ident}, expected {tok.id}"
+            )
+        if int(ident) != lineno:
+            raise ValueError(f"manifest line {lineno + 1}: id {ident}, expected {lineno}")
 
 
 def parse_tokens(text: str) -> list[Token]:
@@ -282,7 +267,7 @@ def parse_tokens(text: str) -> list[Token]:
 
 # Valid at position zero: everything but OFF.  After it START and PAD
 # are invalid too.  An OFF becomes valid while its note is open.
-_FIRST_MASK = np.array([tok.kind is not TokenKind.OFF for tok in _ENTRIES])
+_FIRST_MASK = np.array([tok.kind is not TokenKind.OFF for tok in VOCABULARY])
 _BASE_MASK = _FIRST_MASK.copy()
 _BASE_MASK[[START.id, PAD.id]] = False
 

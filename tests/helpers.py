@@ -18,6 +18,8 @@ from midisync.tokens import Instrument
 
 
 def vlq(value: int) -> bytes:
+    if value < 0:
+        raise ValueError(f"negative variable-length quantity: {value}")
     out = [value & 0x7F]
     value >>= 7
     while value:

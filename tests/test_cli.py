@@ -16,7 +16,7 @@ from midisync.chords import detect_chords
 from midisync.cli import SNIFF_BYTES, _sniff_scene_source, main
 from midisync.config import PipelineConfig
 from midisync.midi_codec import NoteEvent, ScoreTimeline, parse_midi, write_midi
-from midisync.tokens import VOCABULARY, Instrument, parse_tokens
+from midisync.tokens import VOCABULARY, Instrument, check_manifest, format_manifest, parse_tokens
 
 SCENE_LOG = (
     "[Parsed_showinfo_1 @ 0x1] n: 0 pts_time:3.2 pos: 10\n"
@@ -363,7 +363,7 @@ def test_generate_scripted_end_to_end(tmp_path):
 
     tokens_text = out_midi.with_suffix(".tokens").read_text()
     toks = parse_tokens(tokens_text)
-    assert all(VOCABULARY.id_of(t) < len(VOCABULARY) for t in toks)
+    assert all(t.id < len(VOCABULARY) for t in toks)
 
 
 def test_generate_reference_reproducible(tmp_path):
@@ -816,7 +816,7 @@ def test_chords_rejects_a_beat_length_that_is_not_finite_and_positive(demo_midi,
 def test_vocab_manifest(tmp_path, capsys):
     assert main(["vocab"]) == 0
     out = capsys.readouterr().out
-    assert out == VOCABULARY.manifest()
+    assert out == format_manifest()
     path = tmp_path / "vocab.tsv"
     assert main(["vocab", "--out-manifest", str(path)]) == 0
-    VOCABULARY.check_manifest(path.read_text())
+    check_manifest(path.read_text())

@@ -40,7 +40,7 @@ from midisync.tokens import (
 
 
 def ids(*tokens: Token) -> list[int]:
-    return [VOCABULARY.id_of(t) for t in tokens]
+    return [t.id for t in tokens]
 
 
 # ---------------------------------------------------------------------------
@@ -50,27 +50,27 @@ def ids(*tokens: Token) -> list[int]:
 
 def test_mask_empty_history_allows_start_and_pad_but_no_offs():
     mask = grammar_mask([])
-    assert mask[VOCABULARY.id_of(START)]
-    assert mask[VOCABULARY.id_of(PAD)]
-    assert mask[VOCABULARY.id_of(CHORD)]
-    assert mask[VOCABULARY.id_of(Token.on(Instrument.PIANO, 60))]
+    assert mask[START.id]
+    assert mask[PAD.id]
+    assert mask[CHORD.id]
+    assert mask[Token.on(Instrument.PIANO, 60).id]
     for tok in VOCABULARY:
         if tok.kind is TokenKind.OFF:
-            assert not mask[VOCABULARY.id_of(tok)]
+            assert not mask[tok.id]
 
 
 def test_mask_start_and_pad_only_at_position_zero():
     mask = grammar_mask([START])
-    assert not mask[VOCABULARY.id_of(START)]
-    assert not mask[VOCABULARY.id_of(PAD)]
+    assert not mask[START.id]
+    assert not mask[PAD.id]
 
 
 def test_mask_off_requires_matching_open_note():
     history = [START, Token.on(Instrument.PIANO, 60)]
     mask = grammar_mask(history)
-    assert mask[VOCABULARY.id_of(Token.off(Instrument.PIANO, 60))]
-    assert not mask[VOCABULARY.id_of(Token.off(Instrument.PIANO, 61))]
-    assert not mask[VOCABULARY.id_of(Token.off(Instrument.BASS, 60))]
+    assert mask[Token.off(Instrument.PIANO, 60).id]
+    assert not mask[Token.off(Instrument.PIANO, 61).id]
+    assert not mask[Token.off(Instrument.BASS, 60).id]
 
 
 def test_mask_off_disabled_again_after_close():
@@ -79,7 +79,7 @@ def test_mask_off_disabled_again_after_close():
         Token.on(Instrument.PIANO, 60),
         Token.off(Instrument.PIANO, 60),
     ]
-    assert not grammar_mask(history)[VOCABULARY.id_of(Token.off(Instrument.PIANO, 60))]
+    assert not grammar_mask(history)[Token.off(Instrument.PIANO, 60).id]
 
 
 def test_mask_off_counts_stacked_unisons():
@@ -90,11 +90,11 @@ def test_mask_off_counts_stacked_unisons():
         Token.off(Instrument.PIANO, 60),
     ]
     # one of the two unison notes is still sounding
-    assert grammar_mask(history)[VOCABULARY.id_of(Token.off(Instrument.PIANO, 60))]
+    assert grammar_mask(history)[Token.off(Instrument.PIANO, 60).id]
 
 
 def test_mask_blocks_chord_until_a_note_follows():
-    cid = VOCABULARY.id_of(CHORD)
+    cid = CHORD.id
     assert not grammar_mask([START, CHORD])[cid]
     # a time shift alone does not satisfy the marker
     assert not grammar_mask([START, CHORD, Token.shift(800)])[cid]
@@ -122,18 +122,18 @@ def oracle_grammar_mask(tokens: list[Token]) -> np.ndarray:
     mask = np.ones(len(VOCABULARY), dtype=bool)
     for tok in VOCABULARY:
         if tok.kind is TokenKind.OFF:
-            mask[VOCABULARY.id_of(tok)] = False
+            mask[tok.id] = False
     for (instrument, pitch), count in oracle_open_note_counts(tokens).items():
         if count > 0:
-            mask[VOCABULARY.id_of(Token.off(instrument, pitch))] = True
+            mask[Token.off(instrument, pitch).id] = True
     if tokens:
-        mask[VOCABULARY.id_of(START)] = False
-        mask[VOCABULARY.id_of(PAD)] = False
+        mask[START.id] = False
+        mask[PAD.id] = False
     for tok in reversed(tokens):
         if tok.kind is TokenKind.ON:
             break
         if tok.kind is TokenKind.CHORD:
-            mask[VOCABULARY.id_of(CHORD)] = False
+            mask[CHORD.id] = False
             break
     return mask
 
@@ -413,7 +413,7 @@ def test_temperature_underflow_of_the_reference_model_raises():
 
 def test_generate_rejects_mass_only_on_invalid_tokens():
     vector = np.zeros(len(VOCABULARY))
-    vector[VOCABULARY.id_of(Token.off(Instrument.PIANO, 60))] = 1.0
+    vector[Token.off(Instrument.PIANO, 60).id] = 1.0
     with pytest.raises(GenerationError, match="no grammatically valid token"):
         generate(ConstModel(vector), VAPoint(None, None), BoundaryList.from_times([]), 1.0)
 
@@ -608,7 +608,7 @@ def test_scripted_output_decodes_to_audible_chords_near_boundaries():
 
 def test_reference_chord_probability_rises_as_offset_shrinks():
     model = ReferenceModel()
-    history, cid = [START], VOCABULARY.id_of(CHORD)
+    history, cid = [START], CHORD.id
     near = model.next_distribution(history, [0.1], 0.5, 0.0)[cid]
     mid = model.next_distribution(history, [0.6], 0.5, 0.0)[cid]
     far = model.next_distribution(history, [4.0], 0.5, 0.0)[cid]
@@ -667,7 +667,7 @@ def test_generated_sequence_respects_grammar_at_every_step():
     )
     for i, tok in enumerate(result.tokens):
         mask = grammar_mask(result.tokens[:i])
-        assert mask[VOCABULARY.id_of(tok)], f"token {tok.name} invalid at step {i}"
+        assert mask[tok.id], f"token {tok.name} invalid at step {i}"
 
 
 def test_generation_is_deterministic_per_seed():

@@ -45,6 +45,15 @@ from midisync.tokens import (
 from helpers import random_grid_score, random_offgrid_score, raw_smf, time_budget, vlq
 
 
+def test_helper_vlq_matches_the_writer_and_rejects_negatives():
+    rng = random.Random(0)
+    edges = [0, 1, 127, 128, 2**14 - 1, 2**14, 2**21 - 1, 2**21, 2**28 - 1]
+    for value in edges + [rng.randrange(2**28) for _ in range(2000)]:
+        assert vlq(value) == midi_codec._varlen(value)
+    with pytest.raises(ValueError):
+        vlq(-1)
+
+
 def test_single_note_tick_math():
     # 480 ticks per quarter at the default 500000 us/quarter: one quarter
     # note (480 ticks) lasts exactly 500 ms.  Hand-computed: 480 * 500000 /
@@ -736,8 +745,17 @@ def test_sorted_producers_do_not_sort_again(monkeypatch):
     transpose(safe, 3)
     transpose(safe, -3)
     assert keyed == []
+    boosted = boost_chord_velocity(score, [n.onset_ms for n in score.notes[::3]], 40)
+    assert boosted.notes != score.notes
+    assert keyed == []
     transpose(wrapping, 3)
     assert len(keyed) == len(wrapping.notes)
+
+
+def test_trim_sorts_notes_its_clamp_reorders():
+    piano = Instrument.PIANO
+    score = ScoreTimeline([NoteEvent(piano, 60, 0, 5000, 100), NoteEvent(piano, 60, 0, 6000, 50)])
+    assert [n.velocity for n in trim_to_duration(score, 4000).notes] == [50, 100]
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from midisync import scenes
 from midisync.scenes import (
     SceneCuts,
     SceneLogError,
+    detect_scenes,
     filter_boundaries,
     parse_scene_log,
     scene_binary,
@@ -152,3 +155,16 @@ def test_scene_binary_env(monkeypatch):
     assert scene_binary() == "ffmpeg"
     monkeypatch.setenv("MIDISYNC_SCENE_BIN", "/opt/tools/scenedetect")
     assert scene_binary() == "/opt/tools/scenedetect"
+
+
+def test_detector_that_overruns_the_timeout_is_killed(tmp_path, monkeypatch):
+    # exec: the child that the timeout kills is the sleep itself, which holds the pipes
+    detector = tmp_path / "slow-detector"
+    detector.write_text("#!/bin/sh\nexec sleep 5\n")
+    detector.chmod(0o755)
+    monkeypatch.setenv("MIDISYNC_SCENE_BIN", str(detector))
+    monkeypatch.setattr(scenes, "DETECT_TIMEOUT_S", 0.2)
+    start = time.monotonic()
+    with pytest.raises(SceneLogError, match=r"^scene detector timed out after 0\.2 s$"):
+        detect_scenes("clip.mp4")
+    assert time.monotonic() - start < 4

@@ -11,7 +11,8 @@ from midisync.tokens import (
     Instrument,
     Token,
     TokenKind,
-    TokenVocabulary,
+    check_manifest,
+    format_manifest,
     format_tokens,
     parse_tokens,
 )
@@ -30,25 +31,25 @@ def test_shift_values_cover_grid():
 
 
 def test_id_layout_documented_order():
-    assert VOCABULARY.token_of(0).kind is TokenKind.START
-    assert VOCABULARY.token_of(1).kind is TokenKind.BAR
-    assert VOCABULARY.token_of(2).kind is TokenKind.PAD
-    assert VOCABULARY.token_of(3).kind is TokenKind.CHORD
-    assert VOCABULARY.token_of(4).kind is TokenKind.FEWER_INSTRUMENTS
-    assert VOCABULARY.token_of(5).kind is TokenKind.MORE_INSTRUMENTS
-    assert VOCABULARY.token_of(6) == Token.shift(8)
-    assert VOCABULARY.token_of(130) == Token.shift(1000)
+    assert VOCABULARY[0].kind is TokenKind.START
+    assert VOCABULARY[1].kind is TokenKind.BAR
+    assert VOCABULARY[2].kind is TokenKind.PAD
+    assert VOCABULARY[3].kind is TokenKind.CHORD
+    assert VOCABULARY[4].kind is TokenKind.FEWER_INSTRUMENTS
+    assert VOCABULARY[5].kind is TokenKind.MORE_INSTRUMENTS
+    assert VOCABULARY[6] == Token.shift(8)
+    assert VOCABULARY[130] == Token.shift(1000)
     # instrument blocks are alphabetical: bass, drums, guitar, piano, strings
-    assert VOCABULARY.token_of(131) == Token.on(Instrument.BASS, 0)
-    assert VOCABULARY.token_of(259) == Token.off(Instrument.BASS, 0)
-    assert VOCABULARY.token_of(1410) == Token.off(Instrument.STRINGS, 127)
+    assert VOCABULARY[131] == Token.on(Instrument.BASS, 0)
+    assert VOCABULARY[259] == Token.off(Instrument.BASS, 0)
+    assert VOCABULARY[1410] == Token.off(Instrument.STRINGS, 127)
 
 
 def test_bijection_over_all_ids():
     seen = set()
     for i in range(len(VOCABULARY)):
-        tok = VOCABULARY.token_of(i)
-        assert VOCABULARY.id_of(tok) == i
+        tok = VOCABULARY[i]
+        assert tok.id == i
         assert tok not in seen
         seen.add(tok)
 
@@ -96,14 +97,24 @@ def test_instrument_order_alphabetical():
 
 
 def test_manifest_round_trip():
-    text = VOCABULARY.manifest()
+    text = format_manifest()
     lines = text.strip().split("\n")
     assert len(lines) == 1411
     assert lines[0] == "0\tSTART"
     assert lines[6] == "6\tTIMESHIFT_8"
-    TokenVocabulary.check_manifest(text)  # no error
+    check_manifest(text)  # no error
     with pytest.raises(ValueError):
-        TokenVocabulary.check_manifest(text.replace("0\tSTART", "0\tBAR", 1))
+        check_manifest(text.replace("0\tSTART", "0\tBAR", 1))
+
+
+def test_manifest_must_list_ids_in_order():
+    lines = format_manifest().splitlines(keepends=True)
+    with pytest.raises(ValueError, match=r"^manifest line 2: id 0, expected 1$"):
+        check_manifest("0\tSTART\n" * len(VOCABULARY))
+    swapped = lines[1] + lines[0] + "".join(lines[2:])
+    with pytest.raises(ValueError, match=r"^manifest line 1: id 1, expected 0$"):
+        check_manifest(swapped)
+    check_manifest("\n".join(lines))  # blank lines are not counted
 
 
 def test_token_text_round_trip():
@@ -127,11 +138,11 @@ def test_parse_tokens_reports_line_numbers():
 def test_parse_tokens_accepts_non_canonical_spellings():
     toks = parse_tokens("TIMESHIFT_0008\nPIANO_ON_060\n  CHORD  \n")
     assert toks == [Token.shift(8), Token.on(Instrument.PIANO, 60), Token(TokenKind.CHORD)]
-    manifest = VOCABULARY.manifest().replace("6\tTIMESHIFT_8\n", "6\tTIMESHIFT_0008\n", 1)
-    TokenVocabulary.check_manifest(manifest)  # no error
+    manifest = format_manifest().replace("6\tTIMESHIFT_8\n", "6\tTIMESHIFT_0008\n", 1)
+    check_manifest(manifest)  # no error
     misplaced = manifest.replace("0\tSTART\n", "0\tBAR \n", 1)
     with pytest.raises(ValueError, match=r"^manifest line 1: 'BAR ' has id 0, expected 1$"):
-        TokenVocabulary.check_manifest(misplaced)
+        check_manifest(misplaced)
 
 
 @pytest.mark.parametrize("bad", ["TIMESHIFT_7", "TIMESHIFT_1008", "PIANO_ON_128",
@@ -142,15 +153,15 @@ def test_parse_errors_carry_the_name_parser_message(bad):
     with pytest.raises(ValueError) as exc:
         parse_tokens(f"START\n\n{bad}\n")
     assert str(exc.value) == f"line 3: {expected.value}"
-    manifest = VOCABULARY.manifest().replace("\tSTART\n", f"\t{bad}\n", 1)
+    manifest = format_manifest().replace("\tSTART\n", f"\t{bad}\n", 1)
     with pytest.raises(ValueError) as exc:
-        TokenVocabulary.check_manifest(manifest)
+        check_manifest(manifest)
     assert str(exc.value) == str(expected.value)
 
 
 def test_every_entry_carries_its_id_and_constructors_return_it():
     for i in range(len(VOCABULARY)):
-        tok = VOCABULARY.token_of(i)
+        tok = VOCABULARY[i]
         assert tok.id == i
         if tok.kind is TokenKind.ON:
             assert Token.on(tok.instrument, tok.pitch) is tok
@@ -170,14 +181,14 @@ def test_direct_construction_equals_the_entry():
         "Token(kind=<TokenKind.ON: 'ON'>, instrument=<Instrument.PIANO: 'piano'>, "
         "pitch=60, shift_ms=None)"
     )
-    assert VOCABULARY.id_of(direct) == 959
+    assert direct.id == 959
 
 
 def test_non_canonical_spellings_parse_to_the_shared_entries():
     shift, on, chord = parse_tokens("TIMESHIFT_0008\nPIANO_ON_060\n  CHORD  \n")
     assert shift is Token.shift(8)
     assert on is Token.on(Instrument.PIANO, 60)
-    assert chord is VOCABULARY.token_of(3)
+    assert chord is VOCABULARY[3]
 
 
 @pytest.mark.parametrize(
