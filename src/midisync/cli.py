@@ -240,8 +240,10 @@ def cmd_generate(args) -> int:
     sched = scheduler.SchedulerParams(config.sensitivity_s, config.max_offset_s)
 
     def build_model():
+        if args.model_path is not None and args.model != "external":
+            raise ValueError(f"--model-path needs --model external, got --model {args.model}")
         if args.model == "reference":
-            return generator_mod.ReferenceModel(params=sched)
+            return generator_mod.ReferenceModel()
         if args.model == "scripted":
             return generator_mod.ScriptedBoundaryModel()
         if not args.model_path:

@@ -25,6 +25,16 @@ def check_window(name: str, seconds: float) -> None:
         raise ValueError(f"{name} must be in (0, {MAX_WINDOW_S:g}] s, got {seconds}")
 
 
+def _is_finite_number(value) -> bool:
+    """An int or float, not a bool, that a float holds finitely."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     # Chord labeling
@@ -49,7 +59,7 @@ class PipelineConfig:
             if f.type == "int":  # annotations are strings here (postponed evaluation)
                 if isinstance(value, bool) or not isinstance(value, int):
                     raise ValueError(f"{f.name} must be an integer, got {value!r}")
-            elif not isinstance(value, (int, float)) or not math.isfinite(value):
+            elif not _is_finite_number(value):
                 raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         for name in ("velocity_boost", "temperature", "top_k"):
             if getattr(self, name) <= 0:

@@ -112,6 +112,16 @@ def parse_va_component(field: str) -> float | None:
     return float(field)
 
 
+def _probability(category: str, value) -> float:
+    """``value`` as a float: a number or numeric string, not a bool, within float range."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"probability of {category!r} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EmotionDistribution:
     """Probabilities over the six categories, in category order."""
@@ -136,7 +146,7 @@ class EmotionDistribution:
         unknown = set(mapping) - set(EMOTION_CATEGORIES)
         if unknown:
             raise ValueError(f"unknown categories: {sorted(unknown)}")
-        return cls(np.array([float(mapping.get(c, 0.0)) for c in EMOTION_CATEGORIES]))
+        return cls(np.array([_probability(c, mapping.get(c, 0.0)) for c in EMOTION_CATEGORIES]))
 
     @classmethod
     def one_hot(cls, category: str) -> "EmotionDistribution":

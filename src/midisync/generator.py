@@ -183,20 +183,25 @@ class GenerationResult:
     tokens: list[Token]
     offsets: list[float]
     boundaries: BoundaryList
+    states: list[BoundaryState]
     final_cursor_s: float
     seed: int
 
+    def _times(self, state: BoundaryState) -> list[float]:
+        """Times (seconds) of the boundaries that ended the run in ``state``."""
+        return [t / 1000.0 for t, s in zip(self.boundaries.times_ms, self.states) if s is state]
+
     @property
     def consumed(self) -> list[float]:
-        return self.boundaries.by_state(BoundaryState.CONSUMED)
+        return self._times(BoundaryState.CONSUMED)
 
     @property
     def expired(self) -> list[float]:
-        return self.boundaries.by_state(BoundaryState.EXPIRED)
+        return self._times(BoundaryState.EXPIRED)
 
     @property
     def pending(self) -> list[float]:
-        return self.boundaries.by_state(BoundaryState.PENDING)
+        return self._times(BoundaryState.PENDING)
 
     def diagnostics(self) -> dict:
         return {
@@ -277,7 +282,7 @@ def generate(
     scheduler = scheduler or SchedulerParams()
     rng = np.random.default_rng(sampling.seed)
 
-    state = GeneratorState.new(boundaries)
+    state = GeneratorState(boundaries)
     on_token(state, START, scheduler)
     propose = model.next_distribution
     if isinstance(model, (ReferenceModel, ScriptedBoundaryModel)):
@@ -326,6 +331,7 @@ def generate(
         tokens=state.tokens,
         offsets=state.offsets,
         boundaries=state.boundaries,
+        states=state.states,
         final_cursor_s=state.cursor_s,
         seed=sampling.seed,
     )
@@ -420,11 +426,10 @@ class ReferenceModel:
 
     MAX_OPEN_NOTES = 6
 
-    def __init__(self, key_root: int = 60, params: SchedulerParams | None = None):
+    def __init__(self, key_root: int = 60):
         if not 12 <= key_root <= 108:
             raise ValueError(f"key_root should be a mid-range pitch, got {key_root}")
         self.key_root = key_root
-        self.params = params or SchedulerParams()
 
     # -- internals -----------------------------------------------------
     def _scale(self, valence: float | None) -> tuple[int, ...]:
@@ -450,7 +455,7 @@ class ReferenceModel:
     def next_distribution(self, tokens, offsets, valence, arousal, state=None):
         state = _fold(tokens) if state is None else state
         weights = np.zeros(len(VOCABULARY))
-        offset_s = offsets[-1] if offsets else self.params.max_offset_s
+        offset_s = offsets[-1] if offsets else PipelineConfig.max_offset_s
         step = self._step_ms(arousal)
         triad = self._triad(valence)
 

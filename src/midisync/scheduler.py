@@ -14,16 +14,17 @@ token, how far ahead the next relevant boundary lies:
   offset saturates at ``max_offset``.
 
 The incremental state machine (:func:`on_token`), which folds each
-generated token into the loop's decode state, is the reference
-definition.  Whole sequences go through one vectorized NumPy kernel
-(:func:`offsets_for_sequence`), which must match the fold bit for bit.
+generated token into the loop's :class:`GeneratorState` (the owner of
+every boundary's state), is the reference definition.  Whole sequences
+go through one vectorized NumPy kernel (:func:`offsets_for_sequence`),
+which must match the fold bit for bit.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,22 +62,17 @@ class BoundaryState(enum.Enum):
     EXPIRED = "expired"
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundaryList:
-    """Strictly increasing boundary times with per-boundary status."""
+    """Strictly increasing boundary times; each run keeps their states on its GeneratorState."""
 
     times_ms: tuple[int, ...]
-    states: list[BoundaryState] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if any(t < 0 for t in self.times_ms):
             raise ValueError("boundaries must be >= 0")
         if any(b >= a for b, a in zip(self.times_ms, self.times_ms[1:])):
             raise ValueError("boundaries must be strictly increasing")
-        if not self.states:
-            self.states = [BoundaryState.PENDING] * len(self.times_ms)
-        if len(self.states) != len(self.times_ms):
-            raise ValueError("states and times length mismatch")
 
     @classmethod
     def from_times(cls, times_s) -> "BoundaryList":
@@ -91,36 +87,32 @@ class BoundaryList:
     def __len__(self) -> int:
         return len(self.times_ms)
 
-    def copy(self) -> "BoundaryList":
-        return BoundaryList(times_ms=self.times_ms, states=list(self.states))
-
-    def by_state(self, state: BoundaryState) -> list[float]:
-        return [t / 1000.0 for t, s in zip(self.times_ms, self.states) if s is state]
-
 
 class GeneratorState(DecodeState):
     """The generation loop's one state: a decode state that also schedules.
 
     :func:`on_token` folds each emitted token into it once; it carries
-    the boundaries (a copy, from :meth:`new`), the tokens and offsets.
+    the caller's boundaries (read only), one :class:`BoundaryState` per
+    boundary (all pending at first), and the tokens and offsets.
 
     ``first_pending`` only moves forward: every boundary before it has
     left the pending state, which it never re-enters, so the step
     functions below start there instead of walking every boundary.
     """
 
-    __slots__ = ("boundaries", "tokens", "offsets", "first_pending")
+    __slots__ = ("boundaries", "states", "tokens", "offsets", "first_pending")
 
     def __init__(self, boundaries: BoundaryList) -> None:
         super().__init__()
         self.boundaries = boundaries
+        self.states = [BoundaryState.PENDING] * len(boundaries)
         self.tokens: list[Token] = []
         self.offsets: list[float] = []
         self.first_pending = 0
 
     @classmethod
     def new(cls, boundaries: BoundaryList) -> "GeneratorState":
-        return cls(boundaries.copy())
+        return cls(boundaries)  # kept: perfbench/workloads.py builds its states through it
 
     @property
     def cursor_s(self) -> float:
@@ -129,7 +121,7 @@ class GeneratorState(DecodeState):
 
 def next_offset(state: GeneratorState, params: SchedulerParams) -> float:
     """Distance to the earliest pending boundary, clamped to [0, cap]."""
-    states = state.boundaries.states
+    states = state.states
     i = state.first_pending
     while i < len(states) and states[i] is not BoundaryState.PENDING:
         i += 1
@@ -149,7 +141,7 @@ def expire_missed(state: GeneratorState, params: SchedulerParams) -> list[float]
     reach of the cursor.
     """
     xi = params.sensitivity_ms
-    times, states = state.boundaries.times_ms, state.boundaries.states
+    times, states = state.boundaries.times_ms, state.states
     newly = []
     i = state.first_pending
     while i < len(times) and state.cursor_ms - times[i] > xi:
@@ -174,7 +166,7 @@ def on_token(state: GeneratorState, token: Token, params: SchedulerParams) -> fl
     state.push(token)
     if token.id == CHORD.id:
         xi = params.sensitivity_ms
-        times, states = state.boundaries.times_ms, state.boundaries.states
+        times, states = state.boundaries.times_ms, state.states
         for i in range(state.first_pending, len(times)):
             if times[i] - state.cursor_ms >= xi:
                 break

@@ -475,6 +475,21 @@ def test_generate_external_requires_model_path(tmp_path, capsys):
     assert "model" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model", ["reference", "scripted"])
+def test_generate_model_path_requires_external_model(tmp_path, capsys, model):
+    boundaries = tmp_path / "b.txt"
+    boundaries.write_text("1.0\n")
+    out_midi = tmp_path / "o.mid"
+    rc = main(
+        ["generate", "none", str(boundaries), "3", str(out_midi),
+         "--model", model, "--model-path", "nosuch:build"]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "model" in err and "--model-path" in err
+    assert not out_midi.exists()
+
+
 def test_generate_non_finite_duration_fails(tmp_path, capsys):
     boundaries = tmp_path / "b.txt"
     boundaries.write_text("4.0\n")

@@ -86,6 +86,8 @@ def test_non_finite_values_rejected_naming_the_field(name, value):
         ('{"sensitivity_s": 1e308}', "sensitivity_s"),
         ('{"max_offset_s": 1e308}', "max_offset_s"),
         ('{"sensitivity_s": 1000000000000000000000000000000}', "sensitivity_s"),
+        # an integer past the float range
+        ('{"sensitivity_s": 1%s}' % ("0" * 400), "sensitivity_s"),
     ],
 )
 def test_bad_json_values_rejected_naming_the_field(text, name):
@@ -124,3 +126,16 @@ def test_integer_keys_reject_non_integers_naming_the_field(name, value):
     with pytest.raises(ValueError, match=name):
         PipelineConfig.from_json(json.dumps({name: value}))
     assert getattr(PipelineConfig(**{name: 3}), name) == 3
+
+
+FLOAT_KEYS = [f.name for f in dataclasses.fields(PipelineConfig) if f.type == "float"]
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("name", FLOAT_KEYS)
+def test_float_keys_reject_booleans_naming_the_field(name, value):
+    message = f"{name} must be a finite number, got {value}"
+    with pytest.raises(ValueError, match=message):
+        PipelineConfig(**{name: value})
+    with pytest.raises(ValueError, match=message):
+        PipelineConfig.from_json(json.dumps({name: value}))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -236,3 +237,18 @@ def test_distribution_rejects_non_finite_probability_in_both_formats(text):
     category = "sadness" if "sadness" in text else "fear" if "fear" in text else "joy"
     with pytest.raises(ValueError, match=f"'{category}' must be finite"):
         parse_distribution(text)
+
+
+@pytest.mark.parametrize(
+    "value, shown", [("null", "None"), ("[0.5]", "[0.5]"), ("{}", "{}"), ("true", "True"),
+                     ("1" + "0" * 400, "1" + "0" * 400)],
+)
+def test_json_distribution_rejects_non_numbers_naming_the_category(value, shown):
+    message = re.escape(f"probability of 'joy' must be a number, got {shown}") + "$"
+    with pytest.raises(ValueError, match=message):
+        parse_distribution(f'{{"joy": {value}}}')
+
+
+def test_json_distribution_accepts_numeric_strings():
+    d = parse_distribution('{"joy": "0.5", "fear": "0.5"}')
+    assert d.probs == pytest.approx(EmotionDistribution.from_mapping({"joy": 0.5, "fear": 0.5}).probs)

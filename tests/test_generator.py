@@ -714,9 +714,22 @@ def test_diagnostics_round_trip():
     assert json.loads(result.diagnostics_json()) == diag
 
 
+def test_one_boundary_list_serves_repeated_runs():
+    bounds = BoundaryList.from_times([1.5, 4.0, 6.5])
+    runs = [
+        generate(ReferenceModel(), VAPoint(0.4, 0.7), bounds, 8.0, SamplingParams(seed=3))
+        for _ in range(2)
+    ]
+    assert runs[0] == runs[1]
+    assert runs[0].consumed  # the run moved its own states, not the list
+    assert bounds == BoundaryList.from_times([1.5, 4.0, 6.5])
+
+
 def test_diagnostics_count_every_chord_token():
     tokens = [START, CHORD, Token.shift(8), Token(TokenKind.CHORD), PAD]  # one not shared
-    result = GenerationResult(tokens, [0.0] * 5, BoundaryList.from_times([]), 0.008, seed=0)
+    result = GenerationResult(
+        tokens, [0.0] * 5, BoundaryList.from_times([]), states=[], final_cursor_s=0.008, seed=0
+    )
     assert result.diagnostics()["chord_count"] == 2
 
 
@@ -784,7 +797,7 @@ def stream_digest(result) -> str:
     h = hashlib.sha256()
     for tok, off in zip(result.tokens, result.offsets):
         h.update(f"{tok.name} {off!r}\n".encode())
-    h.update(repr([s.value for s in result.boundaries.states]).encode())
+    h.update(repr([s.value for s in result.states]).encode())
     return h.hexdigest()
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from itertools import accumulate
@@ -41,7 +42,7 @@ def test_boundary_list_from_times():
     bl = BoundaryList.from_times([5.0, 2.0, 5.0, 9.25])
     assert bl.times_ms == (2000, 5000, 9250)
     assert bl.times_s == (2.0, 5.0, 9.25)
-    assert all(s is BoundaryState.PENDING for s in bl.states)
+    assert GeneratorState(bl).states == [BoundaryState.PENDING] * 3
 
 
 def test_boundary_list_validation():
@@ -49,8 +50,6 @@ def test_boundary_list_validation():
         BoundaryList(times_ms=(2000, 1000))
     with pytest.raises(ValueError):
         BoundaryList(times_ms=(-5,))
-    with pytest.raises(ValueError):
-        BoundaryList(times_ms=(1000,), states=[BoundaryState.PENDING] * 2)
 
 
 def test_params_validation():
@@ -108,7 +107,7 @@ def test_on_token_chord_consumes_within_window():
     params = SchedulerParams(sensitivity_s=1.0)
     state = make_state(4.6, [5.0])
     on_token(state, CHORD, params)
-    assert state.boundaries.states[0] is BoundaryState.CONSUMED
+    assert state.states[0] is BoundaryState.CONSUMED
     # offset recorded after consumption: nothing pending -> cap
     assert state.offsets == [4.0]
 
@@ -117,7 +116,7 @@ def test_on_token_chord_outside_window_no_consume():
     params = SchedulerParams(sensitivity_s=1.0)
     state = make_state(2.0, [5.0])
     on_token(state, CHORD, params)
-    assert state.boundaries.states[0] is BoundaryState.PENDING
+    assert state.states[0] is BoundaryState.PENDING
     assert state.offsets == [3.0]
 
 
@@ -125,16 +124,16 @@ def test_on_token_chord_at_exact_window_edge_not_consumed():
     params = SchedulerParams(sensitivity_s=1.0)
     state = make_state(4.0, [5.0])  # |c - b| == xi exactly
     on_token(state, CHORD, params)
-    assert state.boundaries.states[0] is BoundaryState.PENDING
+    assert state.states[0] is BoundaryState.PENDING
 
 
 def test_on_token_chord_consumes_multiple_pending():
     params = SchedulerParams(sensitivity_s=1.0)
     state = make_state(5.0, [4.5, 5.4, 9.0])
     on_token(state, CHORD, params)
-    assert state.boundaries.states[0] is BoundaryState.CONSUMED
-    assert state.boundaries.states[1] is BoundaryState.CONSUMED
-    assert state.boundaries.states[2] is BoundaryState.PENDING
+    assert state.states[0] is BoundaryState.CONSUMED
+    assert state.states[1] is BoundaryState.CONSUMED
+    assert state.states[2] is BoundaryState.PENDING
 
 
 def test_expire_missed_examples():
@@ -142,8 +141,8 @@ def test_expire_missed_examples():
     state = make_state(7.0, [5.0, 8.0])
     newly = expire_missed(state, params)
     assert newly == [5.0]
-    assert state.boundaries.states[0] is BoundaryState.EXPIRED
-    assert state.boundaries.states[1] is BoundaryState.PENDING
+    assert state.states[0] is BoundaryState.EXPIRED
+    assert state.states[1] is BoundaryState.PENDING
     # idempotent
     assert expire_missed(state, params) == []
 
@@ -158,9 +157,9 @@ def test_expiry_happens_inside_on_token():
     state = make_state(0.0, [1.0])
     on_token(state, Token.shift(1000), params)   # cursor 1.0
     on_token(state, Token.shift(1000), params)   # cursor 2.0, b exactly xi behind
-    assert state.boundaries.states[0] is BoundaryState.PENDING
+    assert state.states[0] is BoundaryState.PENDING
     on_token(state, Token.shift(8), params)      # cursor 2.008 > b + xi
-    assert state.boundaries.states[0] is BoundaryState.EXPIRED
+    assert state.states[0] is BoundaryState.EXPIRED
     # offsets: 0.0 while the passed boundary is pending, cap after expiry
     assert state.offsets == [0.0, 0.0, 4.0]
 
@@ -312,7 +311,7 @@ def test_dispatcher_matches_fold():
     for _ in range(100):
         tokens, bounds, params = random_instance(rng)
         assert list(offsets_for_sequence(tokens, bounds, params)) == fold_offsets(
-            tokens, bounds.copy(), params
+            tokens, bounds, params
         )
 
 
@@ -385,8 +384,10 @@ def test_generate_state_copies_boundaries():
     bl = BoundaryList.from_times([0.5])
     state = GeneratorState.new(bl)
     on_token(state, CHORD, SchedulerParams())
-    assert state.boundaries.states[0] is BoundaryState.CONSUMED
-    assert bl.states[0] is BoundaryState.PENDING  # caller's list untouched
+    assert state.states[0] is BoundaryState.CONSUMED
+    assert bl == BoundaryList.from_times([0.5])  # caller's list untouched
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        bl.times_ms = (0,)
 
 
 def test_boundary_file_round_trip(tmp_path):
@@ -416,7 +417,7 @@ def scan_step(state: GeneratorState, token, params: SchedulerParams):
 
     Returns the newly expired times (seconds) and the offset.
     """
-    times, states = state.boundaries.times_ms, state.boundaries.states
+    times, states = state.boundaries.times_ms, state.states
     xi = params.sensitivity_ms
     if token.shift_ms:
         state.cursor_ms += token.shift_ms
@@ -441,9 +442,10 @@ def test_step_functions_match_whole_list_scan():
         tokens, bounds, params = random_instance(rng)
         # Start from an arbitrary cursor with some boundaries already settled.
         choices = [BoundaryState.PENDING] * 3 + [BoundaryState.CONSUMED, BoundaryState.EXPIRED]
-        bounds.states = [rng.choice(choices) for _ in bounds.times_ms]
+        settled = [rng.choice(choices) for _ in bounds.times_ms]
         start = rng.choice([0, rng.randint(0, 5000)])
         fast, slow = GeneratorState.new(bounds), GeneratorState.new(bounds)
+        fast.states, slow.states = list(settled), list(settled)
         fast.cursor_ms = slow.cursor_ms = start
         for tok in tokens:
             newly, expected = scan_step(slow, tok, params)
@@ -453,7 +455,7 @@ def test_step_functions_match_whole_list_scan():
                 assert next_offset(fast, params) == expected
                 fast.cursor_ms -= tok.shift_ms  # on_token below moves it again
             assert on_token(fast, tok, params) == expected
-            assert fast.boundaries.states == slow.boundaries.states
+            assert fast.states == slow.states
         assert fast.cursor_ms == slow.cursor_ms
 
 
@@ -466,4 +468,4 @@ def test_first_pending_only_moves_forward():
         seen.append(state.first_pending)
     assert seen == sorted(seen)
     assert state.first_pending == len(state.boundaries)
-    assert state.boundaries.by_state(BoundaryState.PENDING) == []
+    assert BoundaryState.PENDING not in state.states
