@@ -366,11 +366,24 @@ def cmd_vocab(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Copies per file.  There are only 2 * MAX_TRANSPOSE distinct shifts, so a
+# larger count repeats them, and a huge one overflows or exhausts memory.
+MAX_AUGMENT = 64
+
+
 def non_negative_int(text: str) -> int:
     """A count flag's value (``--seed``, ``--augment``), checked before any file is read."""
     if int(text) < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
     return int(text)
+
+
+def augment_count(text: str) -> int:
+    """``--augment``'s value: a count from 0 to :data:`MAX_AUGMENT`."""
+    count = non_negative_int(text)
+    if count > MAX_AUGMENT:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_AUGMENT}, got {text}")
+    return count
 
 
 @functools.cache
@@ -406,10 +419,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drop-bars", action="store_true", help="omit BAR tokens")
     p.add_argument(
         "--augment",
-        type=non_negative_int,
+        type=augment_count,
         default=0,
         metavar="N",
-        help="write N extra randomly transposed copies per file",
+        help=f"write N extra randomly transposed copies per file (N <= {MAX_AUGMENT})",
     )
     p.set_defaults(fn=cmd_prepare)
 

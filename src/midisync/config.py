@@ -20,9 +20,15 @@ MAX_WINDOW_S = 3600.0  # one hour: the scheduler windows' ms values stay small i
 
 
 def check_window(name: str, seconds: float) -> None:
-    """Reject a scheduler window (``sensitivity_s``, ``max_offset_s``) outside (0, 1 h]."""
+    """Reject a scheduler window (``sensitivity_s``, ``max_offset_s``) outside (0, 1 h].
+
+    The scheduler works in whole milliseconds, so a window must also
+    round to at least 1 ms: at 0 ms no chord could ever consume a boundary.
+    """
     if not 0 < seconds <= MAX_WINDOW_S:
         raise ValueError(f"{name} must be in (0, {MAX_WINDOW_S:g}] s, got {seconds}")
+    if int(round(seconds * 1000)) < 1:
+        raise ValueError(f"{name} must round to at least 1 ms, got {seconds}")
 
 
 def _is_finite_number(value) -> bool:

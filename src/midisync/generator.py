@@ -3,27 +3,22 @@
 A *model* here is anything that maps the generation context (token
 history, per-token offset history, valence, arousal) to a probability
 distribution over the vocabulary.  The loop in :func:`generate` owns
-everything else: it masks grammatically invalid continuations, applies
-temperature and top-k, samples with a seeded generator, feeds every
-emitted token to the boundary scheduler, and stops once the time cursor
-reaches the requested duration.  Its one state, the scheduler's
+everything else: it checks the vector, then normalises, tempers, cuts to
+top-k and samples with a seeded generator on its support (the valid ids
+with nonzero probability), feeds every emitted token to the boundary
+scheduler, and stops once the time cursor reaches the requested
+duration.  Its one state, the scheduler's
 :class:`~midisync.scheduler.GeneratorState`, is the
 :class:`~midisync.tokens.DecodeState` that also reads streams back into
 notes.  :func:`~midisync.scheduler.on_token` folds each emitted token
 into it once; the grammar mask and the built-in models read it, so a
 step costs the same at any history length.
 
-Checks, normalisation and temperature run over the full vector; top-k
-breaks ties by the lower id, so every CPU keeps the same ids.  The draw
-runs over the nonzero ids only, with one seeded uniform per step, and
-picks the id ``Generator.choice`` over the full vector would.
-A temperature that underflows all valid mass raises :class:`GenerationError`.
-
 Two models ship with the package: :class:`ReferenceModel`, a small
 hand-written heuristic that reacts to valence/arousal and to the
 current boundary offset, and :class:`ScriptedBoundaryModel`, a
 deterministic walker that provably places a chord inside every
-boundary's sensitivity window (useful for end-to-end pipeline checks).
+boundary's sensitivity window above 4 ms (for end-to-end checks).
 Both read the loop's state, passed as ``state=``, and keep none of their
 own, so one instance is safe to share.
 """
@@ -240,16 +235,47 @@ def _validate_distribution(probs: np.ndarray, step: int) -> np.ndarray:
     return probs
 
 
-def _draw(probs: np.ndarray, support: np.ndarray, rng: np.random.Generator) -> int:
-    """The id ``rng.choice(len(probs), p=probs)`` would pick, drawn among ``support``.
+def _draw(support: np.ndarray, weights: np.ndarray, rng: np.random.Generator) -> int:
+    """The id ``rng.choice`` over the full vector would pick, drawn among ``support``.
 
-    ``support`` lists the nonzero ids in order.  Zero entries leave
-    ``choice``'s sequential cumsum unchanged, so its inverse CDF meets the
-    same id with the same single uniform.
+    ``support`` lists the nonzero ids in order, ``weights`` their
+    probabilities.  Zeros leave ``choice``'s sequential cumsum unchanged,
+    so its inverse CDF meets the same id with the same single uniform.
     """
-    cdf = probs[support].cumsum()
+    cdf = weights.cumsum()
     cdf /= cdf[-1]
     return int(support[cdf.searchsorted(rng.random(), side="right")])
+
+
+def _sample(
+    probs: np.ndarray, state: GeneratorState, sampling: SamplingParams, rng: np.random.Generator
+) -> int:
+    """One step's id: ``probs`` checked, then drawn on the valid support (see :func:`generate`)."""
+    probs = _validate_distribution(probs, step=len(state.tokens))
+    support = np.flatnonzero(state.mask() & (probs > 0))
+    if not support.size:
+        raise GenerationError(
+            f"no grammatically valid token has probability mass at cursor "
+            f"{state.cursor_s:.3f} s (step {len(state.tokens)})"
+        )
+    p = probs[support]
+    p /= p.sum()
+    if sampling.temperature != 1.0:
+        p **= 1.0 / sampling.temperature
+        tempered = float(p.sum())
+        if tempered <= 0.0:
+            raise GenerationError(
+                f"temperature {sampling.temperature!r} underflows every valid token's "
+                f"probability to 0 at cursor {state.cursor_s:.3f} s (step {len(state.tokens)})"
+            )
+        p /= tempered
+        kept = np.flatnonzero(p)
+        support, p = support[kept], p[kept]
+    if sampling.top_k is not None and sampling.top_k < support.size:
+        kept = np.sort(np.lexsort((support, -p))[: sampling.top_k])
+        support, p = support[kept], p[kept]
+        p /= p.sum()
+    return _draw(support, p, rng)
 
 
 def generate(
@@ -262,13 +288,21 @@ def generate(
 ) -> GenerationResult:
     """Sample a token sequence of roughly ``duration_s`` seconds.
 
-    The emitted history always begins with START.  Each step masks the
-    model's distribution with the grammar, renormalizes, applies
-    temperature (probabilities raised to 1/T) and top-k truncation, and
-    samples.  The loop ends when the cursor reaches ``duration_s``
-    (overshoot is below one maximal time shift), and fails loudly if
-    ``max_tokens`` is hit first, or at once if ``max_tokens - 1``
-    maximal time shifts cannot reach ``duration_s``.
+    The emitted history always begins with START.  Each step checks the
+    model's vector over all ids, then renormalizes it on the support,
+    applies temperature (weights raised to 1/T) and top-k truncation, and
+    draws, with the ids the full vector would give:
+
+    * an empty support raises "no grammatically valid token";
+    * at T != 1, ids whose renormalized tempered weight is 0 drop out,
+      and an all-zero tempered support raises the underflow error;
+    * at T == 1 the support is normalized once, not a second time;
+    * top-k keeps the k largest, ties to the lower id, back in id order.
+
+    The loop ends when the cursor reaches ``duration_s`` (overshoot is
+    below one maximal time shift), and fails loudly if ``max_tokens`` is
+    hit first, or at once if ``max_tokens - 1`` maximal time shifts
+    cannot reach ``duration_s``.
     """
     if not (math.isfinite(duration_s) and duration_s * 1000 > 0.5):  # rounds to >= 1 ms
         raise ValueError(f"duration_s must be finite and round to at least 1 ms, got {duration_s}")
@@ -294,38 +328,8 @@ def generate(
                 f"exceeded max_tokens={sampling.max_tokens} at cursor "
                 f"{state.cursor_s:.3f} s of {duration_s:.3f} s"
             )
-        probs = _validate_distribution(
-            propose(state.tokens, state.offsets, va.valence, va.arousal),
-            step=len(state.tokens),
-        )
-        masked = np.where(state.mask(), probs, 0.0)
-        total = float(masked.sum())
-        if total <= 0.0:
-            raise GenerationError(
-                f"no grammatically valid token has probability mass at cursor "
-                f"{state.cursor_s:.3f} s (step {len(state.tokens)})"
-            )
-        masked /= total
-        if sampling.temperature != 1.0:
-            nonzero = masked > 0
-            masked[nonzero] = masked[nonzero] ** (1.0 / sampling.temperature)
-            tempered = float(masked.sum())
-            if tempered <= 0.0:
-                raise GenerationError(
-                    f"temperature {sampling.temperature!r} underflows every valid token's "
-                    f"probability to 0 at cursor {state.cursor_s:.3f} s (step {len(state.tokens)})"
-                )
-            masked /= tempered
-        support = (masked > 0).nonzero()[0]  # ~3x faster than masked.nonzero()
-        if sampling.top_k is not None and sampling.top_k < support.size:
-            # the k most probable ids, ties broken by the lower id
-            keep = support[np.lexsort((support, -masked[support]))[: sampling.top_k]]
-            pruned = np.zeros_like(masked)
-            pruned[keep] = masked[keep]
-            masked = pruned / pruned.sum()
-            support = (masked > 0).nonzero()[0]
-        token = VOCABULARY[_draw(masked, support, rng)]
-        on_token(state, token, scheduler)
+        probs = propose(state.tokens, state.offsets, va.valence, va.arousal)
+        on_token(state, VOCABULARY[_sample(probs, state, sampling, rng)], scheduler)
 
     return GenerationResult(
         tokens=state.tokens,
@@ -371,10 +375,12 @@ class ScriptedBoundaryModel:
     """Deterministic walker that hits every boundary's window.
 
     Strategy: shift toward the next boundary, stopping about 300 ms
-    short; emit CHORD plus a held piano triad there; release notes once
-    they have sounded for at least two beats and the next boundary is
-    comfortably far.  Every distribution is one-hot, so generation is
-    identical for any seed.
+    short; emit CHORD plus a held piano triad there, and if that missed
+    the window, shift onto the boundary and chord again, so windows above
+    4 ms (half the grid) are always hit; release notes once they have
+    sounded for at least two beats and the next boundary is comfortably
+    far.  Every distribution is one-hot, so generation is identical for
+    any seed.
     """
 
     CHORD_TRIGGER_MS = 400
@@ -400,7 +406,9 @@ class ScriptedBoundaryModel:
         if remaining:
             return Token.on(Instrument.PIANO, remaining[0]).id
         if offset_ms <= self.CHORD_TRIGGER_MS:
-            return CHORD.id
+            if state.shifted_since_chord:
+                return CHORD.id
+            return Token.shift(_snap_shift(offset_ms)).id
         # OFF ids run by instrument, alphabetically, then pitch, so ties on
         # the onset break as (instrument, pitch).
         ripe = [

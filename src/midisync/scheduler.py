@@ -96,8 +96,8 @@ class GeneratorState(DecodeState):
     boundary (all pending at first), and the tokens and offsets.
 
     ``first_pending`` only moves forward: every boundary before it has
-    left the pending state, which it never re-enters, so the step
-    functions below start there instead of walking every boundary.
+    left the pending state, which it never re-enters, so :func:`on_token`
+    starts its walk there instead of at the first boundary.
     """
 
     __slots__ = ("boundaries", "states", "tokens", "offsets", "first_pending")
@@ -119,61 +119,34 @@ class GeneratorState(DecodeState):
         return self.cursor_ms / 1000.0
 
 
-def next_offset(state: GeneratorState, params: SchedulerParams) -> float:
-    """Distance to the earliest pending boundary, clamped to [0, cap]."""
-    states = state.states
-    i = state.first_pending
-    while i < len(states) and states[i] is not BoundaryState.PENDING:
-        i += 1
-    state.first_pending = i
-    cap = params.max_offset_ms
-    if i == len(states):
-        return cap / 1000.0
-    raw = state.boundaries.times_ms[i] - state.cursor_ms
-    return min(max(raw, 0), cap) / 1000.0
-
-
-def expire_missed(state: GeneratorState, params: SchedulerParams) -> list[float]:
-    """Mark boundaries left strictly more than the window behind the cursor.
-
-    Idempotent; returns the times (seconds) of newly expired boundaries.
-    Times increase, so the scan stops at the first boundary still within
-    reach of the cursor.
-    """
-    xi = params.sensitivity_ms
-    times, states = state.boundaries.times_ms, state.states
-    newly = []
-    i = state.first_pending
-    while i < len(times) and state.cursor_ms - times[i] > xi:
-        if states[i] is BoundaryState.PENDING:
-            states[i] = BoundaryState.EXPIRED
-            newly.append(times[i] / 1000.0)
-        i += 1
-    state.first_pending = i
-    return newly
-
-
 def on_token(state: GeneratorState, token: Token, params: SchedulerParams) -> float:
     """Advance the state by one emitted token; returns the recorded offset.
 
-    The step is atomic: the decode state takes the token (a TIMESHIFT
-    moves the cursor, see :meth:`DecodeState.push`), a chord consumes
-    every pending boundary strictly within the window (CHORD), missed
-    boundaries expire, and only then is the offset computed and
-    appended.  Its cost does not grow with the number of boundaries
-    already passed.
+    The decode state takes the token (see :meth:`DecodeState.push`), then
+    one walk from ``first_pending`` consumes and expires boundaries as the
+    module docstring says.  It stops at the first boundary that is pending
+    and not missed, which gives the offset; a CHORD walks on to its
+    window's end, past a boundary exactly one window behind.
     """
     state.push(token)
-    if token.id == CHORD.id:
-        xi = params.sensitivity_ms
-        times, states = state.boundaries.times_ms, state.states
-        for i in range(state.first_pending, len(times)):
-            if times[i] - state.cursor_ms >= xi:
-                break
-            if states[i] is BoundaryState.PENDING and state.cursor_ms - times[i] < xi:
+    chord = token.id == CHORD.id
+    xi, cursor, cap = params.sensitivity_ms, state.cursor_ms, params.max_offset_ms
+    times, states = state.boundaries.times_ms, state.states
+    n = len(times)
+    i, first = state.first_pending, n
+    while i < n and (first == n or chord and times[i] - cursor < xi):
+        if states[i] is BoundaryState.PENDING:
+            behind = cursor - times[i]
+            if behind > xi:
+                states[i] = BoundaryState.EXPIRED
+            elif chord and abs(behind) < xi:
                 states[i] = BoundaryState.CONSUMED
-    expire_missed(state, params)
-    offset = next_offset(state, params)
+            elif first == n:
+                first = i
+        i += 1
+    state.first_pending = first
+    raw = times[first] - cursor if first < n else cap
+    offset = min(max(raw, 0), cap) / 1000.0
     state.tokens.append(token)
     state.offsets.append(offset)
     return offset

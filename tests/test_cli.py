@@ -13,7 +13,7 @@ import pytest
 
 from midisync import midi_codec
 from midisync.chords import detect_chords
-from midisync.cli import SNIFF_BYTES, _sniff_scene_source, main
+from midisync.cli import MAX_AUGMENT, SNIFF_BYTES, _sniff_scene_source, build_parser, main
 from midisync.config import PipelineConfig
 from midisync.midi_codec import NoteEvent, ScoreTimeline, parse_midi, write_midi
 from midisync.tokens import VOCABULARY, Instrument, check_manifest, format_manifest, parse_tokens
@@ -704,6 +704,8 @@ def test_every_config_key_changes_an_output(tmp_path, monkeypatch, key):
         ("--sensitivity", "-1", "sensitivity_s"),
         ("--delta-max", "inf", "max_offset_s"),
         ("--delta-max", "1e308", "max_offset_s"),
+        ("--delta-max", "0.0004", "max_offset_s"),  # rounds to a 0 ms cap
+        ("--sensitivity", "0.0004", "sensitivity_s"),
         ("--min-gap", "-1", "min_gap_s"),
     ],
 )
@@ -766,6 +768,17 @@ def test_negative_count_flag_is_rejected_before_any_file_is_read(tmp_path, capsy
     assert f"argument {flag}: must be a non-negative integer, got {argv[-1]}" in err
     assert "skipping" not in err
     assert not (tmp_path / "out").exists() and not (tmp_path / "x.mid").exists()
+
+
+@pytest.mark.parametrize("value", [str(MAX_AUGMENT + 1), "99999999999999999999"])
+def test_augment_above_the_cap_is_rejected_before_any_file_is_read(tmp_path, capsys, value):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["prepare", str(tmp_path / "missing"), str(tmp_path / "out"), "--augment", value])
+    assert exit_info.value.code == 2
+    assert f"argument --augment: must be at most 64, got {value}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    args = build_parser().parse_args(["prepare", "in", "out", "--augment", str(MAX_AUGMENT)])
+    assert args.augment == MAX_AUGMENT == 64
 
 
 def test_override_flag_wins_over_the_config_file(tmp_path):

@@ -101,6 +101,14 @@ def test_scheduler_windows_of_exactly_one_hour_accepted(name):
     assert getattr(PipelineConfig(**{name: MAX_WINDOW_S}), name) == MAX_WINDOW_S
 
 
+@pytest.mark.parametrize("value", [0.0004, 0.0005, 1e-300])
+@pytest.mark.parametrize("name", ["sensitivity_s", "max_offset_s"])
+def test_scheduler_windows_that_round_to_0_ms_rejected(name, value):
+    with pytest.raises(ValueError, match=f"{name} must round to at least 1 ms, got {value}"):
+        PipelineConfig(**{name: value})
+    assert getattr(PipelineConfig(**{name: 0.0006}), name) == 0.0006  # rounds to 1 ms
+
+
 @pytest.mark.parametrize(
     "key",
     ["resolution_ms", "max_shift_ms", "feature_dim", "chord_token_loss_weight", "default_velocity"],

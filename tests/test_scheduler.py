@@ -17,14 +17,12 @@ from midisync.scheduler import (
     SchedulerParams,
     _compute_offsets,
     derive_boundaries,
-    expire_missed,
     format_boundaries,
-    next_offset,
     offsets_for_sequence,
     on_token,
     parse_boundaries,
 )
-from midisync.tokens import CHORD, START, DecodeState, Instrument, Token, TokenKind, cursor_after
+from midisync.tokens import BAR, CHORD, START, DecodeState, Instrument, Token, TokenKind, cursor_after
 
 
 def fold_offsets(tokens, boundaries: BoundaryList, params: SchedulerParams) -> list[float]:
@@ -76,8 +74,17 @@ def test_params_reject_windows_above_one_hour_naming_the_field(name, value):
         SchedulerParams(**{name: value})
 
 
+@pytest.mark.parametrize("value", [0.0004, 0.0005, 1e-300])
+@pytest.mark.parametrize("name", ["sensitivity_s", "max_offset_s"])
+def test_params_reject_windows_that_round_to_0_ms_naming_the_field(name, value):
+    with pytest.raises(ValueError, match=f"{name} must round to at least 1 ms"):
+        SchedulerParams(**{name: value})
+    params = SchedulerParams(**{name: 0.0006})
+    assert getattr(params, name.replace("_s", "_ms")) == 1
+
+
 # ---------------------------------------------------------------------------
-# next_offset / on_token / expire_missed examples
+# on_token examples
 # ---------------------------------------------------------------------------
 
 
@@ -87,12 +94,13 @@ def make_state(cursor_s: float, times_s) -> GeneratorState:
     return state
 
 
-def test_next_offset_examples():
+def test_on_token_offset_examples():
     params = SchedulerParams()  # xi=1.0, cap 4.0
-    assert next_offset(make_state(0.0, [2.5]), params) == 2.5
-    assert next_offset(make_state(0.0, [6.0]), params) == 4.0   # capped
-    assert next_offset(make_state(3.0, [2.5]), params) == 0.0   # passed, clamped
-    assert next_offset(make_state(0.0, []), params) == 4.0      # nothing pending
+    # BAR leaves the cursor where make_state put it
+    assert on_token(make_state(0.0, [2.5]), BAR, params) == 2.5
+    assert on_token(make_state(0.0, [6.0]), BAR, params) == 4.0   # capped
+    assert on_token(make_state(3.0, [2.5]), BAR, params) == 0.0   # passed, clamped
+    assert on_token(make_state(0.0, []), BAR, params) == 4.0      # nothing pending
 
 
 def test_on_token_timeshift_advances_cursor():
@@ -136,20 +144,34 @@ def test_on_token_chord_consumes_multiple_pending():
     assert state.states[2] is BoundaryState.PENDING
 
 
-def test_expire_missed_examples():
+def test_on_token_expiry_examples():
     params = SchedulerParams(sensitivity_s=1.0)
     state = make_state(7.0, [5.0, 8.0])
-    newly = expire_missed(state, params)
-    assert newly == [5.0]
-    assert state.states[0] is BoundaryState.EXPIRED
-    assert state.states[1] is BoundaryState.PENDING
+    on_token(state, BAR, params)
+    assert state.states == [BoundaryState.EXPIRED, BoundaryState.PENDING]
     # idempotent
-    assert expire_missed(state, params) == []
+    on_token(state, BAR, params)
+    assert state.states == [BoundaryState.EXPIRED, BoundaryState.PENDING]
 
     edge = make_state(5.5, [5.0])
-    assert expire_missed(edge, params) == []  # 0.5 s behind: still pending
+    on_token(edge, BAR, params)
+    assert edge.states == [BoundaryState.PENDING]  # 0.5 s behind: still pending
     at_edge = make_state(6.0, [5.0])
-    assert expire_missed(at_edge, params) == []  # exactly xi behind: still pending
+    on_token(at_edge, BAR, params)
+    assert at_edge.states == [BoundaryState.PENDING]  # exactly xi behind: still pending
+
+
+def test_chord_consumes_past_a_boundary_exactly_one_window_behind():
+    params = SchedulerParams(sensitivity_s=1.0)
+    state = make_state(6.0, [5.0, 5.5, 6.9, 7.0])
+    assert on_token(state, CHORD, params) == 0.0
+    assert state.states == [
+        BoundaryState.PENDING,  # exactly xi behind: neither missed nor reached
+        BoundaryState.CONSUMED,
+        BoundaryState.CONSUMED,
+        BoundaryState.PENDING,  # exactly xi ahead
+    ]
+    assert state.first_pending == 0
 
 
 def test_expiry_happens_inside_on_token():
@@ -448,14 +470,15 @@ def test_step_functions_match_whole_list_scan():
         fast.states, slow.states = list(settled), list(settled)
         fast.cursor_ms = slow.cursor_ms = start
         for tok in tokens:
-            newly, expected = scan_step(slow, tok, params)
-            if tok.shift_ms:
-                fast.cursor_ms += tok.shift_ms
-                assert expire_missed(fast, params) == newly
-                assert next_offset(fast, params) == expected
-                fast.cursor_ms -= tok.shift_ms  # on_token below moves it again
+            _, expected = scan_step(slow, tok, params)
             assert on_token(fast, tok, params) == expected
             assert fast.states == slow.states
+            if tok.shift_ms:
+                # a token that leaves the cursor alone settles nothing more
+                newly, expected = scan_step(slow, BAR, params)
+                assert newly == []
+                assert on_token(fast, BAR, params) == expected
+                assert fast.states == slow.states
         assert fast.cursor_ms == slow.cursor_ms
 
 
