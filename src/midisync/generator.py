@@ -3,24 +3,24 @@
 A *model* here is anything that maps the generation context (token
 history, per-token offset history, valence, arousal) to a probability
 distribution over the vocabulary.  The loop in :func:`generate` owns
-everything else: it checks the vector, then normalises, tempers, cuts to
-top-k and samples with a seeded generator on its support (the valid ids
-with nonzero probability), feeds every emitted token to the boundary
-scheduler, and stops once the time cursor reaches the requested
-duration.  Its one state, the scheduler's
-:class:`~midisync.scheduler.GeneratorState`, is the
-:class:`~midisync.tokens.DecodeState` that also reads streams back into
-notes.  :func:`~midisync.scheduler.on_token` folds each emitted token
-into it once; the grammar mask and the built-in models read it, so a
-step costs the same at any history length.
+everything else: it reduces the proposal to its valid nonzero
+``(id, weight)`` pairs, samples among them in plain Python with a seeded
+generator, feeds every emitted token to the boundary scheduler, and
+stops once the time cursor reaches the requested duration.  Its one
+state, the scheduler's :class:`~midisync.scheduler.GeneratorState`, is
+the :class:`~midisync.tokens.DecodeState` that also reads streams back
+into notes.  :func:`~midisync.scheduler.on_token` folds each emitted
+token into it once; the grammar mask and the built-in models read it,
+so a step costs the same at any history length.
 
 Two models ship with the package: :class:`ReferenceModel`, a small
 hand-written heuristic that reacts to valence/arousal and to the
 current boundary offset, and :class:`ScriptedBoundaryModel`, a
 deterministic walker that provably places a chord inside every
 boundary's sensitivity window above 4 ms (for end-to-end checks).
-Both read the loop's state, passed as ``state=``, and keep none of their
-own, so one instance is safe to share.
+Both keep no state of their own, so one instance is safe to share: the
+loop reads their ``(id, weight)`` pairs on its state, and their public
+``next_distribution`` scatters the same pairs into a vector.
 """
 
 from __future__ import annotations
@@ -28,7 +28,10 @@ from __future__ import annotations
 import functools
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from types import MappingProxyType
 from typing import Protocol
 
 import numpy as np
@@ -49,11 +52,13 @@ from .tokens import (
     VOCABULARY,
     DecodeState,
     Instrument,
+    Pairs,
     Token,
 )
 from .emotion import VAPoint
 
 DEFAULT_MAX_TOKENS = 200_000
+_INVALID_ENTRIES = "step {step}: model distribution has invalid entries"
 
 MAJOR_SCALE = (0, 2, 4, 5, 7, 9, 11)
 MINOR_SCALE = (0, 2, 3, 5, 7, 8, 10)
@@ -66,8 +71,8 @@ class GenerationError(RuntimeError):
 class NextTokenModel(Protocol):
     """Anything that proposes the next token as a vocabulary distribution.
 
-    :func:`generate` makes this four-argument call; only the built-in
-    models (and their subclasses) also get its state as ``state=``.
+    :func:`generate` makes this four-argument call at every step; of the
+    built-in models (and their subclasses) it reads the pairs directly.
     """
 
     def next_distribution(
@@ -214,68 +219,56 @@ class GenerationResult:
         return json.dumps(self.diagnostics(), indent=2) + "\n"
 
 
-def _validate_distribution(probs: np.ndarray, step: int) -> np.ndarray:
+def _dense_pairs(probs: np.ndarray, state: GeneratorState) -> Pairs:
+    """A model's vector checked over all ids, then reduced to its valid nonzero pairs."""
+    step = len(state.tokens)
     probs = np.asarray(probs, dtype=np.float64)
     if probs.shape != (len(VOCABULARY),):
         raise GenerationError(
             f"step {step}: model distribution has shape {probs.shape}, "
             f"expected ({len(VOCABULARY)},)"
         )
-    # Entries in [0, 2] rule out NaN, inf, negatives and a sum that
-    # overflows; only a vector failing that pays for the full scans.
+    # Entries in [0, 2] rule out NaN, inf, negatives and an overflowing sum in two cheap scans.
     if probs.min() >= 0 and probs.max() <= 2.0:
         total = float(probs.sum())
     elif np.any(~np.isfinite(probs)) or np.any(probs < 0):
-        raise GenerationError(f"step {step}: model distribution has invalid entries")
+        raise GenerationError(_INVALID_ENTRIES.format(step=step))
     else:
         with np.errstate(over="ignore"):
             total = float(probs.sum())
     if abs(total - 1.0) > 1e-6:
         raise GenerationError(f"step {step}: model distribution sums to {total!r}, not 1")
-    return probs
-
-
-def _draw(support: np.ndarray, weights: np.ndarray, rng: np.random.Generator) -> int:
-    """The id ``rng.choice`` over the full vector would pick, drawn among ``support``.
-
-    ``support`` lists the nonzero ids in order, ``weights`` their
-    probabilities.  Zeros leave ``choice``'s sequential cumsum unchanged,
-    so its inverse CDF meets the same id with the same single uniform.
-    """
-    cdf = weights.cumsum()
-    cdf /= cdf[-1]
-    return int(support[cdf.searchsorted(rng.random(), side="right")])
-
-
-def _sample(
-    probs: np.ndarray, state: GeneratorState, sampling: SamplingParams, rng: np.random.Generator
-) -> int:
-    """One step's id: ``probs`` checked, then drawn on the valid support (see :func:`generate`)."""
-    probs = _validate_distribution(probs, step=len(state.tokens))
     support = np.flatnonzero(state.mask() & (probs > 0))
-    if not support.size:
+    return list(zip(support.tolist(), probs[support].tolist()))
+
+
+def _sample(pairs: Pairs, state: GeneratorState, sampling: SamplingParams, rng) -> int:
+    """One step's id, drawn among the valid nonzero ``pairs`` (see :func:`generate`)."""
+    if not pairs:
         raise GenerationError(
             f"no grammatically valid token has probability mass at cursor "
             f"{state.cursor_s:.3f} s (step {len(state.tokens)})"
         )
-    p = probs[support]
-    p /= p.sum()
+    ids, weights = zip(*pairs)
+    *_, total = accumulate(weights)  # left to right, as every sum here
+    weights = [w / total for w in weights]
     if sampling.temperature != 1.0:
-        p **= 1.0 / sampling.temperature
-        tempered = float(p.sum())
+        power = 1.0 / sampling.temperature
+        weights = [w**power for w in weights]
+        *_, tempered = accumulate(weights)
         if tempered <= 0.0:
             raise GenerationError(
                 f"temperature {sampling.temperature!r} underflows every valid token's "
                 f"probability to 0 at cursor {state.cursor_s:.3f} s (step {len(state.tokens)})"
             )
-        p /= tempered
-        kept = np.flatnonzero(p)
-        support, p = support[kept], p[kept]
-    if sampling.top_k is not None and sampling.top_k < support.size:
-        kept = np.sort(np.lexsort((support, -p))[: sampling.top_k])
-        support, p = support[kept], p[kept]
-        p /= p.sum()
-    return _draw(support, p, rng)
+        ids, weights = zip(*[(i, w / tempered) for i, w in zip(ids, weights) if w])
+    k = sampling.top_k
+    if k is not None and k < len(ids):
+        top = sorted(sorted(range(len(ids)), key=weights.__getitem__, reverse=True)[:k])
+        ids, weights = [ids[j] for j in top], [weights[j] for j in top]
+    cdf = list(accumulate(weights))
+    last = cdf[-1]
+    return ids[bisect_right(cdf, rng.random(), key=lambda c: c / last)]
 
 
 def generate(
@@ -288,16 +281,18 @@ def generate(
 ) -> GenerationResult:
     """Sample a token sequence of roughly ``duration_s`` seconds.
 
-    The emitted history always begins with START.  Each step checks the
-    model's vector over all ids, then renormalizes it on the support,
-    applies temperature (weights raised to 1/T) and top-k truncation, and
-    draws, with the ids the full vector would give:
-
-    * an empty support raises "no grammatically valid token";
-    * at T != 1, ids whose renormalized tempered weight is 0 drop out,
-      and an all-zero tempered support raises the underflow error;
-    * at T == 1 the support is normalized once, not a second time;
-    * top-k keeps the k largest, ties to the lower id, back in id order.
+    The emitted history always begins with START.  Each step takes the
+    valid nonzero ``(id, weight)`` pairs in id order (a built-in model's
+    own, or any other model's checked vector), then normalises, tempers
+    (to the power 1/T, renormalised; zeros drop out), cuts to top-k (ties
+    to the lower id, back in id order) and draws, in plain Python, the id
+    ``Generator.choice`` over the full vector would.  Exactness rules:
+    sums run left to right through ``itertools.accumulate``, never
+    ``sum()`` (compensated from Python 3.12) or ``math.fsum``; the draw is
+    ``bisect_right`` on ``cdf / cdf[-1]`` with one ``rng.random()``, so
+    top-k is not renormalised.  Checks, in order: a vector's shape,
+    invalid entries (a built-in weight too), a vector's sum, "no
+    grammatically valid token", then the temperature underflow.
 
     The loop ends when the cursor reaches ``duration_s`` (overshoot is
     below one maximal time shift), and fails loudly if ``max_tokens`` is
@@ -318,9 +313,6 @@ def generate(
 
     state = GeneratorState(boundaries)
     on_token(state, START, scheduler)
-    propose = model.next_distribution
-    if isinstance(model, (ReferenceModel, ScriptedBoundaryModel)):
-        propose = functools.partial(propose, state=state)
 
     while state.cursor_s < duration_s:
         if len(state.tokens) >= sampling.max_tokens:
@@ -328,8 +320,16 @@ def generate(
                 f"exceeded max_tokens={sampling.max_tokens} at cursor "
                 f"{state.cursor_s:.3f} s of {duration_s:.3f} s"
             )
-        probs = propose(state.tokens, state.offsets, va.valence, va.arousal)
-        on_token(state, VOCABULARY[_sample(probs, state, sampling, rng)], scheduler)
+        if isinstance(model, _BuiltinModel):
+            pairs = model._weights(state, state.offsets, va.valence, va.arousal)
+            for _, w in pairs:  # checked as a vector's entries are, then masked
+                if not 0.0 <= w < math.inf:
+                    raise GenerationError(_INVALID_ENTRIES.format(step=len(state.tokens)))
+            pairs = state.valid(pairs)
+        else:
+            probs = model.next_distribution(state.tokens, state.offsets, va.valence, va.arousal)
+            pairs = _dense_pairs(probs, state)
+        on_token(state, VOCABULARY[_sample(pairs, state, sampling, rng)], scheduler)
 
     return GenerationResult(
         tokens=state.tokens,
@@ -346,15 +346,32 @@ def generate(
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=4096)
 def _snap_shift(ms: float) -> int:
     snapped = int(round(ms / RESOLUTION_MS)) * RESOLUTION_MS
     return max(RESOLUTION_MS, min(MAX_SHIFT_MS, snapped))
 
 
 @functools.cache
-def _pace_ids(step: int) -> tuple[int, int, int]:
-    """TIMESHIFT ids of the pace ``step`` and of twice and half of it."""
-    return tuple(Token.shift(_snap_shift(ms)).id for ms in (step, step * 2, step / 2))
+def _pace_weights(step: int) -> MappingProxyType[int, float]:
+    """TIMESHIFT weights, read only: 3 on the pace ``step``, plus 0.5 on twice and on half of it."""
+    weights: dict[int, float] = {}
+    for ms, weight in ((step, 3.0), (step * 2, 0.5), (step / 2, 0.5)):
+        shift_id = Token.shift(_snap_shift(ms)).id
+        weights[shift_id] = weights.get(shift_id, 0.0) + weight
+    return MappingProxyType(weights)
+
+
+class _BuiltinModel:
+    """A model whose ``_weights(state, offsets, valence, arousal)`` pairs :func:`generate` reads."""
+
+    def next_distribution(self, tokens, offsets, valence, arousal, state=None):
+        """The pairs for ``tokens`` (folded unless ``state`` is given) as a normalised vector."""
+        state = _fold(tokens) if state is None else state
+        weights = np.zeros(len(VOCABULARY))
+        for token_id, weight in self._weights(state, offsets, valence, arousal):
+            weights[token_id] = weight
+        return weights / weights.sum()
 
 
 @functools.cache
@@ -371,7 +388,7 @@ def _candidates(root: int, scale: tuple[int, ...], last: int) -> tuple[tuple[int
     )
 
 
-class ScriptedBoundaryModel:
+class ScriptedBoundaryModel(_BuiltinModel):
     """Deterministic walker that hits every boundary's window.
 
     Strategy: shift toward the next boundary, stopping about 300 ms
@@ -393,11 +410,8 @@ class ScriptedBoundaryModel:
             raise ValueError("root_pitch must leave room for a triad above it")
         self.triad = (root_pitch, root_pitch + 4, root_pitch + 7)
 
-    def next_distribution(self, tokens, offsets, valence, arousal, state=None):
-        state = _fold(tokens) if state is None else state
-        probs = np.zeros(len(VOCABULARY))
-        probs[self._next_id(state, offsets)] = 1.0
-        return probs
+    def _weights(self, state: DecodeState, offsets, valence, arousal) -> Pairs:
+        return [(self._next_id(state, offsets), 1.0)]
 
     def _next_id(self, state: DecodeState, offsets: list[float]) -> int:
         offset_ms = int(round((offsets[-1] if offsets else PipelineConfig.max_offset_s) * 1000))
@@ -421,7 +435,7 @@ class ScriptedBoundaryModel:
         return Token.shift(_snap_shift(offset_ms - self.APPROACH_MARGIN_MS)).id
 
 
-class ReferenceModel:
+class ReferenceModel(_BuiltinModel):
     """Hand-written heuristic model used as the package's default.
 
     Valence picks the scale (major above zero, minor otherwise) around a
@@ -439,7 +453,6 @@ class ReferenceModel:
             raise ValueError(f"key_root should be a mid-range pitch, got {key_root}")
         self.key_root = key_root
 
-    # -- internals -----------------------------------------------------
     def _scale(self, valence: float | None) -> tuple[int, ...]:
         v = 0.5 if valence is None else valence
         return MAJOR_SCALE if v > 0 else MINOR_SCALE
@@ -459,32 +472,19 @@ class ReferenceModel:
             return 4.0
         return 0.02
 
-    # -- protocol --------------------------------------------------------
-    def next_distribution(self, tokens, offsets, valence, arousal, state=None):
-        state = _fold(tokens) if state is None else state
-        weights = np.zeros(len(VOCABULARY))
+    def _weights(self, state: DecodeState, offsets, valence, arousal) -> Pairs:
         offset_s = offsets[-1] if offsets else PipelineConfig.max_offset_s
         step = self._step_ms(arousal)
-        triad = self._triad(valence)
 
-        remaining = state.chord_fill_remaining(triad)
+        remaining = state.chord_fill_remaining(self._triad(valence))
         if remaining:
-            for pitch in remaining:
-                weights[Token.on(Instrument.PIANO, pitch).id] = 1.0
-            return weights / weights.sum()
+            return sorted((Token.on(Instrument.PIANO, pitch).id, 1.0) for pitch in remaining)
 
-        weights[CHORD.id] = self._chord_weight(offset_s)
-        pace, slow, fast = _pace_ids(step)
-        weights[pace] = 3.0
-        weights[slow] += 0.5
-        weights[fast] += 0.5
-
+        weights = {CHORD.id: self._chord_weight(offset_s), **_pace_weights(step)}
         if state.open_count < self.MAX_OPEN_NOTES:
             last_pitch = self.key_root + 12 if state.last_on_pitch is None else state.last_on_pitch
-            for on_id, weight in _candidates(self.key_root, self._scale(valence), last_pitch):
-                weights[on_id] += weight
+            weights.update(_candidates(self.key_root, self._scale(valence), last_pitch))
         for off_id, starts in state.open_notes.items():
             if state.cursor_ms - starts[0] >= 2 * step:
-                weights[off_id] += 1.5
-
-        return weights / weights.sum()
+                weights[off_id] = 1.5
+        return sorted(weights.items())

@@ -705,16 +705,27 @@ def trim_to_duration(score: ScoreTimeline, duration_ms: int) -> ScoreTimeline:
     it are cut short at the limit.  Bar marks past the limit are dropped.
     Generation may overshoot its requested duration by up to one time
     shift, and this is the trim applied before the result is written out.
+
+    Clamping only lowers offsets, so the kept notes stay in order unless
+    a clamped note now ties the note before it on onset, instrument,
+    pitch and offset, where velocity decides; only then is the result
+    sorted again.
     """
     if duration_ms <= 0:
         raise ValueError(f"duration_ms must be positive, got {duration_ms}")
-    notes = [
-        _unchecked_note((inst, pitch, onset, min(offset, duration_ms), velocity))
-        for inst, pitch, onset, offset, velocity in score.notes
-        if onset < duration_ms
-    ]
+    notes: list[NoteEvent] = []
+    resort = False
+    for note in score.notes:
+        inst, pitch, onset, offset, velocity = note
+        if onset >= duration_ms:
+            break  # onsets are sorted: every later note starts past the limit too
+        if offset > duration_ms:
+            note = _unchecked_note((inst, pitch, onset, duration_ms, velocity))
+            resort = resort or bool(notes) and notes[-1][:4] == note[:4]
+        notes.append(note)
     marks = tuple(m for m in score.bar_marks_ms if m <= duration_ms)
-    return ScoreTimeline(notes=notes, tempo_bpm=score.tempo_bpm, bar_marks_ms=marks)
+    make = ScoreTimeline if resort else ScoreTimeline._presorted
+    return make(notes, score.tempo_bpm, marks)
 
 
 def transpose(score: ScoreTimeline, semitones: int) -> ScoreTimeline:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,18 +42,15 @@ class SchedulerParams:
 
     sensitivity_s: float = PipelineConfig.sensitivity_s
     max_offset_s: float = PipelineConfig.max_offset_s
+    # The same windows in whole ms, rounded once: on_token reads both per token.
+    sensitivity_ms: int = field(init=False, repr=False, compare=False)
+    max_offset_ms: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("sensitivity_s", "max_offset_s"):
             check_window(name, getattr(self, name))
-
-    @property
-    def sensitivity_ms(self) -> int:
-        return _to_ms(self.sensitivity_s)
-
-    @property
-    def max_offset_ms(self) -> int:
-        return _to_ms(self.max_offset_s)
+        object.__setattr__(self, "sensitivity_ms", _to_ms(self.sensitivity_s))
+        object.__setattr__(self, "max_offset_ms", _to_ms(self.max_offset_s))
 
 
 class BoundaryState(enum.Enum):

@@ -270,6 +270,11 @@ def parse_tokens(text: str) -> list[Token]:
 _FIRST_MASK = np.array([tok.kind is not TokenKind.OFF for tok in VOCABULARY])
 _BASE_MASK = _FIRST_MASK.copy()
 _BASE_MASK[[START.id, PAD.id]] = False
+# The same two rows as lists of bools, for the plain-Python :meth:`DecodeState.valid`.
+_MASK_ROWS = (_FIRST_MASK.tolist(), _BASE_MASK.tolist())
+
+#: ``(id, weight)`` pairs in increasing id order, as the sampling step reads a distribution.
+Pairs = list[tuple[int, float]]
 
 # Enum members as module globals: a member lookup on the class costs
 # several times a global lookup, and push runs once per token.
@@ -360,6 +365,13 @@ class DecodeState:
         if self.chord_pending:
             mask[CHORD.id] = False
         return mask
+
+    def valid(self, pairs: Pairs) -> Pairs:
+        """The ``(id, weight)`` pairs whose ids :meth:`mask` allows, in their order."""
+        row = _MASK_ROWS[self.length > 0]
+        open_notes = self.open_notes
+        blocked = CHORD.id if self.chord_pending else -1
+        return [p for p in pairs if (row[p[0]] or p[0] in open_notes) and p[0] != blocked]
 
     def chord_fill_remaining(self, triad: tuple[int, ...]) -> list[int]:
         """Triad pitches still owed to the most recent CHORD marker, if any."""

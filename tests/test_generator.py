@@ -21,14 +21,14 @@ from midisync.generator import (
     ReferenceModel,
     SamplingParams,
     ScriptedBoundaryModel,
-    _draw,
+    _dense_pairs,
     _sample,
     assemble_input,
     generate,
     grammar_mask,
 )
 from midisync.midi_codec import decode_events
-from midisync.scheduler import BoundaryList, SchedulerParams
+from midisync.scheduler import BoundaryList, GeneratorState, SchedulerParams, on_token
 from midisync.tokens import (
     CHORD,
     PAD,
@@ -170,6 +170,9 @@ def test_incremental_mask_matches_whole_history_oracle_at_every_prefix():
             expected = oracle_grammar_mask(tokens[:i])
             assert np.array_equal(state.mask(), expected), f"prefix {i}"
             assert np.array_equal(grammar_mask(tokens[:i]), expected), f"prefix {i}"
+            # the plain-Python mask over (id, weight) pairs keeps the same ids, in order
+            every = [(token_id, 0.5) for token_id in range(len(VOCABULARY))]
+            assert [t for t, _ in state.valid(every)] == np.flatnonzero(expected).tolist()
             if i < len(tokens):
                 state.push(tokens[i])
 
@@ -260,19 +263,24 @@ def test_generate_folds_each_token_once(make, monkeypatch):
 
 
 @pytest.mark.parametrize("model_class", [ReferenceModel, ScriptedBoundaryModel])
-def test_builtin_models_read_the_loop_state_as_they_read_the_plain_list(model_class, monkeypatch):
-    original = model_class.next_distribution
+def test_builtin_model_pairs_match_their_vector_on_the_plain_list(model_class, monkeypatch):
+    original = model_class._weights
     prefixes = []
 
-    def checked(self, tokens, offsets, valence, arousal, state=None):
-        assert state is not None and state.length == len(tokens)
-        got = original(self, tokens, offsets, valence, arousal, state=state)
-        plain = original(self, list(tokens), list(offsets), valence, arousal)
-        assert np.array_equal(got, plain), f"prefix {len(tokens)}"
-        prefixes.append(len(tokens))
-        return got
+    def checked(self, state, offsets, valence, arousal):
+        pairs = original(self, state, offsets, valence, arousal)
+        if isinstance(state, GeneratorState):  # the loop's call, not next_distribution's below
+            assert state.length == len(state.tokens) == len(offsets)
+            ids = [i for i, _ in pairs]
+            assert ids == sorted(set(ids)) and all(w > 0 for _, w in pairs), "id order, nonzero"
+            scattered = np.zeros(len(VOCABULARY))
+            scattered[ids] = [w for _, w in pairs]
+            plain = self.next_distribution(list(state.tokens), list(offsets), valence, arousal)
+            assert np.array_equal(scattered / scattered.sum(), plain), f"prefix {len(offsets)}"
+            prefixes.append(len(offsets))
+        return pairs
 
-    monkeypatch.setattr(model_class, "next_distribution", checked)
+    monkeypatch.setattr(model_class, "_weights", checked)
     tokens, _ = _history(7, model_class())
     assert prefixes == list(range(1, len(tokens)))
 
@@ -383,6 +391,26 @@ def test_invalid_distribution_messages(vector, message):
     with np.errstate(over="ignore"):
         total = float(vector.sum())
     assert str(excinfo.value) == message.format(total=total)
+
+
+class BadWeightModel(ReferenceModel):
+    """The reference model with one bad weight on an OFF id no note has opened."""
+
+    def __init__(self, weight: float):
+        super().__init__()
+        self.weight = weight
+
+    def _weights(self, state, offsets, valence, arousal):
+        bad = (Token.off(Instrument.BASS, 40).id, self.weight)
+        return sorted([*super()._weights(state, offsets, valence, arousal), bad])
+
+
+@pytest.mark.parametrize("weight", [np.nan, np.inf, -1e-9])
+def test_builtin_model_weights_are_checked_over_every_id_before_the_mask(weight):
+    # the bad id is masked out, but the check sees every pair first, as for a vector
+    with pytest.raises(GenerationError) as excinfo:
+        generate(BadWeightModel(weight), VAPoint(None, None), BoundaryList.from_times([]), 1.0)
+    assert str(excinfo.value) == "step 1: model distribution has invalid entries"
 
 
 def test_temperature_underflow_of_a_flat_vector_raises():
@@ -542,8 +570,10 @@ def _oracle_vectors() -> dict[str, np.ndarray]:
 def test_support_draw_matches_generator_choice(name, seed):
     probs = _oracle_vectors()[name]
     support = (probs > 0).nonzero()[0]
+    pairs = list(zip(support.tolist(), probs[support].tolist()))
+    state, sampling = MaskedState(np.ones(len(VOCABULARY), dtype=bool)), SamplingParams(top_k=None)
     ours, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
-    drawn = [_draw(support, probs[support], ours) for _ in range(50)]
+    drawn = [_sample(pairs, state, sampling, ours) for _ in range(50)]
     assert drawn == [int(oracle.choice(len(probs), p=probs)) for _ in range(50)]
     # one uniform per draw: the two generators are still in step
     assert ours.random() == oracle.random()
@@ -599,6 +629,11 @@ def _step_or_error(step, probs, state, sampling, rng):
         return str(exc)
 
 
+def dense_step(probs, state, sampling, rng) -> int:
+    """The step as :func:`generate` takes it for a model that returns a dense vector."""
+    return _sample(_dense_pairs(probs, state), state, sampling, rng)
+
+
 @pytest.mark.parametrize("name", sorted(_oracle_vectors()))
 @pytest.mark.parametrize("temperature", [1.0, 0.7, 1.3])
 @pytest.mark.parametrize("top_k", [None, 1, 2, 5, 32])  # "ties" has five ids on top
@@ -610,9 +645,39 @@ def test_support_step_matches_the_full_width_step(name, temperature, top_k):
         density = masks.choice([0.05, 0.3, 1.0])
         state = MaskedState(masks.random(len(VOCABULARY)) < density)
         ours, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = [_step_or_error(_sample, probs, state, sampling, ours) for _ in range(20)]
+        got = [_step_or_error(dense_step, probs, state, sampling, ours) for _ in range(20)]
         want = [_step_or_error(full_width_step, probs, state, sampling, oracle) for _ in range(20)]
         assert got == want
+        # one uniform per draw: the two generators are still in step
+        assert ours.random() == oracle.random()
+
+
+# (model, VA point, boundaries in s): runs whose every prefix is a seeded state
+_BUILTIN_RUNS = [
+    (ReferenceModel(), VAPoint(-0.2, 0.5), [2.0, 5.0, 8.0]),
+    (ReferenceModel(key_root=48), VAPoint(0.9, -0.8), [1.0, 1.5, 6.0]),
+    (ReferenceModel(key_root=72), VAPoint(None, None), []),
+    (ScriptedBoundaryModel(), VAPoint(0.3, 0.3), [2.0, 5.0, 8.0]),
+]
+
+
+@pytest.mark.parametrize("run", range(len(_BUILTIN_RUNS)))
+@pytest.mark.parametrize("temperature", [1.0, 0.7, 1.3, 2.0])
+@pytest.mark.parametrize("top_k", [None, 1, 2, 5, 32])
+def test_builtin_pairs_step_matches_the_full_width_step(run, temperature, top_k):
+    model, va, bounds = _BUILTIN_RUNS[run]
+    boundaries = BoundaryList.from_times(bounds)
+    result = generate(model, va, boundaries, 10.0, sampling=SamplingParams(seed=run))
+    sampling = SamplingParams(temperature=temperature, top_k=top_k)
+    state = GeneratorState(boundaries)
+    for step, token in enumerate(result.tokens):
+        on_token(state, token, SchedulerParams())
+        probs = model.next_distribution(state.tokens, state.offsets, va.valence, va.arousal)
+        pairs = state.valid(model._weights(state, state.offsets, va.valence, va.arousal))
+        ours, oracle = np.random.default_rng(step), np.random.default_rng(step)
+        got = [_step_or_error(_sample, pairs, state, sampling, ours) for _ in range(5)]
+        want = [_step_or_error(full_width_step, probs, state, sampling, oracle) for _ in range(5)]
+        assert got == want, f"step {step}"
         # one uniform per draw: the two generators are still in step
         assert ours.random() == oracle.random()
 

@@ -758,6 +758,38 @@ def test_trim_sorts_notes_its_clamp_reorders():
     assert [n.velocity for n in trim_to_duration(score, 4000).notes] == [50, 100]
 
 
+def test_trim_matches_the_full_sort_with_and_without_clamp_ties():
+    seen = {True: 0, False: 0}
+    for seed in range(300):
+        rng = random.Random(seed)
+        notes = []
+        for _ in range(rng.randint(1, 40)):
+            onset = rng.randrange(0, 4000, rng.choice((1, 500)))  # coarse grids make ties
+            notes.append(
+                NoteEvent(
+                    rng.choice((Instrument.PIANO, Instrument.GUITAR, Instrument.DRUMS)),
+                    rng.choice((60, 64, rng.randint(0, 127))),
+                    onset,
+                    onset + rng.choice((1, 250, rng.randint(1, 3000))),
+                    velocity=rng.randint(1, 127),
+                )
+            )
+        score = ScoreTimeline(notes, tempo_bpm=rng.uniform(60, 180), bar_marks_ms=(0, 2000, 4000))
+        duration = rng.randint(1, 4500)
+        clamped = [
+            NoteEvent(inst, pitch, onset, min(offset, duration), velocity)
+            for inst, pitch, onset, offset, velocity in score.notes
+            if onset < duration
+        ]
+        full = ScoreTimeline(clamped, score.tempo_bpm, score.bar_marks_ms[: 1 + duration // 2000])
+        trimmed = trim_to_duration(score, duration)
+        assert (trimmed.notes, trimmed.tempo_bpm, trimmed.bar_marks_ms) == (
+            full.notes, full.tempo_bpm, full.bar_marks_ms
+        ), f"seed {seed}"
+        seen[trimmed.notes != clamped] += 1  # the clamp reordered two tied notes
+    assert seen[True] >= 5 and seen[False] >= 100, seen
+
+
 # ---------------------------------------------------------------------------
 # Golden SMF bytes: write_midi output stays byte-identical across refactors
 # ---------------------------------------------------------------------------

@@ -60,6 +60,21 @@ def test_params_validation():
     assert p.max_offset_ms == 4000
 
 
+@pytest.mark.parametrize(
+    "sensitivity_s, max_offset_s", [(1.0, 4.0), (0.0025, 3600.0), (0.0015, 2.0025), (0.3337, 0.0125)]
+)
+def test_params_round_their_windows_once(sensitivity_s, max_offset_s):
+    p = SchedulerParams(sensitivity_s, max_offset_s)
+    assert (p.sensitivity_ms, p.max_offset_ms) == (
+        int(round(sensitivity_s * 1000)),
+        int(round(max_offset_s * 1000)),
+    )
+    assert type(p.sensitivity_ms) is int and type(p.max_offset_ms) is int
+    # the ms values are derived: neither compared nor shown
+    assert p == SchedulerParams(sensitivity_s, max_offset_s)
+    assert repr(p) == f"SchedulerParams(sensitivity_s={sensitivity_s!r}, max_offset_s={max_offset_s!r})"
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", ["sensitivity_s", "max_offset_s"])
 def test_params_reject_non_finite_naming_the_field(name, value):
