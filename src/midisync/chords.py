@@ -3,24 +3,23 @@
 A chord here is deliberately narrow: at least three distinct pitches of
 the same guitar or piano part striking together (onsets within a small
 simultaneity window) and all lasting at least two beats.  Detected
-spans drive three token-level operations: inserting a CHORD marker
-immediately before each span's first ON token, randomly deleting
-markers (training-time dropout), and raising the velocity of the notes
-a marker announces.
+spans drive three operations: inserting a CHORD marker immediately
+before each span's first ON token and randomly deleting markers
+(training-time dropout), both on a token id array, and raising the
+velocity of the notes a marker announces.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from itertools import chain
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import PipelineConfig
 from .midi_codec import DEFAULT_TEMPO_BPM, NoteEvent, ScoreTimeline, _unchecked_note, quantize_ms
-from .tokens import CHORD, Instrument, Token, cursor_after
+from .tokens import CHORD, Instrument, Token
 
 CHORDABLE_INSTRUMENTS = (Instrument.GUITAR, Instrument.PIANO)
 MIN_CHORD_NOTES = 3
@@ -103,63 +102,66 @@ def detect_chords(
     return spans
 
 
-def insert_chord_tokens(
-    tokens: list[Token],
+def insert_chord_ids(
+    ids: np.ndarray,
+    cursors: np.ndarray,
     spans: list[ChordSpan],
     simultaneity_eps_ms: int = PipelineConfig.simultaneity_eps_ms,
-) -> list[Token]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Place one CHORD marker immediately before each span's first ON.
 
-    The target is the first ON token of the span's instrument whose
-    pitch belongs to the span and whose cursor time matches the span
-    onset (within the simultaneity window, on the quantized grid).
-    Spans that pick the same ON token each get their own marker there.
-    Raises :class:`ChordLabelError` when a span has no such token.
+    ``ids`` is a token stream and ``cursors`` the cursor after each of
+    its tokens (:func:`~midisync.tokens.cursors_of`); both come back with
+    the markers in place.  The target is the first ON token of the
+    span's instrument whose pitch belongs to the span and whose cursor
+    time matches the span onset (within the simultaneity window, on the
+    quantized grid).  Spans that pick the same ON token each get their
+    own marker there.  Raises :class:`ChordLabelError` when a span has
+    no such token.
 
     Cost: O(n + s * (log n + w)) for n tokens and s spans, where w is
     the number of tokens whose cursor lies in one span's window.  Cursor
-    values never decrease, so each span bisects to its window and scans
-    only that; the output is then spliced together in one pass.
+    values never decrease, so one ``searchsorted`` finds every span's
+    window, each span scans only its own, and one ``np.insert`` places
+    every marker.
     """
-    cursors = cursor_after(tokens)[1].tolist()  # equals the onset at every ON, the only match
-    n = len(tokens)
+    eps = simultaneity_eps_ms
+    lo = [quantize_ms(max(0, span.onset_ms - eps)) for span in spans]
+    hi = [quantize_ms(span.onset_ms + eps) for span in spans]
+    starts = np.searchsorted(cursors, lo, side="left").tolist()
+    ends = np.searchsorted(cursors, hi, side="right").tolist()
     insert_at: list[int] = []
-    for span in spans:
-        lo = quantize_ms(max(0, span.onset_ms - simultaneity_eps_ms))
-        hi = quantize_ms(span.onset_ms + simultaneity_eps_ms)
+    for span, start, end in zip(spans, starts, ends):
         targets = {Token.on(span.instrument, pitch).id for pitch in span.pitches}
-        idx = bisect_left(cursors, lo)
-        while idx < n and cursors[idx] <= hi:
-            if tokens[idx].id in targets:
+        for idx, ident in enumerate(ids[start:end].tolist(), start):
+            if ident in targets:
+                insert_at.append(idx)
                 break
-            idx += 1
         else:
             raise ChordLabelError(
                 f"no ON token matches chord at {span.onset_ms} ms ({span.instrument.value})"
             )
-        insert_at.append(idx)
-
-    out: list[Token] = []
-    start = 0
-    for idx in sorted(insert_at):
-        out += tokens[start:idx]
-        out.append(CHORD)
-        start = idx
-    out += tokens[start:]
-    return out
+    # A marker takes the cursor of the ON it precedes: an ON does not move the cursor.
+    at = np.array(insert_at, dtype=np.intp)
+    return np.insert(ids, at, CHORD.id), np.insert(cursors, at, cursors[at])
 
 
-def dropout_chords(tokens: list[Token], rate: float, seed: int) -> list[Token]:
-    """Delete each CHORD token independently with probability ``rate``."""
+def dropout_chord_ids(
+    ids: np.ndarray, cursors: np.ndarray, rate: float, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Delete each CHORD of a stream independently with probability ``rate``.
+
+    One uniform draw per CHORD, in stream order, from
+    ``np.random.default_rng(seed)``; ``cursors`` (a CHORD does not move
+    the cursor) loses the same entries.
+    """
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"dropout rate must be in [0, 1], got {rate}")
-    chord_id = CHORD.id
-    positions = [i for i, tok in enumerate(tokens) if tok.id == chord_id]
-    if not positions:
-        return list(tokens)
-    draws = np.random.default_rng(seed).random(len(positions)).tolist()
-    cuts = [-1, *(pos for pos, draw in zip(positions, draws) if draw < rate), len(tokens)]
-    return list(chain.from_iterable(tokens[a + 1:b] for a, b in zip(cuts, cuts[1:])))
+    positions = np.flatnonzero(ids == CHORD.id)
+    if not positions.size:
+        return ids, cursors
+    cut = positions[np.random.default_rng(seed).random(positions.size) < rate]
+    return np.delete(ids, cut), np.delete(cursors, cut)
 
 
 def boost_chord_velocity(

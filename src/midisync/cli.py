@@ -76,8 +76,8 @@ def cmd_encode(args) -> int:
     score = _stage("parse", midi_codec.parse_midi, data, warnings)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    toks = _stage("encode", midi_codec.encode_events, score, not args.drop_bars)
-    _stage("write", Path(args.out_tokens).write_text, tokens.format_tokens(toks))
+    ids = _stage("encode", midi_codec.encode_ids, score, not args.drop_bars)
+    _stage("write", Path(args.out_tokens).write_text, tokens.format_ids(ids))
     return 0
 
 
@@ -103,7 +103,11 @@ def cmd_decode(args) -> int:
 
 
 def _prepare_one(data: bytes, config: PipelineConfig, seed: int, args) -> list[tuple[str, str, str]]:
-    """The (stem suffix, tokens text, offsets text) of each variant of one SMF."""
+    """The (stem suffix, tokens text, offsets text) of each variant of one SMF.
+
+    Each variant's stream stays an int64 id array, with its cursors,
+    from the encoder to the text.
+    """
     score = midi_codec.parse_midi(data)
     variants = [("", score)]
     if args.augment:
@@ -114,21 +118,21 @@ def _prepare_one(data: bytes, config: PipelineConfig, seed: int, args) -> list[t
             (f"_aug{k + 1}", midi_codec.transpose(score, int(s)))
             for k, s in enumerate(shifts)
         ]
+    params = scheduler.SchedulerParams(config.sensitivity_s, config.max_offset_s)
+    eps = config.simultaneity_eps_ms
     outputs = []
     for suffix, variant in variants:
-        toks = midi_codec.encode_events(variant, include_bars=not args.drop_bars)
-        spans = chords_mod.detect_chords(variant, simultaneity_eps_ms=config.simultaneity_eps_ms)
-        toks = chords_mod.insert_chord_tokens(toks, spans, config.simultaneity_eps_ms)
-        toks = chords_mod.dropout_chords(toks, config.chord_dropout, seed)
-        offsets = scheduler.offsets_for_sequence(
-            toks,
-            params=scheduler.SchedulerParams(config.sensitivity_s, config.max_offset_s),
-        )
+        ids = midi_codec.encode_ids(variant, include_bars=not args.drop_bars)
+        cursors = tokens.cursors_of(ids)
+        spans = chords_mod.detect_chords(variant, simultaneity_eps_ms=eps)
+        ids, cursors = chords_mod.insert_chord_ids(ids, cursors, spans, eps)
+        ids, cursors = chords_mod.dropout_chord_ids(ids, cursors, config.chord_dropout, seed)
+        offsets = scheduler.offsets_for_ids(ids, cursors, params=params)
         # ~100 distinct values in a long file: format each once, join by index
         values, index = np.unique(offsets, return_inverse=True)
-        lines = ["%.3f\n" % v for v in values.tolist()]
-        offsets_text = "".join(map(lines.__getitem__, index.tolist()))
-        outputs.append((suffix, tokens.format_tokens(toks), offsets_text))
+        lines = np.array(["%.3f\n" % v for v in values.tolist()], dtype=object)
+        offsets_text = "".join(lines[index].tolist())
+        outputs.append((suffix, tokens.format_ids(ids), offsets_text))
     return outputs
 
 

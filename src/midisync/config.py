@@ -17,6 +17,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 MAX_WINDOW_S = 3600.0  # one hour: the scheduler windows' ms values stay small ints
+#: Widest chord simultaneity window: one hour, the longest score parse_midi
+#: accepts.  The window meets int64 cursor arrays, so it must stay small.
+MAX_SIMULTANEITY_EPS_MS = int(MAX_WINDOW_S * 1000)
 
 
 def check_window(name: str, seconds: float) -> None:
@@ -75,6 +78,11 @@ class PipelineConfig:
         for name in ("min_gap_s", "simultaneity_eps_ms"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.simultaneity_eps_ms > MAX_SIMULTANEITY_EPS_MS:
+            raise ValueError(
+                f"simultaneity_eps_ms must be at most {MAX_SIMULTANEITY_EPS_MS} (one hour), "
+                f"got {self.simultaneity_eps_ms}"
+            )
         if not 0.0 <= self.chord_dropout <= 1.0:
             raise ValueError(f"chord_dropout must be in [0, 1], got {self.chord_dropout}")
         for name in ("scene_threshold", "target_max"):

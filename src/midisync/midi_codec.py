@@ -2,7 +2,11 @@
 
 The module converts between three representations:
 
-``bytes`` (Standard MIDI File)  <->  :class:`ScoreTimeline`  <->  token list
+``bytes`` (Standard MIDI File)  <->  :class:`ScoreTimeline`  <->  token stream
+
+The encoder writes a stream as an int64 id array (:func:`encode_ids`),
+or as its Token list (:func:`encode_events`); the decoder reads a Token
+list.
 
 A :class:`ScoreTimeline` is the neutral middle ground: absolute
 integer-millisecond note intervals bucketed into the five instrument
@@ -46,6 +50,7 @@ from .tokens import (
     DecodeState,
     Token,
     TokenKind,
+    tokens_of,
 )
 
 DEFAULT_TEMPO_BPM = 120.0
@@ -591,55 +596,82 @@ def instrument_count_tag(score: ScoreTimeline) -> Token:
     return FEWER_INSTRUMENTS if len(pitched) <= FEWER_INSTRUMENT_LIMIT else MORE_INSTRUMENTS
 
 
-def encode_events(score: ScoreTimeline, include_bars: bool = True) -> list[Token]:
-    """Serialize a timeline as ``[START, <count tag>, ...events...]``.
+#: Id of pitch 0 in each instrument's ON block; its OFF block follows NUM_PITCHES above.
+_ON_BASE = {inst: Token.on(inst, 0).id for inst in INSTRUMENTS}
+#: The id of TIMESHIFT_<k * RESOLUTION_MS> is _SHIFT_BASE + k.
+_SHIFT_BASE = Token.shift(RESOLUTION_MS).id - 1
+_LONGEST_SHIFT = Token.shift(MAX_SHIFT_MS).id
+
+
+def encode_ids(score: ScoreTimeline, include_bars: bool = True) -> np.ndarray:
+    """The ids of ``[START, <count tag>, ...events...]`` as an int64 array.
 
     All times are quantized to the 8 ms grid.  Events are sorted on
     ``(time, priority, token id)`` with priority BAR, then OFF, then ON;
     the ON and OFF id blocks run by instrument, then pitch.  That keeps
     the stream deterministic and lets consecutive notes of the same
-    pitch close before they reopen.
+    pitch close before they reopen.  Bar marks that quantize to one
+    time give one BAR.  A gap of ``g`` ms before an event is written as
+    ``(g - 1) // 1000`` shifts of 1000 ms, then one shift of the rest.
     """
-    # One int per event: time << 13 | priority << 11 | token id (ids < 2048).
     half, res = RESOLUTION_MS // 2, RESOLUTION_MS
-    keys: list[int] = []
-    append = keys.append
-    on_ids = {inst: Token.on(inst, 0).id for inst in INSTRUMENTS}
-    for inst, pitch, onset, offset, _ in score.notes:
-        on_t = (onset + half) // res * res
-        off_t = (offset + half) // res * res
-        if off_t <= on_t:
-            off_t = on_t + res  # preserve the note despite quantization
-        on_id = on_ids[inst] + pitch
-        append(on_t << 13 | 2 << 11 | on_id)
-        append(off_t << 13 | 1 << 11 | on_id + NUM_PITCHES)
-    if include_bars:
-        keys.extend(((mark + half) // res * res) << 13 | BAR.id for mark in score.bar_marks_ms)
+    notes = score.notes
+    n = len(notes)
+    marks = np.array(score.bar_marks_ms if include_bars else (), dtype=np.int64)
+    marks += half
+    marks //= res
+    marks *= res
+    # Marks are strictly increasing, so only neighbours can quantize to one time.
+    marks = marks[np.diff(marks, prepend=-1) > 0]
+
+    # One int per event, built in place (ONs, OFFs, then BARs):
+    # time << 13 | priority << 11 | token id (ids < 2048).
+    keys = np.empty(2 * n + len(marks), dtype=np.int64)
+    on, off = keys[:n], keys[n:2 * n]
+    on[:] = np.fromiter(map(itemgetter(2), notes), np.int64, n)
+    off[:] = np.fromiter(map(itemgetter(3), notes), np.int64, n)
+    for t in (on, off):  # snap to the grid, ties up
+        t += half
+        t //= res
+        t *= res
+    np.maximum(off, on + res, out=off)  # preserve a note despite quantization
+    on <<= 13
+    off <<= 13
+    ids = np.fromiter(map(_ON_BASE.__getitem__, map(itemgetter(0), notes)), np.int64, n)
+    ids += np.fromiter(map(itemgetter(1), notes), np.int64, n)
+    ids |= 2 << 11
+    on |= ids
+    ids += NUM_PITCHES - (1 << 11)  # each note's OFF id, at priority 1
+    off |= ids
+    np.left_shift(marks, 13, out=keys[2 * n:])
+    keys[2 * n:] |= BAR.id
     keys.sort()
 
-    vocab = VOCABULARY  # a local: the loop below indexes it once or twice per event
-    shift_base = Token.shift(res).id - 1  # the id of TIMESHIFT_<k * res> is shift_base + k
-    longest = vocab[shift_base + MAX_SHIFT_MS // res]
-    out = [START, instrument_count_tag(score)]
-    cursor = 0
-    last_bar = None
-    for key in keys:
-        t = key >> 13
-        if t > cursor:
-            gap = t - cursor
-            if gap > MAX_SHIFT_MS:
-                full = (gap - 1) // MAX_SHIFT_MS
-                out += [longest] * full
-                gap -= full * MAX_SHIFT_MS
-            out.append(vocab[shift_base + gap // res])
-            cursor = t
-        token = vocab[key & 2047]
-        if token is BAR:
-            if last_bar == cursor:
-                continue  # quantization merged two marks
-            last_bar = cursor
-        out.append(token)
+    ids = keys & 2047
+    keys >>= 13  # each event's time
+    gaps = np.diff(keys, prepend=0)
+    del keys, on, off
+    # Before each event, ceil(gap / 1000) shifts: 1000 ms ones, the rest last.
+    shifts = gaps + (MAX_SHIFT_MS - 1)
+    shifts //= MAX_SHIFT_MS
+    out = np.full(2 + len(ids) + int(shifts.sum()), _LONGEST_SHIFT, dtype=np.int64)
+    shifts += 1
+    at = np.cumsum(shifts)  # each event's index in the output, less one
+    shifts -= 2
+    shifts *= MAX_SHIFT_MS
+    gaps -= shifts  # the last shift of each gap in ms (1000 where there is no gap) ...
+    gaps //= res
+    gaps += _SHIFT_BASE  # ... and its id
+    out[at] = gaps  # where there is no gap, the slot of the event before: written next
+    at += 1
+    out[at] = ids
+    out[0], out[1] = START.id, instrument_count_tag(score).id
     return out
+
+
+def encode_events(score: ScoreTimeline, include_bars: bool = True) -> list[Token]:
+    """The tokens of :func:`encode_ids`: ``[START, <count tag>, ...events...]``."""
+    return tokens_of(encode_ids(score, include_bars))
 
 
 def decode_events(tokens: list[Token]) -> DecodeResult:

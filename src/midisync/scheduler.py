@@ -15,8 +15,8 @@ token, how far ahead the next relevant boundary lies:
 
 The incremental state machine (:func:`on_token`), which folds each
 generated token into the loop's :class:`GeneratorState` (the owner of
-every boundary's state), is the reference definition.  Whole sequences
-go through one vectorized NumPy kernel (:func:`offsets_for_sequence`),
+every boundary's state), is the reference definition.  Whole token id
+streams go through one vectorized NumPy kernel (:func:`offsets_for_ids`),
 which must match the fold bit for bit.
 """
 
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import PipelineConfig, check_window
-from .tokens import CHORD, DecodeState, Token, cursor_after
+from .tokens import CHORD, DecodeState, Token
 
 
 def _to_ms(seconds: float) -> int:
@@ -149,14 +149,15 @@ def on_token(state: GeneratorState, token: Token, params: SchedulerParams) -> fl
     return offset
 
 
-def derive_boundaries(tokens: list[Token]) -> BoundaryList:
+def derive_boundaries(ids: np.ndarray, cursor_ms: np.ndarray) -> BoundaryList:
     """Treat each CHORD position in a token stream as a boundary.
 
-    This is how training sequences get their boundary lists: the chords
-    already present in the music are the alignment targets.
+    ``ids`` is the stream and ``cursor_ms`` the cursor after each token
+    (:func:`~midisync.tokens.cursors_of`).  This is how training
+    sequences get their boundary lists: the chords already present in
+    the music are the alignment targets.
     """
-    ids, cursor = cursor_after(tokens)
-    return BoundaryList(times_ms=tuple(_chord_times(ids == CHORD.id, cursor).tolist()))
+    return BoundaryList(times_ms=tuple(_chord_times(ids == CHORD.id, cursor_ms).tolist()))
 
 
 def _chord_times(is_chord: np.ndarray, cursor_ms: np.ndarray) -> np.ndarray:
@@ -232,25 +233,28 @@ def _compute_offsets(
     return raw / 1000.0
 
 
-def offsets_for_sequence(
-    tokens: list[Token],
+def offsets_for_ids(
+    ids: np.ndarray,
+    cursor_ms: np.ndarray,
     boundaries: BoundaryList | None = None,
     params: SchedulerParams | None = None,
 ) -> np.ndarray:
-    """Offset schedule for a whole token sequence (one value per token).
+    """Offset schedule for a whole token id stream (one value per token).
 
-    With ``boundaries=None`` the boundary list is derived from the
-    sequence's own CHORD positions.  Equivalent to folding
-    :func:`on_token` over the sequence.
+    ``cursor_ms`` is the cursor after each token
+    (:func:`~midisync.tokens.cursors_of`).  With ``boundaries=None`` the
+    boundary list is derived from the stream's own CHORD positions.
+    Equivalent to folding :func:`on_token` over the stream's tokens.
     """
     params = params or SchedulerParams()
-    ids, cursor = cursor_after(tokens)
     is_chord = ids == CHORD.id
     if boundaries is None:
-        bounds = _chord_times(is_chord, cursor)
+        bounds = _chord_times(is_chord, cursor_ms)
     else:
         bounds = np.asarray(boundaries.times_ms, dtype=np.int64)
-    return _compute_offsets(cursor, is_chord, bounds, params.sensitivity_ms, params.max_offset_ms)
+    return _compute_offsets(
+        cursor_ms, is_chord, bounds, params.sensitivity_ms, params.max_offset_ms
+    )
 
 
 def format_boundaries(boundaries: BoundaryList) -> str:

@@ -20,10 +20,16 @@ tokens by ascending pitch.  Total size: 6 + 125 + 5 * 256 = 1411.
 manifest (:func:`format_manifest`, checked by :func:`check_manifest`)
 lists it one ``id<TAB>name`` line per entry.  Time and order are read
 off the ids: the cursor is the running sum of :data:`SHIFT_MS_BY_ID`
-(:func:`cursor_after`), an ON's OFF is ``NUM_PITCHES`` ids above it,
+(:func:`cursors_of`), an ON's OFF is ``NUM_PITCHES`` ids above it,
 and instruments come in block order.
-One :class:`DecodeState` reads every token prefix, token by token, for
-the decoder, the grammar mask and the generation models alike.
+
+A stream is held in one of two forms.  ``prepare`` and ``encode`` carry
+it as an int64 id array from the encoder to the text: :func:`cursors_of`
+gives its cursors, :func:`format_ids` its text, and :func:`tokens_of`
+its Token list.  Generation, decoding and :func:`parse_tokens` work on
+Token lists, one token at a time: one :class:`DecodeState` reads every
+token prefix for the decoder, the grammar mask and the generation
+models alike.
 """
 
 from __future__ import annotations
@@ -208,10 +214,25 @@ START, BAR, PAD, CHORD, FEWER_INSTRUMENTS, MORE_INSTRUMENTS = VOCABULARY[:_SHIFT
 SHIFT_MS_BY_ID = np.array([tok.shift_ms or 0 for tok in VOCABULARY], dtype=np.int64)
 
 
-def cursor_after(tokens: list[Token]) -> tuple[np.ndarray, np.ndarray]:
-    """The ids of a token stream and the cursor (ms) after each token, as int64 arrays."""
-    ids = np.fromiter((tok.id for tok in tokens), dtype=np.int64, count=len(tokens))
-    return ids, np.cumsum(SHIFT_MS_BY_ID[ids])
+# The entries and their text lines as object arrays, gathered by an id array.
+_ENTRY_ARRAY = np.empty(len(VOCABULARY), dtype=object)
+_ENTRY_ARRAY[:] = VOCABULARY
+_LINE_ARRAY = np.array([tok.name + "\n" for tok in VOCABULARY], dtype=object)
+
+
+def cursors_of(ids: np.ndarray) -> np.ndarray:
+    """The cursor (ms) after each token of an id array, as int64."""
+    return np.cumsum(SHIFT_MS_BY_ID[ids])
+
+
+def tokens_of(ids: np.ndarray) -> list[Token]:
+    """The vocabulary entries of an id array, in order."""
+    return _ENTRY_ARRAY[ids].tolist()
+
+
+def format_ids(ids: np.ndarray) -> str:
+    """The text of an id array: what :func:`format_tokens` writes for its tokens."""
+    return "".join(_LINE_ARRAY[ids].tolist())
 
 
 def format_tokens(tokens: list[Token]) -> str:

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
+from itertools import accumulate, chain
 
 import numpy as np
 import pytest
 
-from helpers import random_grid_score, random_offgrid_score
+from helpers import dropout_tokens, insert_tokens, random_grid_score, random_offgrid_score, stream
 
 from midisync.chords import (
     CHORDABLE_INSTRUMENTS,
@@ -16,14 +18,14 @@ from midisync.chords import (
     beat_duration_ms,
     boost_chord_velocity,
     detect_chords,
-    dropout_chords,
+    dropout_chord_ids,
     format_spans,
-    insert_chord_tokens,
+    insert_chord_ids,
     parse_spans,
 )
 from midisync.config import PipelineConfig
-from midisync.midi_codec import NoteEvent, ScoreTimeline, encode_events, quantize_ms
-from midisync.tokens import CHORD, Instrument, Token, TokenKind
+from midisync.midi_codec import NoteEvent, ScoreTimeline, encode_events, encode_ids, quantize_ms
+from midisync.tokens import CHORD, Instrument, Token, TokenKind, cursors_of, tokens_of
 
 
 def triad(instrument, pitches, onset, duration, velocity=80):
@@ -126,7 +128,7 @@ def test_insert_chord_before_first_on():
     )
     spans = detect_chords(score)
     toks = encode_events(score, include_bars=False)
-    with_chords = insert_chord_tokens(toks, spans)
+    with_chords = insert_tokens(toks, spans)
     names = [t.name for t in with_chords]
     i = names.index("CHORD")
     assert names[i + 1] == "PIANO_ON_60"
@@ -141,7 +143,7 @@ def test_insert_no_match_raises():
     )
     bogus = ChordSpan(Instrument.PIANO, 0, (60, 64, 67), 1000)
     with pytest.raises(ChordLabelError):
-        insert_chord_tokens(toks, [bogus])
+        insert_tokens(toks, [bogus])
 
 
 def test_insert_count_matches_span_count():
@@ -157,25 +159,25 @@ def test_insert_count_matches_span_count():
         score = ScoreTimeline(notes=notes)
         spans = detect_chords(score)
         assert len(spans) == n_chords
-        toks = insert_chord_tokens(encode_events(score, include_bars=False), spans)
+        toks = insert_tokens(encode_events(score, include_bars=False), spans)
         assert sum(1 for x in toks if x.kind is TokenKind.CHORD) == n_chords
 
 
 def test_dropout_rate_edges():
     toks = [CHORD, Token.shift(8), CHORD, Token.shift(8), CHORD]
-    assert dropout_chords(toks, 0.0, seed=1) == toks
-    kept = dropout_chords(toks, 1.0, seed=1)
+    assert dropout_tokens(toks, 0.0, seed=1) == toks
+    kept = dropout_tokens(toks, 1.0, seed=1)
     assert all(t.kind is not TokenKind.CHORD for t in kept)
     assert len(kept) == 2
     with pytest.raises(ValueError):
-        dropout_chords(toks, 1.5, seed=1)
+        dropout_tokens(toks, 1.5, seed=1)
     with pytest.raises(ValueError):
-        dropout_chords(toks, -0.1, seed=1)
+        dropout_tokens(toks, -0.1, seed=1)
 
 
 def test_dropout_preserves_non_chords_and_order():
     toks = [Token.shift(8), CHORD, Token.on(Instrument.PIANO, 60), CHORD, Token.shift(16)]
-    out = dropout_chords(toks, 0.5, seed=3)
+    out = dropout_tokens(toks, 0.5, seed=3)
     assert [t for t in out if t.kind is not TokenKind.CHORD] == [
         Token.shift(8), Token.on(Instrument.PIANO, 60), Token.shift(16)
     ]
@@ -183,15 +185,15 @@ def test_dropout_preserves_non_chords_and_order():
 
 def test_dropout_statistics():
     toks = [CHORD] * 10_000
-    kept = dropout_chords(toks, 0.2, seed=42)
+    kept = dropout_tokens(toks, 0.2, seed=42)
     removed = len(toks) - len(kept)
     assert abs(removed - 2000) <= 120  # 3 sigma of Binomial(10000, 0.2)
 
 
 def test_dropout_deterministic_per_seed():
     toks = [CHORD if i % 3 else Token.shift(8) for i in range(300)]
-    assert dropout_chords(toks, 0.2, seed=5) == dropout_chords(toks, 0.2, seed=5)
-    assert dropout_chords(toks, 0.2, seed=5) != dropout_chords(toks, 0.2, seed=6)
+    assert dropout_tokens(toks, 0.2, seed=5) == dropout_tokens(toks, 0.2, seed=5)
+    assert dropout_tokens(toks, 0.2, seed=5) != dropout_tokens(toks, 0.2, seed=6)
 
 
 def dropout_by_removed_set(tokens, rate, seed):
@@ -212,7 +214,7 @@ def test_dropout_matches_removed_set_oracle(rate):
         toks = random_stream(rng, rng.randint(0, 120))
         for _ in range(rng.randint(0, 30)):  # runs, ends, and an unshared CHORD
             toks.insert(rng.randint(0, len(toks)), rng.choice((CHORD, Token(TokenKind.CHORD))))
-        out = dropout_chords(toks, rate, seed)
+        out = dropout_tokens(toks, rate, seed)
         assert out == dropout_by_removed_set(toks, rate, seed)
         assert out is not toks
 
@@ -328,12 +330,12 @@ def test_insert_then_remove_recovers_original():
             t += 2500
         score = ScoreTimeline(notes=notes)
         toks = encode_events(score, include_bars=False)
-        inserted = insert_chord_tokens(toks, detect_chords(score))
+        inserted = insert_tokens(toks, detect_chords(score))
         stripped = [x for x in inserted if x.kind is not TokenKind.CHORD]
         assert stripped == toks
 
 
-# -- insert_chord_tokens against the whole-stream scan ------------------------
+# -- chord insertion against the whole-stream scan ------------------------
 
 
 def cursors_before(tokens):
@@ -432,7 +434,7 @@ def test_insert_matches_whole_stream_scan_on_random_streams(seed):
     for _ in range(5):
         spans = random_spans(rng, toks, eps, rng.randint(0, 12))
         expected = outcome(insert_by_whole_stream_scan, toks, spans, eps)
-        assert outcome(insert_chord_tokens, toks, spans, eps) == expected
+        assert outcome(insert_tokens, toks, spans, eps) == expected
 
 
 def test_insert_overlapping_windows_stack_markers():
@@ -444,7 +446,7 @@ def test_insert_overlapping_windows_stack_markers():
         ChordSpan(Instrument.PIANO, 4, (60, 64, 67), 1000),
         ChordSpan(Instrument.PIANO, 12, (60, 64, 67), 1000),
     ]
-    out = insert_chord_tokens(toks, spans)
+    out = insert_tokens(toks, spans)
     assert out == [Token.shift(8), CHORD, CHORD, on, Token.shift(8), toks[3]]
     assert out == insert_by_whole_stream_scan(toks, spans)
 
@@ -454,7 +456,7 @@ def test_insert_near_cursor_zero_clips_window():
     toks = [Token.on(Instrument.GUITAR, 52), Token.shift(16), Token.on(Instrument.GUITAR, 55)]
     for onset in (0, 3, 8):
         span = ChordSpan(Instrument.GUITAR, onset, (52, 55, 59), 1000)
-        out = insert_chord_tokens(toks, [span])
+        out = insert_tokens(toks, [span])
         assert out == insert_by_whole_stream_scan(toks, [span])
         assert out[0] == CHORD
 
@@ -467,9 +469,10 @@ def test_insert_no_match_message_matches_scan():
         ChordSpan(Instrument.PIANO, 500, (60, 64, 67), 1000),  # nothing sounds there
     ]
     with pytest.raises(ChordLabelError) as exc:
-        insert_chord_tokens(toks, spans)
+        insert_tokens(toks, spans)
     assert str(exc.value) == "no ON token matches chord at 8 ms (guitar)"
     assert outcome(insert_by_whole_stream_scan, toks, spans) == f"ChordLabelError: {exc.value}"
+    assert outcome(insert_chord_tokens, toks, spans) == f"ChordLabelError: {exc.value}"
 
 
 def multi_minute_song(rng, minutes):
@@ -499,9 +502,119 @@ def test_detect_then_insert_matches_scan_on_long_songs(seed):
     toks = encode_events(score)
     spans = detect_chords(score)
     assert len(spans) > 50
-    out = insert_chord_tokens(toks, spans)
+    out = insert_tokens(toks, spans)
     assert out == insert_by_whole_stream_scan(toks, spans)
     assert sum(1 for t in out if t.kind is TokenKind.CHORD) == len(spans)
+
+
+# -- the id-array stream functions against the Token-list forms they replaced --
+
+
+def insert_chord_tokens(tokens, spans, simultaneity_eps_ms=PipelineConfig.simultaneity_eps_ms):
+    """Oracle: chord insertion on a Token list, as written before the id arrays."""
+    cursors = list(accumulate(tok.shift_ms or 0 for tok in tokens))
+    n = len(tokens)
+    insert_at = []
+    for span in spans:
+        lo = quantize_ms(max(0, span.onset_ms - simultaneity_eps_ms))
+        hi = quantize_ms(span.onset_ms + simultaneity_eps_ms)
+        targets = {Token.on(span.instrument, pitch).id for pitch in span.pitches}
+        idx = bisect_left(cursors, lo)
+        while idx < n and cursors[idx] <= hi:
+            if tokens[idx].id in targets:
+                break
+            idx += 1
+        else:
+            raise ChordLabelError(
+                f"no ON token matches chord at {span.onset_ms} ms ({span.instrument.value})"
+            )
+        insert_at.append(idx)
+
+    out = []
+    start = 0
+    for idx in sorted(insert_at):
+        out += tokens[start:idx]
+        out.append(CHORD)
+        start = idx
+    out += tokens[start:]
+    return out
+
+
+def dropout_chords(tokens, rate, seed):
+    """Oracle: chord dropout on a Token list, as written before the id arrays."""
+    if not 0.0 <= rate <= 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1], got {rate}")
+    chord_id = CHORD.id
+    positions = [i for i, tok in enumerate(tokens) if tok.id == chord_id]
+    if not positions:
+        return list(tokens)
+    draws = np.random.default_rng(seed).random(len(positions)).tolist()
+    cuts = [-1, *(pos for pos, draw in zip(positions, draws) if draw < rate), len(tokens)]
+    return list(chain.from_iterable(tokens[a + 1:b] for a, b in zip(cuts, cuts[1:])))
+
+
+def assert_stream(got, expected_tokens):
+    """``got`` is an (ids, cursors) pair holding ``expected_tokens`` and their cursors."""
+    ids, cursors = got
+    assert ids.dtype == cursors.dtype == np.int64
+    assert tokens_of(ids) == expected_tokens
+    assert cursors.tolist() == cursors_of(ids).tolist()
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_insert_ids_match_the_token_list_insert_on_random_streams(seed):
+    rng = random.Random(seed)
+    toks = random_stream(rng, rng.randint(0, 300))
+    eps = rng.choice([0, 4, 8, 16])
+    ids, cursors = stream(toks)
+    for _ in range(5):
+        spans = random_spans(rng, toks, eps, rng.randint(0, 12))
+        expected = outcome(insert_chord_tokens, toks, spans, eps)
+        got = outcome(insert_chord_ids, ids, cursors, spans, eps)
+        if isinstance(expected, str):
+            assert got == expected  # the same ChordLabelError text
+        else:
+            assert_stream(got, expected)
+    assert tokens_of(ids) == toks  # the inputs are left as they were
+    assert cursors.tolist() == cursors_of(ids).tolist()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_insert_ids_match_the_token_list_insert_on_encoded_scores(seed):
+    rng = random.Random(seed)
+    scores = [multi_minute_song(rng, minutes=1)] + [chord_dense_score(rng) for _ in range(30)]
+    for score in scores:
+        for eps in (0, 8, 40):
+            spans = detect_chords(score, simultaneity_eps_ms=eps)
+            ids = encode_ids(score)
+            expected = outcome(insert_chord_tokens, encode_events(score), spans, eps)
+            got = outcome(insert_chord_ids, ids, cursors_of(ids), spans, eps)
+            if isinstance(expected, str):
+                assert got == expected
+            else:
+                assert_stream(got, expected)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.2, 0.5, 1.0])
+def test_dropout_ids_match_the_token_list_dropout(rate):
+    for seed in range(40):
+        rng = random.Random(seed)
+        toks = random_stream(rng, rng.randint(0, 120))
+        for _ in range(rng.randint(0, 30)):
+            toks.insert(rng.randint(0, len(toks)), CHORD)
+        assert_stream(dropout_chord_ids(*stream(toks), rate, seed), dropout_chords(toks, rate, seed))
+
+
+def test_dropout_ids_take_one_draw_per_chord_in_stream_order():
+    toks = [CHORD, Token.shift(8), CHORD, CHORD, Token.on(Instrument.PIANO, 60), CHORD] * 50
+    ids, cursors = stream(toks)
+    chords = np.flatnonzero(ids == CHORD.id)
+    for seed in range(20):
+        draws = np.random.default_rng(seed).random(chords.size)
+        out, _ = dropout_chord_ids(ids, cursors, 0.3, seed)
+        assert out.tolist() == np.delete(ids, chords[draws < 0.3]).tolist()
+    with pytest.raises(ValueError, match=r"dropout rate must be in \[0, 1\], got 1.5"):
+        dropout_chord_ids(ids, cursors, 1.5, 0)
 
 
 def detect_by_filtering_per_instrument(score, beat_ms, simultaneity_eps_ms):

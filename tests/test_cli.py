@@ -749,6 +749,25 @@ def test_huge_scheduler_window_in_a_config_file_fails_before_any_file_is_read(
     assert "skipping" not in captured.err and not out_dir.exists()
 
 
+@pytest.mark.parametrize("value", [10**30, 2**63])
+def test_huge_simultaneity_window_fails_prepare_as_a_config_error(tmp_path, capsys, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"simultaneity_eps_ms": value}))
+    out_dir = tmp_path / "out"
+    assert main(["prepare", str(corpus_dir(tmp_path)), str(out_dir), "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: prepare/config: simultaneity_eps_ms must be at most")
+    assert "skipping" not in captured.err and not out_dir.exists()
+
+
+def test_one_hour_simultaneity_window_prepares(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"simultaneity_eps_ms": 3_600_000}))
+    out_dir = tmp_path / "out"
+    assert main(["prepare", str(corpus_dir(tmp_path)), str(out_dir), "--config", str(config)]) == 0
+    assert "prepared 2/2" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from midisync.config import MAX_WINDOW_S, PipelineConfig
+from midisync.config import MAX_SIMULTANEITY_EPS_MS, MAX_WINDOW_S, PipelineConfig
 
 
 def test_defaults():
@@ -99,6 +99,20 @@ def test_bad_json_values_rejected_naming_the_field(text, name):
 def test_scheduler_windows_of_exactly_one_hour_accepted(name):
     assert MAX_WINDOW_S == 3600.0
     assert getattr(PipelineConfig(**{name: MAX_WINDOW_S}), name) == MAX_WINDOW_S
+
+
+@pytest.mark.parametrize("value", [10**30, 2**63, 3_600_001])
+def test_simultaneity_windows_above_one_hour_rejected_naming_the_key(value):
+    message = f"simultaneity_eps_ms must be at most 3600000 \\(one hour\\), got {value}"
+    with pytest.raises(ValueError, match=message):
+        PipelineConfig(simultaneity_eps_ms=value)
+    with pytest.raises(ValueError, match=message):
+        PipelineConfig.from_json(json.dumps({"simultaneity_eps_ms": value}))
+
+
+def test_simultaneity_window_of_exactly_one_hour_accepted():
+    assert MAX_SIMULTANEITY_EPS_MS == 3_600_000 == MAX_WINDOW_S * 1000
+    assert PipelineConfig(simultaneity_eps_ms=3_600_000).simultaneity_eps_ms == 3_600_000
 
 
 @pytest.mark.parametrize("value", [0.0004, 0.0005, 1e-300])

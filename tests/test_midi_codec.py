@@ -4,6 +4,7 @@ import hashlib
 import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from midisync.midi_codec import (
     _note_order,
     decode_events,
     encode_events,
+    encode_ids,
     gap_to_shifts,
     instrument_count_tag,
     parse_midi,
@@ -33,8 +35,13 @@ from midisync.tokens import (
     BAR,
     CHORD,
     FEWER_INSTRUMENTS,
+    INSTRUMENTS,
+    MAX_SHIFT_MS,
     MORE_INSTRUMENTS,
+    NUM_PITCHES,
+    RESOLUTION_MS,
     START,
+    VOCABULARY,
     Instrument,
     Token,
     TokenKind,
@@ -420,6 +427,107 @@ def test_encode_starts_with_start_and_tag():
     assert toks[0] is START
     assert toks[1] is FEWER_INSTRUMENTS
     assert len(toks) == 2
+
+
+def encode_events_by_event_loop(score, include_bars=True):
+    """Oracle: the encoder as written before the id arrays, one Python step per event."""
+    half, res = RESOLUTION_MS // 2, RESOLUTION_MS
+    keys = []
+    on_ids = {inst: Token.on(inst, 0).id for inst in INSTRUMENTS}
+    for inst, pitch, onset, offset, _ in score.notes:
+        on_t = (onset + half) // res * res
+        off_t = (offset + half) // res * res
+        if off_t <= on_t:
+            off_t = on_t + res  # preserve the note despite quantization
+        on_id = on_ids[inst] + pitch
+        keys.append(on_t << 13 | 2 << 11 | on_id)
+        keys.append(off_t << 13 | 1 << 11 | on_id + NUM_PITCHES)
+    if include_bars:
+        keys.extend(((mark + half) // res * res) << 13 | BAR.id for mark in score.bar_marks_ms)
+    keys.sort()
+
+    shift_base = Token.shift(res).id - 1
+    longest = VOCABULARY[shift_base + MAX_SHIFT_MS // res]
+    out = [START, instrument_count_tag(score)]
+    cursor = 0
+    last_bar = None
+    for key in keys:
+        t = key >> 13
+        if t > cursor:
+            gap = t - cursor
+            if gap > MAX_SHIFT_MS:
+                full = (gap - 1) // MAX_SHIFT_MS
+                out += [longest] * full
+                gap -= full * MAX_SHIFT_MS
+            out.append(VOCABULARY[shift_base + gap // res])
+            cursor = t
+        token = VOCABULARY[key & 2047]
+        if token is BAR:
+            if last_bar == cursor:
+                continue  # quantization merged two marks
+            last_bar = cursor
+        out.append(token)
+    return out
+
+
+def encoding_edge_score(rng):
+    """Notes and marks near the encoder's edges.
+
+    Zero-length and sub-8 ms notes, overlapping unisons, gaps of exactly
+    k * 1000 and k * 1000 + 8 ms, and bar marks 1-3 ms apart that
+    quantize to one slot.
+    """
+    notes = []
+    t = 0
+    for _ in range(rng.randint(0, 40)):
+        t += rng.choice([0, 0, 1, 3, 4, 8, 1000, 2000, 1008, 2008, rng.randint(0, 4000)])
+        length = rng.choice([0, 1, 3, 4, 7, 8, 12, 1000, 1008, rng.randint(1, 3000)])
+        pitch = rng.choice([60, 60, 64, rng.randint(0, 127)])  # repeats overlap
+        instrument = rng.choice(INSTRUMENTS)
+        # a zero-length note only through the unchecked producer path
+        notes.append(midi_codec._unchecked_note((instrument, pitch, t, t + length, 80)))
+    marks = []
+    m = rng.randint(0, 12)
+    for _ in range(rng.randint(0, 30)):
+        marks.append(m)
+        m += rng.choice([1, 2, 3, 4, 5, 8, 500, 1000, rng.randint(1, 3000)])
+    return ScoreTimeline(notes=notes, bar_marks_ms=tuple(marks))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_encode_ids_match_the_event_loop(seed):
+    rng = random.Random(seed)
+    scores = [ScoreTimeline()]
+    for _ in range(40):
+        scores += [encoding_edge_score(rng), random_grid_score(rng), random_offgrid_score(rng)]
+    for score in scores:
+        for include_bars in (True, False):
+            expected = encode_events_by_event_loop(score, include_bars)
+            ids = encode_ids(score, include_bars)
+            assert ids.dtype == np.int64
+            assert ids.tolist() == [tok.id for tok in expected]
+            assert encode_events(score, include_bars) == expected
+
+
+def test_encode_ids_edges():
+    piano = Instrument.PIANO
+    # two marks that quantize to one 8 ms slot give one BAR
+    score = ScoreTimeline(notes=[NoteEvent(piano, 60, 0, 8)], bar_marks_ms=(1000, 1003))
+    assert _names(encode_events(score)) == [
+        "START", "FEWER_INSTRUMENTS", "PIANO_ON_60", "TIMESHIFT_8", "PIANO_OFF_60",
+        "TIMESHIFT_992", "BAR",
+    ]
+    # a sub-8 ms note keeps one grid step
+    score = ScoreTimeline(notes=[NoteEvent(piano, 60, 0, 3)])
+    assert _names(encode_events(score)) == [
+        "START", "FEWER_INSTRUMENTS", "PIANO_ON_60", "TIMESHIFT_8", "PIANO_OFF_60",
+    ]
+    # gaps of exactly k * 1000 and of k * 1000 + 8 ms
+    for gap, shifts in ((2000, [1000, 1000]), (2008, [1000, 1000, 8]), (1000, [1000])):
+        score = ScoreTimeline(notes=[NoteEvent(piano, 60, gap, gap + 8)])
+        names = _names(encode_events(score, include_bars=False))
+        assert names[2:-3] == [f"TIMESHIFT_{ms}" for ms in shifts]
+    assert encode_ids(ScoreTimeline()).tolist() == [START.id, FEWER_INSTRUMENTS.id]
 
 
 def test_decode_inverse_of_encode_simple():

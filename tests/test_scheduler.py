@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import offsets_of, stream
 from midisync.scheduler import (
     BoundaryList,
     BoundaryState,
@@ -18,11 +19,10 @@ from midisync.scheduler import (
     _compute_offsets,
     derive_boundaries,
     format_boundaries,
-    offsets_for_sequence,
     on_token,
     parse_boundaries,
 )
-from midisync.tokens import BAR, CHORD, START, DecodeState, Instrument, Token, TokenKind, cursor_after
+from midisync.tokens import BAR, CHORD, START, DecodeState, Instrument, Token, TokenKind, cursors_of
 
 
 def fold_offsets(tokens, boundaries: BoundaryList, params: SchedulerParams) -> list[float]:
@@ -227,20 +227,20 @@ def test_offsets_for_sequence_trivial_cases():
     params = SchedulerParams()
     # no chords, no boundaries: constant cap
     toks = [START, Token.shift(1000), Token.shift(1000)]
-    out = offsets_for_sequence(toks, BoundaryList.from_times([]), params)
+    out = offsets_of(toks, BoundaryList.from_times([]), params)
     assert list(out) == [4.0, 4.0, 4.0]
     # single chord exactly on a boundary
     toks = [START, Token.shift(1000), Token.shift(1000), CHORD, Token.shift(8)]
-    out = offsets_for_sequence(toks, BoundaryList.from_times([2.0]), params)
+    out = offsets_of(toks, BoundaryList.from_times([2.0]), params)
     assert list(out) == [2.0, 1.0, 0.0, 4.0, 4.0]
 
 
 def test_derive_boundaries_from_chord_positions():
     toks = [START, Token.shift(1000), CHORD, Token.shift(1000), Token.shift(504), CHORD]
-    bl = derive_boundaries(toks)
+    bl = derive_boundaries(*stream(toks))
     assert bl.times_ms == (1000, 2504)
     # offsets with self-derived boundaries: chords land exactly on them
-    out = offsets_for_sequence(toks)
+    out = offsets_of(toks)
     fold = fold_offsets(toks, bl, SchedulerParams())
     assert list(out) == fold
 
@@ -273,9 +273,9 @@ SELF_BOUNDED_STREAMS = {
 def test_self_derived_boundaries_match_the_oracle(name):
     tokens = SELF_BOUNDED_STREAMS[name]
     expected = chord_boundaries(tokens)
-    assert derive_boundaries(tokens).times_ms == expected.times_ms
+    assert derive_boundaries(*stream(tokens)).times_ms == expected.times_ms
     params = SchedulerParams()
-    assert list(offsets_for_sequence(tokens)) == fold_offsets(tokens, expected, params)
+    assert list(offsets_of(tokens)) == fold_offsets(tokens, expected, params)
 
 
 def test_self_derived_boundaries_match_the_oracle_on_random_instances():
@@ -283,22 +283,21 @@ def test_self_derived_boundaries_match_the_oracle_on_random_instances():
     for _ in range(300):
         tokens, _, params = random_instance(rng)
         expected = chord_boundaries(tokens)
-        got = derive_boundaries(tokens)
+        got = derive_boundaries(*stream(tokens))
         assert got.times_ms == expected.times_ms
         assert all(type(t) is int for t in got.times_ms)
-        offsets = offsets_for_sequence(tokens, params=params)
+        offsets = offsets_of(tokens, params=params)
         assert list(offsets) == fold_offsets(tokens, expected, params)
 
 
-def test_cursor_after_is_the_running_sum_of_shifts():
+def test_cursors_of_is_the_running_sum_of_shifts():
     rng = random.Random(31)
     for _ in range(50):
         tokens, _, _ = random_instance(rng)
-        ids, cursor = cursor_after(tokens)
-        assert ids.tolist() == [tok.id for tok in tokens]
+        cursor = cursors_of(np.array([tok.id for tok in tokens], dtype=np.int64))
+        assert cursor.dtype == np.int64
         assert cursor.tolist() == list(accumulate(tok.shift_ms or 0 for tok in tokens))
-    ids, cursor = cursor_after([])
-    assert ids.shape == cursor.shape == (0,)
+    assert cursors_of(np.zeros(0, dtype=np.int64)).shape == (0,)
 
 
 def random_instance(rng: random.Random):
@@ -347,7 +346,7 @@ def test_dispatcher_matches_fold():
     rng = random.Random(77)
     for _ in range(100):
         tokens, bounds, params = random_instance(rng)
-        assert list(offsets_for_sequence(tokens, bounds, params)) == fold_offsets(
+        assert list(offsets_of(tokens, bounds, params)) == fold_offsets(
             tokens, bounds, params
         )
 
@@ -373,7 +372,7 @@ def test_kernel_equivalence_property(data):
         max_offset_s=data.draw(st.sampled_from([0.5, 4.0])),
     )
     expected = fold_offsets(tokens, bounds, params)
-    assert list(offsets_for_sequence(tokens, bounds, params)) == expected
+    assert list(offsets_of(tokens, bounds, params)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +384,7 @@ def test_offset_range_invariant():
     rng = random.Random(888)
     for _ in range(50):
         tokens, bounds, params = random_instance(rng)
-        out = offsets_for_sequence(tokens, bounds, params)
+        out = offsets_of(tokens, bounds, params)
         assert np.all(out >= 0.0)
         assert np.all(out <= params.max_offset_s + 1e-12)
 

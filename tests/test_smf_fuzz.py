@@ -19,16 +19,17 @@ from collections import defaultdict
 
 import pytest
 
-from midisync.chords import detect_chords, insert_chord_tokens
+from midisync.chords import detect_chords, insert_chord_ids
 from midisync.midi_codec import (
     MAX_BAR_MARKS,
     MAX_SCORE_SPAN_MS,
     MidiParseError,
-    encode_events,
+    encode_ids,
     parse_midi,
     write_midi,
 )
-from midisync.scheduler import offsets_for_sequence
+from midisync.scheduler import offsets_for_ids
+from midisync.tokens import cursors_of
 
 from helpers import random_grid_score, random_offgrid_score, raw_smf, time_budget, vlq
 from smf_oracle import oracle_parse_midi
@@ -115,9 +116,9 @@ def test_parse_midi_matches_the_oracle_on_mutated_files(chunk):
             got = outcome(parse_midi, data)
             if got[0] == "score":
                 score = got[1]
-                tokens = encode_events(score)
-                tokens = insert_chord_tokens(tokens, detect_chords(score))
-                assert len(offsets_for_sequence(tokens)) == len(tokens)
+                ids = encode_ids(score)
+                ids, cursors = insert_chord_ids(ids, cursors_of(ids), detect_chords(score))
+                assert len(offsets_for_ids(ids, cursors)) == len(ids)
         if got[0] == "error" and "bar marks" in got[1] and expected[0] == "score":
             assert len(expected[1].bar_marks_ms) >= MAX_BAR_MARKS, (case, data.hex())
             continue

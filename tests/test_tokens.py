@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
 
 from midisync.tokens import (
@@ -12,9 +15,11 @@ from midisync.tokens import (
     Token,
     TokenKind,
     check_manifest,
+    format_ids,
     format_manifest,
     format_tokens,
     parse_tokens,
+    tokens_of,
 )
 
 
@@ -128,6 +133,19 @@ def test_token_text_round_trip():
     text = format_tokens(toks)
     assert text == "START\nFEWER_INSTRUMENTS\nPIANO_ON_60\nTIMESHIFT_800\nPIANO_OFF_60\n"
     assert parse_tokens(text) == toks
+
+
+def test_id_arrays_give_the_token_list_text_and_entries():
+    rng = random.Random(5)
+    for length in [0, 1, 2, 50, 3000]:
+        ids = np.array([rng.randrange(len(VOCABULARY)) for _ in range(length)], dtype=np.int64)
+        toks = [VOCABULARY[i] for i in ids.tolist()]
+        got = tokens_of(ids)
+        assert type(got) is list and len(got) == length
+        assert all(a is b for a, b in zip(got, toks))  # the shared entries
+        assert format_ids(ids) == format_tokens(toks)
+        assert parse_tokens(format_ids(ids)) == toks
+    assert format_ids(np.zeros(0, dtype=np.int64)) == ""
 
 
 def test_parse_tokens_reports_line_numbers():
