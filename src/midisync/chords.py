@@ -5,8 +5,9 @@ the same guitar or piano part striking together (onsets within a small
 simultaneity window) and all lasting at least two beats.  Detected
 spans drive three operations: inserting a CHORD marker immediately
 before each span's first ON token and randomly deleting markers
-(training-time dropout), both on a token id array, and raising the
-velocity of the notes a marker announces.
+(training-time dropout), both on a token id array (with Token-list
+forms for callers that hold tokens), and raising the velocity of the
+notes a marker announces.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .config import PipelineConfig
 from .midi_codec import DEFAULT_TEMPO_BPM, NoteEvent, ScoreTimeline, _unchecked_note, quantize_ms
-from .tokens import CHORD, Instrument, Token
+from .tokens import CHORD, Instrument, Token, cursors_of, ids_of, tokens_of
 
 CHORDABLE_INSTRUMENTS = (Instrument.GUITAR, Instrument.PIANO)
 MIN_CHORD_NOTES = 3
@@ -158,10 +159,24 @@ def dropout_chord_ids(
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"dropout rate must be in [0, 1], got {rate}")
     positions = np.flatnonzero(ids == CHORD.id)
-    if not positions.size:
-        return ids, cursors
     cut = positions[np.random.default_rng(seed).random(positions.size) < rate]
     return np.delete(ids, cut), np.delete(cursors, cut)
+
+
+def insert_chord_tokens(
+    tokens: list[Token],
+    spans: list[ChordSpan],
+    simultaneity_eps_ms: int = PipelineConfig.simultaneity_eps_ms,
+) -> list[Token]:
+    """:func:`insert_chord_ids` on a Token list, for callers that hold tokens."""
+    ids = ids_of(tokens)
+    return tokens_of(insert_chord_ids(ids, cursors_of(ids), spans, simultaneity_eps_ms)[0])
+
+
+def dropout_chords(tokens: list[Token], rate: float, seed: int) -> list[Token]:
+    """:func:`dropout_chord_ids` on a Token list: the same draws, a new list."""
+    ids = ids_of(tokens)
+    return tokens_of(dropout_chord_ids(ids, cursors_of(ids), rate, seed)[0])
 
 
 def boost_chord_velocity(

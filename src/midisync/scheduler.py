@@ -16,8 +16,9 @@ token, how far ahead the next relevant boundary lies:
 The incremental state machine (:func:`on_token`), which folds each
 generated token into the loop's :class:`GeneratorState` (the owner of
 every boundary's state), is the reference definition.  Whole token id
-streams go through one vectorized NumPy kernel (:func:`offsets_for_ids`),
-which must match the fold bit for bit.
+streams go through one vectorized NumPy kernel (:func:`offsets_for_ids`;
+:func:`offsets_for_sequence` on a Token list), which must match the fold
+bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import PipelineConfig, check_window
-from .tokens import CHORD, DecodeState, Token
+from .tokens import CHORD, DecodeState, Token, cursors_of, ids_of
 
 
 def _to_ms(seconds: float) -> int:
@@ -255,6 +256,16 @@ def offsets_for_ids(
     return _compute_offsets(
         cursor_ms, is_chord, bounds, params.sensitivity_ms, params.max_offset_ms
     )
+
+
+def offsets_for_sequence(
+    tokens: list[Token],
+    boundaries: BoundaryList | None = None,
+    params: SchedulerParams | None = None,
+) -> np.ndarray:
+    """:func:`offsets_for_ids` on a Token list, for callers that hold tokens."""
+    ids = ids_of(tokens)
+    return offsets_for_ids(ids, cursors_of(ids), boundaries, params)
 
 
 def format_boundaries(boundaries: BoundaryList) -> str:

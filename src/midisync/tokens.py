@@ -26,7 +26,7 @@ and instruments come in block order.
 A stream is held in one of two forms.  ``prepare`` and ``encode`` carry
 it as an int64 id array from the encoder to the text: :func:`cursors_of`
 gives its cursors, :func:`format_ids` its text, and :func:`tokens_of`
-its Token list.  Generation, decoding and :func:`parse_tokens` work on
+its Token list (:func:`ids_of` goes the other way).  Generation, decoding and :func:`parse_tokens` work on
 Token lists, one token at a time: one :class:`DecodeState` reads every
 token prefix for the decoder, the grammar mask and the generation
 models alike.
@@ -223,6 +223,11 @@ _LINE_ARRAY = np.array([tok.name + "\n" for tok in VOCABULARY], dtype=object)
 def cursors_of(ids: np.ndarray) -> np.ndarray:
     """The cursor (ms) after each token of an id array, as int64."""
     return np.cumsum(SHIFT_MS_BY_ID[ids])
+
+
+def ids_of(tokens: list[Token]) -> np.ndarray:
+    """The int64 id array of a Token list."""
+    return np.fromiter((tok.id for tok in tokens), dtype=np.int64, count=len(tokens))
 
 
 def tokens_of(ids: np.ndarray) -> list[Token]:

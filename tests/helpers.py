@@ -4,9 +4,9 @@ The SMF helpers construct raw bytes by hand, independent of the package
 writer, so parser tests check against separately computed tick math.
 The random score generators produce *representable* timelines: notes of
 the same (instrument, pitch) never overlap, because an ON/OFF event
-stream cannot faithfully carry overlapping unisons.  The stream
-adapters run the package's id-array stream functions on Token lists,
-for tests written with tokens.
+stream cannot faithfully carry overlapping unisons.  :func:`stream`
+turns a Token list into the (ids, cursors) pair that the package's
+id-array stream functions take.
 """
 
 from __future__ import annotations
@@ -17,32 +17,14 @@ import signal
 
 import numpy as np
 
-from midisync.chords import dropout_chord_ids, insert_chord_ids
-from midisync.config import PipelineConfig
 from midisync.midi_codec import NoteEvent, ScoreTimeline
-from midisync.scheduler import offsets_for_ids
-from midisync.tokens import Instrument, cursors_of, tokens_of
+from midisync.tokens import Instrument, cursors_of, ids_of
 
 
 def stream(tokens) -> tuple[np.ndarray, np.ndarray]:
     """The int64 ids of a Token list and the cursor after each token."""
-    ids = np.array([tok.id for tok in tokens], dtype=np.int64)
+    ids = ids_of(tokens)
     return ids, cursors_of(ids)
-
-
-def insert_tokens(tokens, spans, simultaneity_eps_ms=PipelineConfig.simultaneity_eps_ms):
-    """:func:`insert_chord_ids` on a Token list."""
-    return tokens_of(insert_chord_ids(*stream(tokens), spans, simultaneity_eps_ms)[0])
-
-
-def dropout_tokens(tokens, rate, seed):
-    """:func:`dropout_chord_ids` on a Token list."""
-    return tokens_of(dropout_chord_ids(*stream(tokens), rate, seed)[0])
-
-
-def offsets_of(tokens, boundaries=None, params=None) -> np.ndarray:
-    """:func:`offsets_for_ids` on a Token list."""
-    return offsets_for_ids(*stream(tokens), boundaries, params)
 
 
 def vlq(value: int) -> bytes:

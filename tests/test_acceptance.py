@@ -14,8 +14,9 @@ import time
 
 import numpy as np
 
-from helpers import dropout_tokens, offsets_of, random_grid_score, random_offgrid_score
+from helpers import random_grid_score, random_offgrid_score
 from midisync import cli
+from midisync.chords import dropout_chords
 from midisync.emotion import (
     AFFECT_NORMS,
     EMOTION_CATEGORIES,
@@ -47,6 +48,7 @@ from midisync.scheduler import (
     BoundaryList,
     GeneratorState,
     SchedulerParams,
+    offsets_for_sequence,
     on_token,
 )
 from midisync.tokens import CHORD, Instrument, Token, TokenKind
@@ -178,7 +180,7 @@ def test_a03_offset_kernel_equivalence():
     mismatches = 0
     for _ in range(n):
         tokens, bounds, params = _random_offset_instance(rng)
-        vectorized = offsets_of(tokens, bounds, params)
+        vectorized = offsets_for_sequence(tokens, bounds, params)
         folded = _fold_offsets(tokens, bounds, params)
         if list(vectorized) != folded:
             mismatches += 1
@@ -389,7 +391,7 @@ def test_a08_scene_filter():
 def test_a09_chord_dropout_rate():
     n = 10_000
     tokens = [CHORD] * n
-    survivors = dropout_tokens(tokens, rate=0.2, seed=2026)
+    survivors = dropout_chords(tokens, rate=0.2, seed=2026)
     removed = n - len(survivors)
     ok = abs(removed - 2000) <= 120
     report(

@@ -7,7 +7,7 @@ from itertools import accumulate, chain
 import numpy as np
 import pytest
 
-from helpers import dropout_tokens, insert_tokens, random_grid_score, random_offgrid_score, stream
+from helpers import random_grid_score, random_offgrid_score, stream
 
 from midisync.chords import (
     CHORDABLE_INSTRUMENTS,
@@ -19,8 +19,10 @@ from midisync.chords import (
     boost_chord_velocity,
     detect_chords,
     dropout_chord_ids,
+    dropout_chords,
     format_spans,
     insert_chord_ids,
+    insert_chord_tokens,
     parse_spans,
 )
 from midisync.config import PipelineConfig
@@ -128,7 +130,7 @@ def test_insert_chord_before_first_on():
     )
     spans = detect_chords(score)
     toks = encode_events(score, include_bars=False)
-    with_chords = insert_tokens(toks, spans)
+    with_chords = insert_chord_tokens(toks, spans)
     names = [t.name for t in with_chords]
     i = names.index("CHORD")
     assert names[i + 1] == "PIANO_ON_60"
@@ -143,7 +145,7 @@ def test_insert_no_match_raises():
     )
     bogus = ChordSpan(Instrument.PIANO, 0, (60, 64, 67), 1000)
     with pytest.raises(ChordLabelError):
-        insert_tokens(toks, [bogus])
+        insert_chord_tokens(toks, [bogus])
 
 
 def test_insert_count_matches_span_count():
@@ -159,25 +161,25 @@ def test_insert_count_matches_span_count():
         score = ScoreTimeline(notes=notes)
         spans = detect_chords(score)
         assert len(spans) == n_chords
-        toks = insert_tokens(encode_events(score, include_bars=False), spans)
+        toks = insert_chord_tokens(encode_events(score, include_bars=False), spans)
         assert sum(1 for x in toks if x.kind is TokenKind.CHORD) == n_chords
 
 
 def test_dropout_rate_edges():
     toks = [CHORD, Token.shift(8), CHORD, Token.shift(8), CHORD]
-    assert dropout_tokens(toks, 0.0, seed=1) == toks
-    kept = dropout_tokens(toks, 1.0, seed=1)
+    assert dropout_chords(toks, 0.0, seed=1) == toks
+    kept = dropout_chords(toks, 1.0, seed=1)
     assert all(t.kind is not TokenKind.CHORD for t in kept)
     assert len(kept) == 2
     with pytest.raises(ValueError):
-        dropout_tokens(toks, 1.5, seed=1)
+        dropout_chords(toks, 1.5, seed=1)
     with pytest.raises(ValueError):
-        dropout_tokens(toks, -0.1, seed=1)
+        dropout_chords(toks, -0.1, seed=1)
 
 
 def test_dropout_preserves_non_chords_and_order():
     toks = [Token.shift(8), CHORD, Token.on(Instrument.PIANO, 60), CHORD, Token.shift(16)]
-    out = dropout_tokens(toks, 0.5, seed=3)
+    out = dropout_chords(toks, 0.5, seed=3)
     assert [t for t in out if t.kind is not TokenKind.CHORD] == [
         Token.shift(8), Token.on(Instrument.PIANO, 60), Token.shift(16)
     ]
@@ -185,15 +187,15 @@ def test_dropout_preserves_non_chords_and_order():
 
 def test_dropout_statistics():
     toks = [CHORD] * 10_000
-    kept = dropout_tokens(toks, 0.2, seed=42)
+    kept = dropout_chords(toks, 0.2, seed=42)
     removed = len(toks) - len(kept)
     assert abs(removed - 2000) <= 120  # 3 sigma of Binomial(10000, 0.2)
 
 
 def test_dropout_deterministic_per_seed():
     toks = [CHORD if i % 3 else Token.shift(8) for i in range(300)]
-    assert dropout_tokens(toks, 0.2, seed=5) == dropout_tokens(toks, 0.2, seed=5)
-    assert dropout_tokens(toks, 0.2, seed=5) != dropout_tokens(toks, 0.2, seed=6)
+    assert dropout_chords(toks, 0.2, seed=5) == dropout_chords(toks, 0.2, seed=5)
+    assert dropout_chords(toks, 0.2, seed=5) != dropout_chords(toks, 0.2, seed=6)
 
 
 def dropout_by_removed_set(tokens, rate, seed):
@@ -214,7 +216,7 @@ def test_dropout_matches_removed_set_oracle(rate):
         toks = random_stream(rng, rng.randint(0, 120))
         for _ in range(rng.randint(0, 30)):  # runs, ends, and an unshared CHORD
             toks.insert(rng.randint(0, len(toks)), rng.choice((CHORD, Token(TokenKind.CHORD))))
-        out = dropout_tokens(toks, rate, seed)
+        out = dropout_chords(toks, rate, seed)
         assert out == dropout_by_removed_set(toks, rate, seed)
         assert out is not toks
 
@@ -330,7 +332,7 @@ def test_insert_then_remove_recovers_original():
             t += 2500
         score = ScoreTimeline(notes=notes)
         toks = encode_events(score, include_bars=False)
-        inserted = insert_tokens(toks, detect_chords(score))
+        inserted = insert_chord_tokens(toks, detect_chords(score))
         stripped = [x for x in inserted if x.kind is not TokenKind.CHORD]
         assert stripped == toks
 
@@ -434,7 +436,7 @@ def test_insert_matches_whole_stream_scan_on_random_streams(seed):
     for _ in range(5):
         spans = random_spans(rng, toks, eps, rng.randint(0, 12))
         expected = outcome(insert_by_whole_stream_scan, toks, spans, eps)
-        assert outcome(insert_tokens, toks, spans, eps) == expected
+        assert outcome(insert_chord_tokens, toks, spans, eps) == expected
 
 
 def test_insert_overlapping_windows_stack_markers():
@@ -446,7 +448,7 @@ def test_insert_overlapping_windows_stack_markers():
         ChordSpan(Instrument.PIANO, 4, (60, 64, 67), 1000),
         ChordSpan(Instrument.PIANO, 12, (60, 64, 67), 1000),
     ]
-    out = insert_tokens(toks, spans)
+    out = insert_chord_tokens(toks, spans)
     assert out == [Token.shift(8), CHORD, CHORD, on, Token.shift(8), toks[3]]
     assert out == insert_by_whole_stream_scan(toks, spans)
 
@@ -456,7 +458,7 @@ def test_insert_near_cursor_zero_clips_window():
     toks = [Token.on(Instrument.GUITAR, 52), Token.shift(16), Token.on(Instrument.GUITAR, 55)]
     for onset in (0, 3, 8):
         span = ChordSpan(Instrument.GUITAR, onset, (52, 55, 59), 1000)
-        out = insert_tokens(toks, [span])
+        out = insert_chord_tokens(toks, [span])
         assert out == insert_by_whole_stream_scan(toks, [span])
         assert out[0] == CHORD
 
@@ -469,10 +471,10 @@ def test_insert_no_match_message_matches_scan():
         ChordSpan(Instrument.PIANO, 500, (60, 64, 67), 1000),  # nothing sounds there
     ]
     with pytest.raises(ChordLabelError) as exc:
-        insert_tokens(toks, spans)
+        insert_chord_tokens(toks, spans)
     assert str(exc.value) == "no ON token matches chord at 8 ms (guitar)"
     assert outcome(insert_by_whole_stream_scan, toks, spans) == f"ChordLabelError: {exc.value}"
-    assert outcome(insert_chord_tokens, toks, spans) == f"ChordLabelError: {exc.value}"
+    assert outcome(insert_on_token_list, toks, spans) == f"ChordLabelError: {exc.value}"
 
 
 def multi_minute_song(rng, minutes):
@@ -502,7 +504,7 @@ def test_detect_then_insert_matches_scan_on_long_songs(seed):
     toks = encode_events(score)
     spans = detect_chords(score)
     assert len(spans) > 50
-    out = insert_tokens(toks, spans)
+    out = insert_chord_tokens(toks, spans)
     assert out == insert_by_whole_stream_scan(toks, spans)
     assert sum(1 for t in out if t.kind is TokenKind.CHORD) == len(spans)
 
@@ -510,7 +512,7 @@ def test_detect_then_insert_matches_scan_on_long_songs(seed):
 # -- the id-array stream functions against the Token-list forms they replaced --
 
 
-def insert_chord_tokens(tokens, spans, simultaneity_eps_ms=PipelineConfig.simultaneity_eps_ms):
+def insert_on_token_list(tokens, spans, simultaneity_eps_ms=PipelineConfig.simultaneity_eps_ms):
     """Oracle: chord insertion on a Token list, as written before the id arrays."""
     cursors = list(accumulate(tok.shift_ms or 0 for tok in tokens))
     n = len(tokens)
@@ -540,7 +542,7 @@ def insert_chord_tokens(tokens, spans, simultaneity_eps_ms=PipelineConfig.simult
     return out
 
 
-def dropout_chords(tokens, rate, seed):
+def dropout_on_token_list(tokens, rate, seed):
     """Oracle: chord dropout on a Token list, as written before the id arrays."""
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"dropout rate must be in [0, 1], got {rate}")
@@ -569,7 +571,7 @@ def test_insert_ids_match_the_token_list_insert_on_random_streams(seed):
     ids, cursors = stream(toks)
     for _ in range(5):
         spans = random_spans(rng, toks, eps, rng.randint(0, 12))
-        expected = outcome(insert_chord_tokens, toks, spans, eps)
+        expected = outcome(insert_on_token_list, toks, spans, eps)
         got = outcome(insert_chord_ids, ids, cursors, spans, eps)
         if isinstance(expected, str):
             assert got == expected  # the same ChordLabelError text
@@ -587,7 +589,7 @@ def test_insert_ids_match_the_token_list_insert_on_encoded_scores(seed):
         for eps in (0, 8, 40):
             spans = detect_chords(score, simultaneity_eps_ms=eps)
             ids = encode_ids(score)
-            expected = outcome(insert_chord_tokens, encode_events(score), spans, eps)
+            expected = outcome(insert_on_token_list, encode_events(score), spans, eps)
             got = outcome(insert_chord_ids, ids, cursors_of(ids), spans, eps)
             if isinstance(expected, str):
                 assert got == expected
@@ -602,7 +604,7 @@ def test_dropout_ids_match_the_token_list_dropout(rate):
         toks = random_stream(rng, rng.randint(0, 120))
         for _ in range(rng.randint(0, 30)):
             toks.insert(rng.randint(0, len(toks)), CHORD)
-        assert_stream(dropout_chord_ids(*stream(toks), rate, seed), dropout_chords(toks, rate, seed))
+        assert_stream(dropout_chord_ids(*stream(toks), rate, seed), dropout_on_token_list(toks, rate, seed))
 
 
 def test_dropout_ids_take_one_draw_per_chord_in_stream_order():
@@ -615,6 +617,18 @@ def test_dropout_ids_take_one_draw_per_chord_in_stream_order():
         assert out.tolist() == np.delete(ids, chords[draws < 0.3]).tolist()
     with pytest.raises(ValueError, match=r"dropout rate must be in \[0, 1\], got 1.5"):
         dropout_chord_ids(ids, cursors, 1.5, 0)
+
+
+@pytest.mark.parametrize("rate", [0.0, 1.0])
+@pytest.mark.parametrize("toks", [
+    [Token.shift(8), Token.on(Instrument.PIANO, 60)],  # no CHORD
+    [CHORD, Token.shift(8), CHORD],
+])
+def test_dropout_ids_return_new_arrays(toks, rate):
+    ids, cursors = stream(toks)
+    out_ids, out_cursors = dropout_chord_ids(ids, cursors, rate, seed=1)
+    assert not np.shares_memory(out_ids, ids)
+    assert not np.shares_memory(out_cursors, cursors)
 
 
 def detect_by_filtering_per_instrument(score, beat_ms, simultaneity_eps_ms):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import offsets_of, stream
+from helpers import stream
 from midisync.scheduler import (
     BoundaryList,
     BoundaryState,
@@ -19,6 +19,7 @@ from midisync.scheduler import (
     _compute_offsets,
     derive_boundaries,
     format_boundaries,
+    offsets_for_sequence,
     on_token,
     parse_boundaries,
 )
@@ -227,11 +228,11 @@ def test_offsets_for_sequence_trivial_cases():
     params = SchedulerParams()
     # no chords, no boundaries: constant cap
     toks = [START, Token.shift(1000), Token.shift(1000)]
-    out = offsets_of(toks, BoundaryList.from_times([]), params)
+    out = offsets_for_sequence(toks, BoundaryList.from_times([]), params)
     assert list(out) == [4.0, 4.0, 4.0]
     # single chord exactly on a boundary
     toks = [START, Token.shift(1000), Token.shift(1000), CHORD, Token.shift(8)]
-    out = offsets_of(toks, BoundaryList.from_times([2.0]), params)
+    out = offsets_for_sequence(toks, BoundaryList.from_times([2.0]), params)
     assert list(out) == [2.0, 1.0, 0.0, 4.0, 4.0]
 
 
@@ -240,7 +241,7 @@ def test_derive_boundaries_from_chord_positions():
     bl = derive_boundaries(*stream(toks))
     assert bl.times_ms == (1000, 2504)
     # offsets with self-derived boundaries: chords land exactly on them
-    out = offsets_of(toks)
+    out = offsets_for_sequence(toks)
     fold = fold_offsets(toks, bl, SchedulerParams())
     assert list(out) == fold
 
@@ -275,7 +276,7 @@ def test_self_derived_boundaries_match_the_oracle(name):
     expected = chord_boundaries(tokens)
     assert derive_boundaries(*stream(tokens)).times_ms == expected.times_ms
     params = SchedulerParams()
-    assert list(offsets_of(tokens)) == fold_offsets(tokens, expected, params)
+    assert list(offsets_for_sequence(tokens)) == fold_offsets(tokens, expected, params)
 
 
 def test_self_derived_boundaries_match_the_oracle_on_random_instances():
@@ -286,7 +287,7 @@ def test_self_derived_boundaries_match_the_oracle_on_random_instances():
         got = derive_boundaries(*stream(tokens))
         assert got.times_ms == expected.times_ms
         assert all(type(t) is int for t in got.times_ms)
-        offsets = offsets_of(tokens, params=params)
+        offsets = offsets_for_sequence(tokens, params=params)
         assert list(offsets) == fold_offsets(tokens, expected, params)
 
 
@@ -346,7 +347,7 @@ def test_dispatcher_matches_fold():
     rng = random.Random(77)
     for _ in range(100):
         tokens, bounds, params = random_instance(rng)
-        assert list(offsets_of(tokens, bounds, params)) == fold_offsets(
+        assert list(offsets_for_sequence(tokens, bounds, params)) == fold_offsets(
             tokens, bounds, params
         )
 
@@ -372,7 +373,7 @@ def test_kernel_equivalence_property(data):
         max_offset_s=data.draw(st.sampled_from([0.5, 4.0])),
     )
     expected = fold_offsets(tokens, bounds, params)
-    assert list(offsets_of(tokens, bounds, params)) == expected
+    assert list(offsets_for_sequence(tokens, bounds, params)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +385,7 @@ def test_offset_range_invariant():
     rng = random.Random(888)
     for _ in range(50):
         tokens, bounds, params = random_instance(rng)
-        out = offsets_of(tokens, bounds, params)
+        out = offsets_for_sequence(tokens, bounds, params)
         assert np.all(out >= 0.0)
         assert np.all(out <= params.max_offset_s + 1e-12)
 

@@ -18,6 +18,7 @@ from midisync.tokens import (
     format_ids,
     format_manifest,
     format_tokens,
+    ids_of,
     parse_tokens,
     tokens_of,
 )
@@ -145,6 +146,8 @@ def test_id_arrays_give_the_token_list_text_and_entries():
         assert all(a is b for a, b in zip(got, toks))  # the shared entries
         assert format_ids(ids) == format_tokens(toks)
         assert parse_tokens(format_ids(ids)) == toks
+        back = ids_of(toks)
+        assert back.dtype == np.int64 and back.tolist() == ids.tolist()
     assert format_ids(np.zeros(0, dtype=np.int64)) == ""
 
 
