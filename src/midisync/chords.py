@@ -7,7 +7,8 @@ spans drive three operations: inserting a CHORD marker immediately
 before each span's first ON token and randomly deleting markers
 (training-time dropout), both on a token id array (with Token-list
 forms for callers that hold tokens), and raising the velocity of the
-notes a marker announces.
+notes a marker announces.  :func:`format_spans` writes the spans as the
+``chords`` command's line report; nothing reads that report back.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PipelineConfig
-from .midi_codec import DEFAULT_TEMPO_BPM, NoteEvent, ScoreTimeline, _unchecked_note, quantize_ms
+from .midi_codec import NoteEvent, ScoreTimeline, _unchecked_note, quantize_ms
 from .tokens import CHORD, Instrument, Token, cursors_of, ids_of, tokens_of
 
 CHORDABLE_INSTRUMENTS = (Instrument.GUITAR, Instrument.PIANO)
@@ -222,29 +223,3 @@ def format_spans(spans: list[ChordSpan]) -> str:
         )
     return "".join(line + "\n" for line in lines)
 
-
-def _seconds_to_ms(field: str, what: str) -> int:
-    ms = float(field) * 1000
-    if not math.isfinite(ms):
-        raise ValueError(f"{what} must be a finite number of ms, got {field!r}")
-    return int(round(ms))
-
-
-def parse_spans(text: str) -> list[ChordSpan]:
-    """Inverse of :func:`format_spans`; errors name the line."""
-    spans = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise ValueError(f"line {lineno}: expected 4 tab-separated fields")
-        try:
-            onset = _seconds_to_ms(parts[0], "onset")
-            instrument = Instrument(parts[1])
-            duration = _seconds_to_ms(parts[2], "duration")
-            pitches = tuple(int(p) for p in parts[3].split(","))
-            spans.append(ChordSpan(instrument, onset, pitches, duration))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-    return spans

@@ -7,12 +7,17 @@ categorical probability distribution then induces a Gaussian mixture
 over VA space, which can be collapsed to its mean or sampled from.
 
 Because the raw category means do not use the full [-1, 1] range, the
-table is rescaled so that the largest absolute mean component hits a
-configurable target (0.8 by default), which keeps conditioning values
-comfortably inside the valid range while spreading the categories out.
+table (means and sds alike) is rescaled so that the largest absolute
+mean component hits a configurable target (0.8 by default), which keeps
+conditioning values comfortably inside the valid range while spreading
+the categories out.
 
 The inverse direction — a VA point back to the closest category — is
 provided with three selectable notions of "closest".
+
+Text is only read here, never written: an emotion file
+(:func:`parse_distribution`) and one VA coordinate from the command
+line (:func:`parse_va_component`).
 """
 
 from __future__ import annotations
@@ -90,19 +95,6 @@ class VAPoint:
     def fully_specified(self) -> bool:
         return self.valence is not None and self.arousal is not None
 
-    def format(self) -> str:
-        def fmt(v: float | None) -> str:
-            return UNSPECIFIED_KEYWORD if v is None else repr(float(v))
-
-        return f"{fmt(self.valence)} {fmt(self.arousal)}"
-
-    @classmethod
-    def parse(cls, text: str) -> "VAPoint":
-        parts = text.split()
-        if len(parts) != 2:
-            raise ValueError(f"expected two fields, got {text!r}")
-        return cls(parse_va_component(parts[0]), parse_va_component(parts[1]))
-
 
 def parse_va_component(field: str) -> float | None:
     """One VA coordinate: 'unspecified', 'none' or 'nan' -> None, else a float."""
@@ -167,7 +159,6 @@ class GaussianMixtureVA:
     weights: np.ndarray   # (6,)
     means: np.ndarray     # (6, 2), already scaled
     sds: np.ndarray       # (6, 2)
-    scale: float
 
 
 def scaling_coefficient(table: VATable, target_max: float = PipelineConfig.target_max) -> float:
@@ -184,14 +175,13 @@ def build_mixture(
     dist: EmotionDistribution,
     table: VATable | None = None,
     target_max: float = PipelineConfig.target_max,
-    scale_sds: bool = True,
 ) -> GaussianMixtureVA:
     """Gaussian mixture induced by a categorical distribution.
 
-    Means (and, by default, standard deviations) are rescaled so the
-    largest absolute mean component equals ``target_max`` exactly; the
-    division by the current maximum happens before the multiplication so
-    that the extreme component is bit-exact.
+    Means and standard deviations are rescaled so the largest absolute
+    mean component equals ``target_max`` exactly; the division by the
+    current maximum happens before the multiplication so that the
+    extreme component is bit-exact.
     """
     table = table or VATable.default()
     coefficient = scaling_coefficient(table, target_max)  # validates inputs
@@ -202,10 +192,8 @@ def build_mixture(
         sds = table.sds.copy()
     else:
         means = table.means / max_abs * target_max
-        sds = table.sds / max_abs * target_max if scale_sds else table.sds.copy()
-    return GaussianMixtureVA(
-        weights=dist.probs.copy(), means=means, sds=sds, scale=coefficient
-    )
+        sds = table.sds / max_abs * target_max
+    return GaussianMixtureVA(weights=dist.probs.copy(), means=means, sds=sds)
 
 
 def mixture_mean(mixture: GaussianMixtureVA) -> VAPoint:
@@ -273,13 +261,6 @@ def inverse_map(point: VAPoint, table: VATable | None = None, metric: str = "euc
 # ---------------------------------------------------------------------------
 # File formats
 # ---------------------------------------------------------------------------
-
-
-def format_distribution(dist: EmotionDistribution) -> str:
-    """``category: probability`` lines in fixed category order."""
-    return "".join(
-        f"{c}: {float(p)!r}\n" for c, p in zip(EMOTION_CATEGORIES, dist.probs)
-    )
 
 
 def parse_distribution(text: str) -> EmotionDistribution:

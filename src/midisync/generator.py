@@ -20,13 +20,14 @@ deterministic walker that provably places a chord inside every
 boundary's sensitivity window above 4 ms (for end-to-end checks).
 Both keep no state of their own, so one instance is safe to share: the
 loop reads their ``(id, weight)`` pairs on its state, and their public
-``next_distribution`` scatters the same pairs into a vector.
+``next_distribution`` folds the history it is given and scatters the
+same pairs into a vector.  A run's counters go into the ``generate``
+manifest as a dict (:meth:`GenerationResult.diagnostics`).
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -128,8 +129,8 @@ class InputAssembly:
     token count plus two.  Each position's feature vector is split
     half/half between a position encoding and an encoding of that
     position's boundary offset; the conditioning slots reuse the first
-    offset.  An unspecified valence/arousal is flagged so the model can
-    substitute its learned stand-in vector.
+    offset (0.0 for an empty sequence).  An unspecified valence/arousal
+    is flagged so the model can substitute its learned stand-in vector.
     """
 
     sequence_length: int
@@ -149,7 +150,6 @@ def assemble_input(
     offsets: list[float],
     va: VAPoint,
     feature_dim: int = 512,
-    default_offset: float = 0.0,
 ) -> InputAssembly:
     """Validate and describe the model input for one sequence."""
     if feature_dim < 2 or feature_dim % 2:
@@ -158,7 +158,7 @@ def assemble_input(
         raise ValueError(
             f"offsets ({len(offsets)}) must align one-to-one with tokens ({len(tokens)})"
         )
-    lead = offsets[0] if offsets else default_offset
+    lead = offsets[0] if offsets else 0.0
     return InputAssembly(
         sequence_length=len(tokens) + 2,
         token_count=len(tokens),
@@ -214,9 +214,6 @@ class GenerationResult:
             "boundaries_pending": self.pending,
             "seed": self.seed,
         }
-
-    def diagnostics_json(self) -> str:
-        return json.dumps(self.diagnostics(), indent=2) + "\n"
 
 
 def _dense_pairs(probs: np.ndarray, state: GeneratorState) -> Pairs:
@@ -365,11 +362,10 @@ def _pace_weights(step: int) -> MappingProxyType[int, float]:
 class _BuiltinModel:
     """A model whose ``_weights(state, offsets, valence, arousal)`` pairs :func:`generate` reads."""
 
-    def next_distribution(self, tokens, offsets, valence, arousal, state=None):
-        """The pairs for ``tokens`` (folded unless ``state`` is given) as a normalised vector."""
-        state = _fold(tokens) if state is None else state
+    def next_distribution(self, tokens, offsets, valence, arousal):
+        """The pairs for the folded ``tokens`` as a normalised vector."""
         weights = np.zeros(len(VOCABULARY))
-        for token_id, weight in self._weights(state, offsets, valence, arousal):
+        for token_id, weight in self._weights(_fold(tokens), offsets, valence, arousal):
             weights[token_id] = weight
         return weights / weights.sum()
 

@@ -37,7 +37,6 @@ import numpy as np
 
 from .tokens import (
     BAR,
-    CHORD,
     FEWER_INSTRUMENTS,
     INSTRUMENTS,
     MAX_SHIFT_MS,
@@ -174,11 +173,6 @@ class ScoreTimeline:
         if any(b >= a for b, a in zip(marks, marks[1:])):
             raise ValueError("bar marks must be strictly increasing")
         self.bar_marks_ms = marks
-
-    def span_ms(self) -> int:
-        last_note = max((n.offset_ms for n in self.notes), default=0)
-        last_mark = max(self.bar_marks_ms, default=0)
-        return max(last_note, last_mark)
 
     def instruments_used(self) -> set[Instrument]:
         return {n.instrument for n in self.notes}

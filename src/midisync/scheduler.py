@@ -167,7 +167,7 @@ def _chord_times(is_chord: np.ndarray, cursor_ms: np.ndarray) -> np.ndarray:
     return times[np.diff(times, prepend=-1) > 0]
 
 
-_FAR = np.int64(2**62)
+_FAR = np.iinfo(np.int64).max  # past every cursor and boundary
 
 
 def _compute_offsets(
@@ -191,39 +191,22 @@ def _compute_offsets(
     a step function whose segments can be painted with ``np.repeat``.
     """
     n = cursor_ms.shape[0]
-    m = bounds_ms.shape[0]
-    if m == 0:
-        return np.full(n, dmax_ms / 1000.0)
-    if n == 0:
-        return np.zeros(0)
-
-    chord_idx = np.flatnonzero(is_chord)
+    # A sentinel chord at index n, with its cursor past every window,
+    # stands for "not consumed".
+    chord_idx = np.append(np.flatnonzero(is_chord), n)
+    chord_cursor = np.append(cursor_ms[chord_idx[:-1]], _FAR)
     # Consumption: earliest chord token whose cursor lies strictly inside
     # (b - xi, b + xi).  Cursor values are integers, so the open interval
     # is the closed interval [b - xi + 1, b + xi - 1].
-    consume = np.full(m, n, dtype=np.int64)
-    if chord_idx.size:
-        chord_cursor = cursor_ms[chord_idx]
-        k = np.searchsorted(chord_cursor, bounds_ms - xi_ms + 1, side="left")
-        valid = k < chord_idx.size
-        kv = k[valid]
-        hit = chord_cursor[kv] <= bounds_ms[valid] + xi_ms - 1
-        rows = np.flatnonzero(valid)[hit]
-        consume[rows] = chord_idx[kv[hit]]
+    k = np.searchsorted(chord_cursor, bounds_ms - xi_ms + 1, side="left")
+    consume = np.where(chord_cursor[k] <= bounds_ms + xi_ms - 1, chord_idx[k], n)
 
     # Expiry: earliest token whose cursor satisfies cursor - b > xi.
     expire = np.searchsorted(cursor_ms, bounds_ms + xi_ms + 1, side="left")
-    death = np.minimum(consume, expire)
 
     # Boundary j is the earliest pending one from the moment every
     # earlier boundary has died until it dies itself.
-    prefix = np.maximum.accumulate(death)
-    start = np.empty(m, dtype=np.int64)
-    start[0] = 0
-    start[1:] = prefix[:-1]
-    seg_start = np.minimum(start, n)
-    seg_end = np.minimum(np.maximum(death, seg_start), n)
-    lengths = seg_end - seg_start
+    lengths = np.diff(np.maximum.accumulate(np.minimum(consume, expire)), prepend=0)
 
     covered = int(lengths.sum())
     earliest = np.concatenate(

@@ -236,13 +236,13 @@ def tokens_of(ids: np.ndarray) -> list[Token]:
 
 
 def format_ids(ids: np.ndarray) -> str:
-    """The text of an id array: what :func:`format_tokens` writes for its tokens."""
+    """The text of an id array: one token name per line."""
     return "".join(_LINE_ARRAY[ids].tolist())
 
 
 def format_tokens(tokens: list[Token]) -> str:
-    """Serialize a token sequence, one token name per line."""
-    return "".join(tok.name + "\n" for tok in tokens)
+    """:func:`format_ids` on a Token list: the same text."""
+    return format_ids(ids_of(tokens))
 
 
 def format_manifest() -> str:
