@@ -14,14 +14,13 @@ notes a marker announces.  :func:`format_spans` writes the spans as the
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import PipelineConfig
-from .midi_codec import NoteEvent, ScoreTimeline, _unchecked_note, quantize_ms
-from .tokens import CHORD, Instrument, Token, cursors_of, ids_of, tokens_of
+from .midi_codec import BLOCK, OFFSET, ONSET, PITCH, VELOCITY, ScoreTimeline, quantize_ms
+from .tokens import CHORD, INSTRUMENTS, Instrument, Token, cursors_of, ids_of, tokens_of
 
 CHORDABLE_INSTRUMENTS = (Instrument.GUITAR, Instrument.PIANO)
 MIN_CHORD_NOTES = 3
@@ -80,17 +79,13 @@ def detect_chords(
         raise ValueError(f"beat_ms must be a finite positive number, got {beat_ms}")
     min_duration = MIN_CHORD_BEATS * beat_ms
 
-    # One pass buckets the chordable notes, each bucket in the score's onset order.
-    buckets: dict[Instrument, list[NoteEvent]] = {i: [] for i in CHORDABLE_INSTRUMENTS}
-    for note in score.notes:
-        bucket = buckets.get(note[0])  # field 0 is the instrument
-        if bucket is not None:
-            bucket.append(note)
-
+    columns = score.columns
     spans: list[ChordSpan] = []
-    for instrument, notes in buckets.items():
+    for instrument in CHORDABLE_INSTRUMENTS:
+        # this block's notes, in the score's onset order
+        mine = columns[:, columns[BLOCK] == INSTRUMENTS.index(instrument)]
         clusters: list[tuple[int, list[int], list[int]]] = []  # onset, pitches, durations
-        for _, pitch, onset, offset, _ in notes:
+        for onset, pitch, offset in zip(*mine[[ONSET, PITCH, OFFSET]].tolist()):
             if clusters and onset - clusters[-1][0] <= simultaneity_eps_ms:
                 clusters[-1][1].append(pitch)
                 clusters[-1][2].append(offset - onset)
@@ -198,19 +193,18 @@ def boost_chord_velocity(
         raise ValueError(f"gain must be >= 0, got {gain}")
     if simultaneity_eps_ms < 0:
         raise ValueError("simultaneity window must be >= 0")
-    onsets = sorted(set(chord_onsets))
-    out = []
-    for n in score.notes:
-        # the first chord onset at or after the window's start lies in the window
-        k = bisect_left(onsets, n.onset_ms - simultaneity_eps_ms)
-        if k < len(onsets) and onsets[k] <= n.onset_ms + simultaneity_eps_ms:
-            out.append(_unchecked_note((*n[:4], min(127, n.velocity + gain))))
-        else:
-            out.append(n)
+    # Each note's first chord onset at or after its window's start (an
+    # infinite one past the last) lies in the window or no onset does.
+    starts = np.array([*sorted(chord_onsets), math.inf])
+    columns = score.columns.copy()
+    onset, velocity = columns[ONSET], columns[VELOCITY]
+    first = starts[np.searchsorted(starts, onset - simultaneity_eps_ms)]
+    hit = first <= onset + simultaneity_eps_ms
+    velocity[hit] = np.minimum(velocity[hit] + min(gain, 127), 127)
     # No sort: a boost depends only on the onset, the leading order key, and
     # v -> min(127, v + gain) is monotone, so notes tied on (onset, block,
     # pitch, offset) keep their velocity order or become equal.
-    return ScoreTimeline._presorted(out, score.tempo_bpm, score.bar_marks_ms)
+    return ScoreTimeline._presorted(columns, score.tempo_bpm, score.bar_marks_ms)
 
 
 def format_spans(spans: list[ChordSpan]) -> str:

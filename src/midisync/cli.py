@@ -105,8 +105,9 @@ def cmd_decode(args) -> int:
 def _prepare_one(data: bytes, config: PipelineConfig, seed: int, args) -> list[tuple[str, str, str]]:
     """The (stem suffix, tokens text, offsets text) of each variant of one SMF.
 
-    Each variant's stream stays an int64 id array, with its cursors,
-    from the encoder to the text.
+    Each variant's notes stay int64 columns from the parser to the
+    encoder, its stream an int64 id array with its cursors from the
+    encoder to the text, and its offsets whole ms until their text.
     """
     score = midi_codec.parse_midi(data)
     variants = [("", score)]
@@ -127,12 +128,8 @@ def _prepare_one(data: bytes, config: PipelineConfig, seed: int, args) -> list[t
         spans = chords_mod.detect_chords(variant, simultaneity_eps_ms=eps)
         ids, cursors = chords_mod.insert_chord_ids(ids, cursors, spans, eps)
         ids, cursors = chords_mod.dropout_chord_ids(ids, cursors, config.chord_dropout, seed)
-        offsets = scheduler.offsets_for_ids(ids, cursors, params=params)
-        # ~100 distinct values in a long file: format each once, join by index
-        values, index = np.unique(offsets, return_inverse=True)
-        lines = np.array(["%.3f\n" % v for v in values.tolist()], dtype=object)
-        offsets_text = "".join(lines[index].tolist())
-        outputs.append((suffix, tokens.format_ids(ids), offsets_text))
+        offsets_ms = scheduler.offsets_ms_for_ids(ids, cursors, params=params)
+        outputs.append((suffix, tokens.format_ids(ids), scheduler.format_offsets(offsets_ms)))
     return outputs
 
 

@@ -15,11 +15,15 @@ scratch so that malformed input can be reported with exact byte
 offsets; it supports format 0 and 1 files, running status, tempo and
 time-signature metadata, and both PPQ and SMPTE divisions.
 
-A :class:`NoteEvent` is a tuple record whose equality is tuple
-equality.  Its public constructor validates; the internal producers,
-whose notes are valid by construction, skip that validation.
-:func:`parse_midi` and a :func:`transpose` with no octave wrap make
-their notes in timeline order and skip the timeline's sort too.
+A :class:`ScoreTimeline` stores its notes as sorted int64 columns
+(onset, instrument block, pitch, offset, velocity).  :func:`parse_midi`,
+:func:`transpose`, :func:`trim_to_duration` and
+``chords.boost_chord_velocity`` work on those columns and build no
+per-note objects; the columns come sorted from :func:`parse_midi`, and
+a :func:`transpose` with no octave wrap keeps their order, so neither
+sorts them again.  A :class:`NoteEvent` is a tuple record whose equality
+is tuple equality: ``ScoreTimeline.notes`` is the list view of the same
+notes, built on first read.
 
 Instrument bucketing follows General MIDI programs: 0-23 piano, 24-31
 guitar, 32-39 bass, every other pitched program strings, and channel 10
@@ -29,7 +33,8 @@ guitar, 32-39 bass, every other pitched program strings, and channel 10
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
 
@@ -107,9 +112,8 @@ class NoteEvent(namedtuple("NoteEvent", "instrument pitch onset_ms offset_ms vel
 
     A tuple record whose equality is tuple equality.  The public
     constructor, ``_make`` and ``_replace`` validate every field; the
-    internal producers (:func:`parse_midi`, :func:`decode_events`,
-    :func:`transpose`, :func:`trim_to_duration` and
-    ``chords.boost_chord_velocity``) skip that through ``_unchecked_note``.
+    internal producers (:func:`decode_events` and the ``notes`` view of
+    a :class:`ScoreTimeline`) skip that through ``_unchecked_note``.
     """
 
     __slots__ = ()
@@ -129,38 +133,68 @@ class NoteEvent(namedtuple("NoteEvent", "instrument pitch onset_ms offset_ms vel
     def _make(cls, fields) -> "NoteEvent":
         return cls(*fields)
 
-    @property
-    def duration_ms(self) -> int:
-        return self.offset_ms - self.onset_ms
-
 
 #: A NoteEvent from its five fields, unchecked: only for fields valid by construction.
 _unchecked_note = partial(tuple.__new__, NoteEvent)
 _INSTRUMENT_ORDER = {inst: k for k, inst in enumerate(INSTRUMENTS)}
+_DRUMS_BLOCK = _INSTRUMENT_ORDER[Instrument.DRUMS]
+
+#: Rows of ``ScoreTimeline.columns``, in the order of the timeline's sort
+#: keys; a note's block is its instrument's index in ``INSTRUMENTS``.
+ONSET, BLOCK, PITCH, OFFSET, VELOCITY = range(5)
 
 
-def _note_order(n: NoteEvent) -> tuple:
-    """Onset, then instrument block, pitch, offset and velocity."""
-    return (n[2], _INSTRUMENT_ORDER[n[0]], n[1], n[3], n[4])
+def _timeline_order(columns: np.ndarray) -> np.ndarray:
+    """The stable permutation that sorts note columns into timeline order.
+
+    Timeline order is onset, then instrument block, pitch, offset and
+    velocity: the rows in turn (``np.lexsort`` reads its last key first).
+    """
+    return np.lexsort(columns[::-1])
 
 
-@dataclass
 class ScoreTimeline:
-    """Normalized score: sorted notes, bar marks, and a tempo."""
+    """Normalized score: sorted note columns, bar marks, and a tempo.
 
-    notes: list[NoteEvent] = field(default_factory=list)
-    tempo_bpm: float = DEFAULT_TEMPO_BPM
-    bar_marks_ms: tuple[int, ...] = ()
+    ``columns`` is a ``(5, n)`` int64 array, one column per note in
+    timeline order (:func:`_timeline_order`) and one row per field
+    (:data:`ONSET`, :data:`BLOCK`, :data:`PITCH`, :data:`OFFSET`,
+    :data:`VELOCITY`).  ``notes`` is the same notes as a list of
+    :class:`NoteEvent`, in the same order: the list the constructor was
+    given, reordered, or one built from the columns on its first read.
+    Both are read only.  Two timelines are equal when their notes, tempo
+    and bar marks are.
+    """
 
-    def __post_init__(self) -> None:
+    __slots__ = ("columns", "tempo_bpm", "bar_marks_ms", "_notes")
+    __hash__ = None  # equality reads mutable fields
+
+    def __init__(
+        self,
+        notes: Iterable[NoteEvent] = (),
+        tempo_bpm: float = DEFAULT_TEMPO_BPM,
+        bar_marks_ms: tuple[int, ...] = (),
+    ) -> None:
+        self.tempo_bpm, self.bar_marks_ms = tempo_bpm, bar_marks_ms
         self._check()
-        self.notes = sorted(self.notes, key=_note_order)
+        notes = list(notes)
+        n = len(notes)
+        columns = np.empty((5, n), dtype=np.int64)
+        columns[BLOCK] = np.fromiter(
+            map(_INSTRUMENT_ORDER.__getitem__, map(itemgetter(0), notes)), np.int64, n
+        )
+        for row, k in ((PITCH, 1), (ONSET, 2), (OFFSET, 3), (VELOCITY, 4)):
+            columns[row] = np.fromiter(map(itemgetter(k), notes), np.int64, n)
+        order = _timeline_order(columns)
+        self.columns = columns[:, order]
+        self._notes = list(map(notes.__getitem__, order.tolist()))
 
     @classmethod
-    def _presorted(cls, notes: list, tempo_bpm: float, bar_marks_ms: tuple) -> ScoreTimeline:
-        """A timeline of ``notes`` already in :func:`_note_order` order: no sort."""
+    def _presorted(cls, columns: np.ndarray, tempo_bpm: float, bar_marks_ms) -> ScoreTimeline:
+        """A timeline of note ``columns`` already in timeline order: no sort."""
         score = cls.__new__(cls)
-        score.notes, score.tempo_bpm, score.bar_marks_ms = notes, tempo_bpm, bar_marks_ms
+        score.columns, score.tempo_bpm, score.bar_marks_ms = columns, tempo_bpm, bar_marks_ms
+        score._notes = None
         score._check()
         return score
 
@@ -174,8 +208,33 @@ class ScoreTimeline:
             raise ValueError("bar marks must be strictly increasing")
         self.bar_marks_ms = marks
 
+    @property
+    def notes(self) -> list[NoteEvent]:
+        if self._notes is None:
+            onset, block, pitch, offset, velocity = self.columns.tolist()
+            instruments = map(INSTRUMENTS.__getitem__, block)
+            fields = zip(instruments, pitch, onset, offset, velocity)
+            self._notes = list(map(_unchecked_note, fields))
+        return self._notes
+
+    def __eq__(self, other):
+        if other.__class__ is not ScoreTimeline:
+            return NotImplemented
+        return (
+            self.tempo_bpm == other.tempo_bpm
+            and self.bar_marks_ms == other.bar_marks_ms
+            and np.array_equal(self.columns, other.columns)
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"ScoreTimeline(notes={self.notes!r}, tempo_bpm={self.tempo_bpm!r}, "
+            f"bar_marks_ms={self.bar_marks_ms!r})"
+        )
+
     def instruments_used(self) -> set[Instrument]:
-        return {n.instrument for n in self.notes}
+        counts = np.bincount(self.columns[BLOCK], minlength=len(INSTRUMENTS))
+        return {INSTRUMENTS[k] for k in np.flatnonzero(counts).tolist()}
 
 
 @dataclass
@@ -305,6 +364,9 @@ def parse_midi(data: bytes, warnings: list[str] | None = None) -> ScoreTimeline:
             if byte < 0x80:
                 tick += byte
                 pos += 1
+            elif pos + 1 < size and data[pos + 1] < 0x80:  # a two-byte delta, inline
+                tick += (byte & 0x7F) << 7 | data[pos + 1]
+                pos += 2
             else:
                 delta, pos = _read_varlen(data, pos, "delta time")
                 tick += delta
@@ -439,14 +501,11 @@ def parse_midi(data: bytes, warnings: list[str] | None = None) -> ScoreTimeline:
         on_ticks, off_ticks, codes = on_ticks[kept], off_ticks[kept], codes[kept]
     onset = tick_to_ms(on_ticks)
     offset = np.maximum(tick_to_ms(off_ticks), onset + 1)  # rounding collapsed a short note
-    pitch, block, velocity = codes >> 10 & 127, codes >> 7 & 7, codes & 127
-    order = np.lexsort((velocity, offset, pitch, block, onset))  # _note_order
-    instruments = map(INSTRUMENTS.__getitem__, block[order].tolist())
-    columns = (a[order].tolist() for a in (pitch, onset, offset, velocity))
-    notes = list(map(_unchecked_note, zip(instruments, *columns)))
+    columns = np.stack((onset, codes >> 7 & 7, codes >> 10 & 127, offset, codes & 127))
+    columns = columns[:, np.lexsort(columns[::-1])]  # timeline order, as _timeline_order
 
     bar_marks: list[int] = []
-    if notes:
+    if len(onset):
         bar_ms = quarters_per_bar * tempo_us / 1000.0
         if bar_ms > 0:
             # Blame the meta event that shrank the bar more, relative to 4/4 at 120 bpm.
@@ -468,7 +527,7 @@ def parse_midi(data: bytes, warnings: list[str] | None = None) -> ScoreTimeline:
                     bar_marks.append(mark)
                 t += bar_ms
 
-    return ScoreTimeline._presorted(notes, 60_000_000.0 / tempo_us, tuple(bar_marks))
+    return ScoreTimeline._presorted(columns, 60_000_000.0 / tempo_us, tuple(bar_marks))
 
 
 # ---------------------------------------------------------------------------
@@ -586,12 +645,12 @@ def gap_to_shifts(gap_ms: int) -> list[Token]:
 
 def instrument_count_tag(score: ScoreTimeline) -> Token:
     """Tag by distinct non-drum categories (<= 2 means FEWER_INSTRUMENTS)."""
-    pitched = {i for i in score.instruments_used() if not i.is_drums}
+    pitched = score.instruments_used() - {Instrument.DRUMS}
     return FEWER_INSTRUMENTS if len(pitched) <= FEWER_INSTRUMENT_LIMIT else MORE_INSTRUMENTS
 
 
-#: Id of pitch 0 in each instrument's ON block; its OFF block follows NUM_PITCHES above.
-_ON_BASE = {inst: Token.on(inst, 0).id for inst in INSTRUMENTS}
+#: Id of pitch 0 in each block's ON block; its OFF block follows NUM_PITCHES above.
+_ON_BASES = np.array([Token.on(inst, 0).id for inst in INSTRUMENTS], dtype=np.int64)
 #: The id of TIMESHIFT_<k * RESOLUTION_MS> is _SHIFT_BASE + k.
 _SHIFT_BASE = Token.shift(RESOLUTION_MS).id - 1
 _LONGEST_SHIFT = Token.shift(MAX_SHIFT_MS).id
@@ -609,8 +668,8 @@ def encode_ids(score: ScoreTimeline, include_bars: bool = True) -> np.ndarray:
     ``(g - 1) // 1000`` shifts of 1000 ms, then one shift of the rest.
     """
     half, res = RESOLUTION_MS // 2, RESOLUTION_MS
-    notes = score.notes
-    n = len(notes)
+    columns = score.columns
+    n = columns.shape[1]
     marks = np.array(score.bar_marks_ms if include_bars else (), dtype=np.int64)
     marks += half
     marks //= res
@@ -622,8 +681,8 @@ def encode_ids(score: ScoreTimeline, include_bars: bool = True) -> np.ndarray:
     # time << 13 | priority << 11 | token id (ids < 2048).
     keys = np.empty(2 * n + len(marks), dtype=np.int64)
     on, off = keys[:n], keys[n:2 * n]
-    on[:] = np.fromiter(map(itemgetter(2), notes), np.int64, n)
-    off[:] = np.fromiter(map(itemgetter(3), notes), np.int64, n)
+    on[:] = columns[ONSET]
+    off[:] = columns[OFFSET]
     for t in (on, off):  # snap to the grid, ties up
         t += half
         t //= res
@@ -631,8 +690,8 @@ def encode_ids(score: ScoreTimeline, include_bars: bool = True) -> np.ndarray:
     np.maximum(off, on + res, out=off)  # preserve a note despite quantization
     on <<= 13
     off <<= 13
-    ids = np.fromiter(map(_ON_BASE.__getitem__, map(itemgetter(0), notes)), np.int64, n)
-    ids += np.fromiter(map(itemgetter(1), notes), np.int64, n)
+    ids = _ON_BASES[columns[BLOCK]]
+    ids += columns[PITCH]
     ids |= 2 << 11
     on |= ids
     ids += NUM_PITCHES - (1 << 11)  # each note's OFF id, at priority 1
@@ -739,19 +798,17 @@ def trim_to_duration(score: ScoreTimeline, duration_ms: int) -> ScoreTimeline:
     """
     if duration_ms <= 0:
         raise ValueError(f"duration_ms must be positive, got {duration_ms}")
-    notes: list[NoteEvent] = []
-    resort = False
-    for note in score.notes:
-        inst, pitch, onset, offset, velocity = note
-        if onset >= duration_ms:
-            break  # onsets are sorted: every later note starts past the limit too
-        if offset > duration_ms:
-            note = _unchecked_note((inst, pitch, onset, duration_ms, velocity))
-            resort = resort or bool(notes) and notes[-1][:4] == note[:4]
-        notes.append(note)
+    # Onsets are sorted: the notes that start before the limit are a prefix.
+    kept = int(np.searchsorted(score.columns[ONSET], duration_ms))
+    columns = score.columns[:, :kept].copy()
+    offset = columns[OFFSET]
+    clamped = offset > duration_ms
+    offset[clamped] = duration_ms
+    ties = (columns[:VELOCITY, 1:] == columns[:VELOCITY, :-1]).all(axis=0)
+    if (ties & clamped[1:]).any():
+        columns = columns[:, _timeline_order(columns)]
     marks = tuple(m for m in score.bar_marks_ms if m <= duration_ms)
-    make = ScoreTimeline if resort else ScoreTimeline._presorted
-    return make(notes, score.tempo_bpm, marks)
+    return ScoreTimeline._presorted(columns, score.tempo_bpm, marks)
 
 
 def transpose(score: ScoreTimeline, semitones: int) -> ScoreTimeline:
@@ -763,19 +820,13 @@ def transpose(score: ScoreTimeline, semitones: int) -> ScoreTimeline:
     """
     if abs(semitones) > MAX_TRANSPOSE:
         raise ValueError(f"semitones must be within +/-{MAX_TRANSPOSE}, got {semitones}")
-    out = []
-    wrapped = False
-    drums = Instrument.DRUMS
-    for n in score.notes:
-        inst, pitch, onset, offset, velocity = n
-        if inst is drums:
-            out.append(n)
-            continue
-        pitch += semitones
-        if not 0 <= pitch < NUM_PITCHES:
-            pitch += 12 if pitch < 0 else -12
-            wrapped = True
-        out.append(_unchecked_note((inst, pitch, onset, offset, velocity)))
+    columns = score.columns.copy()
+    pitch = columns[PITCH]
+    pitch[columns[BLOCK] != _DRUMS_BLOCK] += semitones
+    low, high = pitch < 0, pitch >= NUM_PITCHES
     # One shift per instrument block keeps the order, unless a pitch wrapped.
-    make = ScoreTimeline if wrapped else ScoreTimeline._presorted
-    return make(out, score.tempo_bpm, score.bar_marks_ms)
+    if low.any() or high.any():
+        pitch[low] += 12
+        pitch[high] -= 12
+        columns = columns[:, _timeline_order(columns)]
+    return ScoreTimeline._presorted(columns, score.tempo_bpm, score.bar_marks_ms)

@@ -16,9 +16,9 @@ token, how far ahead the next relevant boundary lies:
 The incremental state machine (:func:`on_token`), which folds each
 generated token into the loop's :class:`GeneratorState` (the owner of
 every boundary's state), is the reference definition.  Whole token id
-streams go through one vectorized NumPy kernel (:func:`offsets_for_ids`;
-:func:`offsets_for_sequence` on a Token list), which must match the fold
-bit for bit.
+streams go through one vectorized NumPy kernel (:func:`offsets_for_ids`,
+or :func:`offsets_ms_for_ids` in whole ms; :func:`offsets_for_sequence`
+on a Token list), which must match the fold bit for bit.
 """
 
 from __future__ import annotations
@@ -150,17 +150,6 @@ def on_token(state: GeneratorState, token: Token, params: SchedulerParams) -> fl
     return offset
 
 
-def derive_boundaries(ids: np.ndarray, cursor_ms: np.ndarray) -> BoundaryList:
-    """Treat each CHORD position in a token stream as a boundary.
-
-    ``ids`` is the stream and ``cursor_ms`` the cursor after each token
-    (:func:`~midisync.tokens.cursors_of`).  This is how training
-    sequences get their boundary lists: the chords already present in
-    the music are the alignment targets.
-    """
-    return BoundaryList(times_ms=tuple(_chord_times(ids == CHORD.id, cursor_ms).tolist()))
-
-
 def _chord_times(is_chord: np.ndarray, cursor_ms: np.ndarray) -> np.ndarray:
     """Distinct cursor times of the chord tokens, increasing (cursors never decrease)."""
     times = cursor_ms[is_chord]
@@ -177,7 +166,7 @@ def _compute_offsets(
     xi_ms: int,
     dmax_ms: int,
 ) -> np.ndarray:
-    """Offsets (seconds) after each token; the batch form of :func:`on_token`.
+    """Offsets (whole ms) after each token; the batch form of :func:`on_token`.
 
     ``cursor_ms``: int64, cursor value *after* each token (non-decreasing).
     ``is_chord``: uint8/bool flags marking chord tokens.
@@ -214,21 +203,23 @@ def _compute_offsets(
     )
     raw = earliest - cursor_ms
     np.clip(raw, 0, dmax_ms, out=raw)
-    return raw / 1000.0
+    return raw
 
 
-def offsets_for_ids(
+def offsets_ms_for_ids(
     ids: np.ndarray,
     cursor_ms: np.ndarray,
     boundaries: BoundaryList | None = None,
     params: SchedulerParams | None = None,
 ) -> np.ndarray:
-    """Offset schedule for a whole token id stream (one value per token).
+    """Offset schedule for a whole token id stream, as int64 whole ms.
 
-    ``cursor_ms`` is the cursor after each token
-    (:func:`~midisync.tokens.cursors_of`).  With ``boundaries=None`` the
-    boundary list is derived from the stream's own CHORD positions.
-    Equivalent to folding :func:`on_token` over the stream's tokens.
+    One value per token, in ``[0, params.max_offset_ms]``.  ``cursor_ms``
+    is the cursor after each token (:func:`~midisync.tokens.cursors_of`).
+    With ``boundaries=None`` the boundaries are the stream's own CHORD
+    times, the distinct cursors of its CHORD tokens: this is how training
+    sequences get theirs, the chords already in the music being the
+    alignment targets.
     """
     params = params or SchedulerParams()
     is_chord = ids == CHORD.id
@@ -239,6 +230,16 @@ def offsets_for_ids(
     return _compute_offsets(
         cursor_ms, is_chord, bounds, params.sensitivity_ms, params.max_offset_ms
     )
+
+
+def offsets_for_ids(
+    ids: np.ndarray,
+    cursor_ms: np.ndarray,
+    boundaries: BoundaryList | None = None,
+    params: SchedulerParams | None = None,
+) -> np.ndarray:
+    """:func:`offsets_ms_for_ids` in seconds: folding :func:`on_token` over the stream."""
+    return offsets_ms_for_ids(ids, cursor_ms, boundaries, params) / 1000.0
 
 
 def offsets_for_sequence(
@@ -254,6 +255,22 @@ def offsets_for_sequence(
 def format_boundaries(boundaries: BoundaryList) -> str:
     """One boundary time in seconds per line."""
     return "".join(f"{t:.3f}\n" for t in boundaries.times_s)
+
+
+def format_offsets(offsets_ms: np.ndarray) -> str:
+    """One offset in seconds per line, ``"%.3f"``, from int64 whole-ms offsets.
+
+    A line table indexed by ms holds each value present, formatted once
+    (about 100 distinct values in a long file).  ``"%.3f" % (ms / 1000)``
+    is the exact decimal of every whole ms, so the text is the same as
+    formatting each offset in seconds.
+    """
+    lines = np.empty(int(offsets_ms.max(initial=0)) + 1, dtype=object)
+    present = np.zeros(len(lines), dtype=bool)
+    present[offsets_ms] = True
+    for ms in np.flatnonzero(present).tolist():
+        lines[ms] = "%.3f\n" % (ms / 1000.0)
+    return "".join(lines[offsets_ms].tolist())
 
 
 def parse_boundaries(text: str) -> BoundaryList:

@@ -634,7 +634,7 @@ def detect_by_filtering_per_instrument(score, beat_ms, simultaneity_eps_ms):
                 continue
             if cluster:
                 pitches = sorted({n.pitch for n in cluster})
-                durations = [n.duration_ms for n in cluster]
+                durations = [n.offset_ms - n.onset_ms for n in cluster]
                 if len(pitches) >= MIN_CHORD_NOTES and min(durations) >= min_duration:
                     spans.append(
                         ChordSpan(instrument, cluster[0].onset_ms, tuple(pitches), min(durations))

@@ -18,7 +18,7 @@ from midisync.midi_codec import (
     MidiParseError,
     NoteEvent,
     ScoreTimeline,
-    _note_order,
+    _timeline_order,
     decode_events,
     encode_events,
     encode_ids,
@@ -748,7 +748,7 @@ def test_note_event_record():
     assert (note.instrument, note.pitch, note.onset_ms, note.offset_ms, note.velocity) == (
         Instrument.GUITAR, 60, 10, 250, 80
     )
-    assert note.duration_ms == 240
+    assert note.offset_ms - note.onset_ms == 240
     assert note == NoteEvent(Instrument.GUITAR, 60, 10, 250, velocity=80)
     assert note != NoteEvent(Instrument.GUITAR, 60, 10, 250, velocity=81)
     assert hash(note) == hash(NoteEvent(Instrument.GUITAR, 60, 10, 250))
@@ -837,7 +837,7 @@ def test_every_producer_returns_notes_in_timeline_order(seed):
         ),
     }
     for name, result in produced.items():
-        assert result.notes == sorted(result.notes, key=_note_order), name
+        assert result.notes == sorted(result.notes, key=old_note_order), name
     # The wrapped pitch (125 + 3 -> 116) moved ahead of its neighbour (124 + 3).
     edge = [n.pitch for n in produced["transpose (wrapped)"].notes if n[2:4] == (500, 900)]
     assert edge.index(116) < edge.index(127)
@@ -847,17 +847,19 @@ def test_sorted_producers_do_not_sort_again(monkeypatch):
     score = golden_score(3)
     data = write_midi(score)
     safe, wrapping = unwrapped_and_wrapping(score)
-    keyed = []
-    monkeypatch.setattr(midi_codec, "_note_order", lambda n: keyed.append(n) or _note_order(n))
+    sorts = []
+    monkeypatch.setattr(
+        midi_codec, "_timeline_order", lambda c: sorts.append(c) or _timeline_order(c)
+    )
     parse_midi(data)
     transpose(safe, 3)
     transpose(safe, -3)
-    assert keyed == []
+    assert sorts == []
     boosted = boost_chord_velocity(score, [n.onset_ms for n in score.notes[::3]], 40)
     assert boosted.notes != score.notes
-    assert keyed == []
+    assert sorts == []
     transpose(wrapping, 3)
-    assert len(keyed) == len(wrapping.notes)
+    assert len(sorts) == 1 and sorts[0].shape == (5, len(wrapping.notes))
 
 
 def test_trim_sorts_notes_its_clamp_reorders():

@@ -3,7 +3,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 import pytest
@@ -16,10 +16,13 @@ from midisync.scheduler import (
     BoundaryState,
     GeneratorState,
     SchedulerParams,
+    _chord_times,
     _compute_offsets,
-    derive_boundaries,
     format_boundaries,
+    format_offsets,
+    offsets_for_ids,
     offsets_for_sequence,
+    offsets_ms_for_ids,
     on_token,
     parse_boundaries,
 )
@@ -244,9 +247,15 @@ def test_offsets_for_sequence_trivial_cases():
     assert list(out) == [1.0, 0.0, 0.0, 0.0, 4.0]
 
 
+def self_derived_boundaries(tokens) -> BoundaryList:
+    """The boundaries ``offsets_for_ids`` derives from a stream's own CHORDs."""
+    ids, cursors = stream(tokens)
+    return BoundaryList(times_ms=tuple(_chord_times(ids == CHORD.id, cursors).tolist()))
+
+
 def test_derive_boundaries_from_chord_positions():
     toks = [START, Token.shift(1000), CHORD, Token.shift(1000), Token.shift(504), CHORD]
-    bl = derive_boundaries(*stream(toks))
+    bl = self_derived_boundaries(toks)
     assert bl.times_ms == (1000, 2504)
     # offsets with self-derived boundaries: chords land exactly on them
     out = offsets_for_sequence(toks)
@@ -282,7 +291,7 @@ SELF_BOUNDED_STREAMS = {
 def test_self_derived_boundaries_match_the_oracle(name):
     tokens = SELF_BOUNDED_STREAMS[name]
     expected = chord_boundaries(tokens)
-    assert derive_boundaries(*stream(tokens)).times_ms == expected.times_ms
+    assert self_derived_boundaries(tokens).times_ms == expected.times_ms
     params = SchedulerParams()
     assert list(offsets_for_sequence(tokens)) == fold_offsets(tokens, expected, params)
 
@@ -292,7 +301,7 @@ def test_self_derived_boundaries_match_the_oracle_on_random_instances():
     for _ in range(300):
         tokens, _, params = random_instance(rng)
         expected = chord_boundaries(tokens)
-        got = derive_boundaries(*stream(tokens))
+        got = self_derived_boundaries(tokens)
         assert got.times_ms == expected.times_ms
         assert all(type(t) is int for t in got.times_ms)
         offsets = offsets_for_sequence(tokens, params=params)
@@ -347,7 +356,8 @@ def test_kernels_match_fold_on_random_instances():
             cursor, is_chord, np.asarray(bounds.times_ms, dtype=np.int64),
             params.sensitivity_ms, params.max_offset_ms,
         )
-        assert list(got) == expected  # exact float equality
+        assert got.dtype == np.int64
+        assert list(got / 1000.0) == expected  # exact float equality
 
 
 def test_dispatcher_matches_fold():
@@ -514,3 +524,37 @@ def test_first_pending_only_moves_forward():
     assert seen == sorted(seen)
     assert state.first_pending == len(state.boundaries)
     assert BoundaryState.PENDING not in state.states
+
+
+# -- offsets in whole ms and their text -----------------------------------
+
+
+def test_three_decimals_of_a_whole_ms_are_its_exact_decimal():
+    # Every ms up to 200 s, then a stride through the hour a window may span.
+    for ms in chain(range(200_001), range(200_001, 3_600_001, 97), [3_600_000]):
+        assert "%.3f" % (ms / 1000.0) == f"{ms // 1000}.{ms % 1000:03d}", ms
+
+
+def offsets_text_by_unique(offsets_s: np.ndarray) -> str:
+    """Oracle: format each distinct offset in seconds once, join by index."""
+    values, index = np.unique(offsets_s, return_inverse=True)
+    lines = np.array(["%.3f\n" % v for v in values.tolist()], dtype=object)
+    return "".join(lines[index].tolist())
+
+
+def test_offsets_in_ms_and_their_text_match_the_seconds():
+    rng = random.Random(909)
+    for _ in range(300):
+        tokens, bounds, params = random_instance(rng)
+        ids, cursors = stream(tokens)
+        for boundaries in (bounds, None):
+            ms = offsets_ms_for_ids(ids, cursors, boundaries, params)
+            seconds = offsets_for_ids(ids, cursors, boundaries, params)
+            assert ms.dtype == np.int64
+            assert ms.min(initial=0) >= 0 and ms.max(initial=0) <= params.max_offset_ms
+            assert (ms / 1000.0).tolist() == seconds.tolist()
+            assert format_offsets(ms) == offsets_text_by_unique(seconds)
+    assert format_offsets(np.zeros(0, dtype=np.int64)) == ""
+    assert format_offsets(np.array([4000, 0, 1, 4000, 999])) == (
+        "4.000\n0.000\n0.001\n4.000\n0.999\n"
+    )

@@ -9,7 +9,9 @@ Every accepted case then runs through the rest of ``prepare`` in bounded
 time.  Seeded hand-made files then hold the note pairing to the oracle
 where it is hardest: tracks that share a channel and pitch, overlaps,
 equal ticks, program changes, dangling and orphan events, rounding ties
-of an SMPTE division and the span limit.
+of an SMPTE division and the span limit.  Seeded files with delta times
+of one to four bytes, whole and cut after every byte, hold the reader's
+inline two-byte delta to the oracle.
 """
 
 from __future__ import annotations
@@ -223,3 +225,98 @@ def test_last_note_at_the_span_limit_with_the_finest_division():
     got = outcome(parse_midi, data)
     assert got == outcome(oracle_parse_midi, data)
     assert got[0] == "error" and "3600001 ms is past" in got[1]
+
+
+# ---------------------------------------------------------------------------
+# Delta times of every width (the reader reads a two-byte one inline)
+# ---------------------------------------------------------------------------
+
+
+FIRST_EVENT = 14 + 8  # the byte offset of the first event of a raw_smf file
+
+
+def test_two_byte_delta_ending_the_file():
+    # A chunk whose last two bytes, and the file's, are a two-byte delta.
+    body = vlq(0) + bytes([0x90, 60, 80]) + vlq(200) + bytes([0x80, 60, 0]) + vlq(300)
+    data = raw_smf([b""])[:14] + b"MTrk" + len(body).to_bytes(4, "big") + body
+    assert len(vlq(300)) == 2 and data.endswith(vlq(300))
+    got = outcome(parse_midi, data)
+    assert got == ("error", f"truncated event status (byte offset {len(data)})", len(data))
+    assert got == outcome(oracle_parse_midi, data)
+    # Its first byte alone at the end of the file: the delta itself is cut short.
+    cut = data[:-1]
+    cut = cut[:18] + (len(body) - 1).to_bytes(4, "big") + cut[22:]
+    got = outcome(parse_midi, cut)
+    assert got == ("error", f"truncated delta time (byte offset {len(cut)})", len(cut))
+    assert got == outcome(oracle_parse_midi, cut)
+
+
+@pytest.mark.parametrize("ticks", [2**14, 2**21 - 1, 2**21, 2**28 - 1])
+def test_three_and_four_byte_deltas(ticks):
+    events = vlq(0) + bytes([0x90, 60, 80]) + vlq(ticks) + bytes([0x80, 60, 0])
+    data = raw_smf([events], division=0x7FFF)
+    got = outcome(parse_midi, data)
+    assert got == outcome(oracle_parse_midi, data)
+    assert len(vlq(ticks)) == (3 if ticks < 2**21 else 4)
+    ms = (2 * ticks * 500_000 + 0x7FFF * 1000) // (2 * 0x7FFF * 1000)  # round half up
+    if ms <= MAX_SCORE_SPAN_MS:
+        assert [(n.onset_ms, n.offset_ms) for n in got[1].notes] == [(0, ms)]
+    else:
+        assert got[0] == "error" and f"note at {ms} ms is past" in got[1]
+
+
+def test_five_byte_delta_keeps_the_varlen_message_and_offset():
+    events = vlq(0) + bytes([0x90, 60, 80]) + b"\x81\x80\x80\x80\x00" + bytes([0x80, 60, 0])
+    data = raw_smf([events])
+    fourth = FIRST_EVENT + 4 + 3  # the note-on, then three continuation bytes
+    got = outcome(parse_midi, data)
+    assert got == (
+        "error", f"variable-length delta time exceeds four bytes (byte offset {fourth})", fourth
+    )
+    assert got == outcome(oracle_parse_midi, data)
+
+
+def wide_delta_file(seed: int) -> tuple[bytes, set[int]]:
+    """Notes and meta events a one- to four-byte delta apart, on one or two tracks.
+
+    Returns the file and the byte widths of its deltas.
+    """
+    rng = random.Random(seed)
+    tracks = []
+    widths = set()
+    for _ in range(rng.randint(1, 2)):
+        events = b""
+        for _ in range(rng.randint(1, 12)):
+            delta = rng.choice((
+                0, 127, 128, 129, 255, 256, 16383, 16384, rng.randint(128, 16383),
+                rng.randint(16384, 60_000), rng.randint(2**21, 2**22),
+            ))
+            pitch = rng.choice((60, 61))
+            if rng.random() < 0.1:
+                event = b"\xff\x51\x03" + rng.randint(200_000, 900_000).to_bytes(3, "big")
+            elif rng.random() < 0.6:
+                event = bytes([0x90, pitch, rng.randint(1, 127)])
+            else:
+                event = bytes([0x80, pitch, 0])
+            events += vlq(delta) + event
+            widths.add(len(vlq(delta)))
+        tracks.append(events)
+    division = rng.choice((96, 480, 0x7FFF, SMPTE_25FPS_40))
+    return raw_smf(tracks, division=division), widths
+
+
+def test_wide_deltas_match_the_oracle():
+    widths: set[int] = set()
+    kinds: set[str] = set()
+    for seed in range(300):
+        data, used = wide_delta_file(seed)
+        widths |= used
+        got = outcome(parse_midi, data)
+        assert got == outcome(oracle_parse_midi, data), (seed, data.hex())
+        kinds.add(got[0])
+        if seed < 60:  # every truncation: each delta cut after each of its bytes
+            for end in range(14, len(data)):
+                cut = data[:end]
+                assert outcome(parse_midi, cut) == outcome(oracle_parse_midi, cut), (seed, end)
+    assert kinds == {"score", "error"}
+    assert widths == {1, 2, 3, 4}
