@@ -84,8 +84,8 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     _load_config(args)
     text = _stage("read", Path(args.tokens_file).read_text)
-    toks = _stage("parse", tokens.parse_tokens, text)
-    result = _stage("decode", midi_codec.decode_events, toks)
+    ids = _stage("parse", tokens.parse_ids, text)
+    result = _stage("decode", midi_codec.decode_ids, ids)
     if result.ignored_offs or result.dropped_zero_length:
         print(
             f"warning: ignored {result.ignored_offs} orphan note-off(s), "
@@ -264,7 +264,8 @@ def cmd_generate(args) -> int:
         sched,
     )
 
-    decoded = _stage("decode", midi_codec.decode_events, result.tokens)
+    ids = tokens.ids_of(result.tokens)
+    decoded = _stage("decode", midi_codec.decode_ids, ids)
     boosted = _stage(
         "decode",
         chords_mod.boost_chord_velocity,
@@ -283,7 +284,7 @@ def cmd_generate(args) -> int:
         Path(args.manifest) if args.manifest else out_midi.with_suffix(".manifest.json")
     )
     _stage("write", out_midi.write_bytes, smf)
-    _stage("write", token_path.write_text, tokens.format_tokens(result.tokens))
+    _stage("write", token_path.write_text, tokens.format_ids(ids))
 
     manifest = {
         "inputs": {
@@ -305,7 +306,7 @@ def cmd_generate(args) -> int:
         "outputs": {
             "midi_file": str(out_midi),
             "token_file": str(token_path),
-            "note_count": len(trimmed.notes),
+            "note_count": trimmed.columns.shape[1],
             "diagnostics": result.diagnostics(),
         },
     }

@@ -5,8 +5,10 @@ The module converts between three representations:
 ``bytes`` (Standard MIDI File)  <->  :class:`ScoreTimeline`  <->  token stream
 
 The encoder writes a stream as an int64 id array (:func:`encode_ids`),
-or as its Token list (:func:`encode_events`); the decoder reads a Token
-list.
+and the decoder reads one back (:func:`decode_ids`); :func:`encode_events`
+and :func:`decode_events` are the same on Token lists.  The decoder
+pairs notes by the rule of ``tokens.DecodeState``, which generation
+folds one token at a time, but in NumPy over the whole array.
 
 A :class:`ScoreTimeline` is the neutral middle ground: absolute
 integer-millisecond note intervals bucketed into the five instrument
@@ -17,13 +19,13 @@ time-signature metadata, and both PPQ and SMPTE divisions.
 
 A :class:`ScoreTimeline` stores its notes as sorted int64 columns
 (onset, instrument block, pitch, offset, velocity).  :func:`parse_midi`,
-:func:`transpose`, :func:`trim_to_duration` and
-``chords.boost_chord_velocity`` work on those columns and build no
-per-note objects; the columns come sorted from :func:`parse_midi`, and
-a :func:`transpose` with no octave wrap keeps their order, so neither
-sorts them again.  A :class:`NoteEvent` is a tuple record whose equality
-is tuple equality: ``ScoreTimeline.notes`` is the list view of the same
-notes, built on first read.
+:func:`decode_ids`, :func:`transpose`, :func:`trim_to_duration`,
+``chords.boost_chord_velocity`` and :func:`write_midi` work on those
+columns and build no per-note objects; the columns come sorted from
+:func:`parse_midi`, and a :func:`transpose` with no octave wrap keeps
+their order, so neither sorts them again.  A :class:`NoteEvent` is a
+tuple record whose equality is tuple equality: ``ScoreTimeline.notes``
+is the list view of the same notes, built on first read.
 
 Instrument bucketing follows General MIDI programs: 0-23 piano, 24-31
 guitar, 32-39 bass, every other pitched program strings, and channel 10
@@ -36,12 +38,14 @@ from collections import namedtuple
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import partial
-from operator import itemgetter
+from itertools import accumulate
+from operator import itemgetter, lt
 
 import numpy as np
 
 from .tokens import (
     BAR,
+    CHORD,
     FEWER_INSTRUMENTS,
     INSTRUMENTS,
     MAX_SHIFT_MS,
@@ -50,10 +54,9 @@ from .tokens import (
     RESOLUTION_MS,
     START,
     Instrument,
-    VOCABULARY,
-    DecodeState,
     Token,
-    TokenKind,
+    cursors_of,
+    ids_of,
     tokens_of,
 )
 
@@ -112,8 +115,8 @@ class NoteEvent(namedtuple("NoteEvent", "instrument pitch onset_ms offset_ms vel
 
     A tuple record whose equality is tuple equality.  The public
     constructor, ``_make`` and ``_replace`` validate every field; the
-    internal producers (:func:`decode_events` and the ``notes`` view of
-    a :class:`ScoreTimeline`) skip that through ``_unchecked_note``.
+    ``notes`` view of a :class:`ScoreTimeline` skips that through
+    ``_unchecked_note``.
     """
 
     __slots__ = ()
@@ -202,9 +205,9 @@ class ScoreTimeline:
         if self.tempo_bpm <= 0:
             raise ValueError(f"tempo_bpm must be positive, got {self.tempo_bpm}")
         marks = tuple(self.bar_marks_ms)
-        if any(b < 0 for b in marks):
+        if marks and min(marks) < 0:
             raise ValueError("bar marks must be >= 0")
-        if any(b >= a for b, a in zip(marks, marks[1:])):
+        if not all(map(lt, marks, marks[1:])):
             raise ValueError("bar marks must be strictly increasing")
         self.bar_marks_ms = marks
 
@@ -535,19 +538,22 @@ def parse_midi(data: bytes, warnings: list[str] | None = None) -> ScoreTimeline:
 # ---------------------------------------------------------------------------
 
 
-def _varlen(value: int) -> bytes:
-    if value < 0:
-        raise ValueError("negative delta time")
-    out = [value & 0x7F]
-    value >>= 7
-    while value:
-        out.append((value & 0x7F) | 0x80)
-        value >>= 7
-    return bytes(reversed(out))
-
-
-def _track_chunk(body: bytes) -> bytes:
-    return b"MTrk" + len(body).to_bytes(4, "big") + body
+#: Per instrument block: its channel, and its program change message as
+#: status | program << 8 (-1: none, for drums).
+_CHANNEL_BY_BLOCK = np.array([_CHANNELS[inst] for inst in INSTRUMENTS], dtype=np.int64)
+_PROGRAM_CHANGES = [
+    0xC0 | _CHANNELS[inst] | _PROGRAMS[inst] << 8 if inst in _PROGRAMS else -1
+    for inst in INSTRUMENTS
+]
+#: The largest delta time a variable-length quantity of four bytes holds.
+MAX_DELTA_TICKS = 0x0FFFFFFF
+#: The latest note time write_midi converts: its tick numerator stays exact in a float64.
+_MAX_WRITE_MS = 2**53 // (_WRITE_DIVISION * 1000)
+#: A delta's four 7-bit groups, high first, each with its continuation bit but the last.
+_VARLEN_SHIFTS = np.array([21, 14, 7, 0], dtype=np.int64)
+_VARLEN_LAST = np.array([0, 0, 0, 0x80], dtype=np.int64)
+_PAYLOAD_SHIFTS = np.array([0, 8, 16], dtype=np.int64)
+_END_OF_TRACK = b"\x00\xff\x2f\x00"
 
 
 def write_midi(score: ScoreTimeline, smf_type: int = 1) -> bytes:
@@ -556,66 +562,99 @@ def write_midi(score: ScoreTimeline, smf_type: int = 1) -> bytes:
     Each instrument category is written to its own fixed channel (drums
     on channel 10) with a representative General MIDI program, at 480
     ticks per quarter, so that re-parsing buckets every note back into
-    its original category.
+    its original category.  A note lasts at least one tick.
+
+    Format 1 writes a tempo track, then one track per category in
+    block order; format 0 writes one track.  A track's messages are
+    ordered by tick, then program change, note-off, note-on, then score
+    order.  A tempo, or a delta time over :data:`MAX_DELTA_TICKS`, that
+    no SMF can hold raises ``ValueError``.
     """
     if smf_type not in (0, 1):
         raise ValueError(f"smf_type must be 0 or 1, got {smf_type}")
     tempo_us = round(60_000_000 / score.tempo_bpm)
-    ms_to_tick = lambda ms: round(ms * _WRITE_DIVISION * 1000 / tempo_us)  # noqa: E731
-    # one pass over the notes: each instrument's (score index, note) pairs
-    by_instrument: dict[Instrument, list[tuple[int, NoteEvent]]] = {i: [] for i in INSTRUMENTS}
-    for i, n in enumerate(score.notes):
-        by_instrument[n.instrument].append((i, n))
+    if not 0 < tempo_us < 1 << 24:
+        raise ValueError(
+            f"tempo {score.tempo_bpm} bpm is {tempo_us} us per quarter, outside the "
+            f"1 to {(1 << 24) - 1} that an SMF holds"
+        )
+    meta = b"\x00\xff\x51\x03" + tempo_us.to_bytes(3, "big")  # tempo, then 4/4
+    meta += b"\x00\xff\x58\x04\x04\x02\x18\x08"
+    columns = score.columns
+    block, pitch = columns[BLOCK], columns[PITCH]
+    n = len(block)
+    latest = int(columns[OFFSET].max()) if n else 0
+    if latest > _MAX_WRITE_MS:
+        raise ValueError(f"note time {latest} ms is past the {_MAX_WRITE_MS} ms limit")
+    counts = np.bincount(block, minlength=len(INSTRUMENTS)).tolist()
+    programs = [k for k, count in enumerate(counts) if count and _PROGRAM_CHANGES[k] >= 0]
+    p = len(programs)
 
-    def meta_body() -> list[tuple[int, int, int, bytes]]:
-        return [
-            (0, 0, -1, b"\xff\x51\x03" + tempo_us.to_bytes(3, "big")),
-            (0, 1, -1, b"\xff\x58\x04\x04\x02\x18\x08"),
-        ]
+    # One column per message: program changes, note-offs, then note-ons.
+    # Rows: rank (program changes first, then offs, then ons, each in
+    # score order), tick, track (the instrument block) and payload
+    # (status | data 1 << 8 | data 2 << 16).
+    msgs = np.empty((4, p + 2 * n), dtype=np.int64)
+    rank, tick, track, payload = msgs
+    rank[:p] = [k - len(INSTRUMENTS) for k in programs]
+    rank[p:] = np.arange(2 * n)
+    tick[:p] = 0
+    track[:p] = programs
+    payload[:p] = [_PROGRAM_CHANGES[k] for k in programs]
+    # round() of the same float quotient: the numerator is exact, and rint rounds half to even
+    ticks = tick[p:].reshape(2, n)
+    ticks[:] = np.rint(columns[[OFFSET, ONSET]] * (_WRITE_DIVISION * 1000) / tempo_us)
+    off_tick, on_tick = ticks
+    np.maximum(off_tick, on_tick + 1, out=off_tick)
+    track[p:].reshape(2, n)[:] = block
+    off_code, on_code = payload[p:].reshape(2, n)
+    np.left_shift(pitch, 8, out=off_code)
+    off_code |= _CHANNEL_BY_BLOCK[block]
+    np.left_shift(columns[VELOCITY], 16, out=on_code)
+    on_code |= off_code
+    on_code |= 0x90
+    off_code |= 0x80
+    rank, tick, _, payload = msgs[:, np.lexsort(msgs[:3] if smf_type else msgs[:2])]
 
-    def note_messages(k: int, inst: Instrument) -> list[tuple[int, int, int, bytes]]:
-        """Program change and note on/off messages of the ``k``-th instrument.
+    delta = tick.copy()
+    delta[1:] -= tick[:-1]
+    if smf_type:
+        # Tracks run in block order: the index of each one's first message.
+        lengths = [2 * count + (k in programs) for k, count in enumerate(counts) if count]
+        firsts = list(accumulate(lengths, initial=0))[:-1]
+        delta[firsts] = tick[firsts]  # each track starts at tick 0
+    if (delta > MAX_DELTA_TICKS).any():
+        raise ValueError(
+            f"delta time of {int(delta.max())} ticks exceeds the SMF limit of "
+            f"0x{MAX_DELTA_TICKS:08X} (four variable-length bytes)"
+        )
+    # Seven byte slots per message: a delta of one to four bytes,
+    # right-aligned, then the status byte and one or two data bytes.
+    slots = np.empty((len(delta), 7), dtype=np.uint8)
+    used = np.empty((len(delta), 7), dtype=bool)
+    groups = delta[:, None] >> _VARLEN_SHIFTS
+    np.not_equal(groups, 0, out=used[:, :4])
+    used[:, 3:6] = True
+    np.greater_equal(rank, 0, out=used[:, 6])  # a program change has one data byte
+    groups |= 0x80
+    groups ^= _VARLEN_LAST
+    slots[:, :4] = groups  # the low byte of each
+    slots[:, 4:] = payload[:, None] >> _PAYLOAD_SHIFTS
+    body = slots[used].tobytes()
 
-        Keys are (tick, priority, order): the program precedes any note at
-        tick 0, and messages that tie on both keep the score's order.
-        """
-        ch = _CHANNELS[inst]
-        msgs = [(0, -1, k, bytes((0xC0 | ch, _PROGRAMS[inst])))] if inst in _PROGRAMS else []
-        on, off = 0x90 | ch, 0x80 | ch
-        for i, (_, pitch, onset, offset, velocity) in by_instrument[inst]:
-            on_tick = ms_to_tick(onset)
-            off_tick = max(ms_to_tick(offset), on_tick + 1)
-            msgs.append((on_tick, 1, i, bytes((on, pitch, velocity))))
-            msgs.append((off_tick, 0, i, bytes((off, pitch, 0))))
-        return msgs
-
-    def render(msgs: list[tuple[int, int, int, bytes]]) -> bytes:
-        # (tick, priority, order) is unique per message: payloads are never compared
-        msgs.sort()
-        out = bytearray()
-        tick = 0
-        for t, _, _, payload in msgs:
-            delta = t - tick
-            if delta < 0x80:
-                out.append(delta)
-            else:
-                out += _varlen(delta)
-            out += payload
-            tick = t
-        out += b"\x00\xff\x2f\x00"
-        return bytes(out)
-
-    used = [(k, inst) for k, inst in enumerate(INSTRUMENTS) if by_instrument[inst]]
     if smf_type == 0:
-        tracks = [render(meta_body() + [m for k, inst in used for m in note_messages(k, inst)])]
+        cut = 3 * p  # the program changes, each three bytes, come before the meta events
+        tracks = [body[:cut] + meta + body[cut:]]
     else:
-        tracks = [render(meta_body())] + [render(note_messages(k, inst)) for k, inst in used]
-
+        nbytes = np.count_nonzero(used, axis=1)
+        bounds = (np.cumsum(nbytes) - nbytes)[firsts].tolist() + [len(body)]
+        tracks = [meta] + [body[a:b] for a, b in zip(bounds, bounds[1:])]
     header = b"MThd" + (6).to_bytes(4, "big")
     header += smf_type.to_bytes(2, "big")
     header += len(tracks).to_bytes(2, "big")
     header += _WRITE_DIVISION.to_bytes(2, "big")
-    return header + b"".join(_track_chunk(t) for t in tracks)
+    chunks = (b"MTrk" + (len(t) + 4).to_bytes(4, "big") + t + _END_OF_TRACK for t in tracks)
+    return header + b"".join(chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -727,60 +766,68 @@ def encode_events(score: ScoreTimeline, include_bars: bool = True) -> list[Token
     return tokens_of(encode_ids(score, include_bars))
 
 
-def decode_events(tokens: list[Token]) -> DecodeResult:
-    """Rebuild a timeline from a token sequence by folding a :class:`DecodeState`.
+#: The id of pitch 0 in the first ON block: a note id less this is block << 8 | OFF << 7 | pitch.
+_NOTE_BASE = int(_ON_BASES[0])
 
-    ONs pair with OFFs by the state's rule, as in generation.  Tolerant
-    by construction: orphan OFFs are counted and skipped, zero-length
-    notes are counted and dropped, and notes still open at the end of
-    the stream are closed there.  CHORD markers do not affect the
-    timeline but their cursor positions are reported.
+
+def decode_ids(ids: np.ndarray) -> DecodeResult:
+    """Rebuild a timeline from an id array, by the pairing rule of ``tokens.DecodeState``.
+
+    The ONs of one note (instrument and pitch) pair with its OFFs first
+    in, first out.  An OFF with no open note is an orphan: counted and
+    skipped.  Notes still open at the end of the stream close at its
+    last cursor, zero-length notes are counted and dropped, and every
+    note has the default velocity.  CHORD markers do not affect the
+    timeline but their cursors are reported; the distinct BAR cursors
+    are its bar marks.
     """
-    state = DecodeState()
-    push = state.push
-    notes: list[NoteEvent] = []
-    chord_onsets: list[int] = []
-    bar_marks: list[int] = []
-    ignored_offs = 0
-    dropped = 0
-
-    # kinds bound to locals: a member lookup on the enum class is slow
-    off_kind, chord_kind, bar_kind = TokenKind.OFF, TokenKind.CHORD, TokenKind.BAR
-    for tok in tokens:
-        onset = push(tok)
-        if onset is not None:
-            if state.cursor_ms > onset:
-                fields = (tok.instrument, tok.pitch, onset, state.cursor_ms, DEFAULT_VELOCITY)
-                notes.append(_unchecked_note(fields))
-            else:
-                dropped += 1
-            continue
-        kind = tok.kind
-        if kind is off_kind:
-            ignored_offs += 1
-        elif kind is chord_kind:
-            chord_onsets.append(state.cursor_ms)
-        elif kind is bar_kind:
-            if not bar_marks or state.cursor_ms > bar_marks[-1]:
-                bar_marks.append(state.cursor_ms)
-
-    cursor = state.cursor_ms
-    for off_id, onsets in state.open_notes.items():
-        off = VOCABULARY[off_id]
-        for onset in onsets:
-            if cursor > onset:
-                fields = (off.instrument, off.pitch, onset, cursor, DEFAULT_VELOCITY)
-                notes.append(_unchecked_note(fields))
-            else:
-                dropped += 1
-
+    cursors = cursors_of(ids)
+    last = int(cursors[-1]) if len(ids) else 0
+    at = np.flatnonzero(ids >= _NOTE_BASE)
+    codes = ids[at] - _NOTE_BASE
+    is_off = codes & NUM_PITCHES
+    on_codes = codes[is_off == 0]
+    n_on = len(on_codes)
+    # Every note event, then one more OFF per ON at the last cursor: those
+    # close the notes left open and are orphans otherwise.  A stable sort
+    # by note keeps stream order within each note.
+    key = np.concatenate((codes, on_codes)) | NUM_PITCHES  # the OFF's code
+    cursor = np.concatenate((cursors[at], np.full(n_on, last)))
+    step = np.concatenate((np.where(is_off, -1, 1), np.full(n_on, -1)))
+    order = np.argsort(key.astype(np.int16), kind="stable")  # keys < 2**11: a radix sort
+    key, cursor, step = key[order], cursor[order], step[order]
+    # An OFF is an orphan when it takes its note's running count of ONs
+    # less OFFs to a new low under zero.  The added OFFs close every note,
+    # so each note's count ends at its low: one running sum and one running
+    # minimum over all the notes in turn need no reset between notes.
+    level = np.cumsum(step)
+    orphan = level < np.minimum.accumulate(level - step)
+    # Now each note has as many kept OFFs as ONs: its k-th ON pairs with its k-th.
+    on = step > 0
+    off = ~(on | orphan)
+    unclosed = int(np.count_nonzero(off & (order >= len(at))))
+    key, onset, offset = key[on], cursor[on], cursor[off]
+    kept = offset > onset
+    dropped = n_on - int(np.count_nonzero(kept))
+    key, onset, offset = key[kept], onset[kept], offset[kept]
+    # Pairs come in note order, onsets ascending within a note: a stable
+    # sort by onset gives timeline order.
+    velocity = np.full_like(key, DEFAULT_VELOCITY)
+    columns = np.stack((onset, key >> 8, key & (NUM_PITCHES - 1), offset, velocity))
+    columns = columns[:, np.argsort(onset, kind="stable")]
+    marks = tuple(dict.fromkeys(cursors[ids == BAR.id].tolist()))  # cursors never fall
     return DecodeResult(
-        score=ScoreTimeline(notes=notes, bar_marks_ms=tuple(bar_marks)),
-        chord_onsets_ms=chord_onsets,
-        ignored_offs=ignored_offs,
-        unclosed_notes=state.open_count,
+        score=ScoreTimeline._presorted(columns, DEFAULT_TEMPO_BPM, marks),
+        chord_onsets_ms=cursors[ids == CHORD.id].tolist(),
+        ignored_offs=len(at) - 2 * n_on + unclosed,
+        unclosed_notes=unclosed,
         dropped_zero_length=dropped,
     )
+
+
+def decode_events(tokens: list[Token]) -> DecodeResult:
+    """:func:`decode_ids` on a Token list."""
+    return decode_ids(ids_of(tokens))
 
 
 def trim_to_duration(score: ScoreTimeline, duration_ms: int) -> ScoreTimeline:

@@ -23,13 +23,15 @@ off the ids: the cursor is the running sum of :data:`SHIFT_MS_BY_ID`
 (:func:`cursors_of`), an ON's OFF is ``NUM_PITCHES`` ids above it,
 and instruments come in block order.
 
-A stream is held in one of two forms.  ``prepare`` and ``encode`` carry
-it as an int64 id array from the encoder to the text: :func:`cursors_of`
-gives its cursors, :func:`format_ids` its text, and :func:`tokens_of`
-its Token list (:func:`ids_of` goes the other way).  Generation, decoding and :func:`parse_tokens` work on
-Token lists, one token at a time: one :class:`DecodeState` reads every
-token prefix for the decoder, the grammar mask and the generation
-models alike.
+A stream is held in one of two forms.  ``prepare``, ``encode`` and
+``decode`` carry it as an int64 id array between its text and the
+codec: :func:`parse_ids` reads the text, :func:`cursors_of` gives the
+cursors, :func:`format_ids` writes the text, and :func:`tokens_of` gives
+its Token list (:func:`ids_of` goes the other way).  Generation works
+on Token lists, one token at a time: one :class:`DecodeState` reads
+every token prefix for the grammar mask and the generation models
+alike.  ``midi_codec.decode_ids`` pairs notes by the same rule over a
+whole id array.
 """
 
 from __future__ import annotations
@@ -207,6 +209,7 @@ VOCABULARY = (
     ),
 )
 _BY_NAME = {tok.name: tok for tok in VOCABULARY}
+_ID_BY_NAME = {tok.name: tok.id for tok in VOCABULARY}
 
 START, BAR, PAD, CHORD, FEWER_INSTRUMENTS, MORE_INSTRUMENTS = VOCABULARY[:_SHIFT_BLOCK]
 
@@ -272,18 +275,34 @@ def check_manifest(text: str) -> None:
             raise ValueError(f"manifest line {lineno + 1}: id {ident}, expected {lineno}")
 
 
-def parse_tokens(text: str) -> list[Token]:
-    """Inverse of :func:`format_tokens`; blank lines are ignored."""
-    out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+def parse_ids(text: str) -> np.ndarray:
+    """Inverse of :func:`format_ids`: the int64 ids of a token text.
+
+    Each line is one name.  Text of canonical names only is one table
+    lookup per line.  Otherwise every line is read again in turn: blank
+    lines and surrounding spaces are ignored, other spellings of a
+    payload (``TIMESHIFT_0008``) are parsed, and the first bad name
+    raises ``ValueError`` with its line number.
+    """
+    lines = text.splitlines()
+    try:
+        return np.fromiter(map(_ID_BY_NAME.__getitem__, lines), np.int64, len(lines))
+    except KeyError:
+        pass
+    ids = []
+    for lineno, line in enumerate(lines, start=1):
         name = line.strip()
-        if not name:
-            continue
-        try:
-            out.append(Token.from_name(name))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-    return out
+        if name:
+            try:
+                ids.append(Token.from_name(name).id)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+    return np.array(ids, dtype=np.int64)
+
+
+def parse_tokens(text: str) -> list[Token]:
+    """The tokens of :func:`parse_ids`: the inverse of :func:`format_tokens`."""
+    return tokens_of(parse_ids(text))
 
 
 # ---------------------------------------------------------------------------

@@ -110,3 +110,28 @@ def random_offgrid_score(rng: random.Random, max_notes: int = 25) -> ScoreTimeli
         if _place_note(taken, (instrument, pitch), onset, offset, clearance=16):
             notes.append(NoteEvent(instrument, pitch, onset, offset))
     return ScoreTimeline(notes=notes)
+
+
+def golden_score(seed: int) -> ScoreTimeline:
+    """Seeded score over a random subset of instruments, tempo and velocities.
+
+    Durations go down to 1 ms, so some notes round to a zero-tick length
+    and take the writer's one-tick minimum.
+    """
+    rng = random.Random(seed)
+    instruments = rng.sample(list(Instrument), rng.randint(1, len(Instrument)))
+    notes = []
+    for _ in range(rng.randint(20, 60)):
+        onset = rng.randint(0, 20_000)
+        duration = rng.choice((1, 2, rng.randint(1, 40), rng.randint(40, 3000)))
+        notes.append(
+            NoteEvent(
+                rng.choice(instruments),
+                rng.randint(0, 127),
+                onset,
+                onset + duration,
+                velocity=rng.randint(1, 127),
+            )
+        )
+    tempo = rng.choice((90.0, 110.0, 120.0, 132.5, 171.0))
+    return ScoreTimeline(notes=notes, tempo_bpm=tempo)

@@ -79,6 +79,19 @@ def test_decode_bad_token_text_fails(tmp_path, capsys):
     assert "parse" in err and "line 2" in err
 
 
+def test_decode_of_a_delta_no_smf_holds_fails(tmp_path, capsys):
+    # 279,621 s at 120 bpm is 268,436,160 ticks: one delta past the four
+    # bytes of a variable-length quantity, which encode could not read back.
+    tokens = tmp_path / "long.tokens"
+    shifts = "TIMESHIFT_1000\n" * 279_621
+    tokens.write_text(f"START\n{shifts}PIANO_ON_60\nTIMESHIFT_8\nPIANO_OFF_60\n")
+    out_midi = tmp_path / "long.mid"
+    assert main(["decode", str(tokens), str(out_midi)]) == 1
+    err = capsys.readouterr().err
+    assert "decode/write: delta time of 268436160 ticks exceeds the SMF limit of 0x0FFFFFFF" in err
+    assert not out_midi.exists()
+
+
 def test_bad_config_file_fails(tmp_path, demo_midi, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"no_such_knob": 1}')
@@ -338,6 +351,16 @@ def run_generate(tmp_path, name: str, extra: list[str], emotion: str = "none"):
     assert rc == 0
     manifest = json.loads(out_midi.with_suffix(".manifest.json").read_text())
     return out_midi, manifest
+
+
+def test_generate_builds_no_note_objects(tmp_path, monkeypatch):
+    # Decode, boost, trim, write and the manifest's note count all read columns.
+    def no_view(score):
+        raise AssertionError("the notes view was built")
+
+    monkeypatch.setattr(ScoreTimeline, "notes", property(no_view))
+    _, manifest = run_generate(tmp_path, "columns", ["--model", "scripted"])
+    assert manifest["outputs"]["note_count"] > 0
 
 
 def test_generate_scripted_end_to_end(tmp_path):

@@ -49,14 +49,26 @@ from midisync.tokens import (
 
 # SMF fixtures are built by hand in helpers.py (independent of the package
 # writer), so the parser is checked against separately computed tick math.
-from helpers import random_grid_score, random_offgrid_score, raw_smf, time_budget, vlq
+from helpers import (
+    golden_score,
+    random_grid_score,
+    random_offgrid_score,
+    raw_smf,
+    time_budget,
+    vlq,
+)
 
 
 def test_helper_vlq_matches_the_writer_and_rejects_negatives():
+    # At 125 bpm (480000 us per quarter) a tick lasts 1 ms, so a lone piano
+    # note at ``value`` ms is written after a delta of ``value`` ticks, at
+    # byte 52: after the header, the tempo track and the program change.
     rng = random.Random(0)
     edges = [0, 1, 127, 128, 2**14 - 1, 2**14, 2**21 - 1, 2**21, 2**28 - 1]
     for value in edges + [rng.randrange(2**28) for _ in range(2000)]:
-        assert vlq(value) == midi_codec._varlen(value)
+        note = NoteEvent(Instrument.PIANO, 60, value, value + 1)
+        data = write_midi(ScoreTimeline([note], tempo_bpm=125.0))
+        assert data[52:53 + len(vlq(value))] == vlq(value) + b"\x90", value
     with pytest.raises(ValueError):
         vlq(-1)
 
@@ -530,6 +542,21 @@ def test_encode_ids_edges():
     assert encode_ids(ScoreTimeline()).tolist() == [START.id, FEWER_INSTRUMENTS.id]
 
 
+def test_timeline_rejects_bad_bar_marks():
+    cases = [
+        ((-1, 5), "bar marks must be >= 0"),
+        ((5, -1), "bar marks must be >= 0"),  # before the order is checked
+        ((0, 0), "bar marks must be strictly increasing"),
+        ((0, 8, 4), "bar marks must be strictly increasing"),
+    ]
+    for marks, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ScoreTimeline(bar_marks_ms=marks)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ScoreTimeline._presorted(np.zeros((5, 0), dtype=np.int64), 120.0, marks)
+    assert ScoreTimeline(bar_marks_ms=[0, 8]).bar_marks_ms == (0, 8)
+
+
 def test_decode_inverse_of_encode_simple():
     score = ScoreTimeline(notes=[NoteEvent(Instrument.PIANO, 60, 0, 800)])
     result = decode_events(encode_events(score))
@@ -903,31 +930,6 @@ def test_trim_matches_the_full_sort_with_and_without_clamp_ties():
 # ---------------------------------------------------------------------------
 # Golden SMF bytes: write_midi output stays byte-identical across refactors
 # ---------------------------------------------------------------------------
-
-
-def golden_score(seed: int) -> ScoreTimeline:
-    """Seeded score over a random subset of instruments, tempo and velocities.
-
-    Durations go down to 1 ms, so some notes round to a zero-tick length
-    and take the writer's one-tick minimum.
-    """
-    rng = random.Random(seed)
-    instruments = rng.sample(list(Instrument), rng.randint(1, len(Instrument)))
-    notes = []
-    for _ in range(rng.randint(20, 60)):
-        onset = rng.randint(0, 20_000)
-        duration = rng.choice((1, 2, rng.randint(1, 40), rng.randint(40, 3000)))
-        notes.append(
-            NoteEvent(
-                rng.choice(instruments),
-                rng.randint(0, 127),
-                onset,
-                onset + duration,
-                velocity=rng.randint(1, 127),
-            )
-        )
-    tempo = rng.choice((90.0, 110.0, 120.0, 132.5, 171.0))
-    return ScoreTimeline(notes=notes, tempo_bpm=tempo)
 
 
 # (seed of golden_score, or "empty" for a score with no notes; SMF format)

@@ -19,9 +19,12 @@ from midisync.tokens import (
     format_manifest,
     format_tokens,
     ids_of,
+    parse_ids,
     parse_tokens,
     tokens_of,
 )
+
+from codec_oracle import oracle_parse_tokens
 
 
 def test_vocabulary_size():
@@ -149,6 +152,52 @@ def test_id_arrays_give_the_token_list_text_and_entries():
         back = ids_of(toks)
         assert back.dtype == np.int64 and back.tolist() == ids.tolist()
     assert format_ids(np.zeros(0, dtype=np.int64)) == ""
+
+
+def oracle_ids(text: str) -> np.ndarray:
+    return ids_of(oracle_parse_tokens(text))
+
+
+def test_parse_ids_matches_the_line_loop_on_canonical_text():
+    rng = random.Random(11)
+    for length in [0, 1, 2, 50, 3000]:
+        ids = np.array([rng.randrange(len(VOCABULARY)) for _ in range(length)], dtype=np.int64)
+        text = format_ids(ids)
+        for variant in (text, text.rstrip("\n")):  # with and without the last newline
+            got = parse_ids(variant)
+            assert got.dtype == np.int64 and got.tolist() == ids.tolist()
+            assert got.tolist() == oracle_ids(variant).tolist()
+    assert parse_ids("").dtype == np.int64 and parse_ids("").shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "START\n\nPIANO_ON_60\n\n\nTIMESHIFT_8\n",  # blank lines
+        "START\r\nPIANO_ON_60\r\nTIMESHIFT_8\r\n",  # CRLF
+        "  START\nPIANO_ON_60  \n\tTIMESHIFT_8\t\n",  # padded
+        "TIMESHIFT_0008\nPIANO_ON_060\nBASS_OFF_007\n",  # other spellings
+        "\n\n",
+        "START\n   \n",
+    ],
+)
+def test_parse_ids_reads_what_the_line_loop_reads(text):
+    assert parse_ids(text).tolist() == oracle_ids(text).tolist()
+    assert parse_tokens(text) == oracle_parse_tokens(text)
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("bad", ["NOT_A_TOKEN", "TIMESHIFT_7", "PIANO_ON_128", "piano_on_60"])
+def test_parse_ids_raises_the_line_loop_error(where, bad):
+    lines = ["START", "", "PIANO_ON_60", "TIMESHIFT_0008", "PIANO_OFF_60"]
+    lines.insert({"first": 0, "middle": 3, "last": len(lines)}[where], bad)
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(ValueError) as expected:
+        oracle_parse_tokens(text)
+    with pytest.raises(ValueError) as got:
+        parse_ids(text)
+    assert str(got.value) == str(expected.value)
+    assert str(got.value).startswith(f"line {lines.index(bad) + 1}: ")
 
 
 def test_parse_tokens_reports_line_numbers():
