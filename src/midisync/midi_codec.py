@@ -15,7 +15,13 @@ integer-millisecond note intervals bucketed into the five instrument
 categories, plus bar marks and a tempo.  SMF parsing is written from
 scratch so that malformed input can be reported with exact byte
 offsets; it supports format 0 and 1 files, running status, tempo and
-time-signature metadata, and both PPQ and SMPTE divisions.
+time-signature metadata, and both PPQ and SMPTE divisions.  It has two
+track readers.  One compiled bytes pattern, then NumPy, reads a track of
+channel events that each carry their own status byte, tempo and time
+signature events and one End of Track at its end: every track
+:func:`write_midi` makes.  A byte scan reads every other track, and so
+every fault: each error's message and byte offset come from the scan,
+and both readers give the same warnings.
 
 A :class:`ScoreTimeline` stores its notes as sorted int64 columns
 (onset, instrument block, pitch, offset, velocity).  :func:`parse_midi`,
@@ -34,6 +40,7 @@ guitar, 32-39 bass, every other pitched program strings, and channel 10
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -277,13 +284,294 @@ def _need(data: bytes, pos: int, count: int, what: str) -> int:
     return pos + count
 
 
+#: One SMF event of the kinds the pattern reader takes: a delta time of one
+#: to four bytes, then a channel event with its own status byte (three bytes
+#: for 8x, 9x, Ax, Bx and Ex, two for Cx and Dx), a Set Tempo, a Time
+#: Signature or an End of Track meta event.  Only what Python 3.10's ``re``
+#: has: no possessive quantifiers, no atomic groups.
+_EVENT = re.compile(
+    rb"[\x80-\xff]{0,3}[\x00-\x7f]"
+    rb"(?:[\x80-\xbf\xe0-\xef][\x00-\x7f][\x00-\x7f]"
+    rb"|[\xc0-\xdf][\x00-\x7f]"
+    rb"|\xff(?:\x51\x03[\x00-\xff]{3}|\x58\x04[\x00-\xff]{4}|\x2f\x00))"
+)
+#: By channel * 128 + program: instrument block << 7, as in a note-on's code.
+_BLOCK_CODES = np.array(
+    [_INSTRUMENT_ORDER[program_to_instrument(p, ch)] << 7 for ch in range(16) for p in range(128)],
+    dtype=np.int32,
+)
+
+
+class _Tracks:
+    """What :func:`parse_midi` keeps of the tracks read so far, in file order.
+
+    Per track, an int64 array of the ticks and an int32 array of the codes
+    of its note events: ons, the offs that close a note, then the offs
+    that close its dangling notes.  A code is key << 10 | instrument block
+    << 7 | velocity, where key is channel * 128 + pitch and a velocity of
+    0 marks a note-off.  Then the tempo and time-signature candidates as
+    (tick, value, byte offset of the meta body), and the latest note
+    event's tick and the byte offset of its status.
+    """
+
+    __slots__ = ("sink", "ticks", "codes", "tempos", "timesigs", "last_tick", "last_off")
+
+    def __init__(self, sink: list[str]) -> None:
+        self.sink = sink
+        # An empty first part: a file with no track still concatenates.
+        self.ticks = [np.empty(0, dtype=np.int64)]
+        self.codes = [np.empty(0, dtype=np.int32)]
+        self.tempos: list[tuple[int, int, int]] = []  # value: usec per quarter
+        self.timesigs: list[tuple[int, float, int]] = []  # value: quarters per bar
+        self.last_tick = self.last_off = 0
+
+
+def _match_track(data: bytes, buf: np.ndarray, pos: int, end: int, track_index: int,
+                 tracks: _Tracks) -> bool:
+    """Read the MTrk body ``data[pos:end]`` in NumPy, if :data:`_EVENT` takes it.
+
+    It takes a track whose events tile the body and whose last event, and
+    only that one, is End of Track; otherwise it returns False and keeps
+    nothing.  ``buf`` is ``data`` as uint8.  The result, warnings included,
+    is what :func:`_scan_track` gives on such a track.
+    """
+    matches = _EVENT.findall(data, pos, end)
+    lengths = np.frombuffer(bytes(map(len, matches)), dtype=np.uint8)
+    del matches
+    n = len(lengths)
+    at = np.cumsum(lengths, dtype=np.int64)
+    if not n or at[-1] != end - pos:
+        return False
+    at -= lengths
+    at += pos  # each event's first byte, then its status byte
+    byte = buf[at]
+    delta = np.bitwise_and(byte, 0x7F, dtype=np.int32)
+    at += 1
+    longer = np.flatnonzero(byte >= 0x80)
+    while len(longer):  # the pattern stops a delta at four bytes
+        byte = buf[at[longer]]
+        delta[longer] = delta[longer] << 7 | byte & 0x7F
+        at[longer] += 1
+        longer = longer[byte >= 0x80]
+    status = buf[at]
+    data1 = buf[1:][at]  # every event's status has one more byte in the track
+    metas = np.flatnonzero(status == 0xFF)
+    meta_types = data1[metas].tolist()
+    if meta_types.count(0x2F) != 1 or meta_types[-1] != 0x2F or metas[-1] != n - 1:
+        return False
+
+    ticks = np.cumsum(delta, dtype=np.int64)
+    for tick, body, meta_type in zip(ticks[metas].tolist(), (at[metas] + 3).tolist(), meta_types):
+        if meta_type == 0x51:
+            tracks.tempos.append((tick, int.from_bytes(data[body:body + 3], "big"), body))
+        elif meta_type == 0x58:
+            tracks.timesigs.append((tick, data[body] * 4.0 / (1 << data[body + 1]), body))
+    kind = status >> 4
+    notes = np.flatnonzero((kind | 1) == 0x9)  # 8x and 9x
+    if not len(notes):
+        return True
+    programs = np.flatnonzero(kind == 0xC)
+    at_note, channel, pitch = at[notes], status[notes] & 0x0F, data1[notes]
+    velocity = buf[2:][at_note]  # a note event's third byte
+    is_on = kind[notes] == 0x9
+    is_on &= velocity > 0
+    key = channel.astype(np.int16) << 7 | pitch  # channel * 128 + pitch
+    block = _BLOCK_CODES[key - pitch]  # channel * 128 + program 0
+    if len(programs):
+        # Each note's channel's latest program change: the last (channel,
+        # event index) key of a program change below the note's own.
+        change_channel = status[programs] & 0x0F
+        order = np.argsort(change_channel, kind="stable")
+        change_keys = change_channel[order].astype(np.int64) * n + programs[order]
+        floor = channel.astype(np.int64) * n
+        last = np.searchsorted(change_keys, floor + notes) - 1
+        found = change_keys[last] >= floor  # on the note's channel ...
+        found &= last >= 0  # ... and not wrapped round from -1
+        block[found] = _BLOCK_CODES[key[found] - pitch[found] + data1[programs[order]][last[found]]]
+    codes = key.astype(np.int32) << 10
+    codes |= np.where(is_on, block | velocity, 0)
+
+    # Orphan note-offs by decode_ids' rule: one closing note-off per
+    # note-on; a stable sort by key keeps event order within each key, and
+    # a note-off that takes its key's count to a new low is an orphan.
+    closing_keys = np.concatenate((key, key[is_on]))
+    order = np.argsort(closing_keys, kind="stable")
+    is_up = np.concatenate((is_on, np.zeros(len(closing_keys) - len(notes), dtype=bool)))
+    step = np.where(is_up[order], np.int32(1), np.int32(-1))
+    level = np.cumsum(step, dtype=np.int32)
+    orphan = level < np.minimum.accumulate(level - step)
+    closing = order >= len(notes)
+    dangling = closing_keys[order[closing & ~orphan]].tolist()  # in key order
+    orphans = np.sort(order[orphan & ~closing])  # in event order
+    note_ticks = ticks[notes]
+    sink = tracks.sink
+    if len(orphans):
+        for c, p, tick in zip(*(a[orphans].tolist() for a in (channel, pitch, note_ticks))):
+            sink.append(
+                f"track {track_index}: note-off with no open note "
+                f"(channel {c}, pitch {p}, tick {tick})"
+            )
+        kept = np.ones(len(notes), dtype=bool)
+        kept[orphans] = False
+        note_ticks, codes, at_note = note_ticks[kept], codes[kept], at_note[kept]
+    last_tick, last_off = 0, 0
+    if len(note_ticks):
+        first = int(np.argmax(note_ticks))  # the first event at the latest tick
+        last_tick, last_off = int(note_ticks[first]), int(at_note[first])
+    if dangling:
+        end_tick = int(ticks[-1])
+        if end_tick > last_tick:
+            last_tick, last_off = end_tick, int(at[-1])  # dangling notes close here
+        for key in dangling:
+            channel, pitch = divmod(key, NUM_PITCHES)
+            sink.append(
+                f"track {track_index}: note-on without note-off "
+                f"(channel {channel}, pitch {pitch}); closed at track end"
+            )
+        note_ticks = np.concatenate((note_ticks, np.full(len(dangling), end_tick)))
+        codes = np.concatenate((codes, np.array(dangling, dtype=np.int32) << 10))
+    tracks.ticks.append(note_ticks)
+    tracks.codes.append(codes)
+    if last_tick > tracks.last_tick:
+        tracks.last_tick, tracks.last_off = last_tick, last_off
+    return True
+
+
+def _scan_track(data: bytes, pos: int, end: int, track_index: int, tracks: _Tracks) -> None:
+    """Read the MTrk body from ``pos`` a byte at a time, up to ``end``.
+
+    It reads every SMF event (running status, sysex, any meta event) and
+    stops at End of Track.  A fault raises :class:`MidiParseError` at its
+    byte offset.
+    """
+    size = len(data)
+    sink = tracks.sink
+    ticks: list[int] = []
+    codes: list[int] = []
+    tempo_candidates, timesig_candidates = tracks.tempos, tracks.timesigs
+    last_tick, last_off = tracks.last_tick, tracks.last_off
+    tick = 0
+    running_status: int | None = None
+    blocks = [_INSTRUMENT_ORDER[program_to_instrument(0, ch)] << 7 for ch in range(16)]
+    open_counts = [0] * (16 * NUM_PITCHES)  # by channel * 128 + pitch
+
+    # Reads are bounded by the file, not the chunk: an event may run past
+    # the chunk's end, and the next chunk then starts at ``end``.
+    while pos < end:
+        byte = data[pos]
+        if byte < 0x80:
+            tick += byte
+            pos += 1
+        elif pos + 1 < size and data[pos + 1] < 0x80:  # a two-byte delta, inline
+            tick += (byte & 0x7F) << 7 | data[pos + 1]
+            pos += 2
+        else:
+            delta, pos = _read_varlen(data, pos, "delta time")
+            tick += delta
+        status_off = pos
+        if pos >= size:
+            raise MidiParseError("truncated event status", pos)
+        status = data[pos]
+        pos += 1
+        if status < 0x80:
+            if running_status is None:
+                raise MidiParseError("data byte with no running status", status_off)
+            data1 = status
+            status = running_status
+        elif status < 0xF0:
+            running_status = status
+            if pos >= size:
+                raise MidiParseError("truncated event data", pos)
+            data1 = data[pos]
+            if data1 & 0x80:
+                raise MidiParseError(f"event data 0x{data1:02X} has its high bit set", pos)
+            pos += 1
+        elif status == 0xFF:
+            pos = _need(data, pos, 1, "meta type")
+            meta_type = data[pos - 1]
+            meta_len, pos = _read_varlen(data, pos, "meta length")
+            body_off = pos
+            pos = _need(data, pos, meta_len, "meta body")
+            running_status = None
+            if meta_type == 0x51 and meta_len == 3:
+                tempo = int.from_bytes(data[body_off:pos], "big")
+                tempo_candidates.append((tick, tempo, body_off))
+            elif meta_type == 0x58 and meta_len >= 2:
+                quarters = data[body_off] * 4.0 / (1 << data[body_off + 1])
+                timesig_candidates.append((tick, quarters, body_off))
+            elif meta_type == 0x2F:
+                break
+            continue
+        elif status == 0xF0 or status == 0xF7:
+            sysex_len, pos = _read_varlen(data, pos, "sysex length")
+            pos = _need(data, pos, sysex_len, "sysex body")
+            running_status = None
+            continue
+        else:
+            raise MidiParseError(f"unexpected status byte 0x{status:02X}", status_off)
+
+        kind = status >> 4
+        channel = status & 0x0F
+        if kind == 0xC or kind == 0xD:
+            if kind == 0xC:
+                blocks[channel] = _INSTRUMENT_ORDER[program_to_instrument(data1, channel)] << 7
+            continue
+        if pos >= size:
+            raise MidiParseError("truncated event data", pos)
+        data2 = data[pos]
+        if data2 & 0x80:
+            raise MidiParseError(f"event data 0x{data2:02X} has its high bit set", pos)
+        pos += 1
+        if kind == 0x9 or kind == 0x8:
+            key = channel * NUM_PITCHES + data1
+            if kind == 0x9 and data2:
+                open_counts[key] += 1
+                codes.append(key << 10 | blocks[channel] | data2)
+            elif open_counts[key]:
+                open_counts[key] -= 1
+                codes.append(key << 10)
+            else:
+                sink.append(
+                    f"track {track_index}: note-off with no open note "
+                    f"(channel {channel}, pitch {data1}, tick {tick})"
+                )
+                continue
+            ticks.append(tick)
+            if tick > last_tick:
+                last_tick, last_off = tick, status_off
+
+    if any(open_counts):
+        if tick > last_tick:
+            last_tick, last_off = tick, status_off  # dangling notes close here
+        for key, count in enumerate(open_counts):
+            channel, pitch = divmod(key, NUM_PITCHES)
+            for _ in range(count):
+                sink.append(
+                    f"track {track_index}: note-on without note-off "
+                    f"(channel {channel}, pitch {pitch}); closed at track end"
+                )
+                ticks.append(tick)
+                codes.append(key << 10)
+    tracks.ticks.append(np.array(ticks, dtype=np.int64))
+    del ticks  # the two lists and both arrays never coexist
+    tracks.codes.append(np.array(codes, dtype=np.int32))
+    tracks.last_tick, tracks.last_off = last_tick, last_off
+
+
 def parse_midi(data: bytes, warnings: list[str] | None = None) -> ScoreTimeline:
     """Parse an SMF byte string into a :class:`ScoreTimeline`.
 
-    A byte scan keeps a tick and a packed code per note event; NumPy then
-    pairs them, each note-off with the earliest open note-on of its
-    channel and pitch in time order (equal ticks in track, then file
-    order), converts ticks to ms and sorts the notes.
+    Each track, in file order, keeps a tick and a packed code per note
+    event.  A track whose events all match :data:`_EVENT` (each with its
+    own status byte) and end at its only End of Track is read in NumPy
+    (:func:`_match_track`); any other track (running status, sysex, other
+    meta events, a fault) is scanned a byte at a time
+    (:func:`_scan_track`).  Both give the same ticks, codes and warnings,
+    and every error comes from the scan, in file order.  NumPy then
+    pairs the note events, each note-off with the earliest open note-on
+    of its channel and pitch in time order (equal ticks in track, then
+    file order), converts ticks to ms and sorts the notes.  The traced
+    peak memory stays within about 32 bytes per input byte.
     Recoverable oddities (dangling note-ons, zero-length notes after
     millisecond rounding, orphan note-offs) are repaired and described in
     the optional ``warnings`` sink.  Structural corruption, and times or
@@ -326,17 +614,9 @@ def parse_midi(data: bytes, warnings: list[str] | None = None) -> ScoreTimeline:
         if ticks_per_quarter == 0:
             raise MidiParseError("division of zero ticks per quarter", 12)
 
-    # One entry per note event, in (track, event) order: its tick, and a code
-    # key << 10 | instrument block << 7 | velocity, where key is
-    # channel * 128 + pitch and a velocity of 0 marks a note-off.
-    ticks: list[int] = []
-    codes: list[int] = []
-    # (tick, value, byte offset of the meta body), in (track, event) order
-    tempo_candidates: list[tuple[int, int, int]] = []  # value: usec per quarter
-    timesig_candidates: list[tuple[int, float, int]] = []  # value: quarters per bar
-    last_tick = last_off = 0  # the latest note event and where it was read
+    tracks = _Tracks(sink)
+    buf = np.frombuffer(data, dtype=np.uint8)
     track_index = 0
-
     while track_index < declared_tracks:
         chunk_off = pos
         if pos == size:
@@ -354,121 +634,20 @@ def parse_midi(data: bytes, warnings: list[str] | None = None) -> ScoreTimeline:
         end = pos + chunk_len
         if end > size:
             raise MidiParseError("track chunk overruns file", chunk_off + 4)
-
-        tick = 0
-        running_status: int | None = None
-        blocks = [_INSTRUMENT_ORDER[program_to_instrument(0, ch)] << 7 for ch in range(16)]
-        open_counts = [0] * (16 * NUM_PITCHES)  # by channel * 128 + pitch
-
-        # Reads are bounded by the file, not the chunk: an event may run past
-        # the chunk's end, and the next chunk then starts at ``end``.
-        while pos < end:
-            byte = data[pos]
-            if byte < 0x80:
-                tick += byte
-                pos += 1
-            elif pos + 1 < size and data[pos + 1] < 0x80:  # a two-byte delta, inline
-                tick += (byte & 0x7F) << 7 | data[pos + 1]
-                pos += 2
-            else:
-                delta, pos = _read_varlen(data, pos, "delta time")
-                tick += delta
-            status_off = pos
-            if pos >= size:
-                raise MidiParseError("truncated event status", pos)
-            status = data[pos]
-            pos += 1
-            if status < 0x80:
-                if running_status is None:
-                    raise MidiParseError("data byte with no running status", status_off)
-                data1 = status
-                status = running_status
-            elif status < 0xF0:
-                running_status = status
-                if pos >= size:
-                    raise MidiParseError("truncated event data", pos)
-                data1 = data[pos]
-                if data1 & 0x80:
-                    raise MidiParseError(f"event data 0x{data1:02X} has its high bit set", pos)
-                pos += 1
-            elif status == 0xFF:
-                pos = _need(data, pos, 1, "meta type")
-                meta_type = data[pos - 1]
-                meta_len, pos = _read_varlen(data, pos, "meta length")
-                body_off = pos
-                pos = _need(data, pos, meta_len, "meta body")
-                running_status = None
-                if meta_type == 0x51 and meta_len == 3:
-                    tempo = int.from_bytes(data[body_off:pos], "big")
-                    tempo_candidates.append((tick, tempo, body_off))
-                elif meta_type == 0x58 and meta_len >= 2:
-                    quarters = data[body_off] * 4.0 / (1 << data[body_off + 1])
-                    timesig_candidates.append((tick, quarters, body_off))
-                elif meta_type == 0x2F:
-                    break
-                continue
-            elif status == 0xF0 or status == 0xF7:
-                sysex_len, pos = _read_varlen(data, pos, "sysex length")
-                pos = _need(data, pos, sysex_len, "sysex body")
-                running_status = None
-                continue
-            else:
-                raise MidiParseError(f"unexpected status byte 0x{status:02X}", status_off)
-
-            kind = status >> 4
-            channel = status & 0x0F
-            if kind == 0xC or kind == 0xD:
-                if kind == 0xC:
-                    blocks[channel] = _INSTRUMENT_ORDER[program_to_instrument(data1, channel)] << 7
-                continue
-            if pos >= size:
-                raise MidiParseError("truncated event data", pos)
-            data2 = data[pos]
-            if data2 & 0x80:
-                raise MidiParseError(f"event data 0x{data2:02X} has its high bit set", pos)
-            pos += 1
-            if kind == 0x9 or kind == 0x8:
-                key = channel * NUM_PITCHES + data1
-                if kind == 0x9 and data2:
-                    open_counts[key] += 1
-                    codes.append(key << 10 | blocks[channel] | data2)
-                elif open_counts[key]:
-                    open_counts[key] -= 1
-                    codes.append(key << 10)
-                else:
-                    sink.append(
-                        f"track {track_index}: note-off with no open note "
-                        f"(channel {channel}, pitch {data1}, tick {tick})"
-                    )
-                    continue
-                ticks.append(tick)
-                if tick > last_tick:
-                    last_tick, last_off = tick, status_off
-
-        if any(open_counts):
-            if tick > last_tick:
-                last_tick, last_off = tick, status_off  # dangling notes close here
-            for key, count in enumerate(open_counts):
-                channel, pitch = divmod(key, NUM_PITCHES)
-                for _ in range(count):
-                    sink.append(
-                        f"track {track_index}: note-on without note-off "
-                        f"(channel {channel}, pitch {pitch}); closed at track end"
-                    )
-                    ticks.append(tick)
-                    codes.append(key << 10)
+        if not _match_track(data, buf, pos, end, track_index, tracks):
+            _scan_track(data, pos, end, track_index, tracks)
         pos = end
         track_index += 1
 
     # The first candidate at the earliest tick wins: candidates are in (track, event) order.
     tempo_us, tempo_off = 500000, None
-    if tempo_candidates:
-        tempo_us, tempo_off = min(tempo_candidates, key=itemgetter(0))[1:]
+    if tracks.tempos:
+        tempo_us, tempo_off = min(tracks.tempos, key=itemgetter(0))[1:]
         if tempo_us <= 0:
             tempo_us = 500000
     quarters_per_bar, timesig_off = 4.0, None
-    if timesig_candidates:
-        quarters_per_bar, timesig_off = min(timesig_candidates, key=itemgetter(0))[1:]
+    if tracks.timesigs:
+        quarters_per_bar, timesig_off = min(tracks.timesigs, key=itemgetter(0))[1:]
 
     def tick_to_ms(tick):
         """The ms time of a tick (an int), or of each tick of an int64 array."""
@@ -480,20 +659,22 @@ def parse_midi(data: bytes, warnings: list[str] | None = None) -> ScoreTimeline:
             return round(tick * smpte_ms_per_tick)
         return np.rint(tick * smpte_ms_per_tick).astype(np.int64)  # half to even, as round()
 
-    last_ms = tick_to_ms(last_tick)
+    last_ms = tick_to_ms(tracks.last_tick)
     if last_ms > MAX_SCORE_SPAN_MS:
         raise MidiParseError(
-            f"note at {last_ms} ms is past the {MAX_SCORE_SPAN_MS} ms limit", last_off
+            f"note at {last_ms} ms is past the {MAX_SCORE_SPAN_MS} ms limit", tracks.last_off
         )
 
-    # No tick exceeds last_tick, so no int64 product below nears overflow.  A
-    # stable sort on ticks keeps (track, event) order among equal ticks, and a
-    # second one groups that by key.  A key has as many offs as ons and they
-    # never outrun its ons, so the FIFO match pairs its k-th on and k-th off.
-    ticks = np.array(ticks, dtype=np.int64)
-    codes = np.array(codes, dtype=np.int64)
-    merged = np.argsort(ticks, kind="stable")
-    paired = merged[np.argsort(codes[merged] >> 10, kind="stable")]
+    # No tick exceeds last_tick, so every tick is below 2**47 (32767 ticks
+    # per quarter at 1 usec per quarter over an hour) and no int64 product
+    # below nears overflow.  A stable sort on (key, tick) keeps (track,
+    # event) order among equal ticks.  A key has as many offs as ons and
+    # they never outrun its ons, so the FIFO match pairs its k-th on and
+    # k-th off.
+    ticks = np.concatenate(tracks.ticks)
+    codes = np.concatenate(tracks.codes)
+    del tracks
+    paired = np.argsort((codes >> 10).astype(np.int64) << 47 | ticks, kind="stable")
     ticks, codes = ticks[paired], codes[paired]
     is_on = (codes & 127) > 0
     on_ticks, off_ticks, codes = ticks[is_on], ticks[~is_on], codes[is_on]
@@ -505,7 +686,11 @@ def parse_midi(data: bytes, warnings: list[str] | None = None) -> ScoreTimeline:
     onset = tick_to_ms(on_ticks)
     offset = np.maximum(tick_to_ms(off_ticks), onset + 1)  # rounding collapsed a short note
     columns = np.stack((onset, codes >> 7 & 7, codes >> 10 & 127, offset, codes & 127))
-    columns = columns[:, np.lexsort(columns[::-1])]  # timeline order, as _timeline_order
+    # Timeline order, as _timeline_order: onset and offset are at most
+    # MAX_SCORE_SPAN_MS + 1 < 2**22, so the five fields pack into 61 bits.
+    packed = onset << 39 | columns[BLOCK] << 36 | columns[PITCH] << 29 | offset << 7
+    packed |= columns[VELOCITY]
+    columns = columns[:, np.argsort(packed, kind="stable")]
 
     bar_marks: list[int] = []
     if len(onset):
