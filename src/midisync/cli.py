@@ -102,38 +102,55 @@ def cmd_decode(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _prepare_one(data: bytes, config: PipelineConfig, seed: int, args) -> list[tuple[str, str, str]]:
-    """The (stem suffix, tokens text, offsets text) of each variant of one SMF.
+def _prepare_one(data: bytes, config: PipelineConfig, seed: int, args) -> list[tuple[str, str]]:
+    """The (tokens text, offsets text) of one SMF, then of each transposed copy.
 
-    Each variant's notes stay int64 columns from the parser to the
-    encoder, its stream an int64 id array with its cursors from the
-    encoder to the text, and its offsets whole ms until their text.
+    One ``variant`` runs the pipeline: its notes stay int64 columns from
+    the parser to the encoder, its stream an int64 id array with its
+    cursors from the encoder to the text, and its offsets whole ms until
+    their text.  It runs once per file.  A copy moves pitches, not times,
+    so unless a pitch would wrap its ids are the original's with the
+    shift added to each pitched note id (``midi_codec.transpose_ids``),
+    and its offsets text is the original's.  A copy with a wrapped pitch
+    runs ``variant`` on the transposed score, since the wrap can reorder
+    notes and change chords.
     """
+    params = scheduler.SchedulerParams(config.sensitivity_s, config.max_offset_s)
+    eps = config.simultaneity_eps_ms
+
+    def variant(score: midi_codec.ScoreTimeline) -> tuple[np.ndarray, str]:
+        ids = midi_codec.encode_ids(score, include_bars=not args.drop_bars)
+        cursors = tokens.cursors_of(ids)
+        spans = chords_mod.detect_chords(score, simultaneity_eps_ms=eps)
+        ids, cursors = chords_mod.insert_chord_ids(ids, cursors, spans, eps)
+        ids, cursors = chords_mod.dropout_chord_ids(ids, cursors, config.chord_dropout, seed)
+        offsets_ms = scheduler.offsets_ms_for_ids(ids, cursors, params=params)
+        return ids, scheduler.format_offsets(offsets_ms)
+
     score = midi_codec.parse_midi(data)
-    variants = [("", score)]
+    ids, offsets_text = variant(score)
+    outputs = [(tokens.format_ids(ids), offsets_text)]
     if args.augment:
         rng = np.random.default_rng(seed)
         span = midi_codec.MAX_TRANSPOSE
         shifts = rng.choice([t for t in range(-span, span + 1) if t], size=args.augment)
-        variants += [
-            (f"_aug{k + 1}", midi_codec.transpose(score, int(s)))
-            for k, s in enumerate(shifts)
-        ]
-    params = scheduler.SchedulerParams(config.sensitivity_s, config.max_offset_s)
-    eps = config.simultaneity_eps_ms
-    outputs = []
-    for suffix, variant in variants:
-        ids = midi_codec.encode_ids(variant, include_bars=not args.drop_bars)
-        cursors = tokens.cursors_of(ids)
-        spans = chords_mod.detect_chords(variant, simultaneity_eps_ms=eps)
-        ids, cursors = chords_mod.insert_chord_ids(ids, cursors, spans, eps)
-        ids, cursors = chords_mod.dropout_chord_ids(ids, cursors, config.chord_dropout, seed)
-        offsets_ms = scheduler.offsets_ms_for_ids(ids, cursors, params=params)
-        outputs.append((suffix, tokens.format_ids(ids), scheduler.format_offsets(offsets_ms)))
+        for shift in shifts.tolist():
+            copy_ids, copy_offsets = midi_codec.transpose_ids(ids, shift), offsets_text
+            if copy_ids is None:
+                copy_ids, copy_offsets = variant(midi_codec.transpose(score, shift))
+            outputs.append((tokens.format_ids(copy_ids), copy_offsets))
     return outputs
 
 
 def cmd_prepare(args) -> int:
+    """Prepare every SMF of a directory; see the README's ``prepare`` section.
+
+    A file's outputs are ``STEM.tokens``/``STEM.offsets`` and, for each
+    copy, ``STEM_augK``.  Only written files claim those names: a later
+    file that would overwrite a claimed name (``a.MIDI`` after ``a.mid``,
+    or ``a_aug1.mid`` after ``a.mid`` under ``--augment``) is skipped
+    with a warning naming both files.
+    """
     config = _load_config(args)
     midi_dir = Path(args.midi_dir)
     out_dir = Path(args.out_dir)
@@ -145,8 +162,19 @@ def cmd_prepare(args) -> int:
     if not files:
         print(f"error: prepare: no .mid/.midi files in {midi_dir}", file=sys.stderr)
         return 1
+    suffixes = [""] + [f"_aug{k + 1}" for k in range(args.augment)]
+    claimed: dict[str, str] = {}  # output stem -> the input file written to it
     done = 0
     for path in files:
+        stems = [path.stem + suffix for suffix in suffixes]
+        owner = next((claimed[stem] for stem in stems if stem in claimed), None)
+        if owner is not None:
+            print(
+                f"warning: prepare: skipping {path.name}: its outputs would overwrite "
+                f"those of {owner}",
+                file=sys.stderr,
+            )
+            continue
         file_seed = args.seed ^ zlib.crc32(path.name.encode())
         # Skip a file only for its own fault: it cannot be read, or its contents are
         # rejected (a ValueError, such as MidiParseError).  A bug propagates.
@@ -155,9 +183,10 @@ def cmd_prepare(args) -> int:
         except (OSError, ValueError) as exc:
             print(f"warning: prepare: skipping {path.name}: {exc}", file=sys.stderr)
             continue
-        for suffix, tokens_text, offsets_text in outputs:
-            (out_dir / f"{path.stem}{suffix}.tokens").write_text(tokens_text)
-            (out_dir / f"{path.stem}{suffix}.offsets").write_text(offsets_text)
+        for stem, (tokens_text, offsets_text) in zip(stems, outputs, strict=True):
+            (out_dir / f"{stem}.tokens").write_text(tokens_text)
+            (out_dir / f"{stem}.offsets").write_text(offsets_text)
+            claimed[stem] = path.name
         done += 1
     print(f"prepared {done}/{len(files)} file(s) into {out_dir}")
     return 0 if done else 1
@@ -370,6 +399,8 @@ def cmd_vocab(args) -> int:
 
 # Copies per file.  There are only 2 * MAX_TRANSPOSE distinct shifts, so a
 # larger count repeats them, and a huge one overflows or exhausts memory.
+# A copy reuses its file's pipeline run, so N copies cost N format_ids calls
+# (and their writes), plus a full run for each copy whose pitches wrap.
 MAX_AUGMENT = 64
 
 

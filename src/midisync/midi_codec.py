@@ -29,7 +29,8 @@ A :class:`ScoreTimeline` stores its notes as sorted int64 columns
 ``chords.boost_chord_velocity`` and :func:`write_midi` work on those
 columns and build no per-note objects; the columns come sorted from
 :func:`parse_midi`, and a :func:`transpose` with no octave wrap keeps
-their order, so neither sorts them again.  A :class:`NoteEvent` is a
+their order, so neither sorts them again; :func:`transpose_ids` makes
+such a shift on an encoded stream instead.  A :class:`NoteEvent` is a
 tuple record whose equality is tuple equality: ``ScoreTimeline.notes``
 is the list view of the same notes, built on first read.
 
@@ -1062,3 +1063,28 @@ def transpose(score: ScoreTimeline, semitones: int) -> ScoreTimeline:
         pitch[high] -= 12
         columns = columns[:, _timeline_order(columns)]
     return ScoreTimeline._presorted(columns, score.tempo_bpm, score.bar_marks_ms)
+
+
+def transpose_ids(ids: np.ndarray, semitones: int) -> np.ndarray | None:
+    """A stream's ids with every non-drum ON/OFF id moved by ``semitones``.
+
+    When no pitched note leaves 0..127, :func:`transpose` shifts each
+    instrument block as one, so the note order, the event sort (ids stay
+    in their block), the chord clusters and the CHORD positions do not
+    change: the result is then exactly the stream that ``prepare``
+    builds from the transposed score, chord markers and dropout included,
+    and its offsets are the original's.  When a pitched note would leave
+    that range, :func:`transpose` wraps it by an octave, which can
+    reorder notes and change chords, so this returns None.
+    """
+    if abs(semitones) > MAX_TRANSPOSE:
+        raise ValueError(f"semitones must be within +/-{MAX_TRANSPOSE}, got {semitones}")
+    codes = ids - _NOTE_BASE  # block << 8 | OFF << 7 | pitch, for note ids
+    pitched = (codes >= 0) & (codes >> 8 != _DRUMS_BLOCK)
+    pitch = codes[pitched] & (NUM_PITCHES - 1)
+    pitch += semitones
+    if ((pitch < 0) | (pitch >= NUM_PITCHES)).any():
+        return None
+    out = ids.copy()
+    out[pitched] += semitones
+    return out

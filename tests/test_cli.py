@@ -167,6 +167,40 @@ def test_prepare_augment_traverses_transpositions(tmp_path):
     assert {"two.offsets", "two_aug1.offsets", "two_aug2.offsets"} <= names
 
 
+@pytest.mark.parametrize(
+    "first, second, flags",
+    [("a.MIDI", "a.mid", []), ("a.mid", "a_aug1.mid", ["--augment", "1"])],
+)
+def test_prepare_skips_a_file_whose_outputs_are_taken(tmp_path, capsys, first, second, flags):
+    alone, both = tmp_path / "alone", tmp_path / "both"
+    for midi_dir in (alone, both):
+        midi_dir.mkdir()
+        (midi_dir / first).write_bytes(write_midi(demo_score()))
+    (both / second).write_bytes(write_midi(chord_score(0)))
+    assert main(["prepare", str(alone), str(tmp_path / "want"), *flags]) == 0
+    capsys.readouterr()
+    assert main(["prepare", str(both), str(tmp_path / "got"), *flags]) == 0
+    captured = capsys.readouterr()
+    assert f"skipping {second}: its outputs would overwrite those of {first}" in captured.err
+    assert "prepared 1/2" in captured.out
+    # The outputs are the first file's, as if the second were not there.
+    want, got = ({p.name: p.read_bytes() for p in (tmp_path / d).iterdir()} for d in ("want", "got"))
+    assert got == want
+
+
+def test_prepare_lets_a_skipped_file_claim_no_outputs(tmp_path, capsys):
+    midi_dir = tmp_path / "corpus"
+    midi_dir.mkdir()
+    (midi_dir / "a.MIDI").write_bytes(b"MThd\x00\x00")
+    (midi_dir / "a.mid").write_bytes(write_midi(demo_score()))
+    out_dir = tmp_path / "out"
+    assert main(["prepare", str(midi_dir), str(out_dir)]) == 0
+    captured = capsys.readouterr()
+    assert "skipping a.MIDI" in captured.err and "skipping a.mid" not in captured.err
+    assert "prepared 1/2" in captured.out
+    assert sorted(p.name for p in out_dir.iterdir()) == ["a.offsets", "a.tokens"]
+
+
 def test_prepare_skips_corrupt_files(tmp_path, capsys):
     midi_dir = corpus_dir(tmp_path)
     (midi_dir / "broken.mid").write_bytes(b"MThd\x00\x00")
