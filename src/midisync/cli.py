@@ -113,7 +113,7 @@ def _prepare_one(data: bytes, config: PipelineConfig, seed: int, args) -> list[t
     shift added to each pitched note id (``midi_codec.transpose_ids``),
     and its offsets text is the original's.  A copy with a wrapped pitch
     runs ``variant`` on the transposed score, since the wrap can reorder
-    notes and change chords.
+    notes and change chords.  A shift drawn again reuses its texts.
     """
     params = scheduler.SchedulerParams(config.sensitivity_s, config.max_offset_s)
     eps = config.simultaneity_eps_ms
@@ -129,17 +129,17 @@ def _prepare_one(data: bytes, config: PipelineConfig, seed: int, args) -> list[t
 
     score = midi_codec.parse_midi(data)
     ids, offsets_text = variant(score)
-    outputs = [(tokens.format_ids(ids), offsets_text)]
-    if args.augment:
-        rng = np.random.default_rng(seed)
-        span = midi_codec.MAX_TRANSPOSE
-        shifts = rng.choice([t for t in range(-span, span + 1) if t], size=args.augment)
-        for shift in shifts.tolist():
+    texts = {0: (tokens.format_ids(ids), offsets_text)}  # by shift, each made once
+    span = midi_codec.MAX_TRANSPOSE
+    choices = [t for t in range(-span, span + 1) if t]
+    shifts = np.random.default_rng(seed).choice(choices, size=args.augment).tolist()
+    for shift in shifts:
+        if shift not in texts:
             copy_ids, copy_offsets = midi_codec.transpose_ids(ids, shift), offsets_text
             if copy_ids is None:
                 copy_ids, copy_offsets = variant(midi_codec.transpose(score, shift))
-            outputs.append((tokens.format_ids(copy_ids), copy_offsets))
-    return outputs
+            texts[shift] = (tokens.format_ids(copy_ids), copy_offsets)
+    return [texts[shift] for shift in [0, *shifts]]
 
 
 def cmd_prepare(args) -> int:

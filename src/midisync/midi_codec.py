@@ -8,7 +8,8 @@ The encoder writes a stream as an int64 id array (:func:`encode_ids`),
 and the decoder reads one back (:func:`decode_ids`); :func:`encode_events`
 and :func:`decode_events` are the same on Token lists.  The decoder
 pairs notes by the rule of ``tokens.DecodeState``, which generation
-folds one token at a time, but in NumPy over the whole array.
+folds one token at a time, but in NumPy over the whole array
+(:func:`_orphan_rule`, which also settles each SMF track).
 
 A :class:`ScoreTimeline` is the neutral middle ground: absolute
 integer-millisecond note intervals bucketed into the five instrument
@@ -20,8 +21,10 @@ track readers.  One compiled bytes pattern, then NumPy, reads a track of
 channel events that each carry their own status byte, tempo and time
 signature events and one End of Track at its end: every track
 :func:`write_midi` makes.  A byte scan reads every other track, and so
-every fault: each error's message and byte offset come from the scan,
-and both readers give the same warnings.
+every fault: each error's message and byte offset come from the scan.
+Both only record each note event; one :func:`_settle_track` drops a
+track's orphan note-offs and closes its dangling notes, with the
+warnings.
 
 A :class:`ScoreTimeline` stores its notes as sorted int64 columns
 (onset, instrument block, pitch, offset, velocity).  :func:`parse_midi`,
@@ -42,6 +45,7 @@ guitar, 32-39 bass, every other pitched program strings, and channel 10
 from __future__ import annotations
 
 import re
+from array import array
 from collections import namedtuple
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -306,13 +310,14 @@ _BLOCK_CODES = np.array(
 class _Tracks:
     """What :func:`parse_midi` keeps of the tracks read so far, in file order.
 
-    Per track, an int64 array of the ticks and an int32 array of the codes
-    of its note events: ons, the offs that close a note, then the offs
-    that close its dangling notes.  A code is key << 10 | instrument block
-    << 7 | velocity, where key is channel * 128 + pitch and a velocity of
-    0 marks a note-off.  Then the tempo and time-signature candidates as
-    (tick, value, byte offset of the meta body), and the latest note
-    event's tick and the byte offset of its status.
+    Per track, as :func:`_settle_track` keeps them, an int64 array of the
+    ticks and an int32 array of the codes of its note events: ons, the
+    offs that close a note, then the offs that close its dangling notes.
+    A code is key << 10 | instrument block << 7 | velocity, where key is
+    channel * 128 + pitch and a velocity of 0 marks a note-off.  Then the
+    tempo and time-signature candidates as (tick, value, byte offset of
+    the meta body), and the latest kept note event's tick and the byte
+    offset of its status.
     """
 
     __slots__ = ("sink", "ticks", "codes", "tempos", "timesigs", "last_tick", "last_off")
@@ -327,14 +332,83 @@ class _Tracks:
         self.last_tick = self.last_off = 0
 
 
+def _orphan_rule(key: np.ndarray, is_on: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which note-offs close no note: one rule for SMF tracks and id streams.
+
+    ``key`` names each event's note (below 2**15); ``is_on`` marks the
+    note-ons, and the rest are note-offs.  One more off per on follows the
+    n events, to close the notes left open.  Returns ``order``, the stable
+    sort of them all by key (index n + j is the off added for the j-th
+    on), and, in that order, ``orphan``: an off is one when it takes its
+    note's running count of ons less offs to a new low under zero.  The
+    added offs leave each note's count at its low, so one running sum and
+    one running minimum need no reset between notes.  Then each note has
+    as many kept offs as ons, and its k-th on pairs with its k-th kept off.
+    """
+    key = key.astype(np.int16, copy=False)  # a radix sort
+    order = np.argsort(np.concatenate((key, key[is_on])), kind="stable")
+    is_up = np.concatenate((is_on, np.zeros(len(order) - len(key), dtype=bool)))
+    step = np.where(is_up[order], np.int32(1), np.int32(-1))
+    level = np.cumsum(step, dtype=np.int32)
+    return order, level < np.minimum.accumulate(level - step)
+
+
+def _settle_track(ticks: np.ndarray, codes: np.ndarray, offs: np.ndarray, end_tick: int,
+                  end_off: int, track_index: int, tracks: _Tracks) -> None:
+    """Keep one track's note events in ``tracks``, paired by :func:`_orphan_rule`.
+
+    ``ticks``, ``codes`` (as in :class:`_Tracks`) and ``offs`` (the byte
+    offset of each status) are the track's note events in order;
+    ``end_tick`` and ``end_off`` are those of its last event.  Orphan
+    note-offs are dropped, with one warning each in event order; dangling
+    notes close at the last event, with one warning each in key order.
+    The latest kept tick, and the offset of the first event at it, feed
+    the span check.
+    """
+    n = len(codes)
+    if not n:
+        return
+    key = codes >> 10
+    is_on = (codes & 127) > 0
+    order, orphan = _orphan_rule(key, is_on)
+    added = order >= n
+    orphans = np.sort(order[orphan & ~added])  # in event order
+    closes = order[added & ~orphan]  # in key order
+    if len(orphans):
+        tracks.sink.extend(
+            f"track {track_index}: note-off with no open note "
+            f"(channel {k >> 7}, pitch {k & 127}, tick {tick})"
+            for k, tick in zip(key[orphans].tolist(), ticks[orphans].tolist())
+        )
+        ticks, codes, offs = (np.delete(a, orphans) for a in (ticks, codes, offs))
+    if len(ticks):
+        first = int(np.argmax(ticks))  # the first event at the latest tick
+        if ticks[first] > tracks.last_tick:
+            tracks.last_tick, tracks.last_off = int(ticks[first]), int(offs[first])
+    if len(closes):
+        if end_tick > tracks.last_tick:
+            tracks.last_tick, tracks.last_off = end_tick, end_off  # dangling notes close here
+        dangling = key[is_on][closes - n]
+        tracks.sink.extend(
+            f"track {track_index}: note-on without note-off "
+            f"(channel {k >> 7}, pitch {k & 127}); closed at track end"
+            for k in dangling.tolist()
+        )
+        ticks = np.concatenate((ticks, np.full(len(dangling), end_tick)))
+        codes = np.concatenate((codes, dangling << 10))
+    tracks.ticks.append(ticks)
+    tracks.codes.append(codes)
+
+
 def _match_track(data: bytes, buf: np.ndarray, pos: int, end: int, track_index: int,
                  tracks: _Tracks) -> bool:
     """Read the MTrk body ``data[pos:end]`` in NumPy, if :data:`_EVENT` takes it.
 
     It takes a track whose events tile the body and whose last event, and
     only that one, is End of Track; otherwise it returns False and keeps
-    nothing.  ``buf`` is ``data`` as uint8.  The result, warnings included,
-    is what :func:`_scan_track` gives on such a track.
+    nothing.  ``buf`` is ``data`` as uint8.  It records the note events
+    :func:`_scan_track` records on such a track, and :func:`_settle_track`
+    settles them.
     """
     matches = _EVENT.findall(data, pos, end)
     lengths = np.frombuffer(bytes(map(len, matches)), dtype=np.uint8)
@@ -392,49 +466,7 @@ def _match_track(data: bytes, buf: np.ndarray, pos: int, end: int, track_index: 
     codes = key.astype(np.int32) << 10
     codes |= np.where(is_on, block | velocity, 0)
 
-    # Orphan note-offs by decode_ids' rule: one closing note-off per
-    # note-on; a stable sort by key keeps event order within each key, and
-    # a note-off that takes its key's count to a new low is an orphan.
-    closing_keys = np.concatenate((key, key[is_on]))
-    order = np.argsort(closing_keys, kind="stable")
-    is_up = np.concatenate((is_on, np.zeros(len(closing_keys) - len(notes), dtype=bool)))
-    step = np.where(is_up[order], np.int32(1), np.int32(-1))
-    level = np.cumsum(step, dtype=np.int32)
-    orphan = level < np.minimum.accumulate(level - step)
-    closing = order >= len(notes)
-    dangling = closing_keys[order[closing & ~orphan]].tolist()  # in key order
-    orphans = np.sort(order[orphan & ~closing])  # in event order
-    note_ticks = ticks[notes]
-    sink = tracks.sink
-    if len(orphans):
-        for c, p, tick in zip(*(a[orphans].tolist() for a in (channel, pitch, note_ticks))):
-            sink.append(
-                f"track {track_index}: note-off with no open note "
-                f"(channel {c}, pitch {p}, tick {tick})"
-            )
-        kept = np.ones(len(notes), dtype=bool)
-        kept[orphans] = False
-        note_ticks, codes, at_note = note_ticks[kept], codes[kept], at_note[kept]
-    last_tick, last_off = 0, 0
-    if len(note_ticks):
-        first = int(np.argmax(note_ticks))  # the first event at the latest tick
-        last_tick, last_off = int(note_ticks[first]), int(at_note[first])
-    if dangling:
-        end_tick = int(ticks[-1])
-        if end_tick > last_tick:
-            last_tick, last_off = end_tick, int(at[-1])  # dangling notes close here
-        for key in dangling:
-            channel, pitch = divmod(key, NUM_PITCHES)
-            sink.append(
-                f"track {track_index}: note-on without note-off "
-                f"(channel {channel}, pitch {pitch}); closed at track end"
-            )
-        note_ticks = np.concatenate((note_ticks, np.full(len(dangling), end_tick)))
-        codes = np.concatenate((codes, np.array(dangling, dtype=np.int32) << 10))
-    tracks.ticks.append(note_ticks)
-    tracks.codes.append(codes)
-    if last_tick > tracks.last_tick:
-        tracks.last_tick, tracks.last_off = last_tick, last_off
+    _settle_track(ticks[notes], codes, at_note, int(ticks[-1]), int(at[-1]), track_index, tracks)
     return True
 
 
@@ -443,18 +475,15 @@ def _scan_track(data: bytes, pos: int, end: int, track_index: int, tracks: _Trac
 
     It reads every SMF event (running status, sysex, any meta event) and
     stops at End of Track.  A fault raises :class:`MidiParseError` at its
-    byte offset.
+    byte offset.  It records each note event's tick, code and status
+    offset in typed columns, then :func:`_settle_track` settles them.
     """
     size = len(data)
-    sink = tracks.sink
-    ticks: list[int] = []
-    codes: list[int] = []
+    ticks, codes, offs = array("q"), array("i"), array("q")  # int64, int32, int64
     tempo_candidates, timesig_candidates = tracks.tempos, tracks.timesigs
-    last_tick, last_off = tracks.last_tick, tracks.last_off
     tick = 0
     running_status: int | None = None
     blocks = [_INSTRUMENT_ORDER[program_to_instrument(0, ch)] << 7 for ch in range(16)]
-    open_counts = [0] * (16 * NUM_PITCHES)  # by channel * 128 + pitch
 
     # Reads are bounded by the file, not the chunk: an event may run past
     # the chunk's end, and the next chunk then starts at ``end``.
@@ -524,51 +553,29 @@ def _scan_track(data: bytes, pos: int, end: int, track_index: int, tracks: _Trac
             raise MidiParseError(f"event data 0x{data2:02X} has its high bit set", pos)
         pos += 1
         if kind == 0x9 or kind == 0x8:
-            key = channel * NUM_PITCHES + data1
-            if kind == 0x9 and data2:
-                open_counts[key] += 1
-                codes.append(key << 10 | blocks[channel] | data2)
-            elif open_counts[key]:
-                open_counts[key] -= 1
-                codes.append(key << 10)
-            else:
-                sink.append(
-                    f"track {track_index}: note-off with no open note "
-                    f"(channel {channel}, pitch {data1}, tick {tick})"
-                )
-                continue
+            code = (channel * NUM_PITCHES + data1) << 10
+            codes.append(code | blocks[channel] | data2 if kind == 0x9 and data2 else code)
             ticks.append(tick)
-            if tick > last_tick:
-                last_tick, last_off = tick, status_off
+            offs.append(status_off)
 
-    if any(open_counts):
-        if tick > last_tick:
-            last_tick, last_off = tick, status_off  # dangling notes close here
-        for key, count in enumerate(open_counts):
-            channel, pitch = divmod(key, NUM_PITCHES)
-            for _ in range(count):
-                sink.append(
-                    f"track {track_index}: note-on without note-off "
-                    f"(channel {channel}, pitch {pitch}); closed at track end"
-                )
-                ticks.append(tick)
-                codes.append(key << 10)
-    tracks.ticks.append(np.array(ticks, dtype=np.int64))
-    del ticks  # the two lists and both arrays never coexist
-    tracks.codes.append(np.array(codes, dtype=np.int32))
-    tracks.last_tick, tracks.last_off = last_tick, last_off
+    if codes:
+        columns = (np.frombuffer(a, dtype=a.typecode) for a in (ticks, codes, offs))
+        _settle_track(*columns, tick, status_off, track_index, tracks)
 
 
 def parse_midi(data: bytes, warnings: list[str] | None = None) -> ScoreTimeline:
     """Parse an SMF byte string into a :class:`ScoreTimeline`.
 
-    Each track, in file order, keeps a tick and a packed code per note
-    event.  A track whose events all match :data:`_EVENT` (each with its
-    own status byte) and end at its only End of Track is read in NumPy
-    (:func:`_match_track`); any other track (running status, sysex, other
-    meta events, a fault) is scanned a byte at a time
-    (:func:`_scan_track`).  Both give the same ticks, codes and warnings,
-    and every error comes from the scan, in file order.  NumPy then
+    Each track, in file order, records a tick, a packed code and a status
+    offset per note event.  A track whose events all match :data:`_EVENT`
+    (each with its own status byte) and end at its only End of Track is
+    read in NumPy (:func:`_match_track`); any other track (running
+    status, sysex, other meta events, a fault) is scanned a byte at a
+    time (:func:`_scan_track`).  Both record the same events, and every
+    error comes from the scan.  :func:`_settle_track` settles each track
+    before the next is read, so errors and warnings come in file order:
+    it drops orphan note-offs and closes dangling notes by
+    :func:`_orphan_rule`, the rule of :func:`decode_ids`.  NumPy then
     pairs the note events, each note-off with the earliest open note-on
     of its channel and pitch in time order (equal ticks in track, then
     file order), converts ticks to ms and sorts the notes.  The traced
@@ -971,28 +978,18 @@ def decode_ids(ids: np.ndarray) -> DecodeResult:
     last = int(cursors[-1]) if len(ids) else 0
     at = np.flatnonzero(ids >= _NOTE_BASE)
     codes = ids[at] - _NOTE_BASE
-    is_off = codes & NUM_PITCHES
-    on_codes = codes[is_off == 0]
+    is_on = codes & NUM_PITCHES == 0
+    on_codes = codes[is_on]
     n_on = len(on_codes)
-    # Every note event, then one more OFF per ON at the last cursor: those
-    # close the notes left open and are orphans otherwise.  A stable sort
-    # by note keeps stream order within each note.
-    key = np.concatenate((codes, on_codes)) | NUM_PITCHES  # the OFF's code
-    cursor = np.concatenate((cursors[at], np.full(n_on, last)))
-    step = np.concatenate((np.where(is_off, -1, 1), np.full(n_on, -1)))
-    order = np.argsort(key.astype(np.int16), kind="stable")  # keys < 2**11: a radix sort
-    key, cursor, step = key[order], cursor[order], step[order]
-    # An OFF is an orphan when it takes its note's running count of ONs
-    # less OFFs to a new low under zero.  The added OFFs close every note,
-    # so each note's count ends at its low: one running sum and one running
-    # minimum over all the notes in turn need no reset between notes.
-    level = np.cumsum(step)
-    orphan = level < np.minimum.accumulate(level - step)
-    # Now each note has as many kept OFFs as ONs: its k-th ON pairs with its k-th.
-    on = step > 0
+    # Each note is keyed by its OFF's code; the OFFs the rule adds close
+    # the notes left open at the last cursor.
+    order, orphan = _orphan_rule(codes | NUM_PITCHES, is_on)
+    codes = np.concatenate((codes, on_codes | NUM_PITCHES))[order]
+    cursor = np.concatenate((cursors[at], np.full(n_on, last)))[order]
+    on = codes & NUM_PITCHES == 0
     off = ~(on | orphan)
     unclosed = int(np.count_nonzero(off & (order >= len(at))))
-    key, onset, offset = key[on], cursor[on], cursor[off]
+    key, onset, offset = codes[on], cursor[on], cursor[off]  # k-th ON, k-th kept OFF
     kept = offset > onset
     dropped = n_on - int(np.count_nonzero(kept))
     key, onset, offset = key[kept], onset[kept], offset[kept]

@@ -16,9 +16,9 @@ token, how far ahead the next relevant boundary lies:
 The incremental state machine (:func:`on_token`), which folds each
 generated token into the loop's :class:`GeneratorState` (the owner of
 every boundary's state), is the reference definition.  Whole token id
-streams go through one vectorized NumPy kernel (:func:`offsets_for_ids`,
-or :func:`offsets_ms_for_ids` in whole ms; :func:`offsets_for_sequence`
-on a Token list), which must match the fold bit for bit.
+streams go through one vectorized NumPy kernel (:func:`offsets_ms_for_ids`
+in whole ms; :func:`offsets_for_sequence` in seconds on a Token list),
+which must match the fold bit for bit.
 """
 
 from __future__ import annotations
@@ -232,24 +232,14 @@ def offsets_ms_for_ids(
     )
 
 
-def offsets_for_ids(
-    ids: np.ndarray,
-    cursor_ms: np.ndarray,
-    boundaries: BoundaryList | None = None,
-    params: SchedulerParams | None = None,
-) -> np.ndarray:
-    """:func:`offsets_ms_for_ids` in seconds: folding :func:`on_token` over the stream."""
-    return offsets_ms_for_ids(ids, cursor_ms, boundaries, params) / 1000.0
-
-
 def offsets_for_sequence(
     tokens: list[Token],
     boundaries: BoundaryList | None = None,
     params: SchedulerParams | None = None,
 ) -> np.ndarray:
-    """:func:`offsets_for_ids` on a Token list, for callers that hold tokens."""
+    """:func:`offsets_ms_for_ids` in seconds on a Token list: folding :func:`on_token` over it."""
     ids = ids_of(tokens)
-    return offsets_for_ids(ids, cursors_of(ids), boundaries, params)
+    return offsets_ms_for_ids(ids, cursors_of(ids), boundaries, params) / 1000.0
 
 
 def format_boundaries(boundaries: BoundaryList) -> str:

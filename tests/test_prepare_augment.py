@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from helpers import golden_score, random_grid_score, random_offgrid_score
-from midisync import chords, midi_codec, scheduler
+from midisync import chords, midi_codec, scheduler, tokens
 from midisync.chords import detect_chords, dropout_chord_ids, insert_chord_ids
 from midisync.cli import main
 from midisync.config import PipelineConfig
@@ -222,3 +222,58 @@ def test_each_file_runs_the_pipeline_once(tmp_path, monkeypatch):
     assert main(["prepare", str(tmp_path / "in"), str(out), "--augment", "3"]) == 0
     assert calls == {"offsets_ms_for_ids": 3, "detect_chords": 3, "transpose": 0}
     assert len(list(out.iterdir())) == 3 * 4 * 2
+
+
+def test_a_shift_drawn_again_reuses_its_texts(tmp_path, monkeypatch):
+    # Under --augment 8 (and the default seed 0) low.mid draws 2, 1, 3, -2,
+    # -1, 2, 3, 1 and wide.mid draws -1, 3, -3, 1, -1, -3, -1, -1.  Only
+    # wide.mid holds pitches 1 and 126, so only its +-3 copies wrap.
+    rng = random.Random(24)
+    wide = held_triads(rng, 3, 110)
+    wide = ScoreTimeline(
+        notes=wide.notes + [NoteEvent(Instrument.PIANO, p, 0, 500) for p in (1, 126)],
+        tempo_bpm=120.0,
+    )
+    songs = {"low.mid": held_triads(rng, 3, 110), "wide.mid": wide}
+    (tmp_path / "in").mkdir()
+    for name, song in songs.items():
+        (tmp_path / "in" / name).write_bytes(write_midi(song))
+    formatted, transposed = [], []
+    real_format, real_transpose = tokens.format_ids, midi_codec.transpose
+
+    def format_spy(ids):
+        formatted.append(len(ids))
+        return real_format(ids)
+
+    def transpose_spy(score, semitones):
+        transposed.append(semitones)
+        return real_transpose(score, semitones)
+
+    monkeypatch.setattr(tokens, "format_ids", format_spy)
+    monkeypatch.setattr(midi_codec, "transpose", transpose_spy)
+    out = tmp_path / "out"
+    assert main(["prepare", str(tmp_path / "in"), str(out), "--augment", "8"]) == 0
+    assert transposed == [3, -3]  # one full run per distinct wrapping shift
+
+    distinct = 0
+    for name, song in songs.items():
+        seed = zlib.crc32(name.encode())
+        shifts = np.random.default_rng(seed).choice(SHIFTS, size=8).tolist()
+        parsed = midi_codec.parse_midi(write_midi(song))
+        ids, offsets_text = pipeline(parsed, seed)
+        expected = {}
+        for shift in {0, *shifts}:
+            copy_ids, copy_offsets = ids, offsets_text
+            if shift:
+                copy_ids = transpose_ids(ids, shift)
+                if copy_ids is None:
+                    copy_ids, copy_offsets = pipeline(real_transpose(parsed, shift), seed)
+            expected[shift] = (real_format(copy_ids), copy_offsets)
+        stems = [name[:-4]] + [f"{name[:-4]}_aug{k}" for k in range(1, 9)]
+        for stem, shift in zip(stems, [0, *shifts], strict=True):
+            assert (out / f"{stem}.tokens").read_text() == expected[shift][0]
+            assert (out / f"{stem}.offsets").read_text() == expected[shift][1]
+        texts = {(out / f"{stem}.tokens").read_text() for stem in stems}
+        assert len(texts) == len(expected) < 9
+        distinct += len(texts)
+    assert len(formatted) == distinct == 6 + 5  # not 2 * 9

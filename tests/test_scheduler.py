@@ -20,7 +20,6 @@ from midisync.scheduler import (
     _compute_offsets,
     format_boundaries,
     format_offsets,
-    offsets_for_ids,
     offsets_for_sequence,
     offsets_ms_for_ids,
     on_token,
@@ -248,7 +247,7 @@ def test_offsets_for_sequence_trivial_cases():
 
 
 def self_derived_boundaries(tokens) -> BoundaryList:
-    """The boundaries ``offsets_for_ids`` derives from a stream's own CHORDs."""
+    """The boundaries ``offsets_ms_for_ids`` derives from a stream's own CHORDs."""
     ids, cursors = stream(tokens)
     return BoundaryList(times_ms=tuple(_chord_times(ids == CHORD.id, cursors).tolist()))
 
@@ -549,7 +548,7 @@ def test_offsets_in_ms_and_their_text_match_the_seconds():
         ids, cursors = stream(tokens)
         for boundaries in (bounds, None):
             ms = offsets_ms_for_ids(ids, cursors, boundaries, params)
-            seconds = offsets_for_ids(ids, cursors, boundaries, params)
+            seconds = offsets_for_sequence(tokens, boundaries, params)
             assert ms.dtype == np.int64
             assert ms.min(initial=0) >= 0 and ms.max(initial=0) <= params.max_offset_ms
             assert (ms / 1000.0).tolist() == seconds.tolist()

@@ -30,7 +30,7 @@ from midisync.midi_codec import (
     parse_midi,
     write_midi,
 )
-from midisync.scheduler import offsets_for_ids
+from midisync.scheduler import offsets_ms_for_ids
 from midisync.tokens import cursors_of
 
 from helpers import random_grid_score, random_offgrid_score, raw_smf, time_budget, vlq
@@ -120,7 +120,7 @@ def test_parse_midi_matches_the_oracle_on_mutated_files(chunk):
                 score = got[1]
                 ids = encode_ids(score)
                 ids, cursors = insert_chord_ids(ids, cursors_of(ids), detect_chords(score))
-                assert len(offsets_for_ids(ids, cursors)) == len(ids)
+                assert len(offsets_ms_for_ids(ids, cursors)) == len(ids)
         if got[0] == "error" and "bar marks" in got[1] and expected[0] == "score":
             assert len(expected[1].bar_marks_ms) >= MAX_BAR_MARKS, (case, data.hex())
             continue

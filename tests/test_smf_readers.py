@@ -305,6 +305,64 @@ def test_bytes_after_end_of_track_are_ignored(scanned):
 
 
 # ---------------------------------------------------------------------------
+# The span check reads settled events, on either reader
+# ---------------------------------------------------------------------------
+
+
+LATE = 3_500_000  # ticks: 3,645,833 ms at 480 per quarter and 120 bpm, past the limit
+
+
+def note_track(events: list[tuple[int, int, int]], end_delta: int, running: bool):
+    """One format-0 track of (delta, pitch, velocity) 9x events, then End of Track.
+
+    Each event carries its own status byte, or, with ``running``, only the
+    first does.  Returns the file and each event's status offset (its first
+    data byte under running status), End of Track's last.
+    """
+    head = len(smf(chunk(b"")))
+    body, offsets = b"", []
+    for k, (delta, pitch, velocity) in enumerate(events):
+        body += vlq(delta)
+        offsets.append(head + len(body))
+        body += bytes(([] if running and k else [0x90]) + [pitch, velocity])
+    body += vlq(end_delta)
+    offsets.append(head + len(body))
+    return smf(chunk(body + b"\xff\x2f\x00"), fmt=0), offsets
+
+
+@pytest.fixture(params=[False, True], ids=["own status", "running status"])
+def running(request, scanned):
+    """Whether events use running status: the byte scan reads those, the pattern the rest."""
+    yield request.param
+    assert scanned == ([0] if request.param else [])
+
+
+def test_an_orphan_note_off_past_the_span_limit_parses(running):
+    data, _ = note_track([(0, 60, 80), (240, 60, 0), (LATE, 61, 0)], 0, running)
+    got = outcome(parse_midi, data)
+    assert got == outcome(oracle_parse_midi, data)
+    assert [(n.pitch, n.onset_ms, n.offset_ms) for n in got[1].notes] == [(60, 0, 250)]
+    assert got[2] == ["track 0: note-off with no open note (channel 0, pitch 61, tick 3500240)"]
+
+
+def test_a_dangling_note_past_the_span_limit_raises_at_end_of_track(running):
+    data, offsets = note_track([(0, 60, 80), (0, 62, 80), (240, 62, 0)], LATE, running)
+    got = outcome(parse_midi, data)
+    assert got == outcome(oracle_parse_midi, data)
+    assert got[0] == "error" and "ms is past the 3600000 ms limit" in got[1]
+    assert got[2] == offsets[-1]
+
+
+def test_an_orphan_first_at_the_latest_tick_leaves_the_blame_to_the_next_kept_event(running):
+    events = [(0, 60, 80), (240, 60, 0), (LATE, 61, 0), (0, 62, 80), (0, 62, 0)]
+    data, offsets = note_track(events, 0, running)
+    got = outcome(parse_midi, data)
+    assert got == outcome(oracle_parse_midi, data)
+    assert got[0] == "error" and "ms is past the 3600000 ms limit" in got[1]
+    assert got[2] == offsets[3]  # the note-on after the orphan, at the same tick
+
+
+# ---------------------------------------------------------------------------
 # The pattern
 # ---------------------------------------------------------------------------
 
