@@ -22,9 +22,9 @@ channel events that each carry their own status byte, tempo and time
 signature events and one End of Track at its end: every track
 :func:`write_midi` makes.  A byte scan reads every other track, and so
 every fault: each error's message and byte offset come from the scan.
-Both only record each note event; one :func:`_settle_track` drops a
-track's orphan note-offs and closes its dangling notes, with the
-warnings.
+Both only find events: one :func:`_meta` reads a tempo or metre, and one
+:func:`_settle_track` says what a track's notes and program changes mean
+and settles its notes, with the warnings.
 
 A :class:`ScoreTimeline` stores its notes as sorted int64 columns
 (onset, instrument block, pitch, offset, velocity).  :func:`parse_midi`,
@@ -315,9 +315,8 @@ class _Tracks:
     offs that close a note, then the offs that close its dangling notes.
     A code is key << 10 | instrument block << 7 | velocity, where key is
     channel * 128 + pitch and a velocity of 0 marks a note-off.  Then the
-    tempo and time-signature candidates as (tick, value, byte offset of
-    the meta body), and the latest kept note event's tick and the byte
-    offset of its status.
+    tempo and time-signature candidates (:func:`_meta`), and the latest
+    kept note event's tick and the byte offset of its status.
     """
 
     __slots__ = ("sink", "ticks", "codes", "tempos", "timesigs", "last_tick", "last_off")
@@ -330,6 +329,14 @@ class _Tracks:
         self.tempos: list[tuple[int, int, int]] = []  # value: usec per quarter
         self.timesigs: list[tuple[int, float, int]] = []  # value: quarters per bar
         self.last_tick = self.last_off = 0
+
+
+def _meta(tracks: _Tracks, data: bytes, tick: int, meta_type: int, body: int, length: int) -> None:
+    """Keep a Set Tempo's or Time Signature's (tick, value, body offset) in ``tracks``."""
+    if meta_type == 0x51 and length == 3:
+        tracks.tempos.append((tick, int.from_bytes(data[body:body + 3], "big"), body))
+    elif meta_type == 0x58 and length >= 2:
+        tracks.timesigs.append((tick, data[body] * 4.0 / (1 << data[body + 1]), body))
 
 
 def _orphan_rule(key: np.ndarray, is_on: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -353,24 +360,55 @@ def _orphan_rule(key: np.ndarray, is_on: np.ndarray) -> tuple[np.ndarray, np.nda
     return order, level < np.minimum.accumulate(level - step)
 
 
-def _settle_track(ticks: np.ndarray, codes: np.ndarray, offs: np.ndarray, end_tick: int,
-                  end_off: int, track_index: int, tracks: _Tracks) -> None:
-    """Keep one track's note events in ``tracks``, paired by :func:`_orphan_rule`.
+def _first_data(buf: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Turn the status offsets ``at`` into those of the first data bytes, in place."""
+    at += buf[at] >> 7  # under running status a status offset holds a data byte, below 0x80
+    return at
 
-    ``ticks``, ``codes`` (as in :class:`_Tracks`) and ``offs`` (the byte
-    offset of each status) are the track's note events in order;
-    ``end_tick`` and ``end_off`` are those of its last event.  Orphan
-    note-offs are dropped, with one warning each in event order; dangling
-    notes close at the last event, with one warning each in key order.
-    The latest kept tick, and the offset of the first event at it, feed
-    the span check.
+
+def _settle_track(buf: np.ndarray, ticks: np.ndarray, at: np.ndarray, status: np.ndarray,
+                  end_tick: int, end_off: int, track_index: int, tracks: _Tracks) -> None:
+    """Say what one track's channel events mean, and keep its notes in ``tracks``.
+
+    ``ticks``, ``at`` and ``status`` hold the tick, status offset and
+    status in force of each event, in order; only note-offs, note-ons and
+    program changes count.  ``buf`` is the file as uint8; ``end_tick`` and
+    ``end_off`` are those of the track's last event.  A note-on of
+    velocity 0 is a note-off; a note takes its channel's latest program.
+    By :func:`_orphan_rule`, orphan note-offs are dropped, with one warning
+    each in event order, and dangling notes close at the last event, with
+    one warning each in key order.  The latest kept tick, and the status
+    offset of the first event at it, feed the span check.
     """
-    n = len(codes)
+    kind = status >> 4
+    is_note = (kind | 1) == 0x9  # 8x and 9x
+    n = int(np.count_nonzero(is_note))
     if not n:
         return
-    key = codes >> 10
-    is_on = (codes & 127) > 0
+    first = _first_data(buf, at[is_note])
+    channel, pitch, velocity = status[is_note] & 0x0F, buf[first], buf[1:][first]
+    is_on = (kind[is_note] == 0x9) & (velocity > 0)
+    key = channel.astype(np.int16) << 7 | pitch  # channel * 128 + pitch
+    block = _BLOCK_CODES[key - pitch]  # channel * 128 + program 0
+    programs = np.flatnonzero(kind == 0xC)
+    if len(programs):
+        # Each note's channel's latest program change: the last (channel,
+        # event index) key of a program change below the note's own.
+        notes = np.flatnonzero(is_note)
+        change_channel = status[programs] & 0x0F
+        by_channel = np.argsort(change_channel, kind="stable")
+        programs = programs[by_channel]
+        change_keys = change_channel[by_channel].astype(np.int64) * len(kind) + programs
+        floor = channel.astype(np.int64) * len(kind)
+        last = np.searchsorted(change_keys, floor + notes) - 1
+        found = change_keys[last] >= floor  # on the note's channel ...
+        found &= last >= 0  # ... and not wrapped round from -1
+        program = buf[_first_data(buf, at[programs])]
+        block[found] = _BLOCK_CODES[key[found] - pitch[found] + program[last[found]]]
+    codes = key.astype(np.int32) << 10
+    codes |= np.where(is_on, block | velocity, 0)
     order, orphan = _orphan_rule(key, is_on)
+    ticks = ticks[is_note]  # after _orphan_rule, whose temporaries set the traced peak
     added = order >= n
     orphans = np.sort(order[orphan & ~added])  # in event order
     closes = order[added & ~orphan]  # in key order
@@ -380,11 +418,14 @@ def _settle_track(ticks: np.ndarray, codes: np.ndarray, offs: np.ndarray, end_ti
             f"(channel {k >> 7}, pitch {k & 127}, tick {tick})"
             for k, tick in zip(key[orphans].tolist(), ticks[orphans].tolist())
         )
-        ticks, codes, offs = (np.delete(a, orphans) for a in (ticks, codes, offs))
+        ticks, codes, first = (np.delete(a, orphans) for a in (ticks, codes, first))
     if len(ticks):
-        first = int(np.argmax(ticks))  # the first event at the latest tick
-        if ticks[first] > tracks.last_tick:
-            tracks.last_tick, tracks.last_off = int(ticks[first]), int(offs[first])
+        latest = int(np.argmax(ticks))  # the first event at the latest tick
+        if ticks[latest] > tracks.last_tick:
+            # Its status byte comes just before its first data byte, unless a delta's last byte
+            # (below 0x80) does: under running status the status offset is the data byte's own.
+            data1 = int(first[latest])
+            tracks.last_tick, tracks.last_off = int(ticks[latest]), data1 - int(buf[data1 - 1] >> 7)
     if len(closes):
         if end_tick > tracks.last_tick:
             tracks.last_tick, tracks.last_off = end_tick, end_off  # dangling notes close here
@@ -395,7 +436,7 @@ def _settle_track(ticks: np.ndarray, codes: np.ndarray, offs: np.ndarray, end_ti
             for k in dangling.tolist()
         )
         ticks = np.concatenate((ticks, np.full(len(dangling), end_tick)))
-        codes = np.concatenate((codes, dangling << 10))
+        codes = np.concatenate((codes, dangling.astype(np.int32) << 10))
     tracks.ticks.append(ticks)
     tracks.codes.append(codes)
 
@@ -406,9 +447,9 @@ def _match_track(data: bytes, buf: np.ndarray, pos: int, end: int, track_index: 
 
     It takes a track whose events tile the body and whose last event, and
     only that one, is End of Track; otherwise it returns False and keeps
-    nothing.  ``buf`` is ``data`` as uint8.  It records the note events
-    :func:`_scan_track` records on such a track, and :func:`_settle_track`
-    settles them.
+    nothing.  ``buf`` is ``data`` as uint8.  It finds each event's tick,
+    status offset and status, keeps the meta events' candidates by
+    :func:`_meta`, and hands the events to :func:`_settle_track`.
     """
     matches = _EVENT.findall(data, pos, end)
     lengths = np.frombuffer(bytes(map(len, matches)), dtype=np.uint8)
@@ -429,44 +470,15 @@ def _match_track(data: bytes, buf: np.ndarray, pos: int, end: int, track_index: 
         at[longer] += 1
         longer = longer[byte >= 0x80]
     status = buf[at]
-    data1 = buf[1:][at]  # every event's status has one more byte in the track
     metas = np.flatnonzero(status == 0xFF)
-    meta_types = data1[metas].tolist()
+    meta_types = buf[1:][at[metas]].tolist()  # a meta event's second byte
     if meta_types.count(0x2F) != 1 or meta_types[-1] != 0x2F or metas[-1] != n - 1:
         return False
 
     ticks = np.cumsum(delta, dtype=np.int64)
     for tick, body, meta_type in zip(ticks[metas].tolist(), (at[metas] + 3).tolist(), meta_types):
-        if meta_type == 0x51:
-            tracks.tempos.append((tick, int.from_bytes(data[body:body + 3], "big"), body))
-        elif meta_type == 0x58:
-            tracks.timesigs.append((tick, data[body] * 4.0 / (1 << data[body + 1]), body))
-    kind = status >> 4
-    notes = np.flatnonzero((kind | 1) == 0x9)  # 8x and 9x
-    if not len(notes):
-        return True
-    programs = np.flatnonzero(kind == 0xC)
-    at_note, channel, pitch = at[notes], status[notes] & 0x0F, data1[notes]
-    velocity = buf[2:][at_note]  # a note event's third byte
-    is_on = kind[notes] == 0x9
-    is_on &= velocity > 0
-    key = channel.astype(np.int16) << 7 | pitch  # channel * 128 + pitch
-    block = _BLOCK_CODES[key - pitch]  # channel * 128 + program 0
-    if len(programs):
-        # Each note's channel's latest program change: the last (channel,
-        # event index) key of a program change below the note's own.
-        change_channel = status[programs] & 0x0F
-        order = np.argsort(change_channel, kind="stable")
-        change_keys = change_channel[order].astype(np.int64) * n + programs[order]
-        floor = channel.astype(np.int64) * n
-        last = np.searchsorted(change_keys, floor + notes) - 1
-        found = change_keys[last] >= floor  # on the note's channel ...
-        found &= last >= 0  # ... and not wrapped round from -1
-        block[found] = _BLOCK_CODES[key[found] - pitch[found] + data1[programs[order]][last[found]]]
-    codes = key.astype(np.int32) << 10
-    codes |= np.where(is_on, block | velocity, 0)
-
-    _settle_track(ticks[notes], codes, at_note, int(ticks[-1]), int(at[-1]), track_index, tracks)
+        _meta(tracks, data, tick, meta_type, body, data[body - 1])
+    _settle_track(buf, ticks, at, status, int(ticks[-1]), int(at[-1]), track_index, tracks)
     return True
 
 
@@ -475,15 +487,15 @@ def _scan_track(data: bytes, pos: int, end: int, track_index: int, tracks: _Trac
 
     It reads every SMF event (running status, sysex, any meta event) and
     stops at End of Track.  A fault raises :class:`MidiParseError` at its
-    byte offset.  It records each note event's tick, code and status
-    offset in typed columns, then :func:`_settle_track` settles them.
+    byte offset.  It keeps the meta events' candidates by :func:`_meta`,
+    and of each note-off, note-on and program change it records the tick,
+    the status offset and the status in force in typed columns, which
+    :func:`_settle_track` reads.
     """
     size = len(data)
-    ticks, codes, offs = array("q"), array("i"), array("q")  # int64, int32, int64
-    tempo_candidates, timesig_candidates = tracks.tempos, tracks.timesigs
+    ticks, offs, statuses = array("q"), array("q"), array("B")  # int64, int64, uint8
     tick = 0
     running_status: int | None = None
-    blocks = [_INSTRUMENT_ORDER[program_to_instrument(0, ch)] << 7 for ch in range(16)]
 
     # Reads are bounded by the file, not the chunk: an event may run past
     # the chunk's end, and the next chunk then starts at ``end``.
@@ -506,31 +518,23 @@ def _scan_track(data: bytes, pos: int, end: int, track_index: int, tracks: _Trac
         if status < 0x80:
             if running_status is None:
                 raise MidiParseError("data byte with no running status", status_off)
-            data1 = status
             status = running_status
         elif status < 0xF0:
             running_status = status
             if pos >= size:
                 raise MidiParseError("truncated event data", pos)
-            data1 = data[pos]
-            if data1 & 0x80:
-                raise MidiParseError(f"event data 0x{data1:02X} has its high bit set", pos)
+            if data[pos] & 0x80:
+                raise MidiParseError(f"event data 0x{data[pos]:02X} has its high bit set", pos)
             pos += 1
         elif status == 0xFF:
             pos = _need(data, pos, 1, "meta type")
             meta_type = data[pos - 1]
             meta_len, pos = _read_varlen(data, pos, "meta length")
-            body_off = pos
             pos = _need(data, pos, meta_len, "meta body")
             running_status = None
-            if meta_type == 0x51 and meta_len == 3:
-                tempo = int.from_bytes(data[body_off:pos], "big")
-                tempo_candidates.append((tick, tempo, body_off))
-            elif meta_type == 0x58 and meta_len >= 2:
-                quarters = data[body_off] * 4.0 / (1 << data[body_off + 1])
-                timesig_candidates.append((tick, quarters, body_off))
-            elif meta_type == 0x2F:
+            if meta_type == 0x2F:
                 break
+            _meta(tracks, data, tick, meta_type, pos - meta_len, meta_len)
             continue
         elif status == 0xF0 or status == 0xF7:
             sysex_len, pos = _read_varlen(data, pos, "sysex length")
@@ -541,45 +545,40 @@ def _scan_track(data: bytes, pos: int, end: int, track_index: int, tracks: _Trac
             raise MidiParseError(f"unexpected status byte 0x{status:02X}", status_off)
 
         kind = status >> 4
-        channel = status & 0x0F
-        if kind == 0xC or kind == 0xD:
-            if kind == 0xC:
-                blocks[channel] = _INSTRUMENT_ORDER[program_to_instrument(data1, channel)] << 7
-            continue
-        if pos >= size:
-            raise MidiParseError("truncated event data", pos)
-        data2 = data[pos]
-        if data2 & 0x80:
-            raise MidiParseError(f"event data 0x{data2:02X} has its high bit set", pos)
-        pos += 1
-        if kind == 0x9 or kind == 0x8:
-            code = (channel * NUM_PITCHES + data1) << 10
-            codes.append(code | blocks[channel] | data2 if kind == 0x9 and data2 else code)
+        if kind != 0xC and kind != 0xD:  # a second data byte
+            if pos >= size:
+                raise MidiParseError("truncated event data", pos)
+            if data[pos] & 0x80:
+                raise MidiParseError(f"event data 0x{data[pos]:02X} has its high bit set", pos)
+            pos += 1
+        if kind <= 0x9 or kind == 0xC:  # note-off, note-on, program change
             ticks.append(tick)
             offs.append(status_off)
+            statuses.append(status)
 
-    if codes:
-        columns = (np.frombuffer(a, dtype=a.typecode) for a in (ticks, codes, offs))
-        _settle_track(*columns, tick, status_off, track_index, tracks)
+    if ticks:
+        buf = np.frombuffer(data, dtype=np.uint8)
+        columns = (np.frombuffer(a, dtype=a.typecode) for a in (ticks, offs, statuses))
+        _settle_track(buf, *columns, tick, status_off, track_index, tracks)
 
 
 def parse_midi(data: bytes, warnings: list[str] | None = None) -> ScoreTimeline:
     """Parse an SMF byte string into a :class:`ScoreTimeline`.
 
-    Each track, in file order, records a tick, a packed code and a status
-    offset per note event.  A track whose events all match :data:`_EVENT`
-    (each with its own status byte) and end at its only End of Track is
-    read in NumPy (:func:`_match_track`); any other track (running
-    status, sysex, other meta events, a fault) is scanned a byte at a
-    time (:func:`_scan_track`).  Both record the same events, and every
-    error comes from the scan.  :func:`_settle_track` settles each track
-    before the next is read, so errors and warnings come in file order:
-    it drops orphan note-offs and closes dangling notes by
-    :func:`_orphan_rule`, the rule of :func:`decode_ids`.  NumPy then
-    pairs the note events, each note-off with the earliest open note-on
-    of its channel and pitch in time order (equal ticks in track, then
-    file order), converts ticks to ms and sorts the notes.  The traced
-    peak memory stays within about 32 bytes per input byte.
+    A track whose events all match :data:`_EVENT` (each with its own
+    status byte) and end at its only End of Track is read in NumPy
+    (:func:`_match_track`); any other track (running status, sysex, other
+    meta events, a fault) is scanned a byte at a time (:func:`_scan_track`),
+    and every error comes from the scan.  Both hand the same events, each
+    as a tick, a status offset and a status, to :func:`_settle_track`,
+    which says what they mean and settles the track before the next is
+    read, so errors and warnings come in file order: it drops orphan
+    note-offs and closes dangling notes by :func:`_orphan_rule`, the rule
+    of :func:`decode_ids`.  NumPy then pairs the note events, each
+    note-off with the earliest open note-on of its channel and pitch in
+    time order (equal ticks in track, then file order), converts ticks to
+    ms and sorts the notes.  The traced peak memory stays within about 32
+    bytes per input byte.
     Recoverable oddities (dangling note-ons, zero-length notes after
     millisecond rounding, orphan note-offs) are repaired and described in
     the optional ``warnings`` sink.  Structural corruption, and times or

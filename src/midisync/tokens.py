@@ -365,8 +365,8 @@ class DecodeState:
         self.chord_pitches: list[int] = []
         self.last_on_pitch: int | None = None
 
-    def push(self, tok: Token) -> int | None:
-        """Fold one token; for an OFF that closes a note, return that note's onset."""
+    def push(self, tok: Token) -> None:
+        """Fold one token into the state."""
         self.length += 1
         kind = tok.kind
         if kind is _TIMESHIFT:
@@ -387,15 +387,13 @@ class DecodeState:
             fifo = self.open_notes.get(tok.id)
             if fifo:
                 self.open_count -= 1
-                onset = fifo.popleft()
+                fifo.popleft()
                 if not fifo:
                     del self.open_notes[tok.id]
-                return onset
         elif kind is _CHORD:
             self.chord_pending = True
             self.shifted_since_chord = False
             self.chord_pitches = []
-        return None
 
     def mask(self) -> np.ndarray:
         """Boolean mask over the vocabulary ids of grammatically valid next tokens.

@@ -144,16 +144,18 @@ def oracle_decode_events(tokens: list[Token]) -> DecodeResult:
     # kinds bound to locals: a member lookup on the enum class is slow
     off_kind, chord_kind, bar_kind = TokenKind.OFF, TokenKind.CHORD, TokenKind.BAR
     for tok in tokens:
-        onset = push(tok)
+        kind = tok.kind
+        # An OFF closes the oldest open onset of its note, if there is one.
+        fifo = state.open_notes.get(tok.id) if kind is off_kind else None
+        onset = fifo[0] if fifo else None
+        push(tok)
         if onset is not None:
             if state.cursor_ms > onset:
                 fields = (tok.instrument, tok.pitch, onset, state.cursor_ms, DEFAULT_VELOCITY)
                 notes.append(_unchecked_note(fields))
             else:
                 dropped += 1
-            continue
-        kind = tok.kind
-        if kind is off_kind:
+        elif kind is off_kind:
             ignored_offs += 1
         elif kind is chord_kind:
             chord_onsets.append(state.cursor_ms)

@@ -305,6 +305,40 @@ def test_bytes_after_end_of_track_are_ignored(scanned):
 
 
 # ---------------------------------------------------------------------------
+# Program changes under running status
+# ---------------------------------------------------------------------------
+
+
+def test_program_changes_in_running_status_name_each_notes_instrument(scanned):
+    body = b"".join((
+        vlq(0), b"\xc0\x19",  # channel 0: program 25, guitar
+        vlq(0), b"\x90\x3c\x40",
+        vlq(0), b"\xc1\x00",  # channel 1: program 0, piano
+        vlq(0), b"\x91\x40\x50", vlq(0), b"\x48\x50",  # two notes, the second in running status
+        vlq(480), b"\x81\x40\x00", vlq(0), b"\x48\x00",
+        vlq(0), b"\xc1\x21", vlq(0), b"\x28",  # channel 1: program 33, then 40 in running status
+        vlq(0), b"\x91\x40\x50",
+        vlq(480), b"\x90\x3c\x00",  # a note-on of velocity 0 ends channel 0's note
+        vlq(0), b"\xc0\x21",  # channel 0: program 33, bass
+        vlq(0), b"\x90\x3e\x40",
+        vlq(480), b"\x80\x3e\x00", vlq(0), b"\x81\x40\x00",
+        EOT,
+    ))
+    data = smf(chunk(body), fmt=0)
+    got = outcome(parse_midi, data)
+    assert got == outcome(oracle_parse_midi, data)
+    assert scanned == [0]
+    assert [(n.instrument, n.pitch, n.onset_ms, n.offset_ms) for n in got[1].notes] == [
+        (Instrument.GUITAR, 60, 0, 1000),
+        (Instrument.PIANO, 64, 0, 500),
+        (Instrument.PIANO, 72, 0, 500),
+        (Instrument.STRINGS, 64, 500, 1500),
+        (Instrument.BASS, 62, 1000, 1500),
+    ]
+    assert got[2] == []
+
+
+# ---------------------------------------------------------------------------
 # The span check reads settled events, on either reader
 # ---------------------------------------------------------------------------
 
