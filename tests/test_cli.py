@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -26,6 +27,16 @@ SCENE_LOG = (
 )
 # The head of an MP4 file: not UTF-8, so a scene source starting so is a video.
 VIDEO_HEAD = b"\x00\x00\x00\x18ftypmp42\xff\xfe"
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_the_test():
+    """Fail a test that leaves a thread running, instead of hanging the run at exit."""
+    before = set(threading.enumerate())
+    yield
+    leaked = [t.name for t in threading.enumerate() if t not in before]
+    if leaked:
+        pytest.fail(f"thread(s) outlived the test: {', '.join(leaked)}")
 
 
 def demo_score() -> ScoreTimeline:
@@ -238,6 +249,92 @@ def test_prepare_output_failure_is_not_a_skip(tmp_path, capsys):
     assert "skipping" not in err
 
 
+# What prepare --augment 1 writes for the first of three_song_corpus's songs.
+FIRST_SONG_OUTPUTS = ["1_one.offsets", "1_one.tokens", "1_one_aug1.offsets", "1_one_aug1.tokens"]
+
+
+def three_song_corpus(tmp_path) -> "Path":
+    """Three songs, named so that sorting takes them in this order."""
+    midi_dir = corpus_dir(tmp_path)
+    (midi_dir / "one.mid").rename(midi_dir / "1_one.mid")
+    (midi_dir / "two.mid").rename(midi_dir / "2_two.mid")
+    (midi_dir / "3_three.mid").write_bytes(write_midi(chord_score(0)))
+    return midi_dir
+
+
+def test_prepare_stops_at_a_failed_write_as_the_sequential_loop_would(tmp_path, capsys):
+    midi_dir = three_song_corpus(tmp_path)
+    # Taken after 2_two.mid, while its outputs are being written: a corrupt
+    # file whose warning must not come before the write error.
+    (midi_dir / "2_two_broken.mid").write_bytes(b"MThd\x00\x00")
+    assert main(["prepare", str(midi_dir), str(tmp_path / "clean"), "--augment", "1"]) == 0
+    capsys.readouterr()
+    out_dir = tmp_path / "out"
+    (out_dir / "2_two.tokens").mkdir(parents=True)  # writing it raises IsADirectoryError
+    assert main(["prepare", str(midi_dir), str(out_dir), "--augment", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "error: prepare:" in captured.err and "2_two.tokens" in captured.err
+    assert "skipping" not in captured.err
+    assert "prepared" not in captured.out
+    # The first file's outputs are whole, and nothing after the failed write exists.
+    assert sorted(p.name for p in out_dir.iterdir()) == [*FIRST_SONG_OUTPUTS, "2_two.tokens"]
+    for name in FIRST_SONG_OUTPUTS:
+        assert (out_dir / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
+
+
+def break_the_second_parse(monkeypatch):
+    real, calls = midi_codec.parse_midi, []
+
+    def broken_on_the_second_call(data, warnings=None):
+        calls.append(data)
+        if len(calls) == 2:
+            raise IndexError("index 7 is out of bounds")
+        return real(data, warnings)
+
+    monkeypatch.setattr(midi_codec, "parse_midi", broken_on_the_second_call)
+
+
+def test_prepare_writes_the_files_before_a_bug(tmp_path, monkeypatch):
+    midi_dir = three_song_corpus(tmp_path)
+    assert main(["prepare", str(midi_dir), str(tmp_path / "clean"), "--augment", "1"]) == 0
+    break_the_second_parse(monkeypatch)
+    out_dir = tmp_path / "out"
+    with pytest.raises(IndexError, match="out of bounds"):
+        main(["prepare", str(midi_dir), str(out_dir), "--augment", "1"])
+    assert sorted(p.name for p in out_dir.iterdir()) == FIRST_SONG_OUTPUTS
+    for name in FIRST_SONG_OUTPUTS:
+        assert (out_dir / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
+
+
+def test_prepare_reports_a_failed_write_before_a_later_bug(tmp_path, monkeypatch, capsys):
+    # The bug in 2_two.mid is raised while 1_one.mid's outputs are written;
+    # the sequential loop would have stopped at the failed write first.
+    out_dir = tmp_path / "out"
+    (out_dir / "1_one.tokens").mkdir(parents=True)
+    break_the_second_parse(monkeypatch)
+    assert main(["prepare", str(three_song_corpus(tmp_path)), str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert "error: prepare:" in err and "1_one.tokens" in err
+    assert sorted(p.name for p in out_dir.iterdir()) == ["1_one.tokens"]
+
+
+def test_prepare_stops_at_a_failed_write_of_the_last_file(tmp_path, capsys):
+    # The last file's outputs are written without the writer thread.
+    midi_dir = three_song_corpus(tmp_path)
+    assert main(["prepare", str(midi_dir), str(tmp_path / "clean")]) == 0
+    capsys.readouterr()
+    out_dir = tmp_path / "out"
+    (out_dir / "3_three.offsets").mkdir(parents=True)
+    assert main(["prepare", str(midi_dir), str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert "error: prepare:" in captured.err and "3_three.offsets" in captured.err
+    assert "prepared" not in captured.out
+    written = ["1_one.offsets", "1_one.tokens", "2_two.offsets", "2_two.tokens", "3_three.tokens"]
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted([*written, "3_three.offsets"])
+    for name in written:
+        assert (out_dir / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
+
+
 def test_prepare_empty_dir_fails(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -364,6 +461,7 @@ def test_prepare_goldens_hold_under_any_hash_seed(hash_seed):
         env=dict(os.environ, PYTHONHASHSEED=hash_seed),
         capture_output=True,
         text=True,
+        timeout=120,  # a thread left running would keep the child alive for ever
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert f"{len(PREPARE_DIGESTS)} passed" in proc.stdout
