@@ -24,9 +24,7 @@ import functools
 import importlib
 import json
 import os
-import queue
 import sys
-import threading
 import zlib
 from pathlib import Path
 
@@ -157,63 +155,6 @@ def _write_outputs(job: list[tuple[Path, bytes]]) -> None:
             os.close(fd)
 
 
-class _OutputWriter:
-    """Writes ``prepare``'s outputs on one thread while the caller works on the next file.
-
-    Each job is one file's ``(path, data)`` pairs, written in order by
-    :func:`_write_outputs`, whose only calls that let the caller's thread
-    run are its three system calls per file.  The caller encodes the
-    texts, so the thread allocates nothing large and the C allocator
-    keeps no memory aside for it.  The thread starts with the first job.
-    The caller calls :meth:`wait` before it hands over a job, writes a
-    file itself or prints a skip warning, so at most one file's outputs
-    are in flight, ``put`` finds the slot empty, and a write's exception
-    is raised again where the sequential loop would have raised it,
-    before any later file is handed over.  On exit the writer finishes
-    what is queued and is joined, however the ``with`` block ends.  A
-    write's exception not raised yet is raised then, in place of any
-    exception the block leaves by: the sequential loop would have
-    stopped at the write.
-    """
-
-    def __init__(self) -> None:
-        self._jobs: queue.Queue[list[tuple[Path, bytes]] | None] = queue.Queue(maxsize=1)
-        self._error: BaseException | None = None
-        self._thread: threading.Thread | None = None
-
-    def _run(self) -> None:
-        while (job := self._jobs.get()) is not None:
-            try:
-                _write_outputs(job)
-            except BaseException as exc:  # raised again in the caller's thread
-                self._error = exc
-            finally:
-                self._jobs.task_done()
-
-    def put(self, job: list[tuple[Path, bytes]]) -> None:
-        if self._thread is None:
-            self._thread = threading.Thread(target=self._run, name="prepare-writer")
-            self._thread.start()
-        self._jobs.put(job)
-
-    def wait(self) -> None:
-        """Block until every job handed over is written; raise the writer's exception."""
-        self._jobs.join()
-        if self._error is not None:
-            raise self._error
-
-    def __enter__(self) -> _OutputWriter:
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self._thread is None:
-            return
-        self._jobs.put(None)
-        self._thread.join()
-        if self._error is not None and exc is not self._error:
-            raise self._error
-
-
 def cmd_prepare(args) -> int:
     """Prepare every SMF of a directory; see the README's ``prepare`` section.
 
@@ -221,11 +162,15 @@ def cmd_prepare(args) -> int:
     copy, ``STEM_augK``.  Only written files claim those names: a later
     file that would overwrite a claimed name (``a.MIDI`` after ``a.mid``,
     or ``a_aug1.mid`` after ``a.mid`` under ``--augment``) is skipped
-    with a warning naming both files.  One file's outputs are written on
-    an :class:`_OutputWriter` thread while the next file is read and
-    prepared, and the last file's here; what reaches the disk and stderr
-    is what the sequential loop would leave.
+    with a warning naming both files.  A one-worker thread pool writes
+    each file's outputs with :func:`_write_outputs` while the next file
+    is read and prepared.  The previous file's write is waited for before
+    a skip warning prints or the next outputs are handed over, and on
+    every way out of the loop, so what reaches the disk and stderr is
+    what the sequential loop would leave.
     """
+    from concurrent.futures import ThreadPoolExecutor  # imports logging; only prepare needs it
+
     config = _load_config(args)
     midi_dir = Path(args.midi_dir)
     out_dir = Path(args.out_dir)
@@ -240,33 +185,39 @@ def cmd_prepare(args) -> int:
     suffixes = [""] + [f"_aug{k + 1}" for k in range(args.augment)]
     claimed: dict[str, str] = {}  # output stem -> the input file written to it
     done = 0
-    with _OutputWriter() as writer:
-        for path in files:
-            stems = [path.stem + suffix for suffix in suffixes]
-            owner = next((claimed[stem] for stem in stems if stem in claimed), None)
-            skip = None if owner is None else f"its outputs would overwrite those of {owner}"
-            if skip is None:
-                file_seed = args.seed ^ zlib.crc32(path.name.encode())
-                # Skip a file only for its own fault: it cannot be read, or its contents
-                # are rejected (a ValueError, such as MidiParseError).  A bug propagates.
-                try:
-                    outputs = _prepare_one(path.read_bytes(), config, file_seed, args)
-                except (OSError, ValueError) as exc:
-                    skip = exc
-            writer.wait()  # the previous file's write error comes before this file's line
-            if skip is not None:
-                print(f"warning: prepare: skipping {path.name}: {skip}", file=sys.stderr)
-                continue
-            job = []
-            for stem, (tokens_text, offsets_text) in zip(stems, outputs, strict=True):
-                job += [(out_dir / f"{stem}.tokens", tokens_text.encode()),
-                        (out_dir / f"{stem}.offsets", offsets_text.encode())]
-                claimed[stem] = path.name
-            if path is files[-1]:
-                _write_outputs(job)  # no next file to overlap with
-            else:
-                writer.put(job)
-            done += 1
+    write = None  # the previous file's write: at most one file's outputs are in flight
+    with ThreadPoolExecutor(1, thread_name_prefix="prepare-writer") as writer:
+        try:
+            for path in files:
+                stems = [path.stem + suffix for suffix in suffixes]
+                owner = next((claimed[stem] for stem in stems if stem in claimed), None)
+                skip = None if owner is None else f"its outputs would overwrite those of {owner}"
+                if skip is None:
+                    file_seed = args.seed ^ zlib.crc32(path.name.encode())
+                    # Skip a file only for its own fault: it cannot be read, or its contents
+                    # are rejected (a ValueError, such as MidiParseError).  A bug propagates.
+                    try:
+                        outputs = _prepare_one(path.read_bytes(), config, file_seed, args)
+                    except (OSError, ValueError) as exc:
+                        skip = exc
+                if write is not None:  # its error comes before this file's line
+                    write.result()
+                if skip is not None:
+                    print(f"warning: prepare: skipping {path.name}: {skip}", file=sys.stderr)
+                    continue
+                job = []
+                for stem, (tokens_text, offsets_text) in zip(stems, outputs, strict=True):
+                    job += [(out_dir / f"{stem}.tokens", tokens_text.encode()),
+                            (out_dir / f"{stem}.offsets", offsets_text.encode())]
+                    claimed[stem] = path.name
+                write = writer.submit(_write_outputs, job)
+                done += 1
+        finally:
+            # The last write, and a failed one that a later bug must not hide: the
+            # sequential loop would have stopped there.  A result already taken
+            # returns or raises the same again.
+            if write is not None:
+                write.result()
     print(f"prepared {done}/{len(files)} file(s) into {out_dir}")
     return 0 if done else 1
 

@@ -12,7 +12,7 @@ import tracemalloc
 
 import pytest
 
-from midisync import midi_codec
+from midisync import cli, midi_codec
 from midisync.chords import detect_chords
 from midisync.cli import MAX_AUGMENT, SNIFF_BYTES, _sniff_scene_source, build_parser, main
 from midisync.config import PipelineConfig
@@ -319,7 +319,7 @@ def test_prepare_reports_a_failed_write_before_a_later_bug(tmp_path, monkeypatch
 
 
 def test_prepare_stops_at_a_failed_write_of_the_last_file(tmp_path, capsys):
-    # The last file's outputs are written without the writer thread.
+    # The last file's outputs go to the writer like every other file's.
     midi_dir = three_song_corpus(tmp_path)
     assert main(["prepare", str(midi_dir), str(tmp_path / "clean")]) == 0
     capsys.readouterr()
@@ -333,6 +333,37 @@ def test_prepare_stops_at_a_failed_write_of_the_last_file(tmp_path, capsys):
     assert sorted(p.name for p in out_dir.iterdir()) == sorted([*written, "3_three.offsets"])
     for name in written:
         assert (out_dir / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
+
+
+def test_prepare_writes_every_file_on_one_writer_thread(tmp_path, monkeypatch):
+    # The overlap: each file's outputs, the last file's too, are written off the
+    # main thread, in file order, while the main thread goes on to the next file.
+    real, calls = cli._write_outputs, []
+
+    def recording(job):
+        calls.append((threading.current_thread(), [path.name for path, _ in job]))
+        real(job)
+
+    monkeypatch.setattr(cli, "_write_outputs", recording)
+    assert main(["prepare", str(three_song_corpus(tmp_path)), str(tmp_path / "out")]) == 0
+    threads = {thread for thread, _ in calls}
+    assert len(threads) == 1 and threading.main_thread() not in threads
+    stems = ["1_one", "2_two", "3_three"]
+    assert [names for _, names in calls] == [[f"{s}.tokens", f"{s}.offsets"] for s in stems]
+
+
+def test_importing_the_cli_loads_no_writer_modules():
+    # Only prepare's writer needs them (concurrent.futures imports logging), so
+    # every other command starts without paying for them.
+    modules = ("queue", "concurrent.futures", "logging")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); "
+        f"import midisync.cli; print([m for m in {modules!r} if m in sys.modules])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_prepare_empty_dir_fails(tmp_path, capsys):

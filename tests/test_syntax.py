@@ -8,12 +8,18 @@ claims to support, whichever interpreter runs this suite.
 Every module-level import of the package is used in its module or
 exported through ``__all__``: an import left behind by a deletion fails
 here instead of lingering.
+
+Every module-level function and class of the package is named (by its
+bare name) elsewhere in ``src/``, or is listed in ``UNREACHED`` with the reason it stays: a
+definition that nothing reaches fails here, and so does a listed one
+that becomes reached or is deleted while its entry stays.
 """
 
 from __future__ import annotations
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -60,3 +66,51 @@ def unused_imports(tree: ast.Module) -> list[str]:
 def test_every_module_level_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert unused_imports(tree) == []
+
+
+# Module-level definitions that no other code under src/ names, each with
+# the reason it stays.
+PERFBENCH_LAYER = (
+    "a perfbench/tracer.py layer: perfbench/tests "
+    "test_every_layer_resolves_at_this_commit needs it to resolve"
+)
+UNREACHED = {
+    "chords.dropout_chords": PERFBENCH_LAYER,
+    "chords.insert_chord_tokens": PERFBENCH_LAYER,
+    "generator.grammar_mask": PERFBENCH_LAYER,
+    "midi_codec.decode_events": PERFBENCH_LAYER,
+    "midi_codec.encode_events": PERFBENCH_LAYER,
+    "scheduler.offsets_for_sequence": PERFBENCH_LAYER,
+    "tokens.format_tokens": PERFBENCH_LAYER,
+    "tokens.parse_tokens": PERFBENCH_LAYER,
+    "emotion.inverse_map": "documented API: the README's inverse of the emotion mapping",
+    "tokens.check_manifest": "documented API: the README's vocabulary manifest check",
+    "generator.assemble_input": "reached only by tests (acceptance a10); to be moved or deleted",
+    "midi_codec.gap_to_shifts": "reached only by tests (acceptance a02); to be moved or deleted",
+}
+
+
+def references(node: ast.AST) -> Counter[str]:
+    """Each name the node reads: a ``Name``, an ``Attribute``'s attribute or a from-import."""
+    names: Counter[str] = Counter()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            names[child.id] += 1
+        elif isinstance(child, ast.Attribute):
+            names[child.attr] += 1
+        elif isinstance(child, ast.ImportFrom):
+            names.update(alias.name for alias in child.names)
+    return names
+
+
+def test_every_definition_is_reached_or_listed():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE}
+    named = sum((references(tree) for tree in trees.values()), Counter())
+    unreached = {
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and named[node.name] == references(node)[node.name]  # named only inside itself
+    }
+    assert unreached == set(UNREACHED)
