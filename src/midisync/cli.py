@@ -22,6 +22,7 @@ import codecs
 import dataclasses
 import functools
 import importlib
+import itertools
 import json
 import os
 import sys
@@ -294,6 +295,19 @@ def _conditioning_point(args, config: PipelineConfig) -> emotion_mod.VAPoint:
 
 
 def cmd_generate(args) -> int:
+    out_midi = Path(args.out_midi)
+    token_path = Path(args.out_tokens) if args.out_tokens else out_midi.with_suffix(".tokens")
+    manifest_path = (
+        Path(args.manifest) if args.manifest else out_midi.with_suffix(".manifest.json")
+    )
+    # Refuse, before any input is read, a run whose outputs would overwrite one another.
+    outputs = {"MIDI": out_midi, "token": token_path, "manifest": manifest_path}
+    for (role, path), (other_role, other) in itertools.combinations(outputs.items(), 2):
+        if path.resolve() == other.resolve():
+            raise ValueError(
+                f"the {role} output {path} and the {other_role} output {other} are the same file"
+            )
+
     config = _load_config(args)
     point = _stage("emotion", _conditioning_point, args, config)
     boundaries = _stage("boundaries", _sniff_scene_source, args.scenes_source, config)
@@ -337,11 +351,6 @@ def cmd_generate(args) -> int:
     trimmed = _stage("decode", midi_codec.trim_to_duration, boosted, duration_ms)
     smf = _stage("write", midi_codec.write_midi, trimmed)
 
-    out_midi = Path(args.out_midi)
-    token_path = Path(args.out_tokens) if args.out_tokens else out_midi.with_suffix(".tokens")
-    manifest_path = (
-        Path(args.manifest) if args.manifest else out_midi.with_suffix(".manifest.json")
-    )
     _stage("write", out_midi.write_bytes, smf)
     _stage("write", token_path.write_text, tokens.format_ids(ids))
 

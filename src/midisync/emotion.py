@@ -2,15 +2,17 @@
 
 Six basic emotion categories are located in valence-arousal (VA) space
 by published affect-norm statistics: each category contributes one
-axis-independent Gaussian (mean and standard deviation per axis).  A
-categorical probability distribution then induces a Gaussian mixture
-over VA space, which can be collapsed to its mean or sampled from.
+axis-independent Gaussian (mean and standard deviation per axis), held
+in one fixed table: the read-only (6, 2) constants :data:`MEANS` and
+:data:`SDS`.  A categorical probability distribution then induces a
+Gaussian mixture over VA space, which can be collapsed to its mean or
+sampled from.
 
-Because the raw category means do not use the full [-1, 1] range, the
-table (means and sds alike) is rescaled so that the largest absolute
-mean component hits a configurable target (0.8 by default), which keeps
-conditioning values comfortably inside the valid range while spreading
-the categories out.
+Because the raw category means do not use the full [-1, 1] range, each
+mixture's copy of the table (means and sds alike) is rescaled so that
+the largest absolute mean component hits a configurable target (0.8 by
+default), which keeps conditioning values comfortably inside the valid
+range while spreading the categories out.
 
 The inverse direction — a VA point back to the closest category — is
 provided with three selectable notions of "closest".
@@ -48,30 +50,11 @@ AFFECT_NORMS = {
 INVERSE_METRICS = ("euclidean", "mahalanobis", "likelihood")
 
 
-@dataclass(frozen=True)
-class VATable:
-    """Per-category VA means and standard deviations, in category order."""
-
-    means: np.ndarray  # shape (6, 2): columns are valence, arousal
-    sds: np.ndarray    # shape (6, 2)
-
-    def __post_init__(self) -> None:
-        means = np.asarray(self.means, dtype=np.float64)
-        sds = np.asarray(self.sds, dtype=np.float64)
-        if means.shape != (len(EMOTION_CATEGORIES), 2) or sds.shape != means.shape:
-            raise ValueError(f"table arrays must have shape ({len(EMOTION_CATEGORIES)}, 2)")
-        if np.any(np.abs(means) > 1):
-            raise ValueError("means must lie in [-1, 1]")
-        if np.any(sds <= 0):
-            raise ValueError("standard deviations must be positive")
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "sds", sds)
-
-    @classmethod
-    def default(cls) -> "VATable":
-        means = np.array([[AFFECT_NORMS[c][0][0], AFFECT_NORMS[c][1][0]] for c in EMOTION_CATEGORIES])
-        sds = np.array([[AFFECT_NORMS[c][0][1], AFFECT_NORMS[c][1][1]] for c in EMOTION_CATEGORIES])
-        return cls(means=means, sds=sds)
+#: Per-category VA means and standard deviations, in category order;
+#: columns are valence, arousal.  Both are read-only.
+MEANS = np.array([[AFFECT_NORMS[c][0][0], AFFECT_NORMS[c][1][0]] for c in EMOTION_CATEGORIES])
+SDS = np.array([[AFFECT_NORMS[c][0][1], AFFECT_NORMS[c][1][1]] for c in EMOTION_CATEGORIES])
+MEANS.flags.writeable = SDS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -140,16 +123,6 @@ class EmotionDistribution:
             raise ValueError(f"unknown categories: {sorted(unknown)}")
         return cls(np.array([_probability(c, mapping.get(c, 0.0)) for c in EMOTION_CATEGORIES]))
 
-    @classmethod
-    def one_hot(cls, category: str) -> "EmotionDistribution":
-        if category not in EMOTION_CATEGORIES:
-            raise ValueError(f"unknown category: {category!r}")
-        return cls.from_mapping({category: 1.0})
-
-    @classmethod
-    def uniform(cls) -> "EmotionDistribution":
-        n = len(EMOTION_CATEGORIES)
-        return cls(np.full(n, 1.0 / n))
 
 
 @dataclass(frozen=True)
@@ -161,19 +134,15 @@ class GaussianMixtureVA:
     sds: np.ndarray       # (6, 2)
 
 
-def scaling_coefficient(table: VATable, target_max: float = PipelineConfig.target_max) -> float:
+def scaling_coefficient(target_max: float = PipelineConfig.target_max) -> float:
     """Factor that maps the largest |mean| component onto ``target_max``."""
     if not 0.0 < target_max <= 1.0:
         raise ValueError(f"target_max must be in (0, 1], got {target_max}")
-    max_abs = float(np.max(np.abs(table.means)))
-    if max_abs == 0.0:
-        raise ValueError("table means are all zero; nothing to scale")
-    return target_max / max_abs
+    return target_max / float(np.max(np.abs(MEANS)))
 
 
 def build_mixture(
     dist: EmotionDistribution,
-    table: VATable | None = None,
     target_max: float = PipelineConfig.target_max,
 ) -> GaussianMixtureVA:
     """Gaussian mixture induced by a categorical distribution.
@@ -181,18 +150,14 @@ def build_mixture(
     Means and standard deviations are rescaled so the largest absolute
     mean component equals ``target_max`` exactly; the division by the
     current maximum happens before the multiplication so that the
-    extreme component is bit-exact.
+    extreme component is bit-exact.  The arrays are writable copies.
     """
-    table = table or VATable.default()
-    coefficient = scaling_coefficient(table, target_max)  # validates inputs
-    max_abs = float(np.max(np.abs(table.means)))
-    if coefficient == 1.0:
+    if scaling_coefficient(target_max) == 1.0:  # validates target_max
         # target equals the current maximum: keep the table bit-for-bit
-        means = table.means.copy()
-        sds = table.sds.copy()
+        means, sds = MEANS.copy(), SDS.copy()
     else:
-        means = table.means / max_abs * target_max
-        sds = table.sds / max_abs * target_max
+        max_abs = float(np.max(np.abs(MEANS)))
+        means, sds = MEANS / max_abs * target_max, SDS / max_abs * target_max
     return GaussianMixtureVA(weights=dist.probs.copy(), means=means, sds=sds)
 
 
@@ -232,7 +197,7 @@ def sample_va(
     return out
 
 
-def inverse_map(point: VAPoint, table: VATable | None = None, metric: str = "euclidean") -> str:
+def inverse_map(point: VAPoint, metric: str = "euclidean") -> str:
     """Closest emotion category for a fully specified VA point.
 
     Metrics: plain ``euclidean`` distance to the category means,
@@ -244,15 +209,14 @@ def inverse_map(point: VAPoint, table: VATable | None = None, metric: str = "euc
         raise ValueError(f"metric must be one of {INVERSE_METRICS}, got {metric!r}")
     if not point.fully_specified:
         raise ValueError("inverse mapping needs both valence and arousal")
-    table = table or VATable.default()
     p = np.array([point.valence, point.arousal])
     if metric == "euclidean":
-        score = np.sum((table.means - p) ** 2, axis=1)
+        score = np.sum((MEANS - p) ** 2, axis=1)
     elif metric == "mahalanobis":
-        score = np.sum(((table.means - p) / table.sds) ** 2, axis=1)
+        score = np.sum(((MEANS - p) / SDS) ** 2, axis=1)
     else:
         log_density = -0.5 * np.sum(
-            ((p - table.means) / table.sds) ** 2 + 2 * np.log(table.sds), axis=1
+            ((p - MEANS) / SDS) ** 2 + 2 * np.log(SDS), axis=1
         )
         score = -log_density
     return EMOTION_CATEGORIES[int(np.argmin(score))]

@@ -116,64 +116,6 @@ def grammar_mask(tokens: list[Token]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Model-input assembly
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class InputAssembly:
-    """Shape description of one assembled conditioning sequence.
-
-    The model consumes the token sequence with two conditioning slots
-    (valence, arousal) prepended, so ``sequence_length`` is always the
-    token count plus two.  Each position's feature vector is split
-    half/half between a position encoding and an encoding of that
-    position's boundary offset; the conditioning slots reuse the first
-    offset (0.0 for an empty sequence).  An unspecified valence/arousal
-    is flagged so the model can substitute its learned stand-in vector.
-    """
-
-    sequence_length: int
-    token_count: int
-    feature_dim: int
-    position_feature_dim: int
-    offset_feature_dim: int
-    position_offsets: tuple[float, ...]
-    valence: float | None
-    arousal: float | None
-    valence_substituted: bool
-    arousal_substituted: bool
-
-
-def assemble_input(
-    tokens: list[Token],
-    offsets: list[float],
-    va: VAPoint,
-    feature_dim: int = 512,
-) -> InputAssembly:
-    """Validate and describe the model input for one sequence."""
-    if feature_dim < 2 or feature_dim % 2:
-        raise ValueError(f"feature_dim must be an even number >= 2, got {feature_dim}")
-    if len(offsets) != len(tokens):
-        raise ValueError(
-            f"offsets ({len(offsets)}) must align one-to-one with tokens ({len(tokens)})"
-        )
-    lead = offsets[0] if offsets else 0.0
-    return InputAssembly(
-        sequence_length=len(tokens) + 2,
-        token_count=len(tokens),
-        feature_dim=feature_dim,
-        position_feature_dim=feature_dim // 2,
-        offset_feature_dim=feature_dim // 2,
-        position_offsets=(lead, lead, *offsets),
-        valence=va.valence,
-        arousal=va.arousal,
-        valence_substituted=va.valence is None,
-        arousal_substituted=va.arousal is None,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Generation loop
 # ---------------------------------------------------------------------------
 

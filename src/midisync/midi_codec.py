@@ -72,7 +72,9 @@ from .tokens import (
     tokens_of,
 )
 
-DEFAULT_TEMPO_BPM = 120.0
+#: The SMF tempo before the first Set Tempo event: 500,000 us per quarter, 120 bpm.
+DEFAULT_TEMPO_US = 500_000
+DEFAULT_TEMPO_BPM = 60_000_000 / DEFAULT_TEMPO_US
 DEFAULT_VELOCITY = 80
 MAX_TRANSPOSE = 3
 #: Instrument tag threshold: scores with at most this many distinct
@@ -647,11 +649,11 @@ def parse_midi(data: bytes, warnings: list[str] | None = None) -> ScoreTimeline:
         track_index += 1
 
     # The first candidate at the earliest tick wins: candidates are in (track, event) order.
-    tempo_us, tempo_off = 500000, None
+    tempo_us, tempo_off = DEFAULT_TEMPO_US, None
     if tracks.tempos:
         tempo_us, tempo_off = min(tracks.tempos, key=itemgetter(0))[1:]
         if tempo_us <= 0:
-            tempo_us = 500000
+            tempo_us = DEFAULT_TEMPO_US
     quarters_per_bar, timesig_off = 4.0, None
     if tracks.timesigs:
         quarters_per_bar, timesig_off = min(tracks.timesigs, key=itemgetter(0))[1:]
@@ -704,7 +706,7 @@ def parse_midi(data: bytes, warnings: list[str] | None = None) -> ScoreTimeline:
         bar_ms = quarters_per_bar * tempo_us / 1000.0
         if bar_ms > 0:
             # Blame the meta event that shrank the bar more, relative to 4/4 at 120 bpm.
-            metre_at_fault = quarters_per_bar / 4.0 <= tempo_us / 500000
+            metre_at_fault = quarters_per_bar / 4.0 <= tempo_us / DEFAULT_TEMPO_US
             blamed_off = timesig_off if metre_at_fault else tempo_off
             if bar_ms < 1:
                 raise MidiParseError(f"bar of {bar_ms:.3g} ms is shorter than 1 ms", blamed_off)
@@ -859,19 +861,6 @@ def quantize_ms(t_ms: int) -> int:
     if t_ms < 0:
         raise ValueError(f"time must be >= 0, got {t_ms}")
     return (t_ms + RESOLUTION_MS // 2) // RESOLUTION_MS * RESOLUTION_MS
-
-
-def gap_to_shifts(gap_ms: int) -> list[Token]:
-    """Split a grid-aligned gap into TIMESHIFT tokens (1000 ms chunks first)."""
-    if gap_ms % RESOLUTION_MS:
-        raise ValueError(f"gap {gap_ms} not aligned to {RESOLUTION_MS} ms grid")
-    out = []
-    while gap_ms > MAX_SHIFT_MS:
-        out.append(Token.shift(MAX_SHIFT_MS))
-        gap_ms -= MAX_SHIFT_MS
-    if gap_ms:
-        out.append(Token.shift(gap_ms))
-    return out
 
 
 def instrument_count_tag(score: ScoreTimeline) -> Token:

@@ -60,10 +60,6 @@ class Instrument(enum.Enum):
 
     __hash__ = object.__hash__  # members are singletons; Enum's hash runs Python code
 
-    @property
-    def is_drums(self) -> bool:
-        return self is Instrument.DRUMS
-
 
 #: Alphabetical category order: the order of the note id blocks and of every listing.
 INSTRUMENTS = tuple(sorted(Instrument, key=lambda i: i.value))

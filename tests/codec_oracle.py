@@ -8,6 +8,9 @@ word (only the function names differ), so the tests can require the
 package's id and column paths to give the same tokens, decode results and
 SMF bytes.  The decoder is the :class:`DecodeState` fold that generation
 runs.
+
+``gap_to_shifts`` is the Token-list rule that ``midi_codec.encode_ids``
+splits a gap by, in array form: the tests require the two to agree.
 """
 
 from __future__ import annotations
@@ -22,7 +25,16 @@ from midisync.midi_codec import (
     ScoreTimeline,
     _unchecked_note,
 )
-from midisync.tokens import INSTRUMENTS, VOCABULARY, DecodeState, Instrument, Token, TokenKind
+from midisync.tokens import (
+    INSTRUMENTS,
+    MAX_SHIFT_MS,
+    RESOLUTION_MS,
+    VOCABULARY,
+    DecodeState,
+    Instrument,
+    Token,
+    TokenKind,
+)
 
 
 def oracle_parse_tokens(text: str) -> list[Token]:
@@ -39,6 +51,17 @@ def oracle_parse_tokens(text: str) -> list[Token]:
     return out
 
 
+def gap_to_shifts(gap_ms: int) -> list[Token]:
+    """Split a grid-aligned gap into TIMESHIFT tokens (1000 ms chunks first)."""
+    if gap_ms % RESOLUTION_MS:
+        raise ValueError(f"gap {gap_ms} not aligned to {RESOLUTION_MS} ms grid")
+    out = []
+    while gap_ms > MAX_SHIFT_MS:
+        out.append(Token.shift(MAX_SHIFT_MS))
+        gap_ms -= MAX_SHIFT_MS
+    if gap_ms:
+        out.append(Token.shift(gap_ms))
+    return out
 
 
 def _varlen(value: int) -> bytes:

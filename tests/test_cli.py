@@ -709,6 +709,44 @@ def test_generate_missing_boundary_source(tmp_path, capsys):
     assert "boundaries" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "out_midi, flags, clash",
+    [
+        ("o.tokens", [], ("MIDI output o.tokens", "token output o.tokens")),
+        ("x.mid", ["--manifest", "x.mid"], ("MIDI output x.mid", "manifest output x.mid")),
+        (
+            "x.mid",
+            ["--out-tokens", "t.txt", "--manifest", "sub/../t.txt"],
+            ("token output t.txt", "manifest output sub/../t.txt"),
+        ),
+    ],
+)
+def test_generate_refuses_outputs_that_are_one_file(
+    tmp_path, monkeypatch, capsys, out_midi, flags, clash
+):
+    # The check comes before any input is read: the emotion file does not exist.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "b.txt").write_text("2.0\n")
+    rc = main(["generate", "missing.txt", "b.txt", "2", out_midi, "--model", "scripted", *flags])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: generate: ") and all(part in err for part in clash)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.txt", "sub"]
+
+
+def test_generate_writes_three_distinct_outputs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "b.txt").write_text("2.0\n")
+    flags = ["--out-tokens", "t.txt", "--manifest", "m.json"]
+    assert main(["generate", "none", "b.txt", "2", "x.mid", "--model", "scripted", *flags]) == 0
+    parse_midi((tmp_path / "x.mid").read_bytes())
+    parse_tokens((tmp_path / "t.txt").read_text())
+    outputs = json.loads((tmp_path / "m.json").read_text())["outputs"]
+    assert (outputs["midi_file"], outputs["token_file"]) == ("x.mid", "t.txt")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.txt", "m.json", "t.txt", "x.mid"]
+
+
 def test_generate_malformed_boundary_file_reports_its_line(tmp_path, monkeypatch, capsys):
     # A text file that is not a detector log is a boundary list, never a video.
     monkeypatch.setenv("MIDISYNC_SCENE_BIN", str(tmp_path / "no-such-detector"))

@@ -9,9 +9,10 @@ import pytest
 from midisync.emotion import (
     AFFECT_NORMS,
     EMOTION_CATEGORIES,
+    MEANS,
+    SDS,
     EmotionDistribution,
     VAPoint,
-    VATable,
     build_mixture,
     inverse_map,
     mixture_mean,
@@ -21,7 +22,12 @@ from midisync.emotion import (
     scaling_coefficient,
 )
 
-TABLE = VATable.default()
+UNIFORM = EmotionDistribution(np.full(6, 1 / 6))
+
+
+def one_hot(category: str) -> EmotionDistribution:
+    return EmotionDistribution.from_mapping({category: 1.0})
+
 
 # Raw affect-norm means in category order, frozen as an independent copy so a
 # typo in the package table cannot hide from the tests.
@@ -45,8 +51,8 @@ EXPECTED_SDS = {
 
 def test_table_constants_frozen():
     for i, cat in enumerate(EMOTION_CATEGORIES):
-        assert tuple(TABLE.means[i]) == EXPECTED_MEANS[cat]
-        assert tuple(TABLE.sds[i]) == EXPECTED_SDS[cat]
+        assert tuple(MEANS[i]) == EXPECTED_MEANS[cat]
+        assert tuple(SDS[i]) == EXPECTED_SDS[cat]
     # the statistics module mirrors the same numbers
     for cat in EMOTION_CATEGORIES:
         (vm, vs), (am, as_) = AFFECT_NORMS[cat]
@@ -56,25 +62,25 @@ def test_table_constants_frozen():
 
 def test_scaling_coefficient_examples():
     # largest |mean| across the table is 0.76 (joy valence)
-    assert scaling_coefficient(TABLE, 0.8) == pytest.approx(0.8 / 0.76, abs=1e-15)
-    assert scaling_coefficient(TABLE, 0.76) == pytest.approx(1.0, abs=1e-15)
-    assert scaling_coefficient(TABLE, 0.38) == pytest.approx(0.5, abs=1e-15)
+    assert scaling_coefficient(0.8) == pytest.approx(0.8 / 0.76, abs=1e-15)
+    assert scaling_coefficient(0.76) == pytest.approx(1.0, abs=1e-15)
+    assert scaling_coefficient(0.38) == pytest.approx(0.5, abs=1e-15)
     with pytest.raises(ValueError):
-        scaling_coefficient(TABLE, 0.0)
+        scaling_coefficient(0.0)
     with pytest.raises(ValueError):
-        scaling_coefficient(TABLE, 1.5)
+        scaling_coefficient(1.5)
 
 
 def test_one_hot_mixture_reproduces_table_rows():
     # with target equal to the max the scale is exactly 1: raw table values
     for i, cat in enumerate(EMOTION_CATEGORIES):
-        mix = build_mixture(EmotionDistribution.one_hot(cat), target_max=0.76)
+        mix = build_mixture(one_hot(cat), target_max=0.76)
         mean = mixture_mean(mix)
         assert (mean.valence, mean.arousal) == EXPECTED_MEANS[cat]
 
 
 def test_scaled_max_component_bit_exact():
-    mix = build_mixture(EmotionDistribution.one_hot("joy"), target_max=0.8)
+    mix = build_mixture(one_hot("joy"), target_max=0.8)
     mean = mixture_mean(mix)
     assert mean.valence == 0.8  # exact, not approx
     assert mean.arousal == pytest.approx(0.48 / 0.76 * 0.8, abs=1e-15)
@@ -84,7 +90,7 @@ def test_scaled_max_component_bit_exact():
 def test_uniform_mixture_mean_hand_computed():
     # sum of valence means: -0.51 - 0.60 - 0.64 + 0.76 - 0.63 + 0.40 = -1.22
     # sum of arousal means:  0.59 + 0.35 + 0.60 + 0.48 - 0.27 + 0.67 =  2.42
-    mix = build_mixture(EmotionDistribution.uniform(), target_max=0.76)
+    mix = build_mixture(UNIFORM, target_max=0.76)
     mean = mixture_mean(mix)
     assert mean.valence == pytest.approx(-1.22 / 6, abs=1e-12)
     assert mean.arousal == pytest.approx(2.42 / 6, abs=1e-12)
@@ -96,7 +102,7 @@ def test_mixture_mean_linearity():
         w = rng.dirichlet(np.ones(6))
         mix = build_mixture(EmotionDistribution(w), target_max=0.8)
         mean = mixture_mean(mix)
-        expect = w @ (TABLE.means / 0.76 * 0.8)
+        expect = w @ (MEANS / 0.76 * 0.8)
         assert mean.valence == pytest.approx(expect[0], abs=1e-12)
         assert mean.arousal == pytest.approx(expect[1], abs=1e-12)
 
@@ -133,7 +139,7 @@ def test_va_point_serialization():
 
 
 def test_sample_deterministic_and_clamped():
-    mix = build_mixture(EmotionDistribution.one_hot("joy"))
+    mix = build_mixture(one_hot("joy"))
     a = sample_va(mix, seed=123)
     b = sample_va(mix, seed=123)
     assert (a.valence, a.arousal) == (b.valence, b.arousal)
@@ -147,7 +153,7 @@ def test_sample_deterministic_and_clamped():
 
 
 def test_sample_batch_prefix_consistent():
-    mix = build_mixture(EmotionDistribution.uniform())
+    mix = build_mixture(UNIFORM)
     one = sample_va(mix, seed=9)
     batch = sample_va(mix, seed=9, size=1)
     assert (one.valence, one.arousal) == (batch[0, 0], batch[0, 1])
@@ -156,14 +162,14 @@ def test_sample_batch_prefix_consistent():
 def test_sample_moments_smoke():
     # tighter statistical check lives in the acceptance suite (100k draws)
     n = 20_000
-    mix = build_mixture(EmotionDistribution.one_hot("sadness"), target_max=0.76)
+    mix = build_mixture(one_hot("sadness"), target_max=0.76)
     raw = sample_va(mix, seed=31, size=n, clamp=False)
     for axis, (mean, sd) in enumerate([(-0.63, 0.23), (-0.27, 0.34)]):
         assert abs(raw[:, axis].mean() - mean) < 3 * sd / math.sqrt(n)
 
 
 def test_sample_degenerate_weights():
-    mix = build_mixture(EmotionDistribution.one_hot("fear"), target_max=0.76)
+    mix = build_mixture(one_hot("fear"), target_max=0.76)
     draws = sample_va(mix, seed=2, size=1000, clamp=False)
     # all draws come from the fear component
     assert abs(draws[:, 0].mean() + 0.64) < 0.03
@@ -172,8 +178,8 @@ def test_sample_degenerate_weights():
 def test_inverse_map_recovers_categories_all_metrics():
     for metric in ("euclidean", "mahalanobis", "likelihood"):
         for cat in EMOTION_CATEGORIES:
-            mix = build_mixture(EmotionDistribution.one_hot(cat), target_max=0.76)
-            assert inverse_map(mixture_mean(mix), TABLE, metric) == cat
+            mix = build_mixture(one_hot(cat), target_max=0.76)
+            assert inverse_map(mixture_mean(mix), metric) == cat
 
 
 def test_inverse_map_origin_brute_force():
@@ -183,18 +189,35 @@ def test_inverse_map_origin_brute_force():
         for cat in EMOTION_CATEGORIES
     }
     best = min(dists, key=dists.get)
-    assert inverse_map(p, TABLE, "euclidean") == best == "sadness"
+    assert inverse_map(p, "euclidean") == best == "sadness"
 
 
 def test_inverse_map_rejects_unspecified_and_bad_metric():
     with pytest.raises(ValueError):
         inverse_map(VAPoint(None, 0.0))
     with pytest.raises(ValueError):
-        inverse_map(VAPoint(0.0, 0.0), TABLE, "cosine")
+        inverse_map(VAPoint(0.0, 0.0), "cosine")
+
+
+def test_table_constants_are_read_only():
+    for table in (MEANS, SDS):
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+    assert (MEANS.shape, SDS.shape) == ((6, 2), (6, 2))
+
+
+@pytest.mark.parametrize("target_max", [0.76, 0.8])  # the bit-exact copy, and a rescale
+def test_mixture_arrays_are_writable_copies(target_max):
+    expected = build_mixture(one_hot("joy"), target_max=target_max)
+    mutated = build_mixture(one_hot("joy"), target_max=target_max)
+    mutated.means[...] = mutated.sds[...] = 0.0
+    again = build_mixture(one_hot("joy"), target_max=target_max)
+    assert np.array_equal(again.means, expected.means)
+    assert np.array_equal(again.sds, expected.sds)
 
 
 def test_scale_sds_switch():
-    mix_scaled = build_mixture(EmotionDistribution.one_hot("joy"), target_max=0.8)
+    mix_scaled = build_mixture(one_hot("joy"), target_max=0.8)
     assert mix_scaled.sds[3, 0] == pytest.approx(0.22 / 0.76 * 0.8, abs=1e-15)
 
 

@@ -23,7 +23,6 @@ from midisync.generator import (
     ScriptedBoundaryModel,
     _dense_pairs,
     _sample,
-    assemble_input,
     generate,
     grammar_mask,
 )
@@ -283,48 +282,6 @@ def test_builtin_model_pairs_match_their_vector_on_the_plain_list(model_class, m
     monkeypatch.setattr(model_class, "_weights", checked)
     tokens, _ = _history(7, model_class())
     assert prefixes == list(range(1, len(tokens)))
-
-
-# ---------------------------------------------------------------------------
-# Input assembly
-# ---------------------------------------------------------------------------
-
-
-def test_assembly_shapes():
-    tokens = [START] + [Token.shift(8)] * 9
-    offsets = [0.5] + [0.25] * 9
-    asm = assemble_input(tokens, offsets, VAPoint(0.1, -0.2), feature_dim=512)
-    assert asm.sequence_length == 12
-    assert asm.token_count == 10
-    assert asm.position_feature_dim == 256
-    assert asm.offset_feature_dim == 256
-    assert asm.position_feature_dim + asm.offset_feature_dim == asm.feature_dim
-    assert len(asm.position_offsets) == 12
-    assert asm.position_offsets[0] == asm.position_offsets[1] == 0.5
-    assert asm.valence == 0.1 and asm.arousal == -0.2
-    assert not asm.valence_substituted and not asm.arousal_substituted
-
-
-def test_assembly_empty_sequence_uses_default_offset():
-    asm = assemble_input([], [], VAPoint(None, None), feature_dim=8)
-    assert asm.sequence_length == 2
-    assert asm.position_offsets == (0.0, 0.0)
-    assert asm.valence_substituted and asm.arousal_substituted
-
-
-def test_assembly_partial_substitution_flags():
-    asm = assemble_input([START], [1.0], VAPoint(None, 0.3), feature_dim=16)
-    assert asm.valence is None and asm.valence_substituted
-    assert asm.arousal == 0.3 and not asm.arousal_substituted
-
-
-def test_assembly_rejects_bad_feature_dim_and_misalignment():
-    with pytest.raises(ValueError):
-        assemble_input([], [], VAPoint(None, None), feature_dim=7)
-    with pytest.raises(ValueError):
-        assemble_input([], [], VAPoint(None, None), feature_dim=0)
-    with pytest.raises(ValueError):
-        assemble_input([START], [], VAPoint(None, None), feature_dim=8)
 
 
 # ---------------------------------------------------------------------------
@@ -890,19 +847,6 @@ def test_diagnostics_count_every_chord_token():
         tokens, [0.0] * 5, BoundaryList.from_times([]), states=[], final_cursor_s=0.008, seed=0
     )
     assert result.diagnostics()["chord_count"] == 2
-
-
-def test_assembly_accepts_generation_output():
-    result = generate(
-        ReferenceModel(),
-        VAPoint(0.1, 0.1),
-        BoundaryList.from_times([2.0]),
-        duration_s=5.0,
-        sampling=SamplingParams(seed=2),
-    )
-    asm = assemble_input(result.tokens, result.offsets, VAPoint(0.1, 0.1))
-    assert asm.sequence_length == len(result.tokens) + 2
-    assert asm.position_offsets[0] == result.offsets[0]
 
 
 # ---------------------------------------------------------------------------

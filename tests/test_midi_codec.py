@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from codec_oracle import gap_to_shifts
 from midisync import midi_codec
 from midisync.chords import boost_chord_velocity
 from midisync.midi_codec import (
@@ -22,7 +23,6 @@ from midisync.midi_codec import (
     decode_events,
     encode_events,
     encode_ids,
-    gap_to_shifts,
     instrument_count_tag,
     parse_midi,
     program_to_instrument,

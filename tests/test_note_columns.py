@@ -105,7 +105,7 @@ def old_encode_ids(score: ScoreTimeline, include_bars: bool = True) -> np.ndarra
     out[at] = gaps
     at += 1
     out[at] = ids
-    pitched = {n.instrument for n in notes if not n.instrument.is_drums}
+    pitched = {n.instrument for n in notes if n.instrument is not Instrument.DRUMS}
     tag = FEWER_INSTRUMENTS if len(pitched) <= FEWER_INSTRUMENT_LIMIT else MORE_INSTRUMENTS
     out[0], out[1] = START.id, tag.id
     return out
@@ -288,7 +288,7 @@ def test_transpose_matches_the_tuple_transpose():
             wraps += any(
                 not 0 <= n.pitch + semitones < NUM_PITCHES
                 for n in score.notes
-                if not n.instrument.is_drums
+                if n.instrument is not Instrument.DRUMS
             )
     assert wraps > 700
 

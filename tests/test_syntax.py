@@ -12,7 +12,10 @@ here instead of lingering.
 Every module-level function and class of the package is named (by its
 bare name) elsewhere in ``src/``, or is listed in ``UNREACHED`` with the reason it stays: a
 definition that nothing reaches fails here, and so does a listed one
-that becomes reached or is deleted while its entry stays.
+that becomes reached or is deleted while its entry stays.  The same
+rule holds for the methods, properties, classmethods and staticmethods
+of module-level classes (dunder methods aside), with ``MEMBERS_UNREACHED``
+as their list.
 """
 
 from __future__ import annotations
@@ -85,8 +88,6 @@ UNREACHED = {
     "tokens.parse_tokens": PERFBENCH_LAYER,
     "emotion.inverse_map": "documented API: the README's inverse of the emotion mapping",
     "tokens.check_manifest": "documented API: the README's vocabulary manifest check",
-    "generator.assemble_input": "reached only by tests (acceptance a10); to be moved or deleted",
-    "midi_codec.gap_to_shifts": "reached only by tests (acceptance a02); to be moved or deleted",
 }
 
 
@@ -103,9 +104,14 @@ def references(node: ast.AST) -> Counter[str]:
     return names
 
 
-def test_every_definition_is_reached_or_listed():
+def package_trees() -> tuple[dict[str, ast.Module], Counter[str]]:
+    """Each package module's tree by stem, and every name the package reads."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE}
-    named = sum((references(tree) for tree in trees.values()), Counter())
+    return trees, sum((references(tree) for tree in trees.values()), Counter())
+
+
+def test_every_definition_is_reached_or_listed():
+    trees, named = package_trees()
     unreached = {
         f"{module}.{node.name}"
         for module, tree in trees.items()
@@ -114,3 +120,29 @@ def test_every_definition_is_reached_or_listed():
         and named[node.name] == references(node)[node.name]  # named only inside itself
     }
     assert unreached == set(UNREACHED)
+
+
+# Non-dunder members of module-level classes that no other code under src/
+# names, each with the reason it stays.
+MEMBERS_UNREACHED = {
+    "config.PipelineConfig.save": "documented API: the README's Configuration section",
+    "scheduler.GeneratorState.new": "perfbench/workloads.py calls it",
+    "midi_codec.NoteEvent._make": (
+        "the namedtuple's _replace calls it, and the README says _replace validates"
+    ),
+}
+
+
+def test_every_class_member_is_reached_or_listed():
+    trees, named = package_trees()
+    unreached = {
+        f"{module}.{cls.name}.{node.name}"
+        for module, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and named[node.name] == references(node)[node.name]  # named only inside itself
+    }
+    assert unreached == set(MEMBERS_UNREACHED)
