@@ -22,7 +22,6 @@ import codecs
 import dataclasses
 import functools
 import importlib
-import itertools
 import json
 import os
 import sys
@@ -66,12 +65,29 @@ def _load_config(args) -> PipelineConfig:
     return _stage("config", dataclasses.replace, config, **given) if given else config
 
 
+def _refuse_overwrite(inputs: dict, outputs: dict) -> None:
+    """Refuse an output that is an input or another output; a None path (not given) is skipped.
+
+    Existing files are compared by ``os.path.samefile``, paths not made yet by ``Path.resolve()``.
+    """
+    outs = [(f"{role} output", Path(path)) for role, path in outputs.items() if path is not None]
+    ins = [(f"{role} input", Path(path)) for role, path in inputs.items() if path is not None]
+    for k, (role, path) in enumerate(outs):
+        for role2, path2 in (outs + ins)[k + 1:]:
+            made = path.exists()
+            if made == path2.exists() and (
+                os.path.samefile(path, path2) if made else path.resolve() == path2.resolve()
+            ):
+                raise ValueError(f"the {role} {path} and the {role2} {path2} are the same file")
+
+
 # ---------------------------------------------------------------------------
 # encode / decode
 # ---------------------------------------------------------------------------
 
 
 def cmd_encode(args) -> int:
+    _refuse_overwrite({"MIDI": args.midi_file, "config": args.config}, {"token": args.out_tokens})
     _load_config(args)  # validates --config even though encode has no knobs
     data = _stage("read", Path(args.midi_file).read_bytes)
     warnings: list[str] = []
@@ -84,6 +100,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
+    _refuse_overwrite({"token": args.tokens_file, "config": args.config}, {"MIDI": args.out_midi})
     _load_config(args)
     text = _stage("read", Path(args.tokens_file).read_text)
     ids = _stage("parse", tokens.parse_ids, text)
@@ -300,18 +317,13 @@ def cmd_generate(args) -> int:
     manifest_path = (
         Path(args.manifest) if args.manifest else out_midi.with_suffix(".manifest.json")
     )
-    # Refuse, before any input is read, a run whose outputs would overwrite one another.
-    outputs = {"MIDI": out_midi, "token": token_path, "manifest": manifest_path}
-    for (role, path), (other_role, other) in itertools.combinations(outputs.items(), 2):
-        if path.resolve() == other.resolve():
-            raise ValueError(
-                f"the {role} output {path} and the {other_role} output {other} are the same file"
-            )
+    emotion = None if args.emotion_file.lower() == "none" else args.emotion_file
+    inputs = {"emotion": emotion, "scene": args.scenes_source, "config": args.config}
+    _refuse_overwrite(inputs, {"MIDI": out_midi, "token": token_path, "manifest": manifest_path})
 
     config = _load_config(args)
     point = _stage("emotion", _conditioning_point, args, config)
     boundaries = _stage("boundaries", _sniff_scene_source, args.scenes_source, config)
-    sched = scheduler.SchedulerParams(config.sensitivity_s, config.max_offset_s)
 
     def build_model():
         if args.model_path is not None and args.model != "external":
@@ -325,16 +337,9 @@ def cmd_generate(args) -> int:
         return _load_external_model(args.model_path)
 
     model = _stage("model", build_model)
-    sampling = generator_mod.SamplingParams(config.temperature, config.top_k, args.seed)
     result = _stage(
-        "sampling",
-        generator_mod.generate,
-        model,
-        point,
-        boundaries,
-        args.duration,
-        sampling,
-        sched,
+        "sampling", generator_mod.generate, model, point, boundaries, args.duration, config,
+        seed=args.seed,
     )
 
     ids = tokens.ids_of(result.tokens)
@@ -388,6 +393,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_scenes(args) -> int:
+    inputs = {"scene": args.source, "config": args.config}
+    _refuse_overwrite(inputs, {"boundary": args.out_boundaries})
     config = _load_config(args)
     text = _stage("read", _read_scene_source, args.source)
     if text is None:
@@ -404,6 +411,7 @@ def cmd_scenes(args) -> int:
 
 
 def cmd_chords(args) -> int:
+    _refuse_overwrite({"MIDI": args.midi_file, "config": args.config}, {"report": args.out_report})
     config = _load_config(args)
     data = _stage("read", Path(args.midi_file).read_bytes)
     score = _stage("parse", midi_codec.parse_midi, data)

@@ -86,22 +86,6 @@ class NextTokenModel(Protocol):
         ...
 
 
-@dataclass(frozen=True)
-class SamplingParams:
-    temperature: float = PipelineConfig.temperature
-    top_k: int | None = PipelineConfig.top_k
-    seed: int = 0
-    max_tokens: int = DEFAULT_MAX_TOKENS
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.temperature) or self.temperature <= 0:
-            raise ValueError(f"temperature must be finite and positive, got {self.temperature}")
-        if self.top_k is not None and self.top_k < 1:
-            raise ValueError(f"top_k must be >= 1, got {self.top_k}")
-        if self.max_tokens < 1:
-            raise ValueError("max_tokens must be >= 1")
-
-
 def _fold(tokens: list[Token]) -> DecodeState:
     """A fresh :class:`DecodeState` with every token of ``tokens`` pushed."""
     state = DecodeState()
@@ -181,8 +165,8 @@ def _dense_pairs(probs: np.ndarray, state: GeneratorState) -> Pairs:
     return list(zip(support.tolist(), probs[support].tolist()))
 
 
-def _sample(pairs: Pairs, state: GeneratorState, sampling: SamplingParams, rng) -> int:
-    """One step's id, drawn among the valid nonzero ``pairs`` (see :func:`generate`)."""
+def _sample(pairs: Pairs, state: GeneratorState, temperature: float, top_k: int, rng) -> int:
+    """One step's id among ``pairs``, tempered and cut to ``top_k`` (see :func:`generate`)."""
     if not pairs:
         raise GenerationError(
             f"no grammatically valid token has probability mass at cursor "
@@ -191,19 +175,18 @@ def _sample(pairs: Pairs, state: GeneratorState, sampling: SamplingParams, rng) 
     ids, weights = zip(*pairs)
     *_, total = accumulate(weights)  # left to right, as every sum here
     weights = [w / total for w in weights]
-    if sampling.temperature != 1.0:
-        power = 1.0 / sampling.temperature
+    if temperature != 1.0:
+        power = 1.0 / temperature
         weights = [w**power for w in weights]
         *_, tempered = accumulate(weights)
         if tempered <= 0.0:
             raise GenerationError(
-                f"temperature {sampling.temperature!r} underflows every valid token's "
+                f"temperature {temperature!r} underflows every valid token's "
                 f"probability to 0 at cursor {state.cursor_s:.3f} s (step {len(state.tokens)})"
             )
         ids, weights = zip(*[(i, w / tempered) for i, w in zip(ids, weights) if w])
-    k = sampling.top_k
-    if k is not None and k < len(ids):
-        top = sorted(sorted(range(len(ids)), key=weights.__getitem__, reverse=True)[:k])
+    if top_k < len(ids):
+        top = sorted(sorted(range(len(ids)), key=weights.__getitem__, reverse=True)[:top_k])
         ids, weights = [ids[j] for j in top], [weights[j] for j in top]
     cdf = list(accumulate(weights))
     last = cdf[-1]
@@ -215,48 +198,54 @@ def generate(
     va: VAPoint,
     boundaries: BoundaryList,
     duration_s: float,
-    sampling: SamplingParams | None = None,
-    scheduler: SchedulerParams | None = None,
+    config: PipelineConfig | None = None,
+    *,
+    seed: int = 0,
+    max_tokens: int = DEFAULT_MAX_TOKENS,
 ) -> GenerationResult:
-    """Sample a token sequence of roughly ``duration_s`` seconds.
+    """Sample, seeded by ``seed``, a token sequence of roughly ``duration_s`` seconds.
 
-    The emitted history always begins with START.  Each step takes the
-    valid nonzero ``(id, weight)`` pairs in id order (a built-in model's
-    own, or any other model's checked vector), then normalises, tempers
-    (to the power 1/T, renormalised; zeros drop out), cuts to top-k (ties
-    to the lower id, back in id order) and draws, in plain Python, the id
-    ``Generator.choice`` over the full vector would.  Exactness rules:
-    sums run left to right through ``itertools.accumulate``, never
-    ``sum()`` (compensated from Python 3.12) or ``math.fsum``; the draw is
-    ``bisect_right`` on ``cdf / cdf[-1]`` with one ``rng.random()``, so
-    top-k is not renormalised.  Checks, in order: a vector's shape,
-    invalid entries (a built-in weight too), a vector's sum, "no
-    grammatically valid token", then the temperature underflow.
+    ``config`` (the defaults when None) gives the temperature, top-k and
+    scheduler windows.  The emitted history always begins with START.  Each
+    step takes the valid nonzero ``(id, weight)`` pairs in id order (a
+    built-in model's own, or any other model's checked vector), then
+    normalises, tempers (to the power 1/T, renormalised; zeros drop out),
+    cuts to top-k (ties to the lower id, back in id order) and draws, in
+    plain Python, the id ``Generator.choice`` over the full vector would.
+    Exactness rules: sums run left to right through
+    ``itertools.accumulate``, never ``sum()`` (compensated from Python 3.12)
+    or ``math.fsum``; the draw is ``bisect_right`` on ``cdf / cdf[-1]`` with
+    one ``rng.random()``, so top-k is not renormalised.  Checks, in order: a
+    vector's shape, invalid entries (a built-in weight too), a vector's sum,
+    "no grammatically valid token", then the temperature underflow.
 
     The loop ends when the cursor reaches ``duration_s`` (overshoot is
     below one maximal time shift), and fails loudly if ``max_tokens`` is
     hit first, or at once if ``max_tokens - 1`` maximal time shifts
-    cannot reach ``duration_s``.
+    cannot reach ``duration_s`` (or ``max_tokens`` is below 1).
     """
+    if max_tokens < 1:
+        raise ValueError("max_tokens must be >= 1")
     if not (math.isfinite(duration_s) and duration_s * 1000 > 0.5):  # rounds to >= 1 ms
         raise ValueError(f"duration_s must be finite and round to at least 1 ms, got {duration_s}")
-    sampling = sampling or SamplingParams()
-    reach_s = (sampling.max_tokens - 1) * MAX_SHIFT_MS / 1000
+    reach_s = (max_tokens - 1) * MAX_SHIFT_MS / 1000
     if duration_s > reach_s:
         raise GenerationError(
             f"duration_s {duration_s!r} is past the {reach_s:g} s that "
-            f"max_tokens={sampling.max_tokens} tokens can reach"
+            f"max_tokens={max_tokens} tokens can reach"
         )
-    scheduler = scheduler or SchedulerParams()
-    rng = np.random.default_rng(sampling.seed)
+    config = config or PipelineConfig()
+    temperature, top_k = config.temperature, config.top_k
+    scheduler = SchedulerParams(config.sensitivity_s, config.max_offset_s)
+    rng = np.random.default_rng(seed)
 
     state = GeneratorState(boundaries)
     on_token(state, START, scheduler)
 
     while state.cursor_s < duration_s:
-        if len(state.tokens) >= sampling.max_tokens:
+        if len(state.tokens) >= max_tokens:
             raise GenerationError(
-                f"exceeded max_tokens={sampling.max_tokens} at cursor "
+                f"exceeded max_tokens={max_tokens} at cursor "
                 f"{state.cursor_s:.3f} s of {duration_s:.3f} s"
             )
         if isinstance(model, _BuiltinModel):
@@ -268,7 +257,7 @@ def generate(
         else:
             probs = model.next_distribution(state.tokens, state.offsets, va.valence, va.arousal)
             pairs = _dense_pairs(probs, state)
-        on_token(state, VOCABULARY[_sample(pairs, state, sampling, rng)], scheduler)
+        on_token(state, VOCABULARY[_sample(pairs, state, temperature, top_k, rng)], scheduler)
 
     return GenerationResult(
         tokens=state.tokens,
@@ -276,7 +265,7 @@ def generate(
         boundaries=state.boundaries,
         states=state.states,
         final_cursor_s=state.cursor_s,
-        seed=sampling.seed,
+        seed=seed,
     )
 
 

@@ -750,22 +750,19 @@ _PAYLOAD_SHIFTS = np.array([0, 8, 16], dtype=np.int64)
 _END_OF_TRACK = b"\x00\xff\x2f\x00"
 
 
-def write_midi(score: ScoreTimeline, smf_type: int = 1) -> bytes:
-    """Render a :class:`ScoreTimeline` as SMF bytes (format 0 or 1).
+def write_midi(score: ScoreTimeline) -> bytes:
+    """Render a :class:`ScoreTimeline` as format 1 SMF bytes.
 
     Each instrument category is written to its own fixed channel (drums
     on channel 10) with a representative General MIDI program, at 480
     ticks per quarter, so that re-parsing buckets every note back into
     its original category.  A note lasts at least one tick.
 
-    Format 1 writes a tempo track, then one track per category in
-    block order; format 0 writes one track.  A track's messages are
-    ordered by tick, then program change, note-off, note-on, then score
-    order.  A tempo, or a delta time over :data:`MAX_DELTA_TICKS`, that
-    no SMF can hold raises ``ValueError``.
+    The file holds a tempo track, then one track per category in block
+    order.  A track's messages are ordered by tick, then program change,
+    note-off, note-on, then score order.  A tempo, or a delta time over
+    :data:`MAX_DELTA_TICKS`, that no SMF can hold raises ``ValueError``.
     """
-    if smf_type not in (0, 1):
-        raise ValueError(f"smf_type must be 0 or 1, got {smf_type}")
     tempo_us = round(60_000_000 / score.tempo_bpm)
     if not 0 < tempo_us < 1 << 24:
         raise ValueError(
@@ -808,15 +805,14 @@ def write_midi(score: ScoreTimeline, smf_type: int = 1) -> bytes:
     on_code |= off_code
     on_code |= 0x90
     off_code |= 0x80
-    rank, tick, _, payload = msgs[:, np.lexsort(msgs[:3] if smf_type else msgs[:2])]
+    rank, tick, _, payload = msgs[:, np.lexsort(msgs[:3])]
 
     delta = tick.copy()
     delta[1:] -= tick[:-1]
-    if smf_type:
-        # Tracks run in block order: the index of each one's first message.
-        lengths = [2 * count + (k in programs) for k, count in enumerate(counts) if count]
-        firsts = list(accumulate(lengths, initial=0))[:-1]
-        delta[firsts] = tick[firsts]  # each track starts at tick 0
+    # Tracks run in block order: the index of each one's first message.
+    lengths = [2 * count + (k in programs) for k, count in enumerate(counts) if count]
+    firsts = list(accumulate(lengths, initial=0))[:-1]
+    delta[firsts] = tick[firsts]  # each track starts at tick 0
     if (delta > MAX_DELTA_TICKS).any():
         raise ValueError(
             f"delta time of {int(delta.max())} ticks exceeds the SMF limit of "
@@ -836,17 +832,11 @@ def write_midi(score: ScoreTimeline, smf_type: int = 1) -> bytes:
     slots[:, 4:] = payload[:, None] >> _PAYLOAD_SHIFTS
     body = slots[used].tobytes()
 
-    if smf_type == 0:
-        cut = 3 * p  # the program changes, each three bytes, come before the meta events
-        tracks = [body[:cut] + meta + body[cut:]]
-    else:
-        nbytes = np.count_nonzero(used, axis=1)
-        bounds = (np.cumsum(nbytes) - nbytes)[firsts].tolist() + [len(body)]
-        tracks = [meta] + [body[a:b] for a, b in zip(bounds, bounds[1:])]
-    header = b"MThd" + (6).to_bytes(4, "big")
-    header += smf_type.to_bytes(2, "big")
-    header += len(tracks).to_bytes(2, "big")
-    header += _WRITE_DIVISION.to_bytes(2, "big")
+    nbytes = np.count_nonzero(used, axis=1)
+    bounds = (np.cumsum(nbytes) - nbytes)[firsts].tolist() + [len(body)]
+    tracks = [meta] + [body[a:b] for a, b in zip(bounds, bounds[1:])]
+    header = b"MThd" + (6).to_bytes(4, "big") + (1).to_bytes(2, "big")  # format 1
+    header += len(tracks).to_bytes(2, "big") + _WRITE_DIVISION.to_bytes(2, "big")
     chunks = (b"MTrk" + (len(t) + 4).to_bytes(4, "big") + t + _END_OF_TRACK for t in tracks)
     return header + b"".join(chunks)
 

@@ -7,7 +7,8 @@ are the Token-list bodies of ``tokens.parse_tokens``,
 word (only the function names differ), so the tests can require the
 package's id and column paths to give the same tokens, decode results and
 SMF bytes.  The decoder is the :class:`DecodeState` fold that generation
-runs.
+runs.  ``write_midi`` writes format 1 only; the oracle's format 0 files
+are the tests' single-track inputs (:func:`smf_bytes`).
 
 ``gap_to_shifts`` is the Token-list rule that ``midi_codec.encode_ids``
 splits a gap by, in array form: the tests require the two to agree.
@@ -24,6 +25,7 @@ from midisync.midi_codec import (
     NoteEvent,
     ScoreTimeline,
     _unchecked_note,
+    write_midi,
 )
 from midisync.tokens import (
     INSTRUMENTS,
@@ -145,6 +147,11 @@ def oracle_write_midi(score: ScoreTimeline, smf_type: int = 1) -> bytes:
     header += len(tracks).to_bytes(2, "big")
     header += _WRITE_DIVISION.to_bytes(2, "big")
     return header + b"".join(_track_chunk(t) for t in tracks)
+
+
+def smf_bytes(score: ScoreTimeline, smf_type: int) -> bytes:
+    """``score`` as SMF bytes of format ``smf_type``: ``write_midi``'s for 1, the oracle's for 0."""
+    return write_midi(score) if smf_type else oracle_write_midi(score, 0)
 
 
 def oracle_decode_events(tokens: list[Token]) -> DecodeResult:

@@ -32,7 +32,6 @@ from midisync.emotion import (
 )
 from midisync.generator import (
     ReferenceModel,
-    SamplingParams,
     ScriptedBoundaryModel,
     generate,
 )
@@ -219,7 +218,7 @@ def test_a04_boundary_consumption():
             VAPoint(None, None),
             BoundaryList.from_times(bounds),
             duration_s=max(bounds) + 2.0,
-            sampling=SamplingParams(seed=i),
+            seed=i,
         )
         non_expired = len(bounds) - len(result.expired)
         scripted_total += non_expired
@@ -233,7 +232,7 @@ def test_a04_boundary_consumption():
             VAPoint(round(rng.uniform(-0.9, 0.9), 3), round(rng.uniform(-0.9, 0.9), 3)),
             BoundaryList.from_times(bounds),
             duration_s=max(bounds) + 2.0,
-            sampling=SamplingParams(seed=1000 + i),
+            seed=1000 + i,
         )
         reference_total += len(bounds)
         reference_hit += len(result.consumed)

@@ -12,6 +12,7 @@ import tracemalloc
 
 import pytest
 
+from codec_oracle import smf_bytes
 from midisync import cli, midi_codec
 from midisync.chords import detect_chords
 from midisync.cli import MAX_AUGMENT, SNIFF_BYTES, _sniff_scene_source, build_parser, main
@@ -467,7 +468,7 @@ def test_prepare_golden_files(tmp_path, flags):
     midi_dir.mkdir()
     for seed in range(6):
         (midi_dir / f"song{seed}.mid").write_bytes(
-            write_midi(prepare_golden_score(seed), smf_type=seed % 2)
+            smf_bytes(prepare_golden_score(seed), seed % 2)
         )
     out_dir = tmp_path / "out"
     assert main(["prepare", str(midi_dir), str(out_dir), "--seed", "5", *flags.split()]) == 0
@@ -745,6 +746,71 @@ def test_generate_writes_three_distinct_outputs(tmp_path, monkeypatch):
     outputs = json.loads((tmp_path / "m.json").read_text())["outputs"]
     assert (outputs["midi_file"], outputs["token_file"]) == ("x.mid", "t.txt")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["b.txt", "m.json", "t.txt", "x.mid"]
+
+
+@pytest.fixture
+def io_dir(tmp_path, monkeypatch):
+    """A working directory holding an input of each kind every command reads."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "o.mid").write_bytes(write_midi(demo_score()))
+    (tmp_path / "t.tokens").write_text("START\nPIANO_ON_60\nTIMESHIFT_8\nPIANO_OFF_60\n")
+    (tmp_path / "e.txt").write_text("joy: 1.0\n")
+    (tmp_path / "b.txt").write_text("1.0\n")
+    (tmp_path / "log.txt").write_text(SCENE_LOG)
+    (tmp_path / "c.json").write_text("{}\n")
+    os.link(tmp_path / "o.mid", tmp_path / "hard.mid")
+    (tmp_path / "soft.mid").symlink_to("o.mid")
+    return tmp_path
+
+
+# (command line, the two paths the refusal names), each run in io_dir
+SELF_OVERWRITES = [
+    ("encode o.mid o.mid", ("token output o.mid", "MIDI input o.mid")),
+    ("encode o.mid c.json --config c.json", ("token output c.json", "config input c.json")),
+    ("encode o.mid hard.mid", ("token output hard.mid", "MIDI input o.mid")),
+    ("encode soft.mid o.mid", ("token output o.mid", "MIDI input soft.mid")),
+    ("decode t.tokens t.tokens", ("MIDI output t.tokens", "token input t.tokens")),
+    ("decode t.tokens sub/../c.json --config c.json",
+     ("MIDI output sub/../c.json", "config input c.json")),
+    ("generate none b.txt 2 b.mid --out-tokens b.txt",
+     ("token output b.txt", "scene input b.txt")),
+    ("generate e.txt b.txt 2 x.mid --manifest e.txt",
+     ("manifest output e.txt", "emotion input e.txt")),
+    ("generate none log.txt 2 ./log.txt", ("MIDI output log.txt", "scene input log.txt")),
+    ("generate none b.txt 2 x.mid --config c.json --out-tokens c.json",
+     ("token output c.json", "config input c.json")),
+    ("scenes log.txt log.txt", ("boundary output log.txt", "scene input log.txt")),
+    ("scenes log.txt c.json --config c.json", ("boundary output c.json", "config input c.json")),
+    ("chords o.mid --out-report o.mid", ("report output o.mid", "MIDI input o.mid")),
+    ("chords o.mid --out-report c.json --config c.json",
+     ("report output c.json", "config input c.json")),
+]
+
+
+@pytest.mark.parametrize("argv, clash", SELF_OVERWRITES, ids=[argv for argv, _ in SELF_OVERWRITES])
+def test_commands_refuse_an_output_that_is_an_input(io_dir, capsys, argv, clash):
+    before = {p.name: p.read_bytes() for p in io_dir.iterdir() if p.is_file()}
+    assert main(argv.split()) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {argv.split()[0]}: ") and all(part in err for part in clash)
+    assert {p.name: p.read_bytes() for p in io_dir.iterdir() if p.is_file()} == before
+
+
+@pytest.mark.parametrize(
+    "argv, written",
+    [
+        ("encode o.mid o.tokens --config c.json", "o.tokens"),
+        ("decode t.tokens d.mid --config c.json", "d.mid"),
+        # "none" names no emotion file, so an output may take that name
+        ("generate none b.txt 2 x.mid --manifest none --config c.json --model scripted", "none"),
+        ("scenes log.txt s.txt --config c.json", "s.txt"),
+        ("chords o.mid --out-report r.tsv --config c.json", "r.tsv"),
+    ],
+)
+def test_commands_write_outputs_distinct_from_their_inputs(io_dir, argv, written):
+    assert main(argv.split()) == 0
+    assert (io_dir / written).stat().st_size > 0
 
 
 def test_generate_malformed_boundary_file_reports_its_line(tmp_path, monkeypatch, capsys):

@@ -150,15 +150,15 @@ def random_score(rng: random.Random) -> ScoreTimeline:
     return ScoreTimeline(notes, tempo_bpm=tempo)
 
 
-@pytest.mark.parametrize("smf_type", [0, 1])
+@pytest.mark.parametrize("smf_type", [1])  # the one format write_midi writes
 def test_write_midi_matches_the_oracle(smf_type):
     scores = [ScoreTimeline()] + [golden_score(seed) for seed in range(6)]
     scores += [random_score(random.Random(seed)) for seed in range(200)]
     for k, score in enumerate(scores):
-        assert write_midi(score, smf_type) == oracle_write_midi(score, smf_type), k
+        assert write_midi(score) == oracle_write_midi(score, smf_type), k
 
 
-@pytest.mark.parametrize("smf_type", [0, 1])
+@pytest.mark.parametrize("smf_type", [1])  # the one format write_midi writes
 def test_write_midi_rounds_half_ticks_as_round(smf_type):
     # At 62.5 bpm a tick is 2 ms, at 93.75 bpm 4/3 ms: odd ms and ms of
     # 2 mod 4 fall halfway between two ticks, and round to the even one.
@@ -167,10 +167,10 @@ def test_write_midi_rounds_half_ticks_as_round(smf_type):
         halves = [ms for ms in range(400) if 2 * (ms * 480_000 % tempo_us) == tempo_us]
         assert len(halves) >= 100
         score = ScoreTimeline(notes, tempo_bpm=tempo)
-        assert write_midi(score, smf_type) == oracle_write_midi(score, smf_type), tempo
+        assert write_midi(score) == oracle_write_midi(score, smf_type), tempo
 
 
-@pytest.mark.parametrize("smf_type", [0, 1])
+@pytest.mark.parametrize("smf_type", [1])  # the one format write_midi writes
 def test_write_midi_writes_two_three_and_four_byte_deltas(smf_type):
     # At 125 bpm (480000 us per quarter) a tick lasts 1 ms.
     piano, drums = Instrument.PIANO, Instrument.DRUMS
@@ -182,25 +182,25 @@ def test_write_midi_writes_two_three_and_four_byte_deltas(smf_type):
         NoteEvent(piano, 65, 3_000_500 + MAX_DELTA_TICKS, 3_000_501 + MAX_DELTA_TICKS),
     ]
     score = ScoreTimeline(notes, tempo_bpm=125.0)
-    data = write_midi(score, smf_type)
+    data = write_midi(score)
     assert data == oracle_write_midi(score, smf_type)
     assert b"\xff\xff\xff\x7f" in data  # the largest delta there is
     # The first four fit in the hour parse_midi reads, and come back whole.
-    data = write_midi(ScoreTimeline(notes[:4], tempo_bpm=125.0), smf_type)
+    data = write_midi(ScoreTimeline(notes[:4], tempo_bpm=125.0))
     assert parse_midi(data).notes == notes[:4]
 
 
-@pytest.mark.parametrize("smf_type", [0, 1])
+@pytest.mark.parametrize("smf_type", [1])  # the one format write_midi writes
 def test_write_midi_rejects_a_delta_no_smf_holds(smf_type):
     one_past = MAX_DELTA_TICKS + 1
     note = NoteEvent(Instrument.PIANO, 60, one_past, one_past + 1)
     score = ScoreTimeline([note], tempo_bpm=125.0)
     limit = r"exceeds the SMF limit of 0x0FFFFFFF \(four variable-length bytes\)$"
     with pytest.raises(ValueError, match=rf"^delta time of {one_past} ticks {limit}"):
-        write_midi(score, smf_type)
+        write_midi(score)
     at_120 = ScoreTimeline([NoteEvent(Instrument.PIANO, 60, 300_000_000, 300_000_100)])
     with pytest.raises(ValueError, match=rf"^delta time of 288000000 ticks {limit}"):
-        write_midi(at_120, smf_type)
+        write_midi(at_120)
 
 
 def test_write_midi_rejects_times_past_exact_tick_math():

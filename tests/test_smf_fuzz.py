@@ -28,12 +28,12 @@ from midisync.midi_codec import (
     MidiParseError,
     encode_ids,
     parse_midi,
-    write_midi,
 )
 from midisync.scheduler import offsets_ms_for_ids
 from midisync.tokens import cursors_of
 
 from helpers import random_grid_score, random_offgrid_score, raw_smf, time_budget, vlq
+from codec_oracle import smf_bytes
 from smf_oracle import oracle_parse_midi
 
 SMPTE_25FPS_40 = ((256 - 25) << 8) | 40
@@ -74,7 +74,7 @@ def base_files() -> list[bytes]:
     for make in (random_grid_score, random_offgrid_score):
         for _ in range(4):
             score = make(rng)
-            files += [write_midi(score, smf_type=0), write_midi(score, smf_type=1)]
+            files += [smf_bytes(score, 0), smf_bytes(score, 1)]
     return files
 
 

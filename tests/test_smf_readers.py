@@ -29,6 +29,7 @@ from midisync.midi_codec import (
 from midisync.tokens import Instrument
 
 from helpers import golden_score, random_grid_score, random_offgrid_score, raw_smf, vlq
+from codec_oracle import smf_bytes
 from smf_oracle import oracle_parse_midi
 
 
@@ -85,7 +86,7 @@ def written_scores() -> list[ScoreTimeline]:
 @pytest.mark.parametrize("smf_type", [0, 1])
 def test_every_written_file_takes_the_pattern_reader(no_scan, smf_type):
     for k, score in enumerate(written_scores()):
-        data = write_midi(score, smf_type=smf_type)
+        data = smf_bytes(score, smf_type)
         got = outcome(parse_midi, data)
         assert got == outcome(oracle_parse_midi, data), (k, data.hex())
         assert got[0] == "score"

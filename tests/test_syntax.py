@@ -16,6 +16,10 @@ that becomes reached or is deleted while its entry stays.  The same
 rule holds for the methods, properties, classmethods and staticmethods
 of module-level classes (dunder methods aside), with ``MEMBERS_UNREACHED``
 as their list.
+
+Each tunable is declared in one place: no class of the package but
+``PipelineConfig`` declares a field named like one of its fields, save
+those listed in ``TUNABLE_COPIES`` with the reason each stays.
 """
 
 from __future__ import annotations
@@ -146,3 +150,37 @@ def test_every_class_member_is_reached_or_listed():
         and named[node.name] == references(node)[node.name]  # named only inside itself
     }
     assert unreached == set(MEMBERS_UNREACHED)
+
+
+# Classes other than PipelineConfig that declare a field named like one of
+# its fields, each with the reason the copy stays.
+TUNABLE_COPIES = {
+    "scheduler.SchedulerParams": (
+        "perfbench/workloads.py builds one, and on_token reads its ms windows"
+    ),
+}
+
+
+def class_fields(cls: ast.ClassDef) -> set[str]:
+    """The names a class body declares, annotated or assigned."""
+    names = set()
+    for node in cls.body:
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+        elif isinstance(node, ast.Assign):
+            names.update(target.id for target in node.targets if isinstance(target, ast.Name))
+    return names
+
+
+def test_each_tunable_is_declared_by_pipeline_config_alone():
+    trees, _ = package_trees()
+    classes = {
+        f"{module}.{node.name}": node
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+    }
+    tunables = class_fields(classes.pop("config.PipelineConfig"))
+    assert {"temperature", "top_k", "sensitivity_s", "max_offset_s"} <= tunables
+    copies = {name for name, cls in classes.items() if class_fields(cls) & tunables}
+    assert copies == set(TUNABLE_COPIES)
