@@ -4,11 +4,12 @@ A chord here is deliberately narrow: at least three distinct pitches of
 the same guitar or piano part striking together (onsets within a small
 simultaneity window) and all lasting at least two beats.  Detected
 spans drive three operations: inserting a CHORD marker immediately
-before each span's first ON token and randomly deleting markers
-(training-time dropout), both on a token id array (with Token-list
-forms for callers that hold tokens), and raising the velocity of the
-notes a marker announces.  :func:`format_spans` writes the spans as the
-``chords`` command's line report; nothing reads that report back.
+before each span's first ON token (one marker per ON) and randomly
+deleting markers (training-time dropout), both on a token id array
+(with Token-list forms for callers that hold tokens), and raising the
+velocity of the notes a marker announces.  :func:`format_spans` writes
+the spans as the ``chords`` command's line report; nothing reads that
+report back.
 """
 
 from __future__ import annotations
@@ -112,9 +113,10 @@ def insert_chord_ids(
     the markers in place.  The target is the first ON token of the
     span's instrument whose pitch belongs to the span and whose cursor
     time matches the span onset (within the simultaneity window, on the
-    quantized grid).  Spans that pick the same ON token each get their
-    own marker there.  Raises :class:`ChordLabelError` when a span has
-    no such token.
+    quantized grid).  Spans that pick the same ON token share one marker
+    there, so a CHORD is always followed by an ON before the next CHORD,
+    as the generation grammar requires.  Raises :class:`ChordLabelError`
+    when a span has no such token.
 
     Cost: O(n + s * (log n + w)) for n tokens and s spans, where w is
     the number of tokens whose cursor lies in one span's window.  Cursor
@@ -139,7 +141,7 @@ def insert_chord_ids(
                 f"no ON token matches chord at {span.onset_ms} ms ({span.instrument.value})"
             )
     # A marker takes the cursor of the ON it precedes: an ON does not move the cursor.
-    at = np.array(insert_at, dtype=np.intp)
+    at = np.array(sorted(set(insert_at)), dtype=np.intp)  # np.unique would import numpy.ma
     return np.insert(ids, at, CHORD.id), np.insert(cursors, at, cursors[at])
 
 

@@ -11,8 +11,9 @@ Subcommands:
 * ``chords``   — chord-span report for an SMF file
 * ``vocab``    — dump the token vocabulary manifest
 
-Every command is deterministic for a fixed ``--seed``.  Runtime errors
-exit nonzero with a message naming the failing stage.
+Only the commands that read a config key take ``--config``, and only
+``prepare`` and ``generate``, which draw, take ``--seed``.  Runtime
+errors exit nonzero with a message naming the failing stage.
 """
 
 from __future__ import annotations
@@ -87,8 +88,7 @@ def _refuse_overwrite(inputs: dict, outputs: dict) -> None:
 
 
 def cmd_encode(args) -> int:
-    _refuse_overwrite({"MIDI": args.midi_file, "config": args.config}, {"token": args.out_tokens})
-    _load_config(args)  # validates --config even though encode has no knobs
+    _refuse_overwrite({"MIDI": args.midi_file}, {"token": args.out_tokens})
     data = _stage("read", Path(args.midi_file).read_bytes)
     warnings: list[str] = []
     score = _stage("parse", midi_codec.parse_midi, data, warnings)
@@ -100,8 +100,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    _refuse_overwrite({"token": args.tokens_file, "config": args.config}, {"MIDI": args.out_midi})
-    _load_config(args)
+    _refuse_overwrite({"token": args.tokens_file}, {"MIDI": args.out_midi})
     text = _stage("read", Path(args.tokens_file).read_text)
     ids = _stage("parse", tokens.parse_ids, text)
     result = _stage("decode", midi_codec.decode_ids, ids)
@@ -475,25 +474,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="JSON config file overriding built-in defaults")
-        p.add_argument("--seed", type=non_negative_int, default=0, help="random seed (default 0)")
+    config = {"help": "JSON config file overriding built-in defaults"}
+    seed = {"type": non_negative_int, "default": 0, "help": "random seed (default 0)"}
 
     p = sub.add_parser("encode", help="SMF file -> token text file")
-    common(p)
     p.add_argument("midi_file")
     p.add_argument("out_tokens")
     p.add_argument("--drop-bars", action="store_true", help="omit BAR tokens")
     p.set_defaults(fn=cmd_encode)
 
     p = sub.add_parser("decode", help="token text file -> SMF file")
-    common(p)
     p.add_argument("tokens_file")
     p.add_argument("out_midi")
     p.set_defaults(fn=cmd_decode)
 
     p = sub.add_parser("prepare", help="batch SMF dir -> token/offset training files")
-    common(p)
+    p.add_argument("--config", **config)
+    p.add_argument("--seed", **seed)
     p.add_argument("midi_dir")
     p.add_argument("out_dir")
     p.add_argument("--drop-bars", action="store_true", help="omit BAR tokens")
@@ -507,7 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_prepare)
 
     p = sub.add_parser("generate", help="emotion + boundaries -> SMF")
-    common(p)
+    p.add_argument("--config", **config)
+    p.add_argument("--seed", **seed)
     p.add_argument("emotion_file", help="emotion distribution file, or 'none'")
     p.add_argument(
         "scenes_source",
@@ -544,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("scenes", help="detector log or video -> boundary list file")
-    common(p)
+    p.add_argument("--config", **config)
     p.add_argument("source", help="detector log file, or a video (a file that is not text)")
     p.add_argument("out_boundaries")
     p.add_argument(
@@ -553,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_scenes)
 
     p = sub.add_parser("chords", help="SMF file -> chord span report")
-    common(p)
+    p.add_argument("--config", **config)
     p.add_argument("midi_file")
     p.add_argument("--out-report", help="write the report here instead of stdout")
     p.add_argument("--beat-ms", type=float, help="beat length override in milliseconds")

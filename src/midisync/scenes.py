@@ -24,8 +24,8 @@ DEFAULT_SCENE_BINARY = "ffmpeg"
 #: Seconds the detector may run before it is killed and detection fails.
 DETECT_TIMEOUT_S = 600.0
 
-_CUT_RE = re.compile(r"pts_time[:=]\s*([0-9]+(?:\.[0-9]+)?)")
-_DURATION_FIELD_RE = re.compile(r"\bduration=([0-9]+(?:\.[0-9]+)?)")
+_CUT_RE = re.compile(r"pts_time[:=]\s*(\S*)")
+_DURATION_FIELD_RE = re.compile(r"\bduration=(\S*)")
 _DURATION_CLOCK_RE = re.compile(
     r"\bDuration:\s*(\d+):(\d{2}):(\d{2})(?:\.(\d+))?", re.IGNORECASE
 )
@@ -51,21 +51,34 @@ class SceneCuts:
         object.__setattr__(self, "cut_times_s", cuts)
 
 
+def _field_seconds(field: str, value: str) -> float:
+    """A log field's whole value, which must be a finite number of seconds."""
+    try:
+        if math.isfinite(seconds := float(value)):
+            return seconds
+    except ValueError:
+        pass
+    raise SceneLogError(f"{field} value {value!r} is not a finite number")
+
+
 def parse_scene_log(text: str) -> SceneCuts:
     """Extract cut timestamps and duration from detector log output.
 
     Recognizes ``pts_time:<seconds>`` (and ``pts_time=``) cut records,
     ``duration=<seconds>`` fields, and ``Duration: HH:MM:SS.cc`` header
-    lines.  Duplicate cuts collapse; a missing, unparsable or infinite
-    duration is an error because downstream filtering needs the clip
-    length.
+    lines.  A field's value is read up to the next whitespace, and one
+    that is not a finite number is an error; records with a negative
+    ``pts_time`` are skipped.  Duplicate cuts collapse; a missing,
+    unparsable or infinite duration is an error because downstream
+    filtering needs the clip length.
     """
-    cuts = [float(m.group(1)) for m in _CUT_RE.finditer(text)]
+    cuts = [_field_seconds("pts_time", m.group(1)) for m in _CUT_RE.finditer(text)]
+    cuts = [t for t in cuts if math.copysign(1.0, t) > 0]  # skips -0 too
 
     duration = None
     field = _DURATION_FIELD_RE.search(text)
     if field:
-        duration = float(field.group(1))
+        duration = _field_seconds("duration", field.group(1))
     else:
         clock = _DURATION_CLOCK_RE.search(text)
         if clock:

@@ -2,9 +2,10 @@
 
 The SMF helpers construct raw bytes by hand, independent of the package
 writer, so parser tests check against separately computed tick math.
-The random score generators produce *representable* timelines: notes of
-the same (instrument, pitch) never overlap, because an ON/OFF event
-stream cannot faithfully carry overlapping unisons.  :func:`stream`
+The random grid and off-grid score generators produce *representable*
+timelines: notes of the same (instrument, pitch) never overlap, because
+an ON/OFF event stream cannot faithfully carry overlapping unisons.  The
+prepare-golden and chord-dense scores may overlap them.  :func:`stream`
 turns a Token list into the (ids, cursors) pair that the package's
 id-array stream functions take.
 """
@@ -135,3 +136,50 @@ def golden_score(seed: int) -> ScoreTimeline:
         )
     tempo = rng.choice((90.0, 110.0, 120.0, 132.5, 171.0))
     return ScoreTimeline(notes=notes, tempo_bpm=tempo)
+
+
+def prepare_golden_score(seed: int) -> ScoreTimeline:
+    """Held triads (chord spans), then loose notes off the 8 ms grid.
+
+    Triad notes start up to 8 ms apart and some hold for two beats, and
+    loose notes may overlap a unison, so the files pin the event order,
+    quantization, chord insertion and dropout, and the offsets text.
+    """
+    rng = random.Random(seed)
+    notes = []
+    t = 0
+    for _ in range(rng.randint(6, 14)):
+        instrument = rng.choice((Instrument.PIANO, Instrument.GUITAR))
+        root = rng.randint(40, 76)
+        length = rng.randint(600, 3000)
+        for interval in (0, 4, 7):
+            notes.append(NoteEvent(instrument, root + interval, t + rng.randint(0, 8), t + length))
+        t += length + rng.randint(0, 400)
+    for _ in range(rng.randint(10, 40)):
+        onset = rng.randint(0, t)
+        notes.append(
+            NoteEvent(
+                rng.choice(list(Instrument)),
+                rng.randint(0, 127),
+                onset,
+                onset + rng.randint(1, 2000),
+                velocity=rng.randint(1, 127),
+            )
+        )
+    return ScoreTimeline(notes=notes, tempo_bpm=rng.choice((96.0, 110.0, 120.0, 137.0)))
+
+
+def chord_dense_score(rng):
+    """Stacked guitar/piano onsets a few ms apart, repeated pitches, mixed lengths."""
+    notes = []
+    taken = set()
+    for _ in range(rng.randint(1, 60)):
+        instrument = rng.choice([Instrument.GUITAR, Instrument.PIANO, Instrument.BASS])
+        onset = rng.randrange(0, 3000, 100) + rng.randint(0, 12)
+        pitch = rng.randint(58, 66)
+        if (instrument, pitch, onset) in taken:
+            continue
+        taken.add((instrument, pitch, onset))
+        offset = onset + rng.choice([200, 900, 1000, 2500])
+        notes.append(NoteEvent(instrument, pitch, onset, offset))
+    return ScoreTimeline(notes=notes)

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 import json
 import os
-import random
+import shutil
 import subprocess
 import sys
 import threading
@@ -13,6 +14,7 @@ import tracemalloc
 import pytest
 
 from codec_oracle import smf_bytes
+from helpers import prepare_golden_score
 from midisync import cli, midi_codec
 from midisync.chords import detect_chords
 from midisync.cli import MAX_AUGMENT, SNIFF_BYTES, _sniff_scene_source, build_parser, main
@@ -107,11 +109,12 @@ def test_decode_of_a_delta_no_smf_holds_fails(tmp_path, capsys):
 def test_bad_config_file_fails(tmp_path, demo_midi, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"no_such_knob": 1}')
-    rc = main(
-        ["encode", str(demo_midi), str(tmp_path / "x.tokens"), "--config", str(cfg)]
-    )
+    report = tmp_path / "report.tsv"
+    rc = main(["chords", str(demo_midi), "--out-report", str(report), "--config", str(cfg)])
     assert rc == 1
-    assert "no_such_knob" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "chords/config:" in err and "no_such_knob" in err
+    assert not report.exists()
 
 
 def test_encode_drop_bars(tmp_path, demo_midi):
@@ -372,37 +375,6 @@ def test_prepare_empty_dir_fails(tmp_path, capsys):
     empty.mkdir()
     assert main(["prepare", str(empty), str(tmp_path / "out")]) == 1
     assert "no .mid" in capsys.readouterr().err
-
-
-def prepare_golden_score(seed: int) -> ScoreTimeline:
-    """Held triads (chord spans), then loose notes off the 8 ms grid.
-
-    Triad notes start up to 8 ms apart and some hold for two beats, and
-    loose notes may overlap a unison, so the files pin the event order,
-    quantization, chord insertion and dropout, and the offsets text.
-    """
-    rng = random.Random(seed)
-    notes = []
-    t = 0
-    for _ in range(rng.randint(6, 14)):
-        instrument = rng.choice((Instrument.PIANO, Instrument.GUITAR))
-        root = rng.randint(40, 76)
-        length = rng.randint(600, 3000)
-        for interval in (0, 4, 7):
-            notes.append(NoteEvent(instrument, root + interval, t + rng.randint(0, 8), t + length))
-        t += length + rng.randint(0, 400)
-    for _ in range(rng.randint(10, 40)):
-        onset = rng.randint(0, t)
-        notes.append(
-            NoteEvent(
-                rng.choice(list(Instrument)),
-                rng.randint(0, 127),
-                onset,
-                onset + rng.randint(1, 2000),
-                velocity=rng.randint(1, 127),
-            )
-        )
-    return ScoreTimeline(notes=notes, tempo_bpm=rng.choice((96.0, 110.0, 120.0, 137.0)))
 
 
 # sha256 of every file `prepare --seed 5` writes for the six songs above.
@@ -767,12 +739,10 @@ def io_dir(tmp_path, monkeypatch):
 # (command line, the two paths the refusal names), each run in io_dir
 SELF_OVERWRITES = [
     ("encode o.mid o.mid", ("token output o.mid", "MIDI input o.mid")),
-    ("encode o.mid c.json --config c.json", ("token output c.json", "config input c.json")),
     ("encode o.mid hard.mid", ("token output hard.mid", "MIDI input o.mid")),
     ("encode soft.mid o.mid", ("token output o.mid", "MIDI input soft.mid")),
     ("decode t.tokens t.tokens", ("MIDI output t.tokens", "token input t.tokens")),
-    ("decode t.tokens sub/../c.json --config c.json",
-     ("MIDI output sub/../c.json", "config input c.json")),
+    ("decode t.tokens sub/../t.tokens", ("MIDI output sub/../t.tokens", "token input t.tokens")),
     ("generate none b.txt 2 b.mid --out-tokens b.txt",
      ("token output b.txt", "scene input b.txt")),
     ("generate e.txt b.txt 2 x.mid --manifest e.txt",
@@ -800,8 +770,8 @@ def test_commands_refuse_an_output_that_is_an_input(io_dir, capsys, argv, clash)
 @pytest.mark.parametrize(
     "argv, written",
     [
-        ("encode o.mid o.tokens --config c.json", "o.tokens"),
-        ("decode t.tokens d.mid --config c.json", "d.mid"),
+        ("encode o.mid o.tokens", "o.tokens"),
+        ("decode t.tokens d.mid", "d.mid"),
         # "none" names no emotion file, so an output may take that name
         ("generate none b.txt 2 x.mid --manifest none --config c.json --model scripted", "none"),
         ("scenes log.txt s.txt --config c.json", "s.txt"),
@@ -984,6 +954,134 @@ def test_every_config_key_changes_an_output(tmp_path, monkeypatch, key):
     default = output(tmp_path / "default", [])
     assert output(tmp_path / "default-again", []) == default
     assert output(tmp_path / "changed", ["--config", str(config)]) != default
+
+
+# ---------------------------------------------------------------------------
+# every optional flag of every command
+# ---------------------------------------------------------------------------
+
+GENERATE = "generate mix.json log.txt 15.0 song.mid"
+# (a command line, an optional flag and its value): adding the flag changes
+# what the command writes.  Each runs in a fresh copy of the inputs that
+# flag_case_output writes.
+FLAG_CASES = [
+    ("encode song.mid song.tokens", "--drop-bars"),
+    ("prepare corpus out", "--config config.json"),
+    ("prepare corpus out", "--seed 3"),
+    ("prepare corpus out", "--drop-bars"),
+    ("prepare corpus out", "--augment 1"),
+    (GENERATE, "--config config.json"),
+    (GENERATE, "--seed 1"),
+    (GENERATE, "--out-tokens other.tokens"),
+    (GENERATE, "--manifest other.json"),
+    (GENERATE, "--va-mode sample"),
+    (GENERATE, "--valence -0.9"),
+    (GENERATE, "--arousal -0.9"),
+    (GENERATE, "--delta-max 0.5"),
+    (GENERATE, "--sensitivity 0.1"),
+    (GENERATE, "--min-gap 1.0"),
+    (GENERATE, "--temperature 0.3"),
+    (GENERATE, "--top-k 1"),
+    (GENERATE, "--model scripted"),
+    (f"{GENERATE} --model external --model-path flag_case_models:low",
+     "--model-path flag_case_models:high"),
+    ("scenes log.txt bounds.txt", "--config config.json"),
+    ("scenes log.txt bounds.txt", "--min-gap 0.5"),
+    ("chords song.mid", "--config config.json"),
+    ("chords song.mid", "--out-report report.tsv"),
+    ("chords song.mid", "--beat-ms 1000"),
+    ("vocab", "--out-manifest vocab.tsv"),
+]
+FLAG_IDS = [f"{argv.split()[0]} {flag.split()[0]}" for argv, flag in FLAG_CASES]
+
+
+def test_flag_cases_cover_every_optional_flag_of_every_command():
+    commands = next(
+        action.choices for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    flags = [
+        f"{name} {action.option_strings[-1]}"
+        for name, parser in commands.items()
+        for action in parser._actions
+        if action.option_strings and not isinstance(action, argparse._HelpAction)
+    ]
+    assert sorted(FLAG_IDS) == sorted(flags)
+
+
+@pytest.fixture
+def flag_case_output(tmp_path, monkeypatch, capsys):
+    """A function: what a FLAG_CASES command line prints and writes.
+
+    Each call runs in a fresh copy of one directory of inputs.  A
+    manifest's ``inputs`` object is left out: it echoes the arguments,
+    so a flag that changed only its echo would seem to change the output.
+    """
+    inputs = tmp_path / "inputs"
+    (inputs / "corpus").mkdir(parents=True)
+    (inputs / "corpus" / "chords.mid").write_bytes(write_midi(chord_score(0)))
+    # A held triad (a chord unless a beat is 1 s), then one whose notes
+    # start 12 ms apart (a chord only in a 40 ms window), past a bar line.
+    song = [NoteEvent(Instrument.PIANO, p, 0, 1200) for p in (60, 64, 67)]
+    for k, pitch in enumerate((62, 65, 69)):
+        song.append(NoteEvent(Instrument.PIANO, pitch, 1500 + 12 * k, 2700))
+    (inputs / "song.mid").write_bytes(write_midi(ScoreTimeline(notes=song)))
+    (inputs / "mix.json").write_text(json.dumps({"joy": 0.6, "sadness": 0.4}))
+    (inputs / "log.txt").write_text(SCENE_LOG)
+    config = {"chord_dropout": 1.0, "top_k": 1, "min_gap_s": 1.0, "simultaneity_eps_ms": 40}
+    (inputs / "config.json").write_text(json.dumps(config))
+    models = tmp_path / "models"
+    models.mkdir()
+    (models / "flag_case_models.py").write_text(
+        "from midisync.generator import ScriptedBoundaryModel\n"
+        "low = ScriptedBoundaryModel(root_pitch=48)\n"
+        "high = ScriptedBoundaryModel(root_pitch=60)\n"
+    )
+    monkeypatch.syspath_prepend(str(models))
+
+    def output(name: str, argv: str) -> dict:
+        work = tmp_path / name
+        shutil.copytree(inputs, work)
+        monkeypatch.chdir(work)
+        capsys.readouterr()
+        assert main(argv.split()) == 0
+        written = {"stdout": capsys.readouterr().out}
+        for path in sorted(work.rglob("*")):
+            rel = str(path.relative_to(work))
+            if path.is_file() and not (inputs / rel).exists():
+                data = path.read_bytes()
+                written[rel] = json.loads(data)["outputs"] if path.suffix == ".json" else data
+        return written
+
+    return output
+
+
+@pytest.mark.parametrize("argv, flag", FLAG_CASES, ids=FLAG_IDS)
+def test_every_flag_changes_its_command_output(flag_case_output, argv, flag):
+    assert flag_case_output("changed", f"{argv} {flag}") != flag_case_output("default", argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "encode song.mid song.tokens --seed 1",
+        "decode song.tokens song.mid --seed 1",
+        "scenes log.txt bounds.txt --seed 1",
+        "chords song.mid --seed 1",
+        "encode song.mid song.tokens --config config.json",
+        "decode song.tokens song.mid --config config.json",
+    ],
+)
+def test_a_flag_the_command_does_not_read_is_rejected_before_any_file_is_read(
+    tmp_path, monkeypatch, capsys, argv
+):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv.split())
+    assert exit_info.value.code == 2
+    flag, value = argv.split()[-2:]
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 import time
 
 import pytest
@@ -74,6 +75,38 @@ def test_parse_cut_beyond_duration_is_error():
 def test_parse_non_finite_duration_is_error(text):
     with pytest.raises(SceneLogError, match="not a finite number"):
         parse_scene_log(text)
+
+
+def test_parse_reads_each_number_whole():
+    cuts = parse_scene_log("pts_time:3e0 pos: 1\npts_time:15 pos: 2\nduration=2e1\n")
+    assert cuts.cut_times_s == (3.0, 15.0)
+    assert cuts.video_duration_s == 20.0
+
+
+# (log text, the error it raises)
+BAD_FIELDS = [
+    ("duration=1e400\n", "duration value '1e400' is not a finite number"),
+    ("duration=30s\n", "duration value '30s' is not a finite number"),
+    ("duration=\n", "duration value '' is not a finite number"),
+    ("duration=30,0\n", "duration value '30,0' is not a finite number"),
+    ("pts_time:3.2.5 pos: 1\nduration=30\n", "pts_time value '3.2.5' is not a finite number"),
+    ("pts_time:N/A pos: 1\nduration=30\n", "pts_time value 'N/A' is not a finite number"),
+    ("pts_time:3.2pos: 1\nduration=30\n", "pts_time value '3.2pos:' is not a finite number"),
+    ("pts_time:nan\nduration=30\n", "pts_time value 'nan' is not a finite number"),
+    ("pts_time=inf\nduration=30\n", "pts_time value 'inf' is not a finite number"),
+    ("pts_time:-1e400\nduration=30\n", "pts_time value '-1e400' is not a finite number"),
+]
+
+
+@pytest.mark.parametrize("text, message", BAD_FIELDS, ids=[message for _, message in BAD_FIELDS])
+def test_parse_rejects_a_field_that_is_not_a_whole_finite_number(text, message):
+    with pytest.raises(SceneLogError, match=f"^{re.escape(message)}$"):
+        parse_scene_log(text)
+
+
+def test_parse_skips_negative_cut_records():
+    cuts = parse_scene_log("pts_time:-1.5\npts_time:-0\npts_time:-2e0\npts_time:2\nduration=10\n")
+    assert cuts.cut_times_s == (2.0,)
 
 
 def test_scene_cuts_validation():
