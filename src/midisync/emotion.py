@@ -249,7 +249,11 @@ def parse_distribution(text: str) -> EmotionDistribution:
         if name in mapping:
             raise ValueError(f"line {lineno}: duplicate category {name!r}")
         try:
-            mapping[name] = float(value)
+            mapping[name] = p = float(value)
         except ValueError:
             raise ValueError(f"line {lineno}: bad probability {value!r}") from None
+        if not math.isfinite(p):
+            raise ValueError(f"line {lineno}: probability of {name!r} must be finite, got {p!r}")
+        if p < 0:
+            raise ValueError(f"line {lineno}: probabilities must be non-negative")
     return EmotionDistribution.from_mapping(mapping)

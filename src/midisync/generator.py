@@ -3,15 +3,15 @@
 A *model* here is anything that maps the generation context (token
 history, per-token offset history, valence, arousal) to a probability
 distribution over the vocabulary.  The loop in :func:`generate` owns
-everything else: it reduces the proposal to its valid nonzero
-``(id, weight)`` pairs, samples among them in plain Python with a seeded
-generator, feeds every emitted token to the boundary scheduler, and
-stops once the time cursor reaches the requested duration.  Its one
-state, the scheduler's :class:`~midisync.scheduler.GeneratorState`, is
-the :class:`~midisync.tokens.DecodeState` that also reads streams back
+everything else: it keeps the valid ones of any model's nonzero
+``(id, weight)`` pairs with one ``DecodeState.valid`` call, samples among
+them in plain Python with a seeded generator, feeds every emitted token to
+the boundary scheduler, and stops once the cursor reaches the duration.
+Its one state, the scheduler's :class:`~midisync.scheduler.GeneratorState`,
+is the :class:`~midisync.tokens.DecodeState` that also reads streams back
 into notes.  :func:`~midisync.scheduler.on_token` folds each emitted
-token into it once; the grammar mask and the built-in models read it,
-so a step costs the same at any history length.
+token into it once; the grammar and the built-in models read it, so a
+step costs the same at any history length.
 
 Two models ship with the package: :class:`ReferenceModel`, a small
 hand-written heuristic that reacts to valence/arousal and to the
@@ -95,8 +95,9 @@ def _fold(tokens: list[Token]) -> DecodeState:
 
 
 def grammar_mask(tokens: list[Token]) -> np.ndarray:
-    """The mask of valid next tokens after ``tokens`` (see :meth:`DecodeState.mask`)."""
-    return _fold(tokens).mask()
+    """The valid next ids after ``tokens`` as a boolean mask (see :meth:`DecodeState.valid`)."""
+    valid = _fold(tokens).valid([(i, 1.0) for i in range(len(VOCABULARY))])
+    return np.isin(np.arange(len(VOCABULARY)), [i for i, _ in valid])
 
 
 # ---------------------------------------------------------------------------
@@ -142,9 +143,8 @@ class GenerationResult:
         }
 
 
-def _dense_pairs(probs: np.ndarray, state: GeneratorState) -> Pairs:
-    """A model's vector checked over all ids, then reduced to its valid nonzero pairs."""
-    step = len(state.tokens)
+def _dense_pairs(probs: np.ndarray, step: int) -> Pairs:
+    """A model's vector checked over all ids, as its nonzero ``(id, weight)`` pairs."""
     probs = np.asarray(probs, dtype=np.float64)
     if probs.shape != (len(VOCABULARY),):
         raise GenerationError(
@@ -161,7 +161,7 @@ def _dense_pairs(probs: np.ndarray, state: GeneratorState) -> Pairs:
             total = float(probs.sum())
     if abs(total - 1.0) > 1e-6:
         raise GenerationError(f"step {step}: model distribution sums to {total!r}, not 1")
-    support = np.flatnonzero(state.mask() & (probs > 0))
+    support = np.flatnonzero(probs)
     return list(zip(support.tolist(), probs[support].tolist()))
 
 
@@ -207,12 +207,12 @@ def generate(
 
     ``config`` (the defaults when None) gives the temperature, top-k and
     scheduler windows.  The emitted history always begins with START.  Each
-    step takes the valid nonzero ``(id, weight)`` pairs in id order (a
-    built-in model's own, or any other model's checked vector), then
-    normalises, tempers (to the power 1/T, renormalised; zeros drop out),
-    cuts to top-k (ties to the lower id, back in id order) and draws, in
-    plain Python, the id ``Generator.choice`` over the full vector would.
-    Exactness rules: sums run left to right through
+    step keeps the valid (:meth:`DecodeState.valid`) ones of the nonzero
+    ``(id, weight)`` pairs in id order (a built-in model's own, or any other
+    model's checked vector), then normalises, tempers (to the power 1/T,
+    renormalised; zeros drop out), cuts to top-k (ties to the lower id, back
+    in id order) and draws, in plain Python, the id ``Generator.choice``
+    over the full vector would.  Exactness rules: sums run left to right through
     ``itertools.accumulate``, never ``sum()`` (compensated from Python 3.12)
     or ``math.fsum``; the draw is ``bisect_right`` on ``cdf / cdf[-1]`` with
     one ``rng.random()``, so top-k is not renormalised.  Checks, in order: a
@@ -250,13 +250,13 @@ def generate(
             )
         if isinstance(model, _BuiltinModel):
             pairs = model._weights(state, state.offsets, va.valence, va.arousal)
-            for _, w in pairs:  # checked as a vector's entries are, then masked
+            for _, w in pairs:  # checked as a vector's entries are
                 if not 0.0 <= w < math.inf:
                     raise GenerationError(_INVALID_ENTRIES.format(step=len(state.tokens)))
-            pairs = state.valid(pairs)
         else:
             probs = model.next_distribution(state.tokens, state.offsets, va.valence, va.arousal)
-            pairs = _dense_pairs(probs, state)
+            pairs = _dense_pairs(probs, len(state.tokens))
+        pairs = state.valid(pairs)
         on_token(state, VOCABULARY[_sample(pairs, state, temperature, top_k, rng)], scheduler)
 
     return GenerationResult(

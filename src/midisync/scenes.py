@@ -51,14 +51,16 @@ class SceneCuts:
         object.__setattr__(self, "cut_times_s", cuts)
 
 
-def _field_seconds(field: str, value: str) -> float:
+def _field_seconds(field: str, match: re.Match) -> float:
     """A log field's whole value, which must be a finite number of seconds."""
+    value = match.group(1)
     try:
         if math.isfinite(seconds := float(value)):
             return seconds
     except ValueError:
         pass
-    raise SceneLogError(f"{field} value {value!r} is not a finite number")
+    line = match.string.count("\n", 0, match.start()) + 1
+    raise SceneLogError(f"line {line}: {field} value {value!r} is not a finite number")
 
 
 def parse_scene_log(text: str) -> SceneCuts:
@@ -67,28 +69,29 @@ def parse_scene_log(text: str) -> SceneCuts:
     Recognizes ``pts_time:<seconds>`` (and ``pts_time=``) cut records,
     ``duration=<seconds>`` fields, and ``Duration: HH:MM:SS.cc`` header
     lines.  A field's value is read up to the next whitespace, and one
-    that is not a finite number is an error; records with a negative
-    ``pts_time`` are skipped.  Duplicate cuts collapse; a missing,
-    unparsable or infinite duration is an error because downstream
-    filtering needs the clip length.
+    that is not a finite number is an error naming its line (``line N:``);
+    records with a negative ``pts_time`` are skipped.  Duplicate cuts
+    collapse; a missing, unparsable or infinite duration is an error
+    because downstream filtering needs the clip length.
     """
-    cuts = [_field_seconds("pts_time", m.group(1)) for m in _CUT_RE.finditer(text)]
+    cuts = [_field_seconds("pts_time", m) for m in _CUT_RE.finditer(text)]
     cuts = [t for t in cuts if math.copysign(1.0, t) > 0]  # skips -0 too
 
     duration = None
     field = _DURATION_FIELD_RE.search(text)
     if field:
-        duration = _field_seconds("duration", field.group(1))
+        duration = _field_seconds("duration", field)
     else:
         clock = _DURATION_CLOCK_RE.search(text)
         if clock:
             hours, minutes, seconds = (float(clock.group(i)) for i in range(1, 4))
             frac = float(f"0.{clock.group(4)}") if clock.group(4) else 0.0
             duration = hours * 3600 + minutes * 60 + seconds + frac
+            if not math.isfinite(duration):
+                line = text.count("\n", 0, clock.start()) + 1
+                raise SceneLogError(f"line {line}: clip duration is not a finite number")
     if duration is None:
         raise SceneLogError("no clip duration found in detector output")
-    if not math.isfinite(duration):
-        raise SceneLogError("clip duration in detector output is not a finite number")
     if cuts and max(cuts) >= duration:
         raise SceneLogError(
             f"cut at {max(cuts)} s is not inside the reported duration {duration} s"
@@ -126,6 +129,7 @@ def detect_scenes(
     ``ffmpeg``) and is invoked with a scene-change filter at the given
     threshold; all stderr/stdout text is fed to :func:`parse_scene_log`.
     A detector still running after :data:`DETECT_TIMEOUT_S` is killed.
+    A nonzero exit is an error naming its status and last stderr line.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
@@ -150,4 +154,7 @@ def detect_scenes(
         ) from None
     except subprocess.TimeoutExpired:
         raise SceneLogError(f"scene detector timed out after {DETECT_TIMEOUT_S} s") from None
+    if proc.returncode:
+        last = proc.stderr.strip().rpartition("\n")[2].strip()
+        raise SceneLogError(f"scene detector exited with status {proc.returncode}: {last!r}")
     return parse_scene_log(proc.stderr + "\n" + proc.stdout)

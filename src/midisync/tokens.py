@@ -29,9 +29,9 @@ codec: :func:`parse_ids` reads the text, :func:`cursors_of` gives the
 cursors, :func:`format_ids` writes the text, and :func:`tokens_of` gives
 its Token list (:func:`ids_of` goes the other way).  Generation works
 on Token lists, one token at a time: one :class:`DecodeState` reads
-every token prefix for the grammar mask and the generation models
-alike.  ``midi_codec.decode_ids`` pairs notes by the same rule over a
-whole id array.
+every token prefix for the grammar (:meth:`DecodeState.valid`, its one
+encoding) and the generation models alike.  ``midi_codec.decode_ids``
+pairs notes by the same rule over a whole id array.
 """
 
 from __future__ import annotations
@@ -306,13 +306,10 @@ def parse_tokens(text: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 
 
-# Valid at position zero: everything but OFF.  After it START and PAD
-# are invalid too.  An OFF becomes valid while its note is open.
-_FIRST_MASK = np.array([tok.kind is not TokenKind.OFF for tok in VOCABULARY])
-_BASE_MASK = _FIRST_MASK.copy()
-_BASE_MASK[[START.id, PAD.id]] = False
-# The same two rows as lists of bools, for the plain-Python :meth:`DecodeState.valid`.
-_MASK_ROWS = (_FIRST_MASK.tolist(), _BASE_MASK.tolist())
+# Whether each id may come next when no note is open and no CHORD pending:
+# at position zero every id but the OFFs, later also not START or PAD.
+_FIRST_ROW = [tok.kind is not TokenKind.OFF for tok in VOCABULARY]
+_LATER_ROW = [ok and i not in (START.id, PAD.id) for i, ok in enumerate(_FIRST_ROW)]
 
 #: ``(id, weight)`` pairs in increasing id order, as the sampling step reads a distribution.
 Pairs = list[tuple[int, float]]
@@ -391,23 +388,14 @@ class DecodeState:
             self.shifted_since_chord = False
             self.chord_pitches = []
 
-    def mask(self) -> np.ndarray:
-        """Boolean mask over the vocabulary ids of grammatically valid next tokens.
-
-        Rules: an OFF is valid only for a currently open (instrument,
-        pitch); START and PAD are valid only at position zero; a second
-        CHORD is invalid until at least one ON has followed the previous
-        CHORD (a chord marker must announce some notes).
-        """
-        mask = (_BASE_MASK if self.length else _FIRST_MASK).copy()
-        mask[list(self.open_notes)] = True
-        if self.chord_pending:
-            mask[CHORD.id] = False
-        return mask
-
     def valid(self, pairs: Pairs) -> Pairs:
-        """The ``(id, weight)`` pairs whose ids :meth:`mask` allows, in their order."""
-        row = _MASK_ROWS[self.length > 0]
+        """The ``(id, weight)`` pairs whose ids may come next, in their order: the grammar.
+
+        START and PAD are valid only at position zero, an OFF only while its
+        note is open, a CHORD only once an ON has followed the previous CHORD
+        (a chord marker must announce some notes), and any other id always.
+        """
+        row = _LATER_ROW if self.length else _FIRST_ROW
         open_notes = self.open_notes
         blocked = CHORD.id if self.chord_pending else -1
         return [p for p in pairs if (row[p[0]] or p[0] in open_notes) and p[0] != blocked]

@@ -5,12 +5,18 @@ benchmark's workloads (``BENCHMARK.json``), the tier-1 command
 (``ROADMAP.md``), the NumPy floor and the oldest Python
 (``pyproject.toml``).  Each check here fails when one copy moves and
 the other does not.
+
+Its packaging smoke test is ``tests/smoke.sh`` on the installed
+package; tier-1 runs the same script on the source tree, so a check
+in it that fails fails here too.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
 from pathlib import Path
 
 import yaml
@@ -19,6 +25,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKFLOW = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text())
 JOBS = WORKFLOW["jobs"]
 PYPROJECT = (ROOT / "pyproject.toml").read_text()
+SMOKE = ROOT / "tests" / "smoke.sh"
 
 
 def step_runs(job: dict) -> list[str]:
@@ -71,3 +78,23 @@ def test_the_lowest_python_of_the_matrix_is_the_one_pyproject_requires():
     assert min(matrix, key=version) == required
     floor_job = JOBS["numpy-floor"]["steps"]
     assert [step["with"]["python-version"] for step in floor_job if "with" in step] == [required]
+
+
+def test_the_packaging_smoke_step_installs_the_package_and_runs_the_script():
+    steps = [
+        step["run"] for step in JOBS["tests"]["steps"] if step.get("name") == "Packaging smoke test"
+    ]
+    assert len(steps) == 1
+    assert steps[0].splitlines() == [
+        "python -m pip install .",
+        f'bash {SMOKE.relative_to(ROOT)} "$RUNNER_TEMP"',
+    ]
+
+
+def test_the_smoke_script_passes_on_the_source_tree(tmp_path):
+    path = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "MIDISYNC": "python3 -m midisync.cli", "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run(
+        ["bash", str(SMOKE), str(tmp_path)], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -817,6 +817,36 @@ def test_generate_sends_an_undecodable_file_to_the_detector(tmp_path, monkeypatc
     assert manifest["inputs"]["boundaries_s"] == [3.0, 9.0, 20.0]
 
 
+# A detector that fails on its input: it reports a duration, then the
+# error, and exits 1, as ffmpeg does on a file it cannot decode.
+FAILING_DETECTOR = """\
+import sys
+print("  Duration: 00:01:00.00, start: 0.000000", file=sys.stderr)
+print("v.mp4: Invalid data found when processing input", file=sys.stderr)
+sys.exit(1)
+"""
+DETECTOR_FAILURE = (
+    "scene detector exited with status 1: 'v.mp4: Invalid data found when processing input'"
+)
+
+
+@pytest.mark.parametrize(
+    "command, stage", [("scenes", "scenes/detect"), ("generate", "generate/boundaries")]
+)
+def test_a_failing_detector_fails_the_command(tmp_path, monkeypatch, capsys, command, stage):
+    detector = tmp_path / "failing-detector"
+    detector.write_text(f"#!{sys.executable}\n{FAILING_DETECTOR}")
+    detector.chmod(0o755)
+    monkeypatch.setenv("MIDISYNC_SCENE_BIN", str(detector))
+    video = tmp_path / "v.mp4"
+    video.write_bytes(VIDEO_HEAD)
+    out = tmp_path / ("out.txt" if command == "scenes" else "out.mid")
+    argv = [str(video), str(out)] if command == "scenes" else ["none", str(video), "5", str(out)]
+    assert main([command, *argv]) == 1
+    assert capsys.readouterr().err == f"error: {stage}: {DETECTOR_FAILURE}\n"
+    assert set(tmp_path.iterdir()) == {detector, video}  # no output of any kind
+
+
 def test_a_video_is_sent_to_the_detector_after_a_bounded_read(tmp_path, monkeypatch):
     monkeypatch.setenv("MIDISYNC_SCENE_BIN", str(stub_detector(tmp_path)))
     video = tmp_path / "big.mp4"

@@ -254,6 +254,34 @@ def test_distribution_rejects_non_finite_probability_in_both_formats(text):
         parse_distribution(text)
 
 
+# (line-format text, the error it raises)
+LINE_FAULTS = [
+    ("joy: nan\n", "line 1: probability of 'joy' must be finite, got nan"),
+    ("joy: 1e400\n", "line 1: probability of 'joy' must be finite, got inf"),
+    ("joy: -0.5\n", "line 1: probabilities must be non-negative"),
+    ("# mix\n\njoy: 0.5\nfear = -inf\n", "line 4: probability of 'fear' must be finite, got -inf"),
+    ("joy: 1.5\nfear: -0.5\n", "line 2: probabilities must be non-negative"),
+    # each value is checked as its line is read, so the first bad line is named
+    ("joy: 0.5\nsadness: nan\nanger: -1\n",
+     "line 2: probability of 'sadness' must be finite, got nan"),
+    # no one value to blame: no line
+    ("joy: 0.5\n", "probabilities must sum to 1"),
+    ("glee: 1.0\n", "unknown categories: ['glee']"),
+]
+
+
+@pytest.mark.parametrize("text, message", LINE_FAULTS, ids=[text for text, _ in LINE_FAULTS])
+def test_line_format_names_the_line_of_a_rejected_value(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        parse_distribution(text)
+
+
+def test_json_format_names_the_category_and_no_line():
+    message = "probability of 'joy' must be finite, got nan"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_distribution('{"fear": 0.5, "joy": NaN}')
+
+
 @pytest.mark.parametrize(
     "value, shown", [("null", "None"), ("[0.5]", "[0.5]"), ("{}", "{}"), ("true", "True"),
                      ("1" + "0" * 400, "1" + "0" * 400)],

@@ -168,11 +168,10 @@ def test_incremental_mask_matches_whole_history_oracle_at_every_prefix():
         state = DecodeState()
         for i in range(len(tokens) + 1):
             expected = oracle_grammar_mask(tokens[:i])
-            assert np.array_equal(state.mask(), expected), f"prefix {i}"
-            assert np.array_equal(grammar_mask(tokens[:i]), expected), f"prefix {i}"
-            # the plain-Python mask over (id, weight) pairs keeps the same ids, in order
+            # the grammar over every (id, weight) pair keeps the oracle's ids, in order
             every = [(token_id, 0.5) for token_id in range(len(VOCABULARY))]
-            assert [t for t, _ in state.valid(every)] == np.flatnonzero(expected).tolist()
+            assert state.valid(every) == [(t, 0.5) for t in np.flatnonzero(expected)], f"prefix {i}"
+            assert np.array_equal(grammar_mask(tokens[:i]), expected), f"prefix {i}"
             if i < len(tokens):
                 state.push(tokens[i])
 
@@ -185,7 +184,7 @@ def test_open_notes_are_keyed_by_the_closing_off_id():
     off = Token.off(Instrument.PIANO, 60)
     assert list(state.open_notes) == [off.id]
     assert list(state.open_notes[off.id]) == [0, 16]
-    assert state.mask()[off.id] and not state.mask()[Token.off(Instrument.BASS, 40).id]
+    assert state.valid([(off.id, 1.0), (Token.off(Instrument.BASS, 40).id, 1.0)]) == [(off.id, 1.0)]
 
 
 def test_off_ids_order_notes_by_instrument_then_pitch():
@@ -533,9 +532,9 @@ def test_support_draw_matches_generator_choice(name, seed):
     assert ours.random() == oracle.random()
 
 
-def full_width_step(probs, state, temperature, top_k, rng) -> int:
-    """Oracle: the sampling step as it ran over all ids, with the draw it called."""
-    masked = np.where(state.mask(), probs, 0.0)
+def full_width_step(probs, mask, state, temperature, top_k, rng) -> int:
+    """Oracle: the sampling step as it ran over all ids under ``mask``, with the draw it called."""
+    masked = np.where(mask, probs, 0.0)
     total = float(masked.sum())
     if total <= 0.0:
         raise GenerationError(
@@ -567,13 +566,13 @@ def full_width_step(probs, state, temperature, top_k, rng) -> int:
 
 
 class MaskedState:
-    """What a sampling step reads of the loop's state, with a given mask."""
+    """What a sampling step reads of the loop's state, with a given mask for its grammar."""
 
     def __init__(self, mask: np.ndarray) -> None:
-        self._mask, self.tokens, self.cursor_s = mask, [START], 1.5
+        self.mask, self.tokens, self.cursor_s = mask, [START], 1.5
 
-    def mask(self) -> np.ndarray:
-        return self._mask
+    def valid(self, pairs):
+        return [p for p in pairs if self.mask[p[0]]]
 
 
 #: top_k that never cuts: no step has more candidates than the vocabulary has ids
@@ -589,7 +588,8 @@ def _step_or_error(step, *args):
 
 def dense_step(probs, state, temperature, top_k, rng) -> int:
     """The step as :func:`generate` takes it for a model that returns a dense vector."""
-    return _sample(_dense_pairs(probs, state), state, temperature, top_k, rng)
+    pairs = state.valid(_dense_pairs(probs, len(state.tokens)))
+    return _sample(pairs, state, temperature, top_k, rng)
 
 
 @pytest.mark.parametrize("name", sorted(_oracle_vectors()))
@@ -604,7 +604,10 @@ def test_support_step_matches_the_full_width_step(name, temperature, top_k):
         state = MaskedState(masks.random(len(VOCABULARY)) < density)
         ours, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
         got = [_step_or_error(dense_step, probs, state, *sampling, ours) for _ in range(20)]
-        want = [_step_or_error(full_width_step, probs, state, *sampling, oracle) for _ in range(20)]
+        want = [
+            _step_or_error(full_width_step, probs, state.mask, state, *sampling, oracle)
+            for _ in range(20)
+        ]
         assert got == want
         # one uniform per draw: the two generators are still in step
         assert ours.random() == oracle.random()
@@ -631,13 +634,42 @@ def test_builtin_pairs_step_matches_the_full_width_step(run, temperature, top_k)
     for step, token in enumerate(result.tokens):
         on_token(state, token, SchedulerParams())
         probs = model.next_distribution(state.tokens, state.offsets, va.valence, va.arousal)
+        mask = oracle_grammar_mask(state.tokens)
         pairs = state.valid(model._weights(state, state.offsets, va.valence, va.arousal))
         ours, oracle = np.random.default_rng(step), np.random.default_rng(step)
         got = [_step_or_error(_sample, pairs, state, *sampling, ours) for _ in range(5)]
-        want = [_step_or_error(full_width_step, probs, state, *sampling, oracle) for _ in range(5)]
+        want = [
+            _step_or_error(full_width_step, probs, mask, state, *sampling, oracle)
+            for _ in range(5)
+        ]
         assert got == want, f"step {step}"
         # one uniform per draw: the two generators are still in step
         assert ours.random() == oracle.random()
+
+
+class Delegate:
+    """A plain object that hands each call to a built-in model, so generate reads its vector."""
+
+    def __init__(self, model) -> None:
+        self.model = model
+
+    def next_distribution(self, tokens, offsets, valence, arousal):
+        return self.model.next_distribution(tokens, offsets, valence, arousal)
+
+
+@pytest.mark.parametrize("run", range(len(_BUILTIN_RUNS)))
+@pytest.mark.parametrize("temperature", [1.0, 0.7, 1.3])
+@pytest.mark.parametrize("top_k", [NO_CUT, 1, 2, 5, 32])
+def test_a_builtin_model_draws_the_same_stream_as_its_vector(run, temperature, top_k):
+    # A built-in model's pairs and its checked vector meet at one grammar step and one draw.
+    model, va, bounds = _BUILTIN_RUNS[run]
+    boundaries = BoundaryList.from_times(bounds)
+    config = PipelineConfig(temperature=temperature, top_k=top_k)
+    for seed in range(6):
+        own, wrapped = (
+            generate(m, va, boundaries, 10.0, config, seed=seed) for m in (model, Delegate(model))
+        )
+        assert (own.tokens, own.offsets) == (wrapped.tokens, wrapped.offsets), f"seed {seed}"
 
 
 # ---------------------------------------------------------------------------

@@ -83,24 +83,29 @@ def test_parse_reads_each_number_whole():
     assert cuts.video_duration_s == 20.0
 
 
-# (log text, the error it raises)
+# (log text, the line of its bad field, the error it raises after "line N: ")
 BAD_FIELDS = [
-    ("duration=1e400\n", "duration value '1e400' is not a finite number"),
-    ("duration=30s\n", "duration value '30s' is not a finite number"),
-    ("duration=\n", "duration value '' is not a finite number"),
-    ("duration=30,0\n", "duration value '30,0' is not a finite number"),
-    ("pts_time:3.2.5 pos: 1\nduration=30\n", "pts_time value '3.2.5' is not a finite number"),
-    ("pts_time:N/A pos: 1\nduration=30\n", "pts_time value 'N/A' is not a finite number"),
-    ("pts_time:3.2pos: 1\nduration=30\n", "pts_time value '3.2pos:' is not a finite number"),
-    ("pts_time:nan\nduration=30\n", "pts_time value 'nan' is not a finite number"),
-    ("pts_time=inf\nduration=30\n", "pts_time value 'inf' is not a finite number"),
-    ("pts_time:-1e400\nduration=30\n", "pts_time value '-1e400' is not a finite number"),
+    ("duration=1e400\n", 1, "duration value '1e400' is not a finite number"),
+    ("pts_time:2 pos: 1\nduration=30s\n", 2, "duration value '30s' is not a finite number"),
+    ("duration=\n", 1, "duration value '' is not a finite number"),
+    ("frame=1\n\nframe=2\nduration=30,0\n", 4, "duration value '30,0' is not a finite number"),
+    ("pts_time:3.2.5 pos: 1\nduration=30\n", 1, "pts_time value '3.2.5' is not a finite number"),
+    ("pts_time:1 pos: 0\npts_time:N/A pos: 1\nduration=30\n", 2,
+     "pts_time value 'N/A' is not a finite number"),
+    ("pts_time:3.2pos: 1\nduration=30\n", 1, "pts_time value '3.2pos:' is not a finite number"),
+    ("pts_time:nan\nduration=30\n", 1, "pts_time value 'nan' is not a finite number"),
+    ("duration=30\r\n\r\npts_time=inf\n", 3, "pts_time value 'inf' is not a finite number"),
+    ("pts_time:-1e400\nduration=30\n", 1, "pts_time value '-1e400' is not a finite number"),
+    ("pts_time:1\n  Duration: " + "9" * 400 + ":00:00.00\n", 2,
+     "clip duration is not a finite number"),
 ]
 
 
-@pytest.mark.parametrize("text, message", BAD_FIELDS, ids=[message for _, message in BAD_FIELDS])
-def test_parse_rejects_a_field_that_is_not_a_whole_finite_number(text, message):
-    with pytest.raises(SceneLogError, match=f"^{re.escape(message)}$"):
+@pytest.mark.parametrize(
+    "text, line, message", BAD_FIELDS, ids=[message for *_, message in BAD_FIELDS]
+)
+def test_parse_rejects_a_field_that_is_not_a_whole_finite_number(text, line, message):
+    with pytest.raises(SceneLogError, match=f"^line {line}: {re.escape(message)}$"):
         parse_scene_log(text)
 
 
@@ -201,3 +206,18 @@ def test_detector_that_overruns_the_timeout_is_killed(tmp_path, monkeypatch):
     with pytest.raises(SceneLogError, match=r"^scene detector timed out after 0\.2 s$"):
         detect_scenes("clip.mp4")
     assert time.monotonic() - start < 4
+
+
+@pytest.mark.parametrize(
+    "script, last",
+    [("exit 3", "''"), ("echo duration=30 >&2; printf 'first\\n  last  \\n\\n' >&2; exit 3", "'last'")],
+)
+def test_detector_that_exits_nonzero_fails_naming_its_last_stderr_line(
+    tmp_path, monkeypatch, script, last
+):
+    detector = tmp_path / "failing-detector"
+    detector.write_text(f"#!/bin/sh\n{script}\n")
+    detector.chmod(0o755)
+    monkeypatch.setenv("MIDISYNC_SCENE_BIN", str(detector))
+    with pytest.raises(SceneLogError, match=f"^scene detector exited with status 3: {last}$"):
+        detect_scenes("clip.mp4")

@@ -25,7 +25,17 @@ from midisync.scheduler import (
     on_token,
     parse_boundaries,
 )
-from midisync.tokens import BAR, CHORD, START, DecodeState, Instrument, Token, TokenKind, cursors_of
+from midisync.tokens import (
+    BAR,
+    CHORD,
+    START,
+    VOCABULARY,
+    DecodeState,
+    Instrument,
+    Token,
+    TokenKind,
+    cursors_of,
+)
 
 
 def fold_offsets(tokens, boundaries: BoundaryList, params: SchedulerParams) -> list[float]:
@@ -418,6 +428,10 @@ def test_cursor_conservation():
         assert state.cursor_s == total_ms / 1000.0
 
 
+#: Every id, as the (id, weight) pairs the grammar reads.
+EVERY_ID = [(i, 1.0) for i in range(len(VOCABULARY))]
+
+
 def test_generator_state_is_the_decode_state_of_its_tokens():
     rng = random.Random(77)
     for _ in range(40):
@@ -429,7 +443,7 @@ def test_generator_state_is_the_decode_state_of_its_tokens():
             decode.push(tok)
             assert (state.length, state.cursor_ms) == (decode.length, decode.cursor_ms)
             assert state.open_notes == decode.open_notes
-            assert np.array_equal(state.mask(), decode.mask())
+            assert state.valid(EVERY_ID) == decode.valid(EVERY_ID)
         assert state.tokens == tokens and len(state.offsets) == len(tokens)
 
 
