@@ -113,7 +113,7 @@ class EmotionDistribution:
         if np.any(probs < 0):
             raise ValueError("probabilities must be non-negative")
         if abs(float(probs.sum()) - 1.0) > 1e-6:
-            raise ValueError(f"probabilities must sum to 1, got {probs.sum()!r}")
+            raise ValueError(f"probabilities must sum to 1, got {float(probs.sum())!r}")
         object.__setattr__(self, "probs", probs)
 
     @classmethod

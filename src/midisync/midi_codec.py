@@ -9,22 +9,21 @@ and the decoder reads one back (:func:`decode_ids`); :func:`encode_events`
 and :func:`decode_events` are the same on Token lists.  The decoder
 pairs notes by the rule of ``tokens.DecodeState``, which generation
 folds one token at a time, but in NumPy over the whole array
-(:func:`_orphan_rule`, which also settles each SMF track).
+(:func:`_orphan_rule`, which also settles an SMF file's tracks).
 
 A :class:`ScoreTimeline` is the neutral middle ground: absolute
 integer-millisecond note intervals bucketed into the five instrument
 categories, plus bar marks and a tempo.  SMF parsing is written from
 scratch so that malformed input can be reported with exact byte
 offsets; it supports format 0 and 1 files, running status, tempo and
-time-signature metadata, and both PPQ and SMPTE divisions.  It has two
-track readers.  One compiled bytes pattern, then NumPy, reads a track of
-channel events that each carry their own status byte, tempo and time
-signature events and one End of Track at its end: every track
-:func:`write_midi` makes.  A byte scan reads every other track, and so
-every fault: each error's message and byte offset come from the scan.
-Both only find events: one :func:`_meta` reads a tempo or metre, and one
-:func:`_settle_track` says what a track's notes and program changes mean
-and settles its notes, with the warnings.
+time-signature metadata, and both PPQ and SMPTE divisions.  It reads a
+file in one pass.  One compiled bytes pattern tokenises each track body;
+it tiles a body of channel events that each carry their own status byte,
+tempos, time signatures and End of Track: every track :func:`write_midi`
+makes.  A byte scan reads every body it cannot tile, and so every fault:
+each error's message and byte offset come from the scan.  NumPy then
+finds every tiled event at once (:func:`_decode`), and one :func:`_settle`
+says what all notes and program changes mean and settles them.
 
 A :class:`ScoreTimeline` stores its notes as sorted int64 columns
 (onset, instrument block, pitch, offset, velocity).  :func:`parse_midi`,
@@ -310,51 +309,44 @@ _BLOCK_CODES = np.array(
 
 
 class _Tracks:
-    """What :func:`parse_midi` keeps of the tracks read so far, in file order.
+    """What :func:`parse_midi`'s walk keeps of a file's tracks, in file order.
 
-    Per track, as :func:`_settle_track` keeps them, an int64 array of the
-    ticks and an int32 array of the codes of its note events: ons, the
-    offs that close a note, then the offs that close its dangling notes.
-    A code is key << 10 | instrument block << 7 | velocity, where key is
-    channel * 128 + pitch and a velocity of 0 marks a note-off.  Then the
-    tempo and time-signature candidates (:func:`_meta`), and the latest
-    kept note event's tick and the byte offset of its status.
+    ``parts`` and ``tiled`` hold, per track :data:`_EVENT` tiles, its event
+    lengths and its (index, body offset, event count); ``columns`` and
+    ``ends``, per track the byte scan reads, its note and program events'
+    (track, tick, status offset, status) and its last event's (index,
+    tick, status offset); ``metas``, the candidates of :func:`_meta`.
     """
 
-    __slots__ = ("sink", "ticks", "codes", "tempos", "timesigs", "last_tick", "last_off")
+    __slots__ = ("parts", "tiled", "columns", "ends", "metas")
 
-    def __init__(self, sink: list[str]) -> None:
-        self.sink = sink
-        # An empty first part: a file with no track still concatenates.
-        self.ticks = [np.empty(0, dtype=np.int64)]
-        self.codes = [np.empty(0, dtype=np.int32)]
-        self.tempos: list[tuple[int, int, int]] = []  # value: usec per quarter
-        self.timesigs: list[tuple[int, float, int]] = []  # value: quarters per bar
-        self.last_tick = self.last_off = 0
+    def __init__(self) -> None:
+        self.parts, self.tiled, self.columns, self.ends = [], [], [], []
+        self.metas = {0x51: [], 0x58: []}  # values: usec per quarter, quarters per bar
 
 
-def _meta(tracks: _Tracks, data: bytes, tick: int, meta_type: int, body: int, length: int) -> None:
-    """Keep a Set Tempo's or Time Signature's (tick, value, body offset) in ``tracks``."""
+def _meta(tracks: _Tracks, data: bytes, tick: int, track: int, meta_type: int, body: int,
+          length: int) -> None:
+    """Keep a Set Tempo's or Time Signature's candidate in ``tracks``."""
     if meta_type == 0x51 and length == 3:
-        tracks.tempos.append((tick, int.from_bytes(data[body:body + 3], "big"), body))
+        tracks.metas[0x51].append((tick, track, int.from_bytes(data[body:body + 3], "big"), body))
     elif meta_type == 0x58 and length >= 2:
-        tracks.timesigs.append((tick, data[body] * 4.0 / (1 << data[body + 1]), body))
+        tracks.metas[0x58].append((tick, track, data[body] * 4.0 / (1 << data[body + 1]), body))
 
 
 def _orphan_rule(key: np.ndarray, is_on: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Which note-offs close no note: one rule for SMF tracks and id streams.
+    """Which note-offs close no note: one rule for SMF files and id streams.
 
-    ``key`` names each event's note (below 2**15); ``is_on`` marks the
-    note-ons, and the rest are note-offs.  One more off per on follows the
-    n events, to close the notes left open.  Returns ``order``, the stable
-    sort of them all by key (index n + j is the off added for the j-th
-    on), and, in that order, ``orphan``: an off is one when it takes its
-    note's running count of ons less offs to a new low under zero.  The
-    added offs leave each note's count at its low, so one running sum and
-    one running minimum need no reset between notes.  Then each note has
-    as many kept offs as ons, and its k-th on pairs with its k-th kept off.
+    ``key`` names each event's note (int16 keys sort in one radix pass);
+    ``is_on`` marks the note-ons, and the rest are note-offs.  One more off
+    per on follows the n events, to close the notes left open.  Returns
+    ``order``, the stable sort of them all by key (index n + j is the off
+    added for the j-th on), and, in that order, ``orphan``: an off is one
+    when it takes its note's running count of ons less offs to a new low
+    under zero.  The added offs leave each note's count at its low, so one
+    running sum and one running minimum need no reset between notes: each
+    note keeps as many offs as ons, and its k-th on pairs with its k-th.
     """
-    key = key.astype(np.int16, copy=False)  # a radix sort
     order = np.argsort(np.concatenate((key, key[is_on])), kind="stable")
     is_up = np.concatenate((is_on, np.zeros(len(order) - len(key), dtype=bool)))
     step = np.where(is_up[order], np.int32(1), np.int32(-1))
@@ -362,106 +354,24 @@ def _orphan_rule(key: np.ndarray, is_on: np.ndarray) -> tuple[np.ndarray, np.nda
     return order, level < np.minimum.accumulate(level - step)
 
 
-def _first_data(buf: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """Turn the status offsets ``at`` into those of the first data bytes, in place."""
-    at += buf[at] >> 7  # under running status a status offset holds a data byte, below 0x80
-    return at
+def _decode(data: bytes, buf: np.ndarray, tracks: _Tracks, ends: np.ndarray) -> tuple:
+    """Each event's track, tick, status offset and status, in the tracks :data:`_EVENT` tiles.
 
-
-def _settle_track(buf: np.ndarray, ticks: np.ndarray, at: np.ndarray, status: np.ndarray,
-                  end_tick: int, end_off: int, track_index: int, tracks: _Tracks) -> None:
-    """Say what one track's channel events mean, and keep its notes in ``tracks``.
-
-    ``ticks``, ``at`` and ``status`` hold the tick, status offset and
-    status in force of each event, in order; only note-offs, note-ons and
-    program changes count.  ``buf`` is the file as uint8; ``end_tick`` and
-    ``end_off`` are those of the track's last event.  A note-on of
-    velocity 0 is a note-off; a note takes its channel's latest program.
-    By :func:`_orphan_rule`, orphan note-offs are dropped, with one warning
-    each in event order, and dangling notes close at the last event, with
-    one warning each in key order.  The latest kept tick, and the status
-    offset of the first event at it, feed the span check.
+    Status offsets come from one cumulative sum of the event lengths, and
+    ticks from one of the delta times, less its value where each track
+    begins.  A track ends at its first End of Track, or else its last
+    event: its tick and offset go in ``ends``, and every event after it
+    gets status 0, no event.  Tempos and time signatures go to :func:`_meta`.
     """
-    kind = status >> 4
-    is_note = (kind | 1) == 0x9  # 8x and 9x
-    n = int(np.count_nonzero(is_note))
-    if not n:
-        return
-    first = _first_data(buf, at[is_note])
-    channel, pitch, velocity = status[is_note] & 0x0F, buf[first], buf[1:][first]
-    is_on = (kind[is_note] == 0x9) & (velocity > 0)
-    key = channel.astype(np.int16) << 7 | pitch  # channel * 128 + pitch
-    block = _BLOCK_CODES[key - pitch]  # channel * 128 + program 0
-    programs = np.flatnonzero(kind == 0xC)
-    if len(programs):
-        # Each note's channel's latest program change: the last (channel,
-        # event index) key of a program change below the note's own.
-        notes = np.flatnonzero(is_note)
-        change_channel = status[programs] & 0x0F
-        by_channel = np.argsort(change_channel, kind="stable")
-        programs = programs[by_channel]
-        change_keys = change_channel[by_channel].astype(np.int64) * len(kind) + programs
-        floor = channel.astype(np.int64) * len(kind)
-        last = np.searchsorted(change_keys, floor + notes) - 1
-        found = change_keys[last] >= floor  # on the note's channel ...
-        found &= last >= 0  # ... and not wrapped round from -1
-        program = buf[_first_data(buf, at[programs])]
-        block[found] = _BLOCK_CODES[key[found] - pitch[found] + program[last[found]]]
-    codes = key.astype(np.int32) << 10
-    codes |= np.where(is_on, block | velocity, 0)
-    order, orphan = _orphan_rule(key, is_on)
-    ticks = ticks[is_note]  # after _orphan_rule, whose temporaries set the traced peak
-    added = order >= n
-    orphans = np.sort(order[orphan & ~added])  # in event order
-    closes = order[added & ~orphan]  # in key order
-    if len(orphans):
-        tracks.sink.extend(
-            f"track {track_index}: note-off with no open note "
-            f"(channel {k >> 7}, pitch {k & 127}, tick {tick})"
-            for k, tick in zip(key[orphans].tolist(), ticks[orphans].tolist())
-        )
-        ticks, codes, first = (np.delete(a, orphans) for a in (ticks, codes, first))
-    if len(ticks):
-        latest = int(np.argmax(ticks))  # the first event at the latest tick
-        if ticks[latest] > tracks.last_tick:
-            # Its status byte comes just before its first data byte, unless a delta's last byte
-            # (below 0x80) does: under running status the status offset is the data byte's own.
-            data1 = int(first[latest])
-            tracks.last_tick, tracks.last_off = int(ticks[latest]), data1 - int(buf[data1 - 1] >> 7)
-    if len(closes):
-        if end_tick > tracks.last_tick:
-            tracks.last_tick, tracks.last_off = end_tick, end_off  # dangling notes close here
-        dangling = key[is_on][closes - n]
-        tracks.sink.extend(
-            f"track {track_index}: note-on without note-off "
-            f"(channel {k >> 7}, pitch {k & 127}); closed at track end"
-            for k in dangling.tolist()
-        )
-        ticks = np.concatenate((ticks, np.full(len(dangling), end_tick)))
-        codes = np.concatenate((codes, dangling.astype(np.int32) << 10))
-    tracks.ticks.append(ticks)
-    tracks.codes.append(codes)
-
-
-def _match_track(data: bytes, buf: np.ndarray, pos: int, end: int, track_index: int,
-                 tracks: _Tracks) -> bool:
-    """Read the MTrk body ``data[pos:end]`` in NumPy, if :data:`_EVENT` takes it.
-
-    It takes a track whose events tile the body and whose last event, and
-    only that one, is End of Track; otherwise it returns False and keeps
-    nothing.  ``buf`` is ``data`` as uint8.  It finds each event's tick,
-    status offset and status, keeps the meta events' candidates by
-    :func:`_meta`, and hands the events to :func:`_settle_track`.
-    """
-    matches = _EVENT.findall(data, pos, end)
-    lengths = np.frombuffer(bytes(map(len, matches)), dtype=np.uint8)
-    del matches
-    n = len(lengths)
-    at = np.cumsum(lengths, dtype=np.int64)
-    if not n or at[-1] != end - pos:
-        return False
-    at -= lengths
-    at += pos  # each event's first byte, then its status byte
+    pos_type = np.int32 if len(buf) < 2**31 else np.int64
+    tiled, starts, counts = np.array(tracks.tiled, dtype=np.int64).reshape(-1, 3).T
+    lengths = np.frombuffer(b"".join(tracks.parts), dtype=np.uint8)
+    firsts = np.cumsum(counts) - counts
+    lasts = firsts + counts - 1
+    track = np.repeat(tiled.astype(np.uint16), counts)
+    at = np.cumsum(lengths, dtype=pos_type)
+    at -= lengths  # each event's first byte in the joined bodies ...
+    at += np.repeat((starts - at[firsts]).astype(pos_type), counts)  # ... and in the file
     byte = buf[at]
     delta = np.bitwise_and(byte, 0x7F, dtype=np.int32)
     at += 1
@@ -472,16 +382,106 @@ def _match_track(data: bytes, buf: np.ndarray, pos: int, end: int, track_index: 
         at[longer] += 1
         longer = longer[byte >= 0x80]
     status = buf[at]
-    metas = np.flatnonzero(status == 0xFF)
-    meta_types = buf[1:][at[metas]].tolist()  # a meta event's second byte
-    if meta_types.count(0x2F) != 1 or meta_types[-1] != 0x2F or metas[-1] != n - 1:
-        return False
-
     ticks = np.cumsum(delta, dtype=np.int64)
-    for tick, body, meta_type in zip(ticks[metas].tolist(), (at[metas] + 3).tolist(), meta_types):
-        _meta(tracks, data, tick, meta_type, body, data[body - 1])
-    _settle_track(buf, ticks, at, status, int(ticks[-1]), int(at[-1]), track_index, tracks)
-    return True
+    ticks -= np.repeat(ticks[firsts] - delta[firsts], counts)
+
+    metas = np.flatnonzero(status == 0xFF)
+    meta_types = buf[1:][at[metas]]  # a meta event's second byte
+    eots = metas[meta_types == 0x2F]
+    stop = lasts.copy()
+    np.minimum.at(stop, np.searchsorted(firsts, eots, "right") - 1, eots)  # first End of Track
+    for k in np.flatnonzero(stop < lasts).tolist():
+        status[stop[k] + 1:lasts[k] + 1] = 0
+    ends[0, tiled], ends[1, tiled] = ticks[stop], at[stop]
+    metas = metas[((meta_types == 0x51) | (meta_types == 0x58)) & (status[metas] == 0xFF)]
+    for tick, track_index, body in zip(ticks[metas].tolist(), track[metas].tolist(),
+                                       (at[metas] + 3).tolist()):
+        _meta(tracks, data, tick, track_index, data[body - 2], body, data[body - 1])
+    return track, ticks, at, status
+
+
+def _settle(buf: np.ndarray, columns: list[tuple[np.ndarray, ...]], ends: np.ndarray,
+            sink: list[str]) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Say what all note and program events mean, and settle every track's notes at once.
+
+    ``columns`` holds (track, tick, status offset, status) columns, each
+    track's events in order in one tuple; it is emptied, so each column
+    frees once read.  ``ends`` holds each track's last tick and offset.  A
+    note-on of velocity 0 is a note-off; a note takes the latest program
+    change of its track and channel.  One :func:`_orphan_rule` keyed by
+    track, channel and pitch drops orphan note-offs and closes dangling
+    notes at their track's end, warning per track: orphans in event order,
+    then dangling notes in key order.  Returns the kept note events' ticks
+    and codes (key << 10 | block << 7 | velocity, 0 for a note-off), each
+    track's in (key, tick) order; then the latest kept tick and the status
+    offset of its first event, or of its track's end for a dangling note.
+    """
+    columns[:] = [c for c in columns if len(c[0])] or columns[:1]  # joined if two hold events
+    track, ticks, at, status = columns[0] if len(columns) == 1 else map(np.concatenate, zip(*columns))
+    columns.clear()
+    kind = status >> 4
+    notes = np.flatnonzero((kind | 1) == 0x9)  # 8x and 9x
+    programs = np.flatnonzero(kind == 0xC)
+    is_on = kind[notes] == 0x9
+    n = len(notes)
+    channel = status[notes] & 0x0F
+    owner = track[notes]
+    patch = channel.astype(np.int16) << 7  # channel * 128 + program
+    if len(programs):
+        # Each note's latest program change: the last (track, channel, event
+        # index) key of a program change below the note's own.
+        size = len(status)
+        change_keys = (track[programs].astype(np.int64) << 4 | status[programs] & 0x0F) * size
+        change_keys = np.sort(change_keys + programs)
+        floor = (owner.astype(np.int64) << 4 | channel) * size
+        last = np.searchsorted(change_keys, floor + notes) - 1
+        found = change_keys[last] >= floor  # on the note's track and channel ...
+        found &= last >= 0  # ... and not wrapped round from -1
+        program_at = at[change_keys % size]
+        patch[found] += buf[program_at + (buf[program_at] >> 7)][last[found]]
+        del floor, last, found
+    del track, status
+    ticks, at = ticks[notes], at[notes]
+    del notes
+    # Under running status a status offset holds the first data byte, below 0x80.
+    first = at + (buf[at] >> 7)
+    pitch, velocity = buf[first], buf[1:][first]
+    del first
+    is_on &= velocity > 0
+    key = channel.astype(np.int16) << 7 | pitch  # channel * 128 + pitch
+    codes = key.astype(np.int32) << 10
+    codes |= np.where(is_on, _BLOCK_CODES[patch] | velocity, 0)
+    key_type = np.int16 if ends.shape[1] <= 16 else np.int32  # track << 11 | key fits
+    order, orphan = _orphan_rule(owner.astype(key_type) << 11 | key, is_on)
+    orphans = np.sort(order[orphan & (order < n)])  # in event order
+    closes = order[~orphan & (order >= n)]  # in (track, key) order
+    kept = order[~orphan]
+    del order, orphan
+    ons = np.flatnonzero(is_on)
+    on_owner = owner[ons]
+    owner = np.concatenate((owner, on_owner))  # then each added off's track
+    ticks = np.concatenate((ticks, ends[0, on_owner]))
+    codes = np.concatenate((codes, key[ons].astype(np.int32) << 10))
+    if len(orphans) or len(closes):
+        warned = [
+            (t, f"track {t}: note-off with no open note (channel {k >> 7}, pitch {k & 127}, "
+                f"tick {tick})")
+            for t, k, tick in zip(*(a[orphans].tolist() for a in (owner, key, ticks)))
+        ] + [
+            (t, f"track {t}: note-on without note-off (channel {k >> 7}, pitch {k & 127}); "
+                "closed at track end")
+            for t, k in zip(owner[closes].tolist(), (codes[closes] >> 10).tolist())
+        ]
+        # A stable sort by track: its orphans in event order, then its dangling notes in key order.
+        sink.extend(text for _, text in sorted(warned, key=itemgetter(0)))
+    ticks, codes = ticks[kept], codes[kept]
+    if not len(kept):
+        return ticks, codes, 0, 0
+    last_tick = int(ticks.max())
+    tied = kept[ticks == last_tick]
+    blamed = int(tied[np.lexsort((tied, owner[tied]))[0]])  # added offs follow their track's events
+    last_off = at[blamed] if blamed < n else ends[1, owner[blamed]]
+    return ticks, codes, last_tick, int(last_off)
 
 
 def _scan_track(data: bytes, pos: int, end: int, track_index: int, tracks: _Tracks) -> None:
@@ -490,9 +490,9 @@ def _scan_track(data: bytes, pos: int, end: int, track_index: int, tracks: _Trac
     It reads every SMF event (running status, sysex, any meta event) and
     stops at End of Track.  A fault raises :class:`MidiParseError` at its
     byte offset.  It keeps the meta events' candidates by :func:`_meta`,
-    and of each note-off, note-on and program change it records the tick,
-    the status offset and the status in force in typed columns, which
-    :func:`_settle_track` reads.
+    and in ``tracks`` the tick, status offset and status in force of each
+    note-off, note-on and program change, as typed columns for
+    :func:`_settle`, and the tick and status offset of its last event.
     """
     size = len(data)
     ticks, offs, statuses = array("q"), array("q"), array("B")  # int64, int64, uint8
@@ -536,7 +536,7 @@ def _scan_track(data: bytes, pos: int, end: int, track_index: int, tracks: _Trac
             running_status = None
             if meta_type == 0x2F:
                 break
-            _meta(tracks, data, tick, meta_type, pos - meta_len, meta_len)
+            _meta(tracks, data, tick, track_index, meta_type, pos - meta_len, meta_len)
             continue
         elif status == 0xF0 or status == 0xF7:
             sysex_len, pos = _read_varlen(data, pos, "sysex length")
@@ -558,29 +558,24 @@ def _scan_track(data: bytes, pos: int, end: int, track_index: int, tracks: _Trac
             offs.append(status_off)
             statuses.append(status)
 
-    if ticks:
-        buf = np.frombuffer(data, dtype=np.uint8)
-        columns = (np.frombuffer(a, dtype=a.typecode) for a in (ticks, offs, statuses))
-        _settle_track(buf, *columns, tick, status_off, track_index, tracks)
+    track = np.full(len(ticks), track_index, dtype=np.uint16)
+    tracks.columns.append((track, *(np.frombuffer(a, a.typecode) for a in (ticks, offs, statuses))))
+    tracks.ends.append((track_index, tick, status_off))
 
 
 def parse_midi(data: bytes, warnings: list[str] | None = None) -> ScoreTimeline:
     """Parse an SMF byte string into a :class:`ScoreTimeline`.
 
-    A track whose events all match :data:`_EVENT` (each with its own
-    status byte) and end at its only End of Track is read in NumPy
-    (:func:`_match_track`); any other track (running status, sysex, other
-    meta events, a fault) is scanned a byte at a time (:func:`_scan_track`),
-    and every error comes from the scan.  Both hand the same events, each
-    as a tick, a status offset and a status, to :func:`_settle_track`,
-    which says what they mean and settles the track before the next is
-    read, so errors and warnings come in file order: it drops orphan
-    note-offs and closes dangling notes by :func:`_orphan_rule`, the rule
-    of :func:`decode_ids`.  NumPy then pairs the note events, each
-    note-off with the earliest open note-on of its channel and pitch in
-    time order (equal ticks in track, then file order), converts ticks to
-    ms and sorts the notes.  The traced peak memory stays within about 32
-    bytes per input byte.
+    The chunks are walked in file order: :data:`_EVENT` tokenises each
+    track body, and a body it cannot tile (running status, sysex, other
+    meta events, a fault) is read a byte at a time (:func:`_scan_track`),
+    so every error comes from the scan, in file order.  Then :func:`_decode`
+    finds every tiled event at once, and :func:`_settle` reads all tracks
+    in one pass, with warnings per track in file order.  NumPy then pairs
+    the note events, each note-off with the earliest open note-on of its
+    channel and pitch in time order (equal ticks in track, then file
+    order), converts ticks to ms and sorts the notes.  The traced peak
+    memory stays within about 32 bytes per input byte.
     Recoverable oddities (dangling note-ons, zero-length notes after
     millisecond rounding, orphan note-offs) are repaired and described in
     the optional ``warnings`` sink.  Structural corruption, and times or
@@ -623,40 +618,45 @@ def parse_midi(data: bytes, warnings: list[str] | None = None) -> ScoreTimeline:
         if ticks_per_quarter == 0:
             raise MidiParseError("division of zero ticks per quarter", 12)
 
-    tracks = _Tracks(sink)
+    # The pattern tokenises each track body; the scan reads, and raises on, the rest.
     buf = np.frombuffer(data, dtype=np.uint8)
+    tracks = _Tracks()
     track_index = 0
-    while track_index < declared_tracks:
+    while track_index < declared_tracks and pos < size:
         chunk_off = pos
-        if pos == size:
-            sink.append(
-                f"header declares {declared_tracks} tracks but file has {track_index}"
-            )
-            break
         pos = _need(data, pos, 4, "chunk id")
         pos = _need(data, pos, 4, "chunk length")
         chunk_len = int.from_bytes(data[pos - 4:pos], "big")
-        if data[chunk_off:chunk_off + 4] != b"MTrk":
+        if not data.startswith(b"MTrk", chunk_off):
             # Unknown chunk types are legal and skipped.
             pos = _need(data, pos, chunk_len, "unknown chunk body")
             continue
         end = pos + chunk_len
         if end > size:
             raise MidiParseError("track chunk overruns file", chunk_off + 4)
-        if not _match_track(data, buf, pos, end, track_index, tracks):
+        lengths = bytes(map(len, _EVENT.findall(data, pos, end)))
+        if sum(lengths) != chunk_len:  # the pattern cannot tile the body
             _scan_track(data, pos, end, track_index, tracks)
+        elif lengths:
+            tracks.parts.append(lengths)
+            tracks.tiled.append((track_index, pos, len(lengths)))
         pos = end
         track_index += 1
 
-    # The first candidate at the earliest tick wins: candidates are in (track, event) order.
-    tempo_us, tempo_off = DEFAULT_TEMPO_US, None
-    if tracks.tempos:
-        tempo_us, tempo_off = min(tracks.tempos, key=itemgetter(0))[1:]
-        if tempo_us <= 0:
-            tempo_us = DEFAULT_TEMPO_US
-    quarters_per_bar, timesig_off = 4.0, None
-    if tracks.timesigs:
-        quarters_per_bar, timesig_off = min(tracks.timesigs, key=itemgetter(0))[1:]
+    ends = np.zeros((2, track_index), dtype=np.int64)  # each track's last tick and offset
+    for track, end_tick, end_off in tracks.ends:
+        ends[:, track] = end_tick, end_off
+    tracks.columns.insert(0, _decode(data, buf, tracks, ends))
+    ticks, codes, last_tick, last_off = _settle(buf, tracks.columns, ends, sink)
+    if track_index < declared_tracks:  # the file ended first
+        sink.append(f"header declares {declared_tracks} tracks but file has {track_index}")
+
+    # The first candidate at the earliest tick wins: (tick, track), then event order.
+    earliest = partial(min, key=itemgetter(0, 1))
+    tempo_us, tempo_off = earliest(tracks.metas[0x51], default=(0, 0, DEFAULT_TEMPO_US, None))[2:]
+    tempo_us = tempo_us or DEFAULT_TEMPO_US  # a Set Tempo of 0
+    quarters_per_bar, timesig_off = earliest(tracks.metas[0x58], default=(0, 0, 4.0, None))[2:]
+    del tracks
 
     def tick_to_ms(tick):
         """The ms time of a tick (an int), or of each tick of an int64 array."""
@@ -668,21 +668,18 @@ def parse_midi(data: bytes, warnings: list[str] | None = None) -> ScoreTimeline:
             return round(tick * smpte_ms_per_tick)
         return np.rint(tick * smpte_ms_per_tick).astype(np.int64)  # half to even, as round()
 
-    last_ms = tick_to_ms(tracks.last_tick)
+    last_ms = tick_to_ms(last_tick)
     if last_ms > MAX_SCORE_SPAN_MS:
         raise MidiParseError(
-            f"note at {last_ms} ms is past the {MAX_SCORE_SPAN_MS} ms limit", tracks.last_off
+            f"note at {last_ms} ms is past the {MAX_SCORE_SPAN_MS} ms limit", last_off
         )
 
     # No tick exceeds last_tick, so every tick is below 2**47 (32767 ticks
     # per quarter at 1 usec per quarter over an hour) and no int64 product
-    # below nears overflow.  A stable sort on (key, tick) keeps (track,
-    # event) order among equal ticks.  A key has as many offs as ons and
-    # they never outrun its ons, so the FIFO match pairs its k-th on and
-    # k-th off.
-    ticks = np.concatenate(tracks.ticks)
-    codes = np.concatenate(tracks.codes)
-    del tracks
+    # below nears overflow.  Each track's events come sorted by (key, tick):
+    # this stable sort merges sorted runs, keeping (track, event) order among
+    # equal ticks.  A key has as many offs as ons and they never outrun its
+    # ons, so the FIFO match pairs its k-th on and k-th off.
     paired = np.argsort((codes >> 10).astype(np.int64) << 47 | ticks, kind="stable")
     ticks, codes = ticks[paired], codes[paired]
     is_on = (codes & 127) > 0
@@ -961,7 +958,7 @@ def decode_ids(ids: np.ndarray) -> DecodeResult:
     n_on = len(on_codes)
     # Each note is keyed by its OFF's code; the OFFs the rule adds close
     # the notes left open at the last cursor.
-    order, orphan = _orphan_rule(codes | NUM_PITCHES, is_on)
+    order, orphan = _orphan_rule((codes | NUM_PITCHES).astype(np.int16), is_on)
     codes = np.concatenate((codes, on_codes | NUM_PITCHES))[order]
     cursor = np.concatenate((cursors[at], np.full(n_on, last)))[order]
     on = codes & NUM_PITCHES == 0

@@ -276,6 +276,13 @@ def test_line_format_names_the_line_of_a_rejected_value(text, message):
         parse_distribution(text)
 
 
+@pytest.mark.parametrize("text", ['{"joy": 0.5}', "joy: 0.5\n"], ids=["json", "lines"])
+def test_a_sum_off_one_is_shown_as_a_plain_number(text):
+    # The same message under every NumPy: NumPy 2 spells a float64 np.float64(0.5).
+    with pytest.raises(ValueError, match=r"^probabilities must sum to 1, got 0\.5$"):
+        parse_distribution(text)
+
+
 def test_json_format_names_the_category_and_no_line():
     message = "probability of 'joy' must be finite, got nan"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -1,12 +1,15 @@
-"""The two track readers of ``parse_midi``, held to ``tests/smf_oracle.py``.
+"""The two track tokenisers of ``parse_midi``, held to ``tests/smf_oracle.py``.
 
-``midi_codec._match_track`` reads a track in NumPy when one compiled
-pattern tiles it with events that each carry their own status byte and
-End of Track ends it; ``midi_codec._scan_track`` reads every other track
-a byte at a time.  These tests check which reader takes which track, that
-both give the oracle's score, warnings or error on it, that the pattern
-reader covers every file ``write_midi`` makes, and that ``parse_midi``'s
-traced memory stays within a fixed multiple of its input.
+``parse_midi`` walks a file's chunks in order.  One compiled pattern
+(``midi_codec._EVENT``) tokenises each track body; when its events, each
+with its own status byte, tile the body, NumPy reads the track with every
+other such track in one pass.  ``midi_codec._scan_track`` reads every body
+the pattern cannot tile a byte at a time, and raises its faults.  These
+tests check which tokeniser takes which track, that both give the
+oracle's score, warnings or error on it, that the pattern covers every
+file ``write_midi`` makes, that a file settles in one ``_orphan_rule``
+call, and that ``parse_midi``'s traced memory and time stay bounded by
+its input.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from midisync.midi_codec import (
 )
 from midisync.tokens import Instrument
 
-from helpers import golden_score, random_grid_score, random_offgrid_score, raw_smf, vlq
+from helpers import golden_score, random_grid_score, random_offgrid_score, raw_smf, time_budget, vlq
 from codec_oracle import smf_bytes
 from smf_oracle import oracle_parse_midi
 
@@ -164,7 +167,7 @@ def test_pattern_tracks_match_the_oracle_through_both_readers(monkeypatch, scann
                     for rule in ("note-off with no open note", "note-on without", "zero-length")
                     if rule in w)
     with monkeypatch.context() as m:
-        m.setattr(midi_codec, "_match_track", lambda *args: False)
+        m.setattr(midi_codec, "_EVENT", re.compile(rb"(?!)"))  # tiles no body: all are scanned
         for seed in range(400):
             data = pattern_file(seed)
             assert outcome(parse_midi, data) == outcome(oracle_parse_midi, data), seed
@@ -173,7 +176,7 @@ def test_pattern_tracks_match_the_oracle_through_both_readers(monkeypatch, scann
 
 
 # ---------------------------------------------------------------------------
-# Every fallback trigger reaches the byte scan
+# Every fallback trigger reaches the byte scan, unless the pattern tiles it
 # ---------------------------------------------------------------------------
 
 
@@ -192,7 +195,8 @@ def smf(*chunks: bytes, tracks: int | None = None, fmt: int = 1) -> bytes:
     return head + count.to_bytes(2, "big") + (480).to_bytes(2, "big") + b"".join(chunks)
 
 
-# Track bodies the pattern reader declines: the scan reads each to a score ...
+# Track bodies that are not one End of Track after events the pattern takes: each
+# gives a score ...
 FALLBACK_TRACKS = {
     "running status": NOTE + vlq(10) + bytes([0x90, 64, 70]) + vlq(0) + bytes([67, 70])
     + vlq(100) + bytes([64, 0]) + vlq(0) + bytes([67, 0]) + EOT,
@@ -211,7 +215,12 @@ FALLBACK_TRACKS = {
     "end of track only before a note-on": EOT + vlq(0) + bytes([0x90, 60, 80]),
 }
 
-# ... or raises at its fault.
+# ... or raises at its fault.  The scan reads each of them but those the pattern
+# tiles, which NumPy reads up to their first End of Track, as the scan does.
+TILED_TRACKS = {
+    "no end of track", "two ends of track", "an event after end of track", "empty chunk",
+    "end of track only before a note-on",
+}
 FAULTY_TRACKS = {
     "five-byte delta": NOTE + b"\x81\x80\x80\x80\x00" + bytes([0x80, 60, 0]) + EOT,
     "data byte with its high bit set": NOTE + vlq(0) + bytes([0x90, 61, 0x90]) + EOT,
@@ -228,7 +237,7 @@ def test_each_fallback_trigger_reaches_the_byte_scan(scanned, name):
     got = outcome(parse_midi, data)
     assert got == outcome(oracle_parse_midi, data)
     assert got[0] == ("error" if name in FAULTY_TRACKS else "score")
-    assert scanned == [1]
+    assert scanned == ([] if name in TILED_TRACKS else [1])
 
 
 def test_an_event_past_its_chunk_end_reaches_the_byte_scan(scanned):
@@ -291,18 +300,19 @@ def test_a_tempo_whose_body_spells_end_of_track_is_a_tempo(scanned, end_of_track
     assert got == outcome(oracle_parse_midi, data)
     assert got[1].tempo_bpm == 60_000_000 / 0xFF2F00
     assert [(n.onset_ms, n.offset_ms) for n in got[1].notes] == [(0, 8362)]
-    assert scanned == ([] if end_of_track else [0])
+    assert scanned == []
 
 
 def test_bytes_after_end_of_track_are_ignored(scanned):
     clean = smf(chunk(NOTE + EOT), chunk(LATER_NOTE + EOT))
-    for junk in (b"\x00", b"\xf4\xf4", b"\x00\x90\x3c\x40", b"\x81\x80\x80\x80\x80\x00", EOT):
+    tiled = (b"\x00\x90\x3c\x40", EOT)  # events the pattern takes: read in NumPy
+    for junk in (b"\x00", b"\xf4\xf4", b"\x81\x80\x80\x80\x80\x00", *tiled):
         data = smf(chunk(NOTE + EOT + junk), chunk(LATER_NOTE + EOT))
         scanned.clear()
         got = outcome(parse_midi, data)
         assert got == outcome(oracle_parse_midi, data)
         assert got == outcome(parse_midi, clean)
-        assert scanned == [0]
+        assert scanned == ([] if junk in tiled else [0])
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +416,124 @@ def test_the_pattern_uses_no_construct_newer_than_python_3_10():
     # Possessive quantifiers (*+, ++, ?+, }+) and atomic groups arrived in 3.11.
     source = midi_codec._EVENT.pattern
     assert not re.search(rb"(?<!\\)[*+?}]\+|\(\?>", source)
+
+
+# ---------------------------------------------------------------------------
+# One pass per file: the rules across tracks hold as they did track by track
+# ---------------------------------------------------------------------------
+
+
+def test_a_file_settles_in_one_orphan_rule_call(monkeypatch, scanned):
+    calls: list[int] = []
+    rule = midi_codec._orphan_rule
+
+    def spy(key, is_on):
+        calls.append(len(key))
+        return rule(key, is_on)
+
+    files = {
+        "four instrument tracks": write_midi(song(30, seed=30)),
+        "a scanned middle track": smf(
+            chunk(NOTE + EOT), chunk(FALLBACK_TRACKS["running status"]), chunk(LATER_NOTE + EOT)
+        ),
+    }
+    assert files["four instrument tracks"].count(b"MTrk") == 5  # the tempo track, then four
+    for name, data in files.items():
+        expected = outcome(oracle_parse_midi, data)
+        calls.clear()
+        with monkeypatch.context() as m:  # decode_ids calls the rule too: spy on parse_midi only
+            m.setattr(midi_codec, "_orphan_rule", spy)
+            got = outcome(parse_midi, data)
+        assert got == expected, name
+        assert len(calls) == 1, (name, calls)
+    assert scanned == [1]
+
+
+ON60, OFF60 = bytes([0x90, 60, 80]), bytes([0x80, 60, 0])
+CC = bytes([0xB0, 7, 100])
+
+
+def cross_track_files() -> dict[str, bytes]:
+    # Channel 0 and pitch 60 in every track: an orphan note-off, then two
+    # ons and one off, so one note dangles to a controller change.
+    shared = {
+        "pattern": vlq(0) + OFF60 + vlq(4) + ON60 + vlq(4) + ON60 + vlq(4) + OFF60 + vlq(30) + CC,
+        "scanned": vlq(1) + OFF60 + vlq(2) + bytes([0x90, 60, 90]) + vlq(2) + bytes([60, 90])
+        + vlq(2) + bytes([60, 0]) + vlq(50) + CC,  # running status
+        "pattern, later": vlq(2) + OFF60 + vlq(1) + ON60 + vlq(1) + ON60 + vlq(1) + OFF60
+        + vlq(10) + CC,
+    }
+    late = vlq(0) + ON60 + vlq(LATE) + OFF60  # a note ending past the span limit
+    tempo = vlq(0) + b"\xff\x51\x03"
+    return {
+        "shared key": smf(*(chunk(body + EOT) for body in shared.values())),
+        "equal latest ticks": smf(chunk(NOTE + EOT), chunk(late + EOT), chunk(late + EOT)),
+        "dangling close after every kept event": smf(
+            chunk(late + EOT), chunk(vlq(0) + ON60 + vlq(LATE + 5) + CC + EOT)
+        ),
+        "tempo in a scanned track first": smf(
+            chunk(NOTE + EOT),
+            chunk(tempo + (600_000).to_bytes(3, "big") + vlq(0) + b"\xf0\x01\xf7" + EOT),
+            chunk(tempo + (300_000).to_bytes(3, "big") + LATER_NOTE + EOT),
+        ),
+        # The scan keeps its candidates first: the pattern track must still win.
+        "tempo in a pattern track first": smf(
+            chunk(NOTE + EOT),
+            chunk(tempo + (600_000).to_bytes(3, "big") + LATER_NOTE + EOT),
+            chunk(tempo + (300_000).to_bytes(3, "big") + vlq(0) + b"\xf0\x01\xf7" + EOT),
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(cross_track_files()))
+def test_the_rules_across_tracks_match_the_oracle(name, scanned):
+    data = cross_track_files()[name]
+    got = outcome(parse_midi, data)
+    assert got == outcome(oracle_parse_midi, data)
+    assert scanned == {"shared key": [1], "tempo in a scanned track first": [1],
+                       "tempo in a pattern track first": [2]}.get(name, [])
+    if name == "shared key":
+        assert sum("note-off with no open note" in w for w in got[2]) == 3
+        assert sum("closed at track end" in w for w in got[2]) == 3
+        assert [w[:7] for w in got[2]] == ["track 0"] * 2 + ["track 1"] * 2 + ["track 2"] * 2
+    elif name == "equal latest ticks":
+        # Both late offs share the latest tick: the earlier track's is blamed.
+        assert got[0] == "error" and got[2] == data.index(vlq(LATE) + OFF60) + len(vlq(LATE))
+    elif name == "dangling close after every kept event":
+        # Track 1's note closes at its End of Track, after track 0's late off.
+        assert got[0] == "error" and got[2] == data.rindex(EOT) + 1
+    else:
+        assert got[1].tempo_bpm == 100.0  # track 1's tempo, at tick 0 as track 2's
+
+
+def many_track_file(tracks: int = 65_535) -> bytes:
+    """A format-1 file of one-note tracks on three shared channels and seven pitches.
+
+    Every fifth note dangles to the track's closing controller change,
+    and every eleventh track has an orphan note-off an octave up.
+    """
+    bodies = []
+    for k in range(tracks):
+        channel, pitch = k % 3, 60 + k % 7
+        body = vlq(k % 4) + bytes([0x90 | channel, pitch, 40 + k % 80])
+        if k % 11 == 0:
+            body += vlq(1) + bytes([0x80 | channel, pitch + 12, 0])
+        if k % 5:
+            body += vlq(120) + bytes([0x80 | channel, pitch, 0])
+        bodies.append(body + vlq(240) + bytes([0xB0 | channel, 7, 100]))
+    return raw_smf(bodies)
+
+
+def test_a_file_of_many_tracks_parses_in_bounded_time_and_memory():
+    data = many_track_file()
+    expected = outcome(oracle_parse_midi, data)
+    with time_budget(2.0):  # the track-by-track reader took over 4 s
+        got = outcome(parse_midi, data)
+    assert got == expected
+    assert len(got[2]) == 13_107 + 5_958  # dangling notes and orphan note-offs
+    assert len(data) > 1_500_000
+    peak = traced_peak(data)
+    assert peak <= 32 * len(data) + 64 * 1024, (len(data), peak)
 
 
 # ---------------------------------------------------------------------------
