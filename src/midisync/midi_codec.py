@@ -17,12 +17,13 @@ categories, plus bar marks and a tempo.  SMF parsing is written from
 scratch so that malformed input can be reported with exact byte
 offsets; it supports format 0 and 1 files, running status, tempo and
 time-signature metadata, and both PPQ and SMPTE divisions.  It reads a
-file in one pass.  One compiled bytes pattern tokenises each track body;
-it tiles a body of channel events that each carry their own status byte,
-tempos, time signatures and End of Track: every track :func:`write_midi`
-makes.  A byte scan reads every body it cannot tile, and so every fault:
-each error's message and byte offset come from the scan.  NumPy then
-finds every tiled event at once (:func:`_decode`), and one :func:`_settle`
+file in one pass.  Each track body is first cut into event lengths: by
+one compiled bytes pattern, which tiles a body of channel events that
+each carry their own status byte, tempos, time signatures and End of
+Track (every track :func:`write_midi` makes), or else by a byte scan,
+which checks every byte and so raises every fault with its message and
+byte offset.  One decoder, :func:`_decode`, then reads every event of
+every track at once, whichever tokeniser cut it, and one :func:`_settle`
 says what all notes and program changes mean and settles them.
 
 A :class:`ScoreTimeline` stores its notes as sorted int64 columns
@@ -43,6 +44,7 @@ guitar, 32-39 bass, every other pitched program strings, and channel 10
 
 from __future__ import annotations
 
+import math
 import re
 from array import array
 from collections import namedtuple
@@ -127,14 +129,22 @@ class NoteEvent(namedtuple("NoteEvent", "instrument pitch onset_ms offset_ms vel
     """One note with absolute integer-millisecond boundaries.
 
     A tuple record whose equality is tuple equality.  The public
-    constructor, ``_make`` and ``_replace`` validate every field; the
-    ``notes`` view of a :class:`ScoreTimeline` skips that through
-    ``_unchecked_note``.
+    constructor, ``_make`` and ``_replace`` validate every field: the
+    instrument is an :class:`Instrument`, and the rest are integers (a
+    Python or NumPy int, not a bool or a float) in range.  The ``notes``
+    view of a :class:`ScoreTimeline` skips that through ``_unchecked_note``.
     """
 
     __slots__ = ()
 
     def __new__(cls, instrument, pitch, onset_ms, offset_ms, velocity=DEFAULT_VELOCITY):
+        if instrument.__class__ is not Instrument:
+            raise ValueError(f"instrument must be an Instrument, got {instrument!r}")
+        if not (pitch.__class__ is onset_ms.__class__ is offset_ms.__class__
+                is velocity.__class__ is int):  # else a NumPy int, or a bad field
+            for name, value in zip(cls._fields[1:], (pitch, onset_ms, offset_ms, velocity)):
+                if value.__class__ is not int and not isinstance(value, np.integer):
+                    raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 0 <= pitch < NUM_PITCHES:
             raise ValueError(f"pitch {pitch} outside 0..{NUM_PITCHES - 1}")
         if onset_ms < 0:
@@ -215,8 +225,8 @@ class ScoreTimeline:
         return score
 
     def _check(self) -> None:
-        if self.tempo_bpm <= 0:
-            raise ValueError(f"tempo_bpm must be positive, got {self.tempo_bpm}")
+        if not 0 < self.tempo_bpm < math.inf:
+            raise ValueError(f"tempo_bpm must be positive and finite, got {self.tempo_bpm}")
         marks = tuple(self.bar_marks_ms)
         if marks and min(marks) < 0:
             raise ValueError("bar marks must be >= 0")
@@ -308,32 +318,6 @@ _BLOCK_CODES = np.array(
 )
 
 
-class _Tracks:
-    """What :func:`parse_midi`'s walk keeps of a file's tracks, in file order.
-
-    ``parts`` and ``tiled`` hold, per track :data:`_EVENT` tiles, its event
-    lengths and its (index, body offset, event count); ``columns`` and
-    ``ends``, per track the byte scan reads, its note and program events'
-    (track, tick, status offset, status) and its last event's (index,
-    tick, status offset); ``metas``, the candidates of :func:`_meta`.
-    """
-
-    __slots__ = ("parts", "tiled", "columns", "ends", "metas")
-
-    def __init__(self) -> None:
-        self.parts, self.tiled, self.columns, self.ends = [], [], [], []
-        self.metas = {0x51: [], 0x58: []}  # values: usec per quarter, quarters per bar
-
-
-def _meta(tracks: _Tracks, data: bytes, tick: int, track: int, meta_type: int, body: int,
-          length: int) -> None:
-    """Keep a Set Tempo's or Time Signature's candidate in ``tracks``."""
-    if meta_type == 0x51 and length == 3:
-        tracks.metas[0x51].append((tick, track, int.from_bytes(data[body:body + 3], "big"), body))
-    elif meta_type == 0x58 and length >= 2:
-        tracks.metas[0x58].append((tick, track, data[body] * 4.0 / (1 << data[body + 1]), body))
-
-
 def _orphan_rule(key: np.ndarray, is_on: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Which note-offs close no note: one rule for SMF files and id streams.
 
@@ -354,59 +338,82 @@ def _orphan_rule(key: np.ndarray, is_on: np.ndarray) -> tuple[np.ndarray, np.nda
     return order, level < np.minimum.accumulate(level - step)
 
 
-def _decode(data: bytes, buf: np.ndarray, tracks: _Tracks, ends: np.ndarray) -> tuple:
-    """Each event's track, tick, status offset and status, in the tracks :data:`_EVENT` tiles.
+def _decode(data: bytes, buf: np.ndarray, bodies: list, track_count: int) -> tuple:
+    """Each event's track, tick, status offset and status, in every track at once.
 
-    Status offsets come from one cumulative sum of the event lengths, and
-    ticks from one of the delta times, less its value where each track
-    begins.  A track ends at its first End of Track, or else its last
-    event: its tick and offset go in ``ends``, and every event after it
-    gets status 0, no event.  Tempos and time signatures go to :func:`_meta`.
+    ``bodies`` holds (track index, body offset, event lengths) of each track
+    with events, in file order.  Status offsets come from one cumulative sum
+    of the event lengths, and ticks from one of the delta times, less its
+    value where each track begins.  Under running status an event's status
+    offset holds its first data byte, and its status is that of the latest
+    event with a status byte: a channel event, as the tokenisers let no
+    data byte follow a meta or sysex event.  A track ends at its first End
+    of Track, or else its last event: every event after it gets status 0,
+    no event.  Returns the columns as a list (:func:`_settle` empties it),
+    each track's end (its last event's tick and status offset, by track
+    index), and the Set Tempo and Time Signature candidates: (tick, track,
+    value, body offset), the value in usec per quarter or quarters per bar,
+    in file order.
     """
     pos_type = np.int32 if len(buf) < 2**31 else np.int64
-    tiled, starts, counts = np.array(tracks.tiled, dtype=np.int64).reshape(-1, 3).T
-    lengths = np.frombuffer(b"".join(tracks.parts), dtype=np.uint8)
-    firsts = np.cumsum(counts) - counts
+    tracks, starts, parts = zip(*bodies) if bodies else ((), (), ())
+    counts = np.fromiter(map(len, parts), np.int64, len(parts))
+    lengths = np.concatenate(parts) if parts else np.zeros(0, np.uint8)
+    del parts
+    tracks, starts = np.array(tracks, dtype=np.int64), np.array(starts, dtype=np.int64)
+    firsts = counts.cumsum() - counts
     lasts = firsts + counts - 1
-    track = np.repeat(tiled.astype(np.uint16), counts)
-    at = np.cumsum(lengths, dtype=pos_type)
+    track = np.repeat(tracks.astype(np.uint16), counts)
+    at = lengths.cumsum(dtype=pos_type)
     at -= lengths  # each event's first byte in the joined bodies ...
     at += np.repeat((starts - at[firsts]).astype(pos_type), counts)  # ... and in the file
+    del lengths
     byte = buf[at]
     delta = np.bitwise_and(byte, 0x7F, dtype=np.int32)
     at += 1
-    longer = np.flatnonzero(byte >= 0x80)
-    while len(longer):  # the pattern stops a delta at four bytes
+    longer = (byte >= 0x80).nonzero()[0]
+    while len(longer):  # both tokenisers stop a delta at four bytes
         byte = buf[at[longer]]
         delta[longer] = delta[longer] << 7 | byte & 0x7F
         at[longer] += 1
         longer = longer[byte >= 0x80]
     status = buf[at]
-    ticks = np.cumsum(delta, dtype=np.int64)
+    running = status < 0x80
+    if running.any():
+        source = np.arange(len(status))
+        source[running] = 0
+        status = status[np.maximum.accumulate(source)]
+    ticks = delta.cumsum(dtype=np.int64)
     ticks -= np.repeat(ticks[firsts] - delta[firsts], counts)
 
-    metas = np.flatnonzero(status == 0xFF)
+    metas = (status == 0xFF).nonzero()[0]
     meta_types = buf[1:][at[metas]]  # a meta event's second byte
     eots = metas[meta_types == 0x2F]
     stop = lasts.copy()
     np.minimum.at(stop, np.searchsorted(firsts, eots, "right") - 1, eots)  # first End of Track
-    for k in np.flatnonzero(stop < lasts).tolist():
+    for k in (stop < lasts).nonzero()[0].tolist():
         status[stop[k] + 1:lasts[k] + 1] = 0
-    ends[0, tiled], ends[1, tiled] = ticks[stop], at[stop]
+    ends = np.zeros((2, track_count), dtype=np.int64)
+    ends[0, tracks], ends[1, tracks] = ticks[stop], at[stop]
     metas = metas[((meta_types == 0x51) | (meta_types == 0x58)) & (status[metas] == 0xFF)]
-    for tick, track_index, body in zip(ticks[metas].tolist(), track[metas].tolist(),
-                                       (at[metas] + 3).tolist()):
-        _meta(tracks, data, tick, track_index, data[body - 2], body, data[body - 1])
-    return track, ticks, at, status
+    tempos, metres = [], []
+    for tick, track_index, type_at in zip(ticks[metas].tolist(), track[metas].tolist(),
+                                          (at[metas] + 1).tolist()):
+        length, body = _read_varlen(data, type_at + 1, "meta length")
+        if data[type_at] == 0x51 and length == 3:
+            tempos.append((tick, track_index, int.from_bytes(data[body:body + 3], "big"), body))
+        elif data[type_at] == 0x58 and length >= 2:
+            metres.append((tick, track_index, data[body] * 4.0 / (1 << data[body + 1]), body))
+    return [track, ticks, at, status], ends, tempos, metres
 
 
-def _settle(buf: np.ndarray, columns: list[tuple[np.ndarray, ...]], ends: np.ndarray,
+def _settle(buf: np.ndarray, columns: list[np.ndarray], ends: np.ndarray,
             sink: list[str]) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Say what all note and program events mean, and settle every track's notes at once.
 
-    ``columns`` holds (track, tick, status offset, status) columns, each
-    track's events in order in one tuple; it is emptied, so each column
-    frees once read.  ``ends`` holds each track's last tick and offset.  A
+    ``columns`` holds the (track, tick, status offset, status) columns of
+    :func:`_decode`; it is emptied, so each column frees once read.
+    ``ends`` holds each track's last tick and offset.  A
     note-on of velocity 0 is a note-off; a note takes the latest program
     change of its track and channel.  One :func:`_orphan_rule` keyed by
     track, channel and pitch drops orphan note-offs and closes dangling
@@ -416,12 +423,11 @@ def _settle(buf: np.ndarray, columns: list[tuple[np.ndarray, ...]], ends: np.nda
     track's in (key, tick) order; then the latest kept tick and the status
     offset of its first event, or of its track's end for a dangling note.
     """
-    columns[:] = [c for c in columns if len(c[0])] or columns[:1]  # joined if two hold events
-    track, ticks, at, status = columns[0] if len(columns) == 1 else map(np.concatenate, zip(*columns))
+    track, ticks, at, status = columns
     columns.clear()
     kind = status >> 4
-    notes = np.flatnonzero((kind | 1) == 0x9)  # 8x and 9x
-    programs = np.flatnonzero(kind == 0xC)
+    notes = ((kind | 1) == 0x9).nonzero()[0]  # 8x and 9x
+    programs = (kind == 0xC).nonzero()[0]
     is_on = kind[notes] == 0x9
     n = len(notes)
     channel = status[notes] & 0x0F
@@ -457,7 +463,7 @@ def _settle(buf: np.ndarray, columns: list[tuple[np.ndarray, ...]], ends: np.nda
     closes = order[~orphan & (order >= n)]  # in (track, key) order
     kept = order[~orphan]
     del order, orphan
-    ons = np.flatnonzero(is_on)
+    ons = is_on.nonzero()[0]
     on_owner = owner[ons]
     owner = np.concatenate((owner, on_owner))  # then each added off's track
     ticks = np.concatenate((ticks, ends[0, on_owner]))
@@ -484,83 +490,72 @@ def _settle(buf: np.ndarray, columns: list[tuple[np.ndarray, ...]], ends: np.nda
     return ticks, codes, last_tick, int(last_off)
 
 
-def _scan_track(data: bytes, pos: int, end: int, track_index: int, tracks: _Tracks) -> None:
-    """Read the MTrk body from ``pos`` a byte at a time, up to ``end``.
+def _scan_track(data: bytes, pos: int, end: int) -> np.ndarray:
+    """The event lengths of the MTrk body at ``pos``, read a byte at a time up to ``end``.
 
-    It reads every SMF event (running status, sysex, any meta event) and
-    stops at End of Track.  A fault raises :class:`MidiParseError` at its
-    byte offset.  It keeps the meta events' candidates by :func:`_meta`,
-    and in ``tracks`` the tick, status offset and status in force of each
-    note-off, note-on and program change, as typed columns for
-    :func:`_settle`, and the tick and status offset of its last event.
+    It tokenises every SMF event (running status, sysex, any meta event),
+    checks every byte, and stops after End of Track.  A fault raises
+    :class:`MidiParseError` at its byte offset.  Of the status in force it
+    keeps only how many data bytes it takes; :func:`_decode` reads the
+    events.  An event may be longer than 255 bytes: the lengths are int64.
     """
     size = len(data)
-    ticks, offs, statuses = array("q"), array("q"), array("B")  # int64, int64, uint8
-    tick = 0
-    running_status: int | None = None
+    lengths = array("q")  # int64
+    in_force = 0  # the data bytes of the running status; 0: none in force
 
     # Reads are bounded by the file, not the chunk: an event may run past
     # the chunk's end, and the next chunk then starts at ``end``.
     while pos < end:
+        start = pos
         byte = data[pos]
         if byte < 0x80:
-            tick += byte
             pos += 1
         elif pos + 1 < size and data[pos + 1] < 0x80:  # a two-byte delta, inline
-            tick += (byte & 0x7F) << 7 | data[pos + 1]
             pos += 2
         else:
-            delta, pos = _read_varlen(data, pos, "delta time")
-            tick += delta
+            pos = _read_varlen(data, pos, "delta time")[1]
         status_off = pos
         if pos >= size:
             raise MidiParseError("truncated event status", pos)
         status = data[pos]
-        pos += 1
-        if status < 0x80:
-            if running_status is None:
+        if status < 0x80:  # running status: this is the first data byte
+            if not in_force:
                 raise MidiParseError("data byte with no running status", status_off)
-            status = running_status
         elif status < 0xF0:
-            running_status = status
-            if pos >= size:
-                raise MidiParseError("truncated event data", pos)
-            if data[pos] & 0x80:
-                raise MidiParseError(f"event data 0x{data[pos]:02X} has its high bit set", pos)
+            in_force = 1 if 0xC0 <= status < 0xE0 else 2  # Cx and Dx take one data byte
             pos += 1
         elif status == 0xFF:
-            pos = _need(data, pos, 1, "meta type")
-            meta_type = data[pos - 1]
+            pos = _need(data, pos + 1, 1, "meta type")
             meta_len, pos = _read_varlen(data, pos, "meta length")
             pos = _need(data, pos, meta_len, "meta body")
-            running_status = None
-            if meta_type == 0x2F:
+            lengths.append(pos - start)
+            if data[status_off + 1] == 0x2F:  # End of Track
                 break
-            _meta(tracks, data, tick, track_index, meta_type, pos - meta_len, meta_len)
+            in_force = 0
             continue
         elif status == 0xF0 or status == 0xF7:
-            sysex_len, pos = _read_varlen(data, pos, "sysex length")
+            sysex_len, pos = _read_varlen(data, pos + 1, "sysex length")
             pos = _need(data, pos, sysex_len, "sysex body")
-            running_status = None
+            lengths.append(pos - start)
+            in_force = 0
             continue
         else:
             raise MidiParseError(f"unexpected status byte 0x{status:02X}", status_off)
 
-        kind = status >> 4
-        if kind != 0xC and kind != 0xD:  # a second data byte
+        # The data bytes, from ``pos``.
+        if pos >= size:
+            raise MidiParseError("truncated event data", pos)
+        if data[pos] & 0x80:
+            raise MidiParseError(f"event data 0x{data[pos]:02X} has its high bit set", pos)
+        pos += 1
+        if in_force == 2:
             if pos >= size:
                 raise MidiParseError("truncated event data", pos)
             if data[pos] & 0x80:
                 raise MidiParseError(f"event data 0x{data[pos]:02X} has its high bit set", pos)
             pos += 1
-        if kind <= 0x9 or kind == 0xC:  # note-off, note-on, program change
-            ticks.append(tick)
-            offs.append(status_off)
-            statuses.append(status)
-
-    track = np.full(len(ticks), track_index, dtype=np.uint16)
-    tracks.columns.append((track, *(np.frombuffer(a, a.typecode) for a in (ticks, offs, statuses))))
-    tracks.ends.append((track_index, tick, status_off))
+        lengths.append(pos - start)
+    return np.frombuffer(lengths, np.int64)
 
 
 def parse_midi(data: bytes, warnings: list[str] | None = None) -> ScoreTimeline:
@@ -568,14 +563,14 @@ def parse_midi(data: bytes, warnings: list[str] | None = None) -> ScoreTimeline:
 
     The chunks are walked in file order: :data:`_EVENT` tokenises each
     track body, and a body it cannot tile (running status, sysex, other
-    meta events, a fault) is read a byte at a time (:func:`_scan_track`),
+    meta events, a fault) is tokenised a byte at a time (:func:`_scan_track`),
     so every error comes from the scan, in file order.  Then :func:`_decode`
-    finds every tiled event at once, and :func:`_settle` reads all tracks
-    in one pass, with warnings per track in file order.  NumPy then pairs
-    the note events, each note-off with the earliest open note-on of its
-    channel and pitch in time order (equal ticks in track, then file
-    order), converts ticks to ms and sorts the notes.  The traced peak
-    memory stays within about 32 bytes per input byte.
+    reads every event of every track at once, and :func:`_settle` settles
+    all tracks in one pass, with warnings per track in file order.  NumPy
+    then pairs the note events, each note-off with the earliest open
+    note-on of its channel and pitch in time order (equal ticks in track,
+    then file order), converts ticks to ms and sorts the notes.  The traced
+    peak memory stays within about 32 bytes per input byte.
     Recoverable oddities (dangling note-ons, zero-length notes after
     millisecond rounding, orphan note-offs) are repaired and described in
     the optional ``warnings`` sink.  Structural corruption, and times or
@@ -618,9 +613,9 @@ def parse_midi(data: bytes, warnings: list[str] | None = None) -> ScoreTimeline:
         if ticks_per_quarter == 0:
             raise MidiParseError("division of zero ticks per quarter", 12)
 
-    # The pattern tokenises each track body; the scan reads, and raises on, the rest.
+    # The pattern tokenises each track body; the scan tokenises, and raises on, the rest.
     buf = np.frombuffer(data, dtype=np.uint8)
-    tracks = _Tracks()
+    bodies = []  # (track index, body offset, event lengths) of each track with events
     track_index = 0
     while track_index < declared_tracks and pos < size:
         chunk_off = pos
@@ -634,29 +629,25 @@ def parse_midi(data: bytes, warnings: list[str] | None = None) -> ScoreTimeline:
         end = pos + chunk_len
         if end > size:
             raise MidiParseError("track chunk overruns file", chunk_off + 4)
-        lengths = bytes(map(len, _EVENT.findall(data, pos, end)))
-        if sum(lengths) != chunk_len:  # the pattern cannot tile the body
-            _scan_track(data, pos, end, track_index, tracks)
-        elif lengths:
-            tracks.parts.append(lengths)
-            tracks.tiled.append((track_index, pos, len(lengths)))
+        lengths = np.frombuffer(bytes(map(len, _EVENT.findall(data, pos, end))), np.uint8)
+        if lengths.sum() != chunk_len:  # the pattern cannot tile the body
+            bodies.append((track_index, pos, _scan_track(data, pos, end)))  # an empty body tiles
+        elif len(lengths):
+            bodies.append((track_index, pos, lengths))
         pos = end
         track_index += 1
 
-    ends = np.zeros((2, track_index), dtype=np.int64)  # each track's last tick and offset
-    for track, end_tick, end_off in tracks.ends:
-        ends[:, track] = end_tick, end_off
-    tracks.columns.insert(0, _decode(data, buf, tracks, ends))
-    ticks, codes, last_tick, last_off = _settle(buf, tracks.columns, ends, sink)
+    columns, ends, tempos, metres = _decode(data, buf, bodies, track_index)
+    del bodies
+    ticks, codes, last_tick, last_off = _settle(buf, columns, ends, sink)
     if track_index < declared_tracks:  # the file ended first
         sink.append(f"header declares {declared_tracks} tracks but file has {track_index}")
 
     # The first candidate at the earliest tick wins: (tick, track), then event order.
     earliest = partial(min, key=itemgetter(0, 1))
-    tempo_us, tempo_off = earliest(tracks.metas[0x51], default=(0, 0, DEFAULT_TEMPO_US, None))[2:]
+    tempo_us, tempo_off = earliest(tempos, default=(0, 0, DEFAULT_TEMPO_US, None))[2:]
     tempo_us = tempo_us or DEFAULT_TEMPO_US  # a Set Tempo of 0
-    quarters_per_bar, timesig_off = earliest(tracks.metas[0x58], default=(0, 0, 4.0, None))[2:]
-    del tracks
+    quarters_per_bar, timesig_off = earliest(metres, default=(0, 0, 4.0, None))[2:]
 
     def tick_to_ms(tick):
         """The ms time of a tick (an int), or of each tick of an int64 array."""

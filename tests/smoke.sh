@@ -45,9 +45,9 @@ test "$(cat b.txt)" = "1.0"
 mkdir songs && cp o.mid songs/o.mid && cp o.mid songs/p.mid
 $MIDISYNC prepare songs prepared --augment 2
 test "$(ls prepared | wc -l)" -eq 12
-# A running-status file with a program change: the package reads it
-# with the byte scan, and one _settle says what its events mean
-# (program 25: guitar) and settles its notes.
+# A running-status file with a program change: the byte scan tokenises
+# it, _decode gives each event its status in force, and one _settle says
+# what its events mean (program 25: guitar) and settles its notes.
 printf 'MThd\x00\x00\x00\x06\x00\x00\x00\x01\x01\xe0MTrk\x00\x00\x00\x0e\x00\xc0\x19\x00\x90\x3c\x40\x60\x3c\x00\x00\xff\x2f\x00' > rs.mid
 $MIDISYNC encode rs.mid rs.tokens
 grep -x GUITAR_ON_60 rs.tokens

@@ -213,9 +213,11 @@ def test_write_midi_rejects_times_past_exact_tick_math():
 
 def test_write_midi_rejects_a_tempo_no_smf_holds():
     note = NoteEvent(Instrument.PIANO, 60, 0, 500)
-    for tempo, tempo_us in ((3.5, 17_142_857), (2e8, 0), (float("inf"), 0)):
+    for tempo, tempo_us in ((3.5, 17_142_857), (2e8, 0)):
         message = rf"^tempo {tempo} bpm is {tempo_us} us per quarter, outside the 1 to 16777215"
         with pytest.raises(ValueError, match=message):
             write_midi(ScoreTimeline([note], tempo_bpm=tempo))
+    with pytest.raises(ValueError, match=r"^tempo_bpm must be positive and finite, got inf$"):
+        ScoreTimeline([note], tempo_bpm=float("inf"))  # so no timeline write_midi gets has it
     slowest = ScoreTimeline([note], tempo_bpm=60_000_000 / 0xFFFFFF)
     assert write_midi(slowest) == oracle_write_midi(slowest)

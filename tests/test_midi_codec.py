@@ -790,6 +790,40 @@ def test_note_event_record():
         NoteEvent._make((Instrument.GUITAR, 60, 10, 250, 0))
 
 
+@pytest.mark.parametrize("instrument", ["piano", "PIANO", 0, None])
+def test_a_note_event_rejects_an_instrument_that_is_not_an_instrument(instrument):
+    with pytest.raises(ValueError, match=r"^instrument must be an Instrument, got "):
+        NoteEvent(instrument, 60, 0, 100)
+
+
+@pytest.mark.parametrize("field", ["pitch", "onset_ms", "offset_ms", "velocity"])
+@pytest.mark.parametrize("value", [60.5, 60.0, True, np.bool_(True), np.float64(60), "60", None],
+                         ids=repr)
+def test_a_note_event_takes_only_integer_pitch_times_and_velocity(field, value):
+    fields = {"pitch": 60, "onset_ms": 0, "offset_ms": 100, "velocity": 80}
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer, got "):
+        NoteEvent(Instrument.PIANO, **{**fields, field: value})
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer, got "):
+        NoteEvent(Instrument.PIANO, *fields.values())._replace(**{field: value})
+
+
+def test_a_note_event_takes_numpy_ints_and_rejects_fractions():
+    with pytest.raises(ValueError, match=r"^pitch must be an integer, got 60\.5$"):
+        NoteEvent(Instrument.PIANO, 60.5, 0.5, 100.2, 80.7)
+    fields = (np.int64(60), np.int32(0), np.uint16(100), np.int8(80))
+    note = NoteEvent(Instrument.PIANO, *fields)
+    assert note == NoteEvent(Instrument.PIANO, 60, 0, 100, 80)
+    assert ScoreTimeline(notes=[note]).columns[:, 0].tolist() == [0, 3, 60, 100, 80]
+
+
+@pytest.mark.parametrize("tempo", [float("nan"), float("inf"), float("-inf"), 0.0, -120.0])
+def test_a_timeline_rejects_a_tempo_that_is_not_positive_and_finite(tempo):
+    with pytest.raises(ValueError, match=r"^tempo_bpm must be positive and finite, got "):
+        ScoreTimeline(tempo_bpm=tempo)
+    with pytest.raises(ValueError, match=r"^tempo_bpm must be positive and finite, got "):
+        ScoreTimeline(notes=[NoteEvent(Instrument.PIANO, 60, 0, 100)], tempo_bpm=tempo)
+
+
 def old_note_order(note):
     """The order ``ScoreTimeline`` keeps, read off the instrument's name."""
     return (note.onset_ms, note.instrument.value, note.pitch, note.offset_ms, note.velocity)

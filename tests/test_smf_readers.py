@@ -1,15 +1,17 @@
 """The two track tokenisers of ``parse_midi``, held to ``tests/smf_oracle.py``.
 
-``parse_midi`` walks a file's chunks in order.  One compiled pattern
-(``midi_codec._EVENT``) tokenises each track body; when its events, each
-with its own status byte, tile the body, NumPy reads the track with every
-other such track in one pass.  ``midi_codec._scan_track`` reads every body
-the pattern cannot tile a byte at a time, and raises its faults.  These
-tests check which tokeniser takes which track, that both give the
-oracle's score, warnings or error on it, that the pattern covers every
-file ``write_midi`` makes, that a file settles in one ``_orphan_rule``
-call, and that ``parse_midi``'s traced memory and time stay bounded by
-its input.
+``parse_midi`` walks a file's chunks in order and cuts each track body
+into event lengths.  One compiled pattern (``midi_codec._EVENT``) does so
+when its events, each with its own status byte, tile the body;
+``midi_codec._scan_track`` tokenises every body the pattern cannot tile a
+byte at a time, and raises its faults.  One decoder, ``_decode``, then
+reads every track, whichever tokeniser cut it.  These tests check which
+tokeniser takes which track, that the two cut a written track alike, that
+both give the oracle's score, warnings or error on it (events over 255
+bytes and meta lengths of two bytes included), that the pattern covers
+every file ``write_midi`` makes, that a file settles in one
+``_orphan_rule`` call, and that ``parse_midi``'s traced memory and time
+stay bounded by its input.
 """
 
 from __future__ import annotations
@@ -45,15 +47,30 @@ def outcome(parse, data: bytes):
     return ("score", score, warnings)
 
 
+def track_bodies(data: bytes):
+    """The (start, end) of each MTrk chunk's body, in file order, while chunk heads last."""
+    pos = 8 + int.from_bytes(data[4:8], "big")
+    while pos + 8 <= len(data):
+        end = pos + 8 + int.from_bytes(data[pos + 4:pos + 8], "big")
+        if data.startswith(b"MTrk", pos):
+            yield pos + 8, end
+        pos = end
+
+
+def track_of(data: bytes, body: int) -> int:
+    """The index of the track chunk whose body starts at byte ``body``."""
+    return next(k for k, (start, _) in enumerate(track_bodies(data)) if start == body)
+
+
 @pytest.fixture
 def scanned(monkeypatch) -> list[int]:
     """The index of each track the byte scan reads, in the order it reads them."""
     calls: list[int] = []
     scan = midi_codec._scan_track
 
-    def spy(data, pos, end, track_index, tracks):
-        calls.append(track_index)
-        return scan(data, pos, end, track_index, tracks)
+    def spy(data, pos, end):
+        calls.append(track_of(data, pos))
+        return scan(data, pos, end)
 
     monkeypatch.setattr(midi_codec, "_scan_track", spy)
     return calls
@@ -63,8 +80,8 @@ def scanned(monkeypatch) -> list[int]:
 def no_scan(monkeypatch) -> None:
     """Make the byte scan raise: every track must take the pattern reader."""
 
-    def refuse(data, pos, end, track_index, tracks):
-        raise AssertionError(f"track {track_index} fell back to the byte scan")
+    def refuse(data, pos, end):
+        raise AssertionError(f"track {track_of(data, pos)} fell back to the byte scan")
 
     monkeypatch.setattr(midi_codec, "_scan_track", refuse)
 
@@ -101,6 +118,18 @@ def test_a_long_written_song_takes_the_pattern_reader(no_scan):
     got = outcome(parse_midi, data)
     assert got == outcome(oracle_parse_midi, data)
     assert len(got[1].notes) > 1500 and not got[2]
+
+
+def test_the_scan_tokenises_every_written_track_as_the_pattern_does():
+    files = [smf_bytes(score, smf_type) for score in written_scores() for smf_type in (0, 1)]
+    files.append(write_midi(song(600, seed=600)))
+    tracks = 0
+    for data in files:
+        for start, end in track_bodies(data):
+            pattern = bytes(map(len, midi_codec._EVENT.findall(data, start, end)))
+            assert midi_codec._scan_track(data, start, end).tolist() == list(pattern)
+            tracks += 1
+    assert tracks == 107 + 548 + 5  # the format 0 files, their format 1 forms, the song
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +376,58 @@ def test_program_changes_in_running_status_name_each_notes_instrument(scanned):
         (Instrument.BASS, 62, 1000, 1500),
     ]
     assert got[2] == []
+
+
+# ---------------------------------------------------------------------------
+# Events only the scan tokenises, decoded with every other track
+# ---------------------------------------------------------------------------
+
+
+def long_meta(meta_type: int, body: bytes) -> bytes:
+    """A meta event at delta 0 whose length is a two-byte varlen: 0x80, then the length."""
+    return vlq(0) + bytes([0xFF, meta_type, 0x80, len(body)]) + body
+
+
+HELD = vlq(0) + bytes([0x90, 60, 80]) + vlq(1920) + bytes([0x80, 60, 0])  # four quarters
+RUNNING_NOTES = vlq(0) + bytes([0x91, 64, 70]) + vlq(10) + bytes([64, 0])
+QUARTER_US = (400_000).to_bytes(3, "big")  # 150 bpm
+THREE_EIGHT = bytes([3, 3, 24, 8])  # 3/8: bars of one and a half quarters
+SCANNED_BODIES = {
+    # Over 255 bytes: 1 + 1 + 2 + 300.
+    "a 300-byte sysex": vlq(0) + b"\xf0" + vlq(300) + bytes(299) + b"\xf7"
+    + vlq(0) + b"\xff\x51\x03" + QUARTER_US + HELD + RUNNING_NOTES,
+    "a 200-byte text meta": vlq(0) + b"\xff\x01" + vlq(200) + b"t" * 200
+    + vlq(0) + b"\xff\x58\x04" + THREE_EIGHT + HELD + RUNNING_NOTES,
+    "a tempo of a two-byte length": long_meta(0x51, QUARTER_US) + HELD,
+    "a time signature of a two-byte length": long_meta(0x58, THREE_EIGHT) + HELD,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCANNED_BODIES))
+def test_long_events_and_long_meta_lengths_give_the_oracles_score(name, scanned):
+    data = smf(chunk(NOTE + EOT), chunk(SCANNED_BODIES[name] + EOT), chunk(LATER_NOTE + EOT))
+    got = outcome(parse_midi, data)
+    assert got == outcome(oracle_parse_midi, data)  # notes, tempo, bar marks and warnings
+    assert got[0] == "score" and scanned == [1]
+    score = got[1]
+    if "tempo" in name or "sysex" in name:
+        assert score.bar_marks_ms == (0, 1600)  # 150 bpm: four quarters to a bar
+    else:
+        assert score.bar_marks_ms == (0, 750, 1500)  # 3/8 at 120 bpm
+    assert (64 in {n.pitch for n in score.notes}) == ("text" in name or "sysex" in name)
+
+
+@pytest.mark.parametrize(
+    "meta_type, body",
+    [(0x51, (1).to_bytes(3, "big")), (0x58, bytes([1, 12, 24, 8]))],  # 1 usec a quarter; 1/4096
+    ids=["tempo", "time signature"],
+)
+def test_a_bar_under_1_ms_from_a_long_meta_length_blames_its_body(meta_type, body, scanned):
+    data = smf(chunk(NOTE + EOT), chunk(long_meta(meta_type, body) + HELD + EOT))
+    got = outcome(parse_midi, data)
+    assert got == outcome(oracle_parse_midi, data)
+    assert got[0] == "error" and "shorter than 1 ms" in got[1] and scanned == [1]
+    assert got[2] == data.index(bytes([0xFF, meta_type, 0x80])) + 4  # the body, past the length
 
 
 # ---------------------------------------------------------------------------
