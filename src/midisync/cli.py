@@ -47,8 +47,6 @@ class StageError(RuntimeError):
 def _stage(stage: str, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
-    except StageError:
-        raise
     except Exception as exc:
         raise StageError(stage, exc) from exc
 
@@ -192,13 +190,11 @@ def cmd_prepare(args) -> int:
     midi_dir = Path(args.midi_dir)
     out_dir = Path(args.out_dir)
     if not midi_dir.is_dir():
-        print(f"error: prepare: not a directory: {midi_dir}", file=sys.stderr)
-        return 1
+        raise ValueError(f"not a directory: {midi_dir}")
     out_dir.mkdir(parents=True, exist_ok=True)
     files = sorted(p for p in midi_dir.iterdir() if p.suffix.lower() in (".mid", ".midi"))
     if not files:
-        print(f"error: prepare: no .mid/.midi files in {midi_dir}", file=sys.stderr)
-        return 1
+        raise ValueError(f"no .mid/.midi files in {midi_dir}")
     suffixes = [""] + [f"_aug{k + 1}" for k in range(args.augment)]
     claimed: dict[str, str] = {}  # output stem -> the input file written to it
     done = 0
@@ -336,12 +332,12 @@ def cmd_generate(args) -> int:
         return _load_external_model(args.model_path)
 
     model = _stage("model", build_model)
-    result = _stage(
+    state = _stage(
         "sampling", generator_mod.generate, model, point, boundaries, args.duration, config,
         seed=args.seed,
     )
 
-    ids = tokens.ids_of(result.tokens)
+    ids = tokens.ids_of(state.tokens)
     decoded = _stage("decode", midi_codec.decode_ids, ids)
     boosted = _stage(
         "decode",
@@ -379,7 +375,7 @@ def cmd_generate(args) -> int:
             "midi_file": str(out_midi),
             "token_file": str(token_path),
             "note_count": trimmed.columns.shape[1],
-            "diagnostics": result.diagnostics(),
+            "diagnostics": {**state.diagnostics(), "seed": args.seed},
         },
     }
     _stage("write", manifest_path.write_text, json.dumps(manifest, indent=2) + "\n")

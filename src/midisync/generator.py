@@ -11,7 +11,10 @@ Its one state, the scheduler's :class:`~midisync.scheduler.GeneratorState`,
 is the :class:`~midisync.tokens.DecodeState` that also reads streams back
 into notes.  :func:`~midisync.scheduler.on_token` folds each emitted
 token into it once; the grammar and the built-in models read it, so a
-step costs the same at any history length.
+step costs the same at any history length.  It is also what
+:func:`generate` returns: the run's tokens, offsets and boundary states,
+and the counters (:meth:`~midisync.scheduler.GeneratorState.diagnostics`)
+that go into the ``generate`` manifest.
 
 Two models ship with the package: :class:`ReferenceModel`, a small
 hand-written heuristic that reacts to valence/arousal and to the
@@ -21,8 +24,7 @@ boundary's sensitivity window above 4 ms (for end-to-end checks).
 Both keep no state of their own, so one instance is safe to share: the
 loop reads their ``(id, weight)`` pairs on its state, and their public
 ``next_distribution`` folds the history it is given and scatters the
-same pairs into a vector.  A run's counters go into the ``generate``
-manifest as a dict (:meth:`GenerationResult.diagnostics`).
+same pairs into a vector.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
 from types import MappingProxyType
 from typing import Protocol
@@ -38,13 +39,7 @@ from typing import Protocol
 import numpy as np
 
 from .config import PipelineConfig
-from .scheduler import (
-    BoundaryList,
-    BoundaryState,
-    GeneratorState,
-    SchedulerParams,
-    on_token,
-)
+from .scheduler import BoundaryList, GeneratorState, SchedulerParams, on_token
 from .tokens import (
     CHORD,
     MAX_SHIFT_MS,
@@ -103,44 +98,6 @@ def grammar_mask(tokens: list[Token]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Generation loop
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class GenerationResult:
-    tokens: list[Token]
-    offsets: list[float]
-    boundaries: BoundaryList
-    states: list[BoundaryState]
-    final_cursor_s: float
-    seed: int
-
-    def _times(self, state: BoundaryState) -> list[float]:
-        """Times (seconds) of the boundaries that ended the run in ``state``."""
-        return [t / 1000.0 for t, s in zip(self.boundaries.times_ms, self.states) if s is state]
-
-    @property
-    def consumed(self) -> list[float]:
-        return self._times(BoundaryState.CONSUMED)
-
-    @property
-    def expired(self) -> list[float]:
-        return self._times(BoundaryState.EXPIRED)
-
-    @property
-    def pending(self) -> list[float]:
-        return self._times(BoundaryState.PENDING)
-
-    def diagnostics(self) -> dict:
-        return {
-            "token_count": len(self.tokens),
-            "chord_count": sum(1 for t in self.tokens if t.id == CHORD.id),
-            "final_cursor_s": self.final_cursor_s,
-            "boundaries_total": len(self.boundaries),
-            "boundaries_consumed": self.consumed,
-            "boundaries_expired": self.expired,
-            "boundaries_pending": self.pending,
-            "seed": self.seed,
-        }
 
 
 def _dense_pairs(probs: np.ndarray, step: int) -> Pairs:
@@ -202,8 +159,11 @@ def generate(
     *,
     seed: int = 0,
     max_tokens: int = DEFAULT_MAX_TOKENS,
-) -> GenerationResult:
+) -> GeneratorState:
     """Sample, seeded by ``seed``, a token sequence of roughly ``duration_s`` seconds.
+
+    Returns the :class:`GeneratorState` the loop folded every token into:
+    its tokens, offsets, boundary states and final cursor.
 
     ``config`` (the defaults when None) gives the temperature, top-k and
     scheduler windows.  The emitted history always begins with START.  Each
@@ -259,14 +219,7 @@ def generate(
         pairs = state.valid(pairs)
         on_token(state, VOCABULARY[_sample(pairs, state, temperature, top_k, rng)], scheduler)
 
-    return GenerationResult(
-        tokens=state.tokens,
-        offsets=state.offsets,
-        boundaries=state.boundaries,
-        states=state.states,
-        final_cursor_s=state.cursor_s,
-        seed=seed,
-    )
+    return state
 
 
 # ---------------------------------------------------------------------------

@@ -186,8 +186,10 @@ class ScoreTimeline:
     timeline order (:func:`_timeline_order`) and one row per field
     (:data:`ONSET`, :data:`BLOCK`, :data:`PITCH`, :data:`OFFSET`,
     :data:`VELOCITY`).  ``notes`` is the same notes as a list of
-    :class:`NoteEvent`, in the same order: the list the constructor was
+    :class:`NoteEvent`, in the same order: the notes the constructor was
     given, reordered, or one built from the columns on its first read.
+    The constructor makes each given note that is not a ``NoteEvent``
+    one with ``NoteEvent._make``, which checks its fields.
     Both are read only.  Two timelines are equal when their notes, tempo
     and bar marks are.
     """
@@ -203,7 +205,7 @@ class ScoreTimeline:
     ) -> None:
         self.tempo_bpm, self.bar_marks_ms = tempo_bpm, bar_marks_ms
         self._check()
-        notes = list(notes)
+        notes = [note if isinstance(note, NoteEvent) else NoteEvent._make(note) for note in notes]
         n = len(notes)
         columns = np.empty((5, n), dtype=np.int64)
         columns[BLOCK] = np.fromiter(

@@ -92,6 +92,8 @@ class GeneratorState(DecodeState):
     :func:`on_token` folds each emitted token into it once; it carries
     the caller's boundaries (read only), one :class:`BoundaryState` per
     boundary (all pending at first), and the tokens and offsets.
+    :func:`~midisync.generator.generate` returns it, and it reports its
+    own boundaries (:meth:`diagnostics`).
 
     ``first_pending`` only moves forward: every boundary before it has
     left the pending state, which it never re-enters, so :func:`on_token`
@@ -115,6 +117,34 @@ class GeneratorState(DecodeState):
     @property
     def cursor_s(self) -> float:
         return self.cursor_ms / 1000.0
+
+    def _times(self, state: BoundaryState) -> list[float]:
+        """Times (seconds) of the boundaries that are in ``state``."""
+        return [t / 1000.0 for t, s in zip(self.boundaries.times_ms, self.states) if s is state]
+
+    @property
+    def consumed(self) -> list[float]:
+        return self._times(BoundaryState.CONSUMED)
+
+    @property
+    def expired(self) -> list[float]:
+        return self._times(BoundaryState.EXPIRED)
+
+    @property
+    def pending(self) -> list[float]:
+        return self._times(BoundaryState.PENDING)
+
+    def diagnostics(self) -> dict:
+        """The run's counters and boundary times, as the ``generate`` manifest reports them."""
+        return {
+            "token_count": len(self.tokens),
+            "chord_count": sum(1 for t in self.tokens if t.id == CHORD.id),
+            "final_cursor_s": self.cursor_s,
+            "boundaries_total": len(self.boundaries),
+            "boundaries_consumed": self.consumed,
+            "boundaries_expired": self.expired,
+            "boundaries_pending": self.pending,
+        }
 
 
 def on_token(state: GeneratorState, token: Token, params: SchedulerParams) -> float:

@@ -377,6 +377,14 @@ def test_prepare_empty_dir_fails(tmp_path, capsys):
     assert "no .mid" in capsys.readouterr().err
 
 
+def test_prepare_fails_on_a_path_that_is_not_a_directory(tmp_path, capsys):
+    song = tmp_path / "song.mid"
+    song.write_bytes(b"")
+    assert main(["prepare", str(song), str(tmp_path / "out")]) == 1
+    assert capsys.readouterr() == ("", f"error: prepare: not a directory: {song}\n")
+    assert not (tmp_path / "out").exists()
+
+
 # sha256 of every file `prepare --seed 5` writes for the six songs above.
 PREPARE_DIGESTS = {
     "--augment 2": {
@@ -523,6 +531,24 @@ def test_generate_scripted_end_to_end(tmp_path):
     tokens_text = out_midi.with_suffix(".tokens").read_text()
     toks = parse_tokens(tokens_text)
     assert all(t.id < len(VOCABULARY) for t in toks)
+
+
+def test_generate_manifest_diagnostics_keys_and_values(tmp_path):
+    bounds = tmp_path / "b.txt"
+    bounds.write_text("2\n20\n")
+    out_midi = tmp_path / "o.mid"
+    assert main(["generate", "none", str(bounds), "6", str(out_midi), "--model", "scripted"]) == 0
+    manifest = json.loads(out_midi.with_suffix(".manifest.json").read_text())
+    assert list(manifest["outputs"]["diagnostics"].items()) == [
+        ("token_count", 15),
+        ("chord_count", 1),
+        ("final_cursor_s", 6.704),
+        ("boundaries_total", 2),
+        ("boundaries_consumed", [2.0]),
+        ("boundaries_expired", []),
+        ("boundaries_pending", [20.0]),
+        ("seed", 0),
+    ]
 
 
 def test_generate_reference_reproducible(tmp_path):

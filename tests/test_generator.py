@@ -16,7 +16,6 @@ from midisync.emotion import VAPoint
 from midisync.generator import (
     DecodeState,
     GenerationError,
-    GenerationResult,
     MAJOR_SCALE,
     MINOR_SCALE,
     ReferenceModel,
@@ -445,7 +444,7 @@ def test_generate_rejects_an_unreachable_duration_before_the_first_step():
     # Four one-second shifts after START reach 4 s in five tokens, and no further.
     longest = ConstModel(np.eye(len(VOCABULARY))[Token.shift(1000).id])
     result = generate(longest, VAPoint(None, None), BoundaryList.from_times([]), 4.0, max_tokens=5)
-    assert len(result.tokens) == 5 and result.final_cursor_s == 4.0
+    assert len(result.tokens) == 5 and result.cursor_s == 4.0
     with time_budget(1.0), pytest.raises(GenerationError, match="past the 4 s"):
         generate(longest, VAPoint(None, None), BoundaryList.from_times([]), 4.001, max_tokens=5)
 
@@ -456,7 +455,7 @@ def test_generate_rejects_a_duration_that_rounds_to_zero_ms(duration):
     with time_budget(1.0), pytest.raises(ValueError, match=message):
         generate(ReferenceModel(), VAPoint(None, None), BoundaryList.from_times([]), duration)
     result = generate(ReferenceModel(), VAPoint(None, None), BoundaryList.from_times([]), 0.0006)
-    assert result.final_cursor_s >= 0.0006
+    assert result.cursor_s >= 0.0006
 
 
 @pytest.mark.parametrize("duration", [float("nan"), float("inf")])
@@ -689,7 +688,7 @@ def test_scripted_model_consumes_all_boundaries():
     assert result.consumed == [5.0, 12.0]
     assert result.expired == []
     assert result.pending == []
-    assert result.final_cursor_s >= 20.0
+    assert result.cursor_s >= 20.0
 
 
 @pytest.mark.parametrize(
@@ -804,7 +803,7 @@ def test_reference_model_duration_window():
         duration_s=10.0,
         seed=5,
     )
-    assert 10.0 <= result.final_cursor_s < 11.0
+    assert 10.0 <= result.cursor_s < 11.0
 
 
 def test_generated_sequence_respects_grammar_at_every_step():
@@ -843,7 +842,7 @@ def test_temperature_and_top_k_paths_complete():
         config=PipelineConfig(temperature=0.25, top_k=1),
         seed=1,
     )
-    assert result.final_cursor_s >= 6.0
+    assert result.cursor_s >= 6.0
     decode_events(result.tokens)  # the stream decodes
 
 
@@ -870,17 +869,18 @@ def test_one_boundary_list_serves_repeated_runs():
         generate(ReferenceModel(), VAPoint(0.4, 0.7), bounds, 8.0, seed=3)
         for _ in range(2)
     ]
-    assert runs[0] == runs[1]
+    for field in ("tokens", "offsets", "states", "cursor_ms"):
+        assert getattr(runs[0], field) == getattr(runs[1], field)
     assert runs[0].consumed  # the run moved its own states, not the list
     assert bounds == BoundaryList.from_times([1.5, 4.0, 6.5])
 
 
 def test_diagnostics_count_every_chord_token():
     tokens = [START, CHORD, Token.shift(8), Token(TokenKind.CHORD), PAD]  # one not shared
-    result = GenerationResult(
-        tokens, [0.0] * 5, BoundaryList.from_times([]), states=[], final_cursor_s=0.008, seed=0
-    )
-    assert result.diagnostics()["chord_count"] == 2
+    state = GeneratorState(BoundaryList.from_times([]))
+    for token in tokens:
+        on_token(state, token, SchedulerParams())
+    assert state.diagnostics()["chord_count"] == 2
 
 
 # ---------------------------------------------------------------------------

@@ -824,6 +824,18 @@ def test_a_timeline_rejects_a_tempo_that_is_not_positive_and_finite(tempo):
         ScoreTimeline(notes=[NoteEvent(Instrument.PIANO, 60, 0, 100)], tempo_bpm=tempo)
 
 
+def test_a_timeline_checks_a_plain_tuple_as_a_note_event():
+    with pytest.raises(ValueError, match=r"^pitch must be an integer, got 60\.5$"):
+        ScoreTimeline(notes=[(Instrument.PIANO, 60.5, 0.5, 100.2, 80.7)])
+    (note,) = ScoreTimeline(notes=[(Instrument.PIANO, 60, 0, 100, 80)]).notes
+    assert type(note) is NoteEvent and note == NoteEvent(Instrument.PIANO, 60, 0, 100, 80)
+
+
+def test_a_timeline_rejects_an_instrument_name_in_a_plain_tuple():
+    with pytest.raises(ValueError, match=r"^instrument must be an Instrument, got 'piano'$"):
+        ScoreTimeline(notes=[("piano", 60, 0, 100, 80)])
+
+
 def old_note_order(note):
     """The order ``ScoreTimeline`` keeps, read off the instrument's name."""
     return (note.onset_ms, note.instrument.value, note.pitch, note.offset_ms, note.velocity)

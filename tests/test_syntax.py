@@ -131,9 +131,6 @@ def test_every_definition_is_reached_or_listed():
 MEMBERS_UNREACHED = {
     "config.PipelineConfig.save": "documented API: the README's Configuration section",
     "scheduler.GeneratorState.new": "perfbench/workloads.py calls it",
-    "midi_codec.NoteEvent._make": (
-        "the namedtuple's _replace calls it, and the README says _replace validates"
-    ),
 }
 
 
